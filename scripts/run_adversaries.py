@@ -17,7 +17,7 @@ from befs.client import (
     PolicyConfig,
     PolicyMode,
     SessionStatus,
-    befs_connect,
+    connect,
 )
 from befs.fleetsim import (
     AdversaryConfig,
@@ -63,7 +63,7 @@ def main() -> int:
             for address in harness.addresses:
                 kw = {} if user is None else {"user": user}
                 outcomes.append(
-                    befs_connect(address, cfg, connector=harness.connector(), **kw)
+                    connect(address, cfg, connector=harness.connector(), **kw)
                 )
         return outcomes
 

@@ -13,7 +13,7 @@ import statistics
 import sys
 import time
 
-from befs.client import PolicyConfig, PolicyMode, latency_bench, parallel_connect
+from befs.client import PolicyConfig, PolicyMode, connect, latency_bench
 from befs.fleetsim import Archetype, FleetSpec, LatencyModel, Transport, generate_fleet, serve
 
 
@@ -44,7 +44,7 @@ def main() -> int:
             for address in harness.addresses:
                 for _ in range(args.repetitions):
                     start = time.perf_counter()
-                    outcome = parallel_connect(address, cfg, connector=harness.connector())
+                    outcome = connect(address, cfg, connector=harness.connector())
                     walls.append(time.perf_counter() - start)
                     assert outcome.connected
             parallel_walls[mode] = statistics.mean(walls)

@@ -10,12 +10,8 @@ from .client import (
     SessionOutcome,
     SessionStatus,
     UserDecisionSource,
-    befs_connect,
-    besafe_connect,
     connect,
-    default_connect,
     latency_bench,
-    parallel_connect,
 )
 from .suites import (
     DEFAULT,
@@ -44,14 +40,10 @@ __all__ = [
     "SessionOutcome",
     "SessionStatus",
     "UserDecisionSource",
-    "befs_connect",
-    "besafe_connect",
     "connect",
-    "default_connect",
     "is_ae",
     "is_fs",
     "latency_bench",
-    "parallel_connect",
     "profile",
     "__version__",
 ]

@@ -43,6 +43,7 @@ from .metadata import (
     device_type,
     load_addresses,
     parse_address,
+    split_address,
 )
 from .report import (
     RecordStore,
@@ -135,7 +136,10 @@ def _parser() -> argparse.ArgumentParser:
     p_connect.add_argument("address", help="host[:port], port defaults to 443")
     p_connect.add_argument("--mode", choices=("default", "befs", "besafe"), default="befs")
     p_connect.add_argument(
-        "--fallback", choices=("silent", "interactive", "signaled"), default="silent"
+        "--fallback", choices=("silent", "interactive", "signaled"), default="silent",
+        help="how a failed rung widens the offer: silently, after a terminal prompt, or "
+        "with TLS_FALLBACK_SCSV (RFC 7507) appended; a real server that speaks TLS 1.3 "
+        "refuses every signaled rung, one whose maximum is TLS 1.2 never does",
     )
     p_connect.add_argument("--parallel", action="store_true",
                            help="race all ladder rungs instead of falling back")
@@ -385,7 +389,7 @@ def cmd_report(args) -> int:
     if args.device_meta:
         provider = FileBackedProvider(args.device_meta, snapshot_date=args.snapshot_date)
         hosts = [
-            r["address"].rsplit(":", 1)[0] if ":" in r["address"] else r["address"]
+            split_address(r["address"])[0]
             for r in scans
             if r.get("selected_suite") is not None
         ]

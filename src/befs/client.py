@@ -120,215 +120,84 @@ def describe_fallback(address: str, next_profile: ProfileKind) -> str:
     )
 
 
-def _outcome(
-    status: SessionStatus,
-    attempts: Sequence[AttemptResult],
-    *,
-    suite: Optional[int],
-    fallback_depth: int,
-    handshake_attempts: int,
-    mode: PolicyMode,
-) -> SessionOutcome:
-    return SessionOutcome(
-        status=status,
-        suite=suite,
-        fs=is_fs(suite) if suite is not None else None,
-        ae=is_ae(suite) if suite is not None else None,
-        fallback_depth=fallback_depth,
-        handshake_attempts=handshake_attempts,
-        per_attempt_timings=tuple(a.elapsed_s for a in attempts),
-        attempts=tuple(attempts),
-        mode=mode,
-    )
-
-
-def _attempt_rung(
-    connector: Connector,
-    address: str,
-    profile: ProfileKind,
-    cfg: PolicyConfig,
-    *,
-    signal: bool,
-    sni: Optional[str],
-    tag: str,
-    seed: int,
-    depth: int,
-) -> AttemptResult:
-    return handshake_attempt(
-        connector,
-        address,
-        PROFILES[profile].suites,
-        cfg.timeout_s,
-        sni=sni,
-        tag=tag,
-        seed=seed,
-        label="%s/%s/%d" % (cfg.mode.value, profile.value, depth),
-        signal_fallback=signal,
-    )
-
-
-def _sequential(
-    connector: Connector,
-    address: str,
-    cfg: PolicyConfig,
-    user: UserDecisionSource,
-    *,
-    sni: Optional[str],
-    tag: str,
-    seed: int,
-) -> SessionOutcome:
-    ladder = LADDERS[cfg.mode]
-    attempts: list[AttemptResult] = []
-    for depth, profile in enumerate(ladder):
-        if depth > 0 and cfg.fallback is FallbackStyle.INTERACTIVE:
-            if not user.approve_fallback(describe_fallback(address, profile)):
-                return _outcome(
-                    SessionStatus.ABORTED_BY_USER,
-                    attempts,
-                    suite=None,
-                    fallback_depth=len(attempts) - 1,
-                    handshake_attempts=len(attempts),
-                    mode=cfg.mode,
-                )
-        signal = cfg.fallback is FallbackStyle.SIGNALED and depth > 0
-        result = _attempt_rung(
-            connector, address, profile, cfg,
-            signal=signal, sni=sni, tag=tag, seed=seed, depth=depth,
-        )
-        attempts.append(result)
-        if result.selected:
-            return _outcome(
-                SessionStatus.CONNECTED,
-                attempts,
-                suite=result.suite,
-                fallback_depth=depth,
-                handshake_attempts=len(attempts),
-                mode=cfg.mode,
-            )
-    return _outcome(
-        SessionStatus.FAILED,
-        attempts,
-        suite=None,
-        fallback_depth=len(attempts) - 1,
-        handshake_attempts=len(attempts),
-        mode=cfg.mode,
-    )
-
-
-def parallel_connect(
-    address: str,
-    cfg: PolicyConfig,
-    user: UserDecisionSource = ALWAYS_PROCEED,
-    *,
-    connector: Connector,
-    sni: Optional[str] = None,
-    tag: str = "",
-    seed: int = 0,
-) -> SessionOutcome:
-    """All ladder rungs at once; wait for every answer, keep the strongest.
-
-    Fallback style does not apply: no rung is a reaction to a failure,
-    so there is nothing to confirm or signal.
-    """
-    if not cfg.parallel:
-        raise ValueError("parallel_connect requires cfg.parallel")
-    ladder = LADDERS[cfg.mode]
-    with ThreadPoolExecutor(max_workers=len(ladder)) as pool:
-        futures = [
-            pool.submit(
-                _attempt_rung,
-                connector, address, profile, cfg,
-                signal=False, sni=sni, tag=tag, seed=seed, depth=depth,
-            )
-            for depth, profile in enumerate(ladder)
-        ]
-        results = [f.result() for f in futures]  # join-all barrier
-    for depth, result in enumerate(results):  # strongest rung first
-        if result.selected:
-            return _outcome(
-                SessionStatus.CONNECTED,
-                results,
-                suite=result.suite,
-                fallback_depth=depth,
-                handshake_attempts=len(ladder),
-                mode=cfg.mode,
-            )
-    return _outcome(
-        SessionStatus.FAILED,
-        results,
-        suite=None,
-        fallback_depth=len(ladder) - 1,
-        handshake_attempts=len(ladder),
-        mode=cfg.mode,
-    )
-
-
-def befs_connect(
-    address: str,
-    cfg: PolicyConfig,
-    user: UserDecisionSource = ALWAYS_PROCEED,
-    *,
-    connector: Connector,
-    sni: Optional[str] = None,
-    tag: str = "",
-    seed: int = 0,
-) -> SessionOutcome:
-    """FS-only first; widen to the default offer only on failure."""
-    if cfg.mode is not PolicyMode.BEFS:
-        raise ValueError("befs_connect requires mode BEFS")
-    if cfg.parallel:
-        return parallel_connect(address, cfg, user, connector=connector, sni=sni, tag=tag, seed=seed)
-    return _sequential(connector, address, cfg, user, sni=sni, tag=tag, seed=seed)
-
-
-def besafe_connect(
-    address: str,
-    cfg: PolicyConfig,
-    user: UserDecisionSource = ALWAYS_PROCEED,
-    *,
-    connector: Connector,
-    sni: Optional[str] = None,
-    tag: str = "",
-    seed: int = 0,
-) -> SessionOutcome:
-    """FS+AE-only first, then FS-only, then the default offer."""
-    if cfg.mode is not PolicyMode.BESAFE:
-        raise ValueError("besafe_connect requires mode BESAFE")
-    if cfg.parallel:
-        return parallel_connect(address, cfg, user, connector=connector, sni=sni, tag=tag, seed=seed)
-    return _sequential(connector, address, cfg, user, sni=sni, tag=tag, seed=seed)
-
-
-def default_connect(
-    address: str,
-    cfg: PolicyConfig,
-    user: UserDecisionSource = ALWAYS_PROCEED,
-    *,
-    connector: Connector,
-    sni: Optional[str] = None,
-    tag: str = "",
-    seed: int = 0,
-) -> SessionOutcome:
-    # The plain client has one rung, so fallback/parallel knobs are moot.
-    if cfg.mode is not PolicyMode.DEFAULT:
-        raise ValueError("default_connect requires mode DEFAULT")
-    return _sequential(connector, address, cfg, user, sni=sni, tag=tag, seed=seed)
-
-
-_CONNECTORS_BY_MODE = {
-    PolicyMode.DEFAULT: default_connect,
-    PolicyMode.BEFS: befs_connect,
-    PolicyMode.BESAFE: besafe_connect,
-}
+# One pool for the parallel rungs of every connect: a pool per connect paid
+# for starting its threads on each call, which alone could push a parallel
+# connect past 1.5x a DEFAULT one. Threads start on first use.
+_RUNG_POOL = ThreadPoolExecutor(
+    max_workers=max(len(ladder) for ladder in LADDERS.values()),
+    thread_name_prefix="befs-rung",
+)
 
 
 def connect(
     address: str,
     cfg: PolicyConfig,
     user: UserDecisionSource = ALWAYS_PROCEED,
-    **kw,
+    *,
+    connector: Connector,
+    sni: Optional[str] = None,
+    tag: str = "",
+    seed: int = 0,
 ) -> SessionOutcome:
-    return _CONNECTORS_BY_MODE[cfg.mode](address, cfg, user, **kw)
+    """Walk LADDERS[cfg.mode] from the strongest offer to the widest.
+
+    Sequentially, each rung is tried only after the one before it failed,
+    behind the fallback style: a user decision (INTERACTIVE) or the
+    fallback signal on the widened offer (SIGNALED). With cfg.parallel,
+    every rung is sent at once, all answers are awaited, and the
+    strongest selecting rung wins; fallback style does not apply, since
+    no rung reacts to a failure. The rungs run on one module-wide pool
+    sized for the longest ladder, so concurrent parallel connects share
+    those workers and their rungs queue for a free one. DEFAULT has a
+    single rung, so it ignores both parallel and fallback.
+    """
+    ladder = LADDERS[cfg.mode]
+
+    def attempt(depth: int, profile: ProfileKind, signal: bool = False) -> AttemptResult:
+        return handshake_attempt(
+            connector,
+            address,
+            PROFILES[profile].suites,
+            cfg.timeout_s,
+            sni=sni,
+            tag=tag,
+            seed=seed,
+            label="%s/%s/%d" % (cfg.mode.value, profile.value, depth),
+            signal_fallback=signal,
+        )
+
+    status = SessionStatus.FAILED
+    if cfg.parallel and len(ladder) > 1:
+        futures = [_RUNG_POOL.submit(attempt, d, p) for d, p in enumerate(ladder)]
+        attempts = [f.result() for f in futures]  # join-all barrier
+    else:
+        attempts = []
+        for depth, profile in enumerate(ladder):
+            if depth > 0 and cfg.fallback is FallbackStyle.INTERACTIVE:
+                if not user.approve_fallback(describe_fallback(address, profile)):
+                    status = SessionStatus.ABORTED_BY_USER
+                    break
+            result = attempt(depth, profile, cfg.fallback is FallbackStyle.SIGNALED and depth > 0)
+            attempts.append(result)
+            if result.selected:
+                break
+    # the strongest selecting rung wins; without one, report the last reached
+    depth = next((d for d, a in enumerate(attempts) if a.selected), None)
+    if depth is not None:
+        status, suite = SessionStatus.CONNECTED, attempts[depth].suite
+    else:
+        depth, suite = len(attempts) - 1, None
+    return SessionOutcome(
+        status=status,
+        suite=suite,
+        fs=is_fs(suite) if suite is not None else None,
+        ae=is_ae(suite) if suite is not None else None,
+        fallback_depth=depth,
+        handshake_attempts=len(attempts),
+        per_attempt_timings=tuple(a.elapsed_s for a in attempts),
+        attempts=tuple(attempts),
+        mode=cfg.mode,
+    )
 
 
 @dataclass(frozen=True)

@@ -625,22 +625,17 @@ class _MemoryConnector:
             h.gauge.leave()
 
 
-class MemoryHarness:
-    """Synchronous in-process fleet; addresses are the server ids."""
+class Harness:
+    """What every running fleet shares: servers, endpoints, latency, gauge.
 
-    def __init__(
-        self,
-        servers: Iterable[SimServer],
-        *,
-        adversary: Optional[AdversaryConfig] = None,
-        latency: LatencyModel = LatencyModel(),
-        seed: int = 0,
-    ) -> None:
+    Plain instance attributes, since the memory connector reads them on
+    every handshake. Subclasses assign each server its address and add
+    its endpoint, then provide connector().
+    """
+
+    def __init__(self, servers: Iterable[SimServer], latency: LatencyModel, seed: int) -> None:
         self.servers = list(servers)
         self.endpoints = {}
-        for server in self.servers:
-            server.address = server.server_id
-            self.endpoints[server.address] = apply_adversary(server, adversary)
         self.latency = latency
         self.latency_rng = random.Random(seed ^ 0x1A7E)
         self.gauge = _Gauge()
@@ -658,27 +653,44 @@ class MemoryHarness:
     def max_in_flight(self) -> int:
         return self.gauge.max_seen
 
-    def connector(self) -> _MemoryConnector:
-        return _MemoryConnector(self)
-
     def truth(self) -> dict[str, GroundTruth]:
         return {s.address: s.truth for s in self.servers}
 
     def stop(self) -> None:
         self.stopped = True
 
-    def __enter__(self) -> "MemoryHarness":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.stop()
 
 
+class MemoryHarness(Harness):
+    """Synchronous in-process fleet; addresses are the server ids."""
+
+    def __init__(
+        self,
+        servers: Iterable[SimServer],
+        *,
+        adversary: Optional[AdversaryConfig] = None,
+        latency: LatencyModel = LatencyModel(),
+        seed: int = 0,
+    ) -> None:
+        super().__init__(servers, latency, seed)
+        for server in self.servers:
+            server.address = server.server_id
+            self.endpoints[server.address] = apply_adversary(server, adversary)
+
+    def connector(self) -> _MemoryConnector:
+        return _MemoryConnector(self)
+
+
 # sentinel stored in a connection slot once the server answered or stalled
 _CONN_DONE = object()
 
 
-class SocketHarness:
+class SocketHarness(Harness):
     """Loopback TCP fleet: one listener per server, one event-loop thread.
 
     The loop owns every socket; endpoint.respond runs inline (it is pure
@@ -694,12 +706,7 @@ class SocketHarness:
         latency: LatencyModel = LatencyModel(),
         seed: int = 0,
     ) -> None:
-        self.servers = list(servers)
-        self.endpoints = {}
-        self.latency = latency
-        self.latency_rng = random.Random(seed ^ 0x1A7E)
-        self.gauge = _Gauge()
-        self.stopped = False
+        super().__init__(servers, latency, seed)
         self._sel = selectors.DefaultSelector()
         self._listeners: list[socket.socket] = []
         self._conns: dict[socket.socket, list] = {}  # conn -> [endpoint, buffer|DONE]
@@ -730,23 +737,8 @@ class SocketHarness:
         self._thread = threading.Thread(target=self._run, name="fleet-loop", daemon=True)
         self._thread.start()
 
-    @property
-    def addresses(self) -> list[str]:
-        return [s.address for s in self.servers]
-
-    @property
-    def address_of(self) -> dict[str, str]:
-        return {s.server_id: s.address for s in self.servers}
-
-    @property
-    def max_in_flight(self) -> int:
-        return self.gauge.max_seen
-
     def connector(self) -> TcpConnector:
         return TcpConnector()
-
-    def truth(self) -> dict[str, GroundTruth]:
-        return {s.address: s.truth for s in self.servers}
 
     def stop(self) -> None:
         if self.stopped:
@@ -758,12 +750,6 @@ class SocketHarness:
             pass
         self._thread.join(timeout=10)
         self._close_all()
-
-    def __enter__(self) -> "SocketHarness":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     def _close_all(self) -> None:
         for sock in self._listeners:
@@ -878,7 +864,7 @@ def serve(
     adversary: Optional[AdversaryConfig] = None,
     latency: LatencyModel = LatencyModel(),
     seed: int = 0,
-):
+) -> Harness:
     """Running harness for the fleet; stop() or use as a context manager."""
     if transport is Transport.IN_MEMORY:
         return MemoryHarness(fleet, adversary=adversary, latency=latency, seed=seed)

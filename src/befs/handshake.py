@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Optional, Protocol, Sequence
 
 from . import wire
+from .metadata import split_address
 from .suites import FALLBACK_SIGNAL
 
 
@@ -91,9 +92,8 @@ def handshake_attempt(
     signal_fallback: bool = False,
 ) -> AttemptResult:
     """Send one ClientHello and classify the first server flight."""
-    suites = tuple(offer)
-    if signal_fallback:
-        suites = suites + (FALLBACK_SIGNAL,)
+    offered = tuple(offer)
+    suites = offered + (FALLBACK_SIGNAL,) if signal_fallback else offered
     extensions = (wire.sni_extension(sni),) if sni else ()
     msg = wire.ClientHelloMsg(
         legacy_version=max_version,
@@ -115,11 +115,20 @@ def handshake_attempt(
         return done(kind=AttemptKind.CONNECT_ERROR, error=str(exc))
     try:
         sh = wire.decode_server_hello(reply)
-        return done(kind=AttemptKind.SELECTED, suite=sh.selected_suite, version=sh.negotiated_version)
     except wire.NotServerHello:
         pass
     except wire.WireError as exc:
         return done(kind=AttemptKind.PROTOCOL_ERROR, error=str(exc))
+    else:
+        # A real client answers these with an illegal_parameter alert.
+        if sh.selected_suite not in offered or sh.selected_suite == FALLBACK_SIGNAL:
+            return done(kind=AttemptKind.PROTOCOL_ERROR,
+                        error="server selected unoffered suite 0x%04X" % sh.selected_suite)
+        if sh.negotiated_version > max_version:
+            return done(kind=AttemptKind.PROTOCOL_ERROR,
+                        error="server selected version 0x%04X above 0x%04X"
+                        % (sh.negotiated_version, max_version))
+        return done(kind=AttemptKind.SELECTED, suite=sh.selected_suite, version=sh.negotiated_version)
     try:
         alert = wire.decode_alert(reply)
         return done(kind=AttemptKind.REJECTED, alert=alert, error=alert.description_name)
@@ -155,12 +164,12 @@ class TcpConnector:
     def exchange(
         self, address: str, raw: bytes, timeout_s: float, client: ClientIdentity
     ) -> bytes:
-        host, _, port = address.rpartition(":")
-        if not host:
-            host, port = address, "443"
+        host, port, _ = split_address(address)
+        if port is None:
+            port = 443
         deadline = time.perf_counter() + timeout_s
         try:
-            sock = socket.create_connection((host, int(port)), timeout=timeout_s)
+            sock = socket.create_connection((host, port), timeout=timeout_s)
         except socket.timeout:
             raise TimeoutError("connect timed out") from None
         except OSError as exc:

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .handshake import AttemptKind, AttemptResult, Connector, handshake_attempt
+from .metadata import split_address
 from .suites import DEFAULT, FS_AE_ONLY, FS_ONLY, OfferProfile, ProfileKind, is_ae, is_fs
 
 
@@ -136,23 +137,12 @@ class RateLimiter:
             time.sleep(wait)
 
 
-def _sni_for(address: str, sni: bool) -> Optional[str]:
-    if not sni:
-        return None
-    host = address.rpartition(":")[0] or address
-    # Bare IPv4 literals carry no server name.
-    parts = host.split(".")
-    if len(parts) == 4 and all(p.isdigit() for p in parts):
-        return None
-    return host
-
-
 def _attempt_profile(
     connector: Connector,
     address: str,
     profile: OfferProfile,
     timeout_s: float,
-    sni: bool,
+    sni: Optional[str],
     seed: int,
     limiter: Optional[RateLimiter],
 ) -> StepResult:
@@ -163,7 +153,7 @@ def _attempt_profile(
         address,
         profile.suites,
         timeout_s,
-        sni=_sni_for(address, sni),
+        sni=sni,
         seed=seed,
         label=profile.kind.value,
     )
@@ -179,7 +169,8 @@ def scan_one(
     seed: int = 0,
     limiter: Optional[RateLimiter] = None,
 ) -> ScanRecord:
-    step = _attempt_profile(connector, address, DEFAULT, timeout_s, sni, seed, limiter)
+    sni_name = split_address(address)[2] if sni else None
+    step = _attempt_profile(connector, address, DEFAULT, timeout_s, sni_name, seed, limiter)
     now = time.time()
     a = step.attempt
     if a.selected:
@@ -235,8 +226,10 @@ def inspect_one(
 ) -> InspectionRecord:
     """Run the three-step heuristic; each step is a fresh connection."""
 
+    sni_name = split_address(address)[2] if sni else None
+
     def run(profile: OfferProfile) -> StepResult:
-        return _attempt_profile(connector, address, profile, timeout_s, sni, seed, limiter)
+        return _attempt_profile(connector, address, profile, timeout_s, sni_name, seed, limiter)
 
     h2: Optional[StepResult] = None
     h3: Optional[StepResult] = None

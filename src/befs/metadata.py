@@ -38,6 +38,24 @@ class AddressKind(Enum):
 _LABEL = re.compile(r"^[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?$")
 
 
+def split_address(address: str) -> tuple[str, Optional[int], Optional[str]]:
+    """(host, port, SNI name) of a dial string; total over any input.
+
+    A plain string split, cheap enough for every handshake: a suffix
+    after the last colon is the port only if it is all ASCII digits,
+    otherwise the whole string is the host and the port is None. The
+    SNI name is the host, unless the host is empty or only digits and
+    dots (an IPv4 literal, or no host name at all). Validation belongs
+    to parse_address.
+    """
+    host, sep, port = address.rpartition(":")
+    if sep and port.isascii() and port.isdigit():
+        number: Optional[int] = int(port)
+    else:
+        host, number = address, None
+    return host, number, host if host and not host.replace(".", "").isdigit() else None
+
+
 @dataclass(frozen=True)
 class Address:
     """One scan target. `normalized` is the dedup key and dial string."""
@@ -48,18 +66,16 @@ class Address:
 
     @property
     def host(self) -> str:
-        return self.normalized.rsplit(":", 1)[0] if ":" in self.normalized else self.normalized
+        return split_address(self.normalized)[0]
 
     @property
     def port(self) -> Optional[int]:
-        if ":" in self.normalized:
-            return int(self.normalized.rsplit(":", 1)[1])
-        return None
+        return split_address(self.normalized)[1]
 
     @property
     def sni_hostname(self) -> Optional[str]:
         # literal IPs never go into an SNI extension
-        return self.host if self.kind is AddressKind.HOSTNAME else None
+        return split_address(self.normalized)[2]
 
 
 def parse_address(raw: str) -> Address:

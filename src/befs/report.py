@@ -25,7 +25,7 @@ from .inspection import (
     ScanResultKind,
     StepResult,
 )
-from .metadata import DeviceLookup, IoFailure
+from .metadata import DeviceLookup, IoFailure, split_address
 from .suites import ProfileKind, is_fs
 from . import wire
 
@@ -390,11 +390,6 @@ def render_text(report: AggregateReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _host_of(address: str) -> str:
-    head, sep, tail = address.rpartition(":")
-    return head if sep and tail.isdigit() else address
-
-
 def aggregate(
     scan_records: Sequence[Union[ScanRecord, Mapping]],
     inspection_records: Sequence[Union[InspectionRecord, Mapping]],
@@ -416,7 +411,7 @@ def aggregate(
 
     responding = [r for r in scans if r.result is ScanResultKind.RESPONDED]
     select_non_fs = [r for r in responding if not is_fs(r.selected_suite)]
-    distinct_ip = len({_host_of(r.address) for r in scans})
+    distinct_ip = len({split_address(r.address)[0] for r in scans})
 
     by_class: dict[Classification, int] = {c: 0 for c in Classification}
     lose_ae_count = 0
@@ -437,7 +432,7 @@ def aggregate(
         metadata_responders = 0
         device_count = 0
     else:
-        hosts = [_host_of(r.address) for r in responding]
+        hosts = [split_address(r.address)[0] for r in responding]
         covered = [h for h in hosts if h in device_meta]
         metadata_responders = len(covered)
         device_count = sum(1 for h in covered if device_meta[h].is_network_device)

@@ -110,8 +110,9 @@ REGISTRY: dict[int, SuiteDescriptor] = {
     d.codepoint: d for d in _DEFAULT_DESCRIPTORS + _EXTRA_DESCRIPTORS
 }
 
-# Marker codepoint a client may append to a downgraded offer so servers can
-# detect the retry.  It names no algorithms and is never selectable.
+# TLS_FALLBACK_SCSV (RFC 7507): a client appends it to a downgraded retry;
+# a server that would have negotiated more refuses with alert 86,
+# inappropriate_fallback.  It names no algorithms and is never selectable.
 FALLBACK_SIGNAL = 0x5600
 
 

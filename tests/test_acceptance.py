@@ -16,10 +16,8 @@ from befs.client import (
     PolicyConfig,
     PolicyMode,
     SessionStatus,
-    befs_connect,
-    default_connect,
+    connect,
     latency_bench,
-    parallel_connect,
 )
 from befs.fleetsim import (
     AdversaryConfig,
@@ -138,14 +136,14 @@ ALL_STYLES = (FallbackStyle.SILENT, FallbackStyle.INTERACTIVE, FallbackStyle.SIG
 
 
 def _befs_under_every_style(policy: ServerPolicy) -> list[bool]:
-    """fs flag of befs_connect against this policy, one per fallback style."""
+    """fs flag of a BEFS connect against this policy, one per fallback style."""
     server = one_policy_server(policy)
     flags = []
     with serve([server], Transport.IN_MEMORY) as harness:
         connector = harness.connector()
         for style in ALL_STYLES:
             cfg = PolicyConfig(mode=PolicyMode.BEFS, fallback=style, timeout_s=0.5)
-            outcome = befs_connect(
+            outcome = connect(
                 harness.addresses[0], cfg, ALWAYS_PROCEED, connector=connector
             )
             assert outcome.connected, (policy, style, outcome)
@@ -287,7 +285,7 @@ def _connect_fleet(fleet, adversary, style, user=ALWAYS_PROCEED, timeout_s=0.02)
         cfg = PolicyConfig(mode=PolicyMode.BEFS, fallback=style, timeout_s=timeout_s)
         for address in harness.addresses:
             outcomes.append(
-                befs_connect(address, cfg, user, connector=harness.connector())
+                connect(address, cfg, user, connector=harness.connector())
             )
     return outcomes
 
@@ -376,7 +374,7 @@ def test_criterion_5_latency_structure():
             walls = []
             for address in harness.addresses:
                 start = time.perf_counter()
-                outcome = parallel_connect(address, cfg, connector=harness.connector())
+                outcome = connect(address, cfg, connector=harness.connector())
                 walls.append(time.perf_counter() - start)
                 assert outcome.connected and outcome.handshake_attempts == rungs
             parallel_avg[mode] = sum(walls) / len(walls)

@@ -11,17 +11,14 @@ from befs.client import (
     ALWAYS_PROCEED,
     BenchReport,
     FallbackStyle,
+    LADDERS,
     PolicyConfig,
     PolicyMode,
     ScriptedDecisions,
     SessionStatus,
-    befs_connect,
-    besafe_connect,
     connect,
-    default_connect,
     describe_fallback,
     latency_bench,
-    parallel_connect,
 )
 from befs.fleetsim import (
     AdversaryConfig,
@@ -37,7 +34,7 @@ from befs.fleetsim import (
 )
 from befs.handshake import AttemptKind
 from befs.negotiate import SelectionRule, ServerPolicy
-from befs.suites import DEFAULT_ORDER, ProfileKind
+from befs.suites import DEFAULT_ORDER, FALLBACK_SIGNAL, PROFILES, ProfileKind
 
 ALL_STYLES = (FallbackStyle.SILENT, FallbackStyle.INTERACTIVE, FallbackStyle.SIGNALED)
 
@@ -69,8 +66,8 @@ def cfg_for(mode, style=FallbackStyle.SILENT, parallel=False, timeout_s=0.2):
 def test_befs_first_rung_wins_when_fs_supported(style):
     # server prefers plain RSA but the FS-only offer leaves it no choice
     with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F)) as h:
-        out = befs_connect(h.addresses[0], cfg_for(PolicyMode.BEFS, style),
-                           connector=h.connector())
+        out = connect(h.addresses[0], cfg_for(PolicyMode.BEFS, style),
+                      connector=h.connector())
     assert out.status is SessionStatus.CONNECTED
     assert out.fs is True
     assert out.handshake_attempts == 1
@@ -80,8 +77,8 @@ def test_befs_first_rung_wins_when_fs_supported(style):
 
 def test_befs_silent_fallback_on_nonfs_server():
     with one_server({0x002F, 0x0035}, (0x0035, 0x002F)) as h:
-        out = befs_connect(h.addresses[0], cfg_for(PolicyMode.BEFS),
-                           connector=h.connector())
+        out = connect(h.addresses[0], cfg_for(PolicyMode.BEFS),
+                      connector=h.connector())
     assert out.connected and out.fs is False
     assert out.handshake_attempts == 2
     assert out.fallback_depth == 1
@@ -92,7 +89,7 @@ def test_befs_silent_fallback_on_nonfs_server():
 
 def test_befs_interactive_abort_stops_before_second_attempt():
     with one_server({0x002F}, (0x002F,)) as h:
-        out = befs_connect(
+        out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.INTERACTIVE),
             ALWAYS_ABORT,
@@ -107,7 +104,7 @@ def test_befs_interactive_abort_stops_before_second_attempt():
 def test_befs_interactive_consent_proceeds_and_prompt_names_the_cost():
     user = ScriptedDecisions([True])
     with one_server({0x002F}, (0x002F,)) as h:
-        out = befs_connect(
+        out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.INTERACTIVE),
             user,
@@ -135,7 +132,7 @@ def test_befs_signaled_fallback_connects_against_nonfs_server():
     # a server with no FS support cannot be downgraded, so the honest
     # signal check does not fire and the widened offer succeeds
     with one_server({0x002F, 0x009C}, (0x009C, 0x002F)) as h:
-        out = befs_connect(
+        out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.SIGNALED),
             connector=h.connector(),
@@ -149,7 +146,7 @@ def test_signaled_fallback_is_refused_by_fs_capable_server_under_dropper():
     # reaches an FS-capable server, which refuses the marked downgrade
     adv = AdversaryConfig(kind=AdversaryKind.ACTIVE_DROPPER)
     with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F), adversary=adv) as h:
-        out = befs_connect(
+        out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.SIGNALED, timeout_s=0.05),
             connector=h.connector(),
@@ -163,7 +160,7 @@ def test_silent_fallback_is_downgraded_by_dropper_unnoticed():
     # same attack without the signal: the retry quietly lands on non-FS
     adv = AdversaryConfig(kind=AdversaryKind.ACTIVE_DROPPER)
     with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F), adversary=adv) as h:
-        out = befs_connect(
+        out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.SILENT, timeout_s=0.05),
             connector=h.connector(),
@@ -177,16 +174,16 @@ def test_silent_fallback_is_downgraded_by_dropper_unnoticed():
 
 def test_besafe_one_attempt_when_fs_ae_supported():
     with one_server({0xC02B, 0x009D}, (0x009D, 0xC02B)) as h:
-        out = besafe_connect(h.addresses[0], cfg_for(PolicyMode.BESAFE),
-                             connector=h.connector())
+        out = connect(h.addresses[0], cfg_for(PolicyMode.BESAFE),
+                      connector=h.connector())
     assert out.connected and out.fs is True and out.ae is True
     assert out.handshake_attempts == 1 and out.fallback_depth == 0
 
 
 def test_besafe_two_attempts_when_only_cbc_fs_available():
     with one_server({0xC013, 0x002F}, (0x002F, 0xC013)) as h:
-        out = besafe_connect(h.addresses[0], cfg_for(PolicyMode.BESAFE),
-                             connector=h.connector())
+        out = connect(h.addresses[0], cfg_for(PolicyMode.BESAFE),
+                      connector=h.connector())
     assert out.connected and out.fs is True and out.ae is False
     assert out.handshake_attempts == 2 and out.fallback_depth == 1
     assert out.suite == 0xC013
@@ -195,7 +192,7 @@ def test_besafe_two_attempts_when_only_cbc_fs_available():
 def test_besafe_three_attempts_on_nonfs_server_with_prompts():
     user = ScriptedDecisions([True, True])
     with one_server({0x0035}, (0x0035,)) as h:
-        out = besafe_connect(
+        out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BESAFE, FallbackStyle.INTERACTIVE),
             user,
@@ -208,10 +205,10 @@ def test_besafe_three_attempts_on_nonfs_server_with_prompts():
     assert "forward secrecy" in user.prompts[1]
 
 
-def test_default_connect_single_attempt():
+def test_default_mode_single_attempt():
     with one_server({0x002F}, (0x002F,)) as h:
-        out = default_connect(h.addresses[0], cfg_for(PolicyMode.DEFAULT),
-                              connector=h.connector())
+        out = connect(h.addresses[0], cfg_for(PolicyMode.DEFAULT),
+                      connector=h.connector())
     assert out.connected and out.handshake_attempts == 1 and out.fallback_depth == 0
 
 
@@ -229,20 +226,11 @@ def test_failed_when_nothing_overlaps():
         rng=random.Random(3),
     )
     with serve([server], Transport.IN_MEMORY) as h:
-        out = befs_connect(h.addresses[0], cfg_for(PolicyMode.BEFS),
-                           connector=h.connector())
+        out = connect(h.addresses[0], cfg_for(PolicyMode.BEFS),
+                      connector=h.connector())
     assert out.status is SessionStatus.FAILED
     assert out.handshake_attempts == 2
     assert out.suite is None and out.fs is None
-
-
-def test_mode_mismatch_rejected():
-    with one_server({0x002F}, (0x002F,)) as h:
-        conn = h.connector()
-        with pytest.raises(ValueError):
-            befs_connect(h.addresses[0], cfg_for(PolicyMode.DEFAULT), connector=conn)
-        with pytest.raises(ValueError):
-            besafe_connect(h.addresses[0], cfg_for(PolicyMode.BEFS), connector=conn)
 
 
 # -- property: best effort and never-worse ------------------------------------
@@ -269,11 +257,11 @@ def test_policies_best_effort_and_never_worse(policy, style):
     )
     with serve([server], Transport.IN_MEMORY) as h:
         conn = h.connector()
-        base = default_connect(h.addresses[0], cfg_for(PolicyMode.DEFAULT), connector=conn)
-        befs = befs_connect(h.addresses[0], cfg_for(PolicyMode.BEFS, style),
-                            ALWAYS_PROCEED, connector=conn)
-        besafe = besafe_connect(h.addresses[0], cfg_for(PolicyMode.BESAFE, style),
-                                ALWAYS_PROCEED, connector=conn)
+        base = connect(h.addresses[0], cfg_for(PolicyMode.DEFAULT), connector=conn)
+        befs = connect(h.addresses[0], cfg_for(PolicyMode.BEFS, style),
+                       ALWAYS_PROCEED, connector=conn)
+        besafe = connect(h.addresses[0], cfg_for(PolicyMode.BESAFE, style),
+                         ALWAYS_PROCEED, connector=conn)
     # supported suites come from the client's default offer, so every
     # ladder that reaches its widest rung unreproached must connect
     assert base.connected and befs.connected
@@ -298,7 +286,7 @@ def test_policies_best_effort_and_never_worse(policy, style):
 
 def test_parallel_befs_prefers_strongest_rung():
     with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F)) as h:
-        out = parallel_connect(
+        out = connect(
             h.addresses[0], cfg_for(PolicyMode.BEFS, parallel=True),
             connector=h.connector(),
         )
@@ -312,7 +300,7 @@ def test_parallel_befs_prefers_strongest_rung():
 
 def test_parallel_befs_on_nonfs_server():
     with one_server({0x002F}, (0x002F,)) as h:
-        out = parallel_connect(
+        out = connect(
             h.addresses[0], cfg_for(PolicyMode.BEFS, parallel=True),
             connector=h.connector(),
         )
@@ -322,7 +310,7 @@ def test_parallel_befs_on_nonfs_server():
 
 def test_parallel_besafe_runs_three_rungs():
     with one_server({0xC013, 0x002F}, (0x002F, 0xC013)) as h:
-        out = parallel_connect(
+        out = connect(
             h.addresses[0], cfg_for(PolicyMode.BESAFE, parallel=True),
             connector=h.connector(),
         )
@@ -333,7 +321,7 @@ def test_parallel_besafe_runs_three_rungs():
 def test_parallel_unresponsive_fails_with_all_rungs_accounted():
     fleet = generate_fleet(FleetSpec(size=1, seed=1, mix={Archetype.UNRESPONSIVE: 1.0}))
     with serve(fleet, Transport.IN_MEMORY) as h:
-        out = parallel_connect(
+        out = connect(
             h.addresses[0], cfg_for(PolicyMode.BEFS, parallel=True, timeout_s=0.05),
             connector=h.connector(),
         )
@@ -344,11 +332,25 @@ def test_parallel_unresponsive_fails_with_all_rungs_accounted():
 
 def test_parallel_requires_flag_and_dispatch_honors_it():
     with one_server({0x002F}, (0x002F,)) as h:
-        conn = h.connector()
-        with pytest.raises(ValueError):
-            parallel_connect(h.addresses[0], cfg_for(PolicyMode.BEFS), connector=conn)
-        out = connect(h.addresses[0], cfg_for(PolicyMode.BEFS, parallel=True), connector=conn)
+        out = connect(h.addresses[0], cfg_for(PolicyMode.BEFS, parallel=True),
+                      connector=h.connector())
     assert out.connected and out.handshake_attempts == 2
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+@pytest.mark.parametrize("mode", list(PolicyMode))
+def test_nonfs_fleet_walks_the_whole_ladder(mode, parallel):
+    rungs = {PolicyMode.DEFAULT: 1, PolicyMode.BEFS: 2, PolicyMode.BESAFE: 3}[mode]
+    assert len(LADDERS[mode]) == rungs
+    fleet = generate_fleet(FleetSpec(size=3, seed=5, mix={Archetype.NONFS_ONLY: 1.0}))
+    with serve(fleet, Transport.IN_MEMORY) as h:
+        outs = [connect(a, cfg_for(mode, parallel=parallel), connector=h.connector())
+                for a in h.addresses]
+    for out in outs:
+        assert out.connected and out.fs is False
+        assert out.handshake_attempts == rungs
+        assert out.fallback_depth == len(LADDERS[mode]) - 1
+        assert out.mode is mode
 
 
 def test_sequential_attempt_accounting():
@@ -365,6 +367,60 @@ def test_sequential_attempt_accounting():
         assert out.handshake_attempts == expect
         assert out.fallback_depth == expect - 1
         assert len(out.per_attempt_timings) == expect
+
+
+# -- servers that ignore the offer --------------------------------------------
+
+
+class FixedReply:
+    """Answers every ClientHello with the same bytes, whatever it offered."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def exchange(self, address, raw, timeout_s, client):
+        return self.reply
+
+
+def server_hello(suite, version=wire.TLS1_2):
+    return wire.encode_server_hello(wire.ServerHelloSummary(version, suite))
+
+
+@pytest.mark.parametrize("mode", list(PolicyMode))
+def test_offer_ignoring_server_cannot_pass_off_an_unoffered_pick(mode):
+    depth = len(LADDERS[mode]) - 1
+    # static RSA to every rung: only the widest, default offer contains it
+    out = connect("srv-0", cfg_for(mode), connector=FixedReply(server_hello(0x002F)))
+    assert out.connected and out.suite == 0x002F and out.fs is False
+    assert out.fallback_depth == depth and out.handshake_attempts == depth + 1
+    assert all(a.kind is AttemptKind.PROTOCOL_ERROR for a in out.attempts[:-1])
+    # the fallback signal itself, or a version above TLS 1.2, never connects
+    for reply in (server_hello(FALLBACK_SIGNAL), server_hello(0xC02F, 0x0304)):
+        out = connect("srv-0", cfg_for(mode, FallbackStyle.SIGNALED),
+                      connector=FixedReply(reply))
+        assert out.status is SessionStatus.FAILED
+        assert all(a.kind is AttemptKind.PROTOCOL_ERROR for a in out.attempts)
+
+
+_SUITES = st.one_of(st.sampled_from(DEFAULT_ORDER + (FALLBACK_SIGNAL,)), st.integers(0, 0xFFFF))
+_VERSIONS = st.one_of(st.sampled_from((wire.TLS1_0, wire.TLS1_2, 0x0304)),
+                      st.integers(0, 0xFFFF))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    reply=st.one_of(st.binary(max_size=80), st.builds(server_hello, _SUITES, _VERSIONS)),
+    mode=st.sampled_from(list(PolicyMode)),
+    style=st.sampled_from(ALL_STYLES),
+    parallel=st.booleans(),
+)
+def test_no_reply_connects_on_an_unoffered_suite_or_version(reply, mode, style, parallel):
+    out = connect("srv-0", cfg_for(mode, style, parallel=parallel),
+                  connector=FixedReply(reply))
+    if out.connected:
+        rung = LADDERS[mode][out.fallback_depth]
+        assert out.suite in PROFILES[rung].suites
+        assert out.attempts[out.fallback_depth].version <= wire.TLS1_2
 
 
 # -- latency bench ------------------------------------------------------------

@@ -26,7 +26,6 @@ from befs.inspection import (
     ScanResultKind,
     STABLE_CLASSES,
     StepResult,
-    _sni_for,
     classify_steps,
     inspect_all,
     inspect_one,
@@ -315,8 +314,20 @@ def test_rate_limiter_rejects_nonpositive():
         RateLimiter(0)
 
 
-def test_sni_helper_hostname_vs_ipv4():
-    assert _sni_for("example.com:443", True) == "example.com"
-    assert _sni_for("example.com", True) == "example.com"
-    assert _sni_for("192.0.2.1:443", True) is None
-    assert _sni_for("example.com:443", False) is None
+class SniRecorder:
+    """Records the SNI of each ClientHello, then answers like a timeout."""
+
+    def __init__(self):
+        self.seen = []
+
+    def exchange(self, address, raw, timeout_s, client):
+        self.seen.append(wire.extract_sni(wire.decode_client_hello(raw)))
+        raise TimeoutError("recorded")
+
+
+def test_scan_sends_the_host_as_sni_only_when_asked():
+    recorder = SniRecorder()
+    for address, sni in (("example.com:443", True), ("192.0.2.1:443", True),
+                         ("example.com:443", False)):
+        scan_one(address, 0.1, connector=recorder, sni=sni)
+    assert recorder.seen == ["example.com", None, None]

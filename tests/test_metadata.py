@@ -17,7 +17,32 @@ from befs.metadata import (
     device_type,
     load_addresses,
     parse_address,
+    split_address,
 )
+
+
+SPLIT_CASES = [
+    # address, host, port, SNI name
+    ("example.com:443", "example.com", 443, "example.com"),
+    ("example.com", "example.com", None, "example.com"),
+    ("192.0.2.1:443", "192.0.2.1", 443, None),
+    ("127.0.0.1:5000", "127.0.0.1", 5000, None),
+    ("srv-0001", "srv-0001", None, "srv-0001"),
+    ("host:https", "host:https", None, "host:https"),
+    ("", "", None, None),
+]
+
+
+def test_split_address_table():
+    for address, host, port, sni in SPLIT_CASES:
+        assert split_address(address) == (host, port, sni), address
+
+
+@given(st.text())
+def test_split_address_is_total(text):
+    host, port, sni = split_address(text)
+    assert (text == host) if port is None else text.startswith(host + ":")
+    assert sni in (None, host)
 
 
 def test_parse_hostname_and_ipv4():

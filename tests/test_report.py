@@ -12,7 +12,7 @@ from befs.client import (
     PolicyConfig,
     PolicyMode,
     SessionStatus,
-    befs_connect,
+    connect,
 )
 from befs.fleetsim import (
     Archetype,
@@ -123,7 +123,7 @@ def test_inspection_record_round_trip_with_alert():
 def test_session_record_round_trip():
     fleet = generate_fleet(FleetSpec(size=1, seed=3, mix={Archetype.NONFS_ONLY: 1.0}))
     with serve(fleet, Transport.IN_MEMORY) as h:
-        outcome = befs_connect(
+        outcome = connect(
             h.addresses[0], PolicyConfig(mode=PolicyMode.BEFS, timeout_s=0.2),
             connector=h.connector(),
         )
