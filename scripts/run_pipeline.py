@@ -62,11 +62,11 @@ def main() -> int:
         )
 
     if args.store:
-        store = RecordStore(args.store)
-        for rec in scanned:
-            store.append(scan_record_to_dict(rec, campaign=args.campaign))
-        for rec in inspections:
-            store.append(inspection_record_to_dict(rec, campaign=args.campaign))
+        with RecordStore(args.store) as store:
+            for rec in scanned:
+                store.append(scan_record_to_dict(rec, campaign=args.campaign))
+            for rec in inspections:
+                store.append(inspection_record_to_dict(rec, campaign=args.campaign))
 
     mismatches = 0
     for rec in inspections:

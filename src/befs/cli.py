@@ -13,7 +13,7 @@ import json
 import signal
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from .client import (
     ALWAYS_PROCEED,
@@ -97,7 +97,10 @@ def _add_source_options(p: argparse.ArgumentParser) -> None:
 def _add_handshake_options(p: argparse.ArgumentParser, concurrency: bool = True) -> None:
     p.add_argument("--timeout", type=float, default=5.0, help="per-connection timeout, seconds")
     if concurrency:
-        p.add_argument("--concurrency", type=int, default=50, help="worker pool size")
+        p.add_argument(
+            "--concurrency", type=int, default=50,
+            help="workers, the calling thread included; at most this many handshakes in flight",
+        )
         p.add_argument(
             "--rate-limit", type=float, default=None,
             help="global cap on new connections per second",
@@ -191,7 +194,8 @@ def _targets(args):
 
 
 def _store_for(args):
-    return RecordStore(args.store) if getattr(args, "store", None) else None
+    """The --store log to enter in a ``with`` block; it yields None without one."""
+    return RecordStore(args.store) if getattr(args, "store", None) else nullcontext()
 
 
 def cmd_scan(args) -> int:
@@ -205,14 +209,14 @@ def cmd_scan(args) -> int:
             seed=args.seed,
             rate_limit=args.rate_limit,
         )
-    store = _store_for(args)
     responded = 0
-    for rec in records:
-        data = scan_record_to_dict(rec, campaign=args.campaign)
-        if store:
-            store.append(data)
-        _emit(data)
-        responded += rec.selected_suite is not None
+    with _store_for(args) as store:
+        for rec in records:
+            data = scan_record_to_dict(rec, campaign=args.campaign)
+            if store:
+                store.append(data)
+            _emit(data)
+            responded += rec.selected_suite is not None
     _note("scan: %d addresses, %d responded" % (len(records), responded))
     return 0
 
@@ -237,18 +241,18 @@ def cmd_inspect(args) -> int:
             seed=args.seed,
             rate_limit=args.rate_limit,
         )
-    store = _store_for(args)
-    for rec in scanned:
-        data = scan_record_to_dict(rec, campaign=args.campaign)
-        if store:
-            store.append(data)
     histogram: dict[str, int] = {}
-    for rec in inspections:
-        data = inspection_record_to_dict(rec, campaign=args.campaign)
-        if store:
-            store.append(data)
-        _emit(data)
-        histogram[rec.classification.name] = histogram.get(rec.classification.name, 0) + 1
+    with _store_for(args) as store:
+        for rec in scanned:
+            data = scan_record_to_dict(rec, campaign=args.campaign)
+            if store:
+                store.append(data)
+        for rec in inspections:
+            data = inspection_record_to_dict(rec, campaign=args.campaign)
+            if store:
+                store.append(data)
+            _emit(data)
+            histogram[rec.classification.name] = histogram.get(rec.classification.name, 0) + 1
     _note(
         "inspect: %d scanned, %d inspected" % (len(scanned), len(inspections))
     )
@@ -287,9 +291,9 @@ def cmd_connect(args) -> int:
     data = session_record_to_dict(
         target.normalized, outcome, campaign=args.campaign, fallback=cfg.fallback
     )
-    store = _store_for(args)
-    if store:
-        store.append(data)
+    with _store_for(args) as store:
+        if store:
+            store.append(data)
     _emit(data)
     if outcome.status is SessionStatus.CONNECTED:
         _note(

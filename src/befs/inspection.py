@@ -11,12 +11,12 @@ encryption.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .handshake import AttemptKind, AttemptResult, Connector, handshake_attempt
 from .metadata import split_address
@@ -137,6 +137,45 @@ class RateLimiter:
             time.sleep(wait)
 
 
+def _run_bounded(fn: Callable, items: Sequence, concurrency: int) -> list:
+    """``fn(item)`` for every item, at most ``concurrency`` at once, in input order.
+
+    The calling thread is one of the workers and ``concurrency - 1`` helper
+    threads are the rest, so a concurrency of 1 starts no thread. Workers
+    take the next index under a lock and write the result into that
+    index's slot. The first exception, an interrupt included, stops every
+    worker from taking a new item; it is raised here once the helpers have
+    finished the items they hold and been joined.
+    """
+    results = [None] * len(items)
+    indices = iter(range(len(items)))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(indices, None)
+                if i is None:
+                    return
+                results[i] = fn(items[i])
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(min(concurrency, len(items)) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _attempt_profile(
     connector: Connector,
     address: str,
@@ -198,20 +237,10 @@ def scan(
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
     limiter = RateLimiter(rate_limit) if rate_limit else None
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futures = [
-            pool.submit(
-                scan_one,
-                addr,
-                timeout_s,
-                connector=connector,
-                sni=sni,
-                seed=seed,
-                limiter=limiter,
-            )
-            for addr in addresses
-        ]
-        return [f.result() for f in futures]
+    one = functools.partial(
+        scan_one, timeout_s=timeout_s, connector=connector, sni=sni, seed=seed, limiter=limiter
+    )
+    return _run_bounded(one, addresses, concurrency)
 
 
 def inspect_one(
@@ -271,18 +300,16 @@ def inspect_all(
     if not targets:
         return []
     limiter = RateLimiter(rate_limit) if rate_limit else None
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        futures = [
-            pool.submit(
-                inspect_one,
-                r.address,
-                timeout_s,
-                connector=connector,
-                sni=sni,
-                seed=seed,
-                limiter=limiter,
-                scanned_at=r.timestamp,
-            )
-            for r in targets
-        ]
-        return [f.result() for f in futures]
+
+    def one(r: ScanRecord) -> InspectionRecord:
+        return inspect_one(
+            r.address,
+            timeout_s,
+            connector=connector,
+            sni=sni,
+            seed=seed,
+            limiter=limiter,
+            scanned_at=r.timestamp,
+        )
+
+    return _run_bounded(one, targets, max(1, concurrency))

@@ -220,11 +220,17 @@ class LoadResult:
 
 
 class RecordStore:
-    """Append-only JSON-lines log. Writes are serialized; reads are not."""
+    """Append-only JSON-lines log. Writes are serialized; reads are not.
+
+    Appends go through one handle, opened on the first append and flushed
+    after every line, so a killed process leaves every line appended so
+    far. close(), or the end of a ``with`` block, releases the handle.
+    """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         self._write_lock = threading.Lock()
+        self._fh = None
 
     def append(self, record: Mapping) -> None:
         if "kind" not in record:
@@ -233,10 +239,24 @@ class RecordStore:
         line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with self._write_lock:
             try:
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
+                if self._fh is None:
+                    self._fh = self.path.open("a", encoding="utf-8")
+                self._fh.write(line + "\n")
+                self._fh.flush()
             except OSError as exc:
                 raise IoFailure("cannot append to %s: %s" % (self.path, exc)) from exc
+
+    def close(self) -> None:
+        with self._write_lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+
+    def __enter__(self) -> "RecordStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def load(
         self,

@@ -315,9 +315,10 @@ def test_fleet_serve_then_scan_pipeline(tmp_path):
     finally:
         proc.send_signal(signal.SIGINT)
         try:
-            proc.wait(timeout=10)
+            proc.communicate(timeout=10)  # waits, and closes both pipes
         except subprocess.TimeoutExpired:
             proc.kill()
+            proc.communicate()
             raise
     assert proc.returncode == 0
     loaded = RecordStore(store_path).load(campaign="pipe")

@@ -1,6 +1,9 @@
 """Scan pass, three-step inspection, and the step classifier."""
 
+import collections
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -193,6 +196,109 @@ def test_concurrency_bound_is_respected_under_load():
     with serve(fleet, Transport.IN_MEMORY, latency=LatencyModel(base_ms=20)) as h:
         scan(h.addresses, timeout_s=1.0, concurrency=5, connector=h.connector())
         assert 1 < h.max_in_flight <= 5
+
+
+class CountingConnector:
+    """Wraps a connector; counts exchanges per address and notes each thread."""
+
+    def __init__(self, inner=None, raise_if=None, delay_s=0.0, error=RuntimeError):
+        self.inner = inner
+        self.raise_if = raise_if  # (address, thread) -> bool
+        self.error = error
+        self.delay_s = delay_s
+        self.lock = threading.Lock()
+        self.per_address = collections.Counter()
+        self.threads = set()
+
+    @property
+    def calls(self):
+        return sum(self.per_address.values())
+
+    def exchange(self, address, raw, timeout_s, client):
+        thread = threading.current_thread()
+        with self.lock:
+            self.per_address[address] += 1
+            self.threads.add(thread)
+        if self.raise_if is not None and self.raise_if(address, thread):
+            raise self.error("connector broke on %s" % address)
+        time.sleep(self.delay_s)
+        if self.inner is None:
+            raise TimeoutError("no answer")
+        return self.inner.exchange(address, raw, timeout_s, client)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_scan_error_stops_new_work(error):
+    addresses = ["srv-%04d" % i for i in range(500)]
+    connector = CountingConnector(
+        raise_if=lambda address, _: address == addresses[0], error=error
+    )
+    with pytest.raises(error, match="srv-0000"):
+        scan(addresses, timeout_s=0.01, concurrency=1, connector=connector)
+    assert connector.calls == 1
+
+
+def test_scan_error_on_a_helper_thread_stops_new_work_and_joins():
+    addresses = ["srv-%04d" % i for i in range(500)]
+    main = threading.current_thread()
+    connector = CountingConnector(raise_if=lambda _, thread: thread is not main, delay_s=0.002)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="connector broke"):
+        scan(addresses, timeout_s=0.01, concurrency=4, connector=connector)
+    assert connector.calls < 50
+    assert threading.active_count() == threads_before  # every helper joined
+
+
+def test_scan_and_inspect_under_contention():
+    """More workers than cores, a tiny switch interval, a slow fleet."""
+    concurrency = 16
+    fleet = generate_fleet(
+        FleetSpec(
+            size=120,
+            seed=12,
+            mix={Archetype.NONFS_ONLY: 0.3, Archetype.FS_PREFERRING: 0.4,
+                 Archetype.FS_SUPPORTING_NONFS_PREFERRING: 0.3},
+        )
+    )
+    outcome = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with serve(fleet, Transport.IN_MEMORY, latency=LatencyModel(base_ms=2)) as h:
+            connector = CountingConnector(h.connector())
+
+            def run():
+                scanned = scan(h.addresses, timeout_s=1.0, concurrency=concurrency,
+                               connector=connector)
+                outcome["scanned"] = scanned
+                outcome["scan_exchanges"] = dict(connector.per_address)
+                outcome["inspected"] = inspect_all(scanned, 1.0, concurrency,
+                                                   connector=connector)
+
+            worker = threading.Thread(target=run)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            peak = h.max_in_flight
+    finally:
+        sys.setswitchinterval(interval)
+    scanned = outcome["scanned"]
+    assert [r.address for r in scanned] == h.addresses
+    assert outcome["scan_exchanges"] == {a: 1 for a in h.addresses}
+    targets = [r.address for r in scanned if needs_inspection(r)]
+    assert targets
+    assert [r.address for r in outcome["inspected"]] == targets
+    assert 1 < peak <= concurrency
+
+
+def test_concurrency_one_runs_every_exchange_on_the_calling_thread():
+    fleet = generate_fleet(FleetSpec(size=20, seed=5, mix=FULL_MIX))
+    with serve(fleet, Transport.IN_MEMORY) as h:
+        connector = CountingConnector(h.connector())
+        scanned = scan(h.addresses, timeout_s=0.01, concurrency=1, connector=connector)
+        inspect_all(scanned, 0.01, 1, connector=connector)
+    assert connector.calls > len(h.addresses)
+    assert connector.threads == {threading.main_thread()}
 
 
 # -- inspection ---------------------------------------------------------------

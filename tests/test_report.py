@@ -151,8 +151,13 @@ def test_schema_guards():
 # -- store ---------------------------------------------------------------------
 
 
-def test_store_append_then_load_identical(tmp_path):
-    store = RecordStore(tmp_path / "log.jsonl")
+@pytest.fixture
+def store(tmp_path):
+    with RecordStore(tmp_path / "log.jsonl") as opened:
+        yield opened
+
+
+def test_store_append_then_load_identical(store):
     rec = scan_record_to_dict(scan_rec(), campaign="c")
     store.append(rec)
     loaded = store.load()
@@ -161,8 +166,7 @@ def test_store_append_then_load_identical(tmp_path):
     assert scan_record_from_dict(loaded.records[0]) == scan_rec()
 
 
-def test_store_filters(tmp_path):
-    store = RecordStore(tmp_path / "log.jsonl")
+def test_store_filters(store):
     store.append(scan_record_to_dict(scan_rec("a"), campaign="c1"))
     store.append(scan_record_to_dict(scan_rec("b"), campaign="c2"))
     store.append(
@@ -182,9 +186,8 @@ def test_store_filters(tmp_path):
         assert all(r in everything for r in subset)
 
 
-def test_store_corrupt_line_reported_with_number(tmp_path):
-    path = tmp_path / "log.jsonl"
-    store = RecordStore(path)
+def test_store_corrupt_line_reported_with_number(store):
+    path = store.path
     store.append(scan_record_to_dict(scan_rec("a")))
     with path.open("a", encoding="utf-8") as fh:
         fh.write("{not json\n")
@@ -197,16 +200,31 @@ def test_store_corrupt_line_reported_with_number(tmp_path):
     assert isinstance(loaded.errors[0], ParseFailure)
 
 
-def test_store_requires_kind(tmp_path):
-    store = RecordStore(tmp_path / "log.jsonl")
+def test_store_requires_kind(store):
     with pytest.raises(SchemaMismatch):
         store.append({"address": "a"})
 
 
-def test_store_concurrent_appends_keep_lines_whole(tmp_path):
+def test_store_line_is_on_disk_when_append_returns(store):
+    rec = scan_record_to_dict(scan_rec(), campaign="c")
+    store.append(rec)
+    assert RecordStore(store.path).load().records == [rec]
+    store.append(rec)
+    assert RecordStore(store.path).load().records == [rec, rec]
+
+
+def test_store_reopens_after_close(store):
+    rec = scan_record_to_dict(scan_rec(), campaign="c")
+    store.append(rec)
+    store.close()
+    store.close()
+    store.append(rec)
+    assert len(store.load().records) == 2
+
+
+def test_store_concurrent_appends_keep_lines_whole(store):
     import threading
 
-    store = RecordStore(tmp_path / "log.jsonl")
     rec = scan_record_to_dict(scan_rec())
 
     def write_many():
@@ -329,8 +347,7 @@ def test_render_text_deterministic_and_two_decimal():
     assert json.dumps(data)  # machine form is JSON-clean
 
 
-def test_aggregate_accepts_store_dicts_round_trip(tmp_path):
-    store = RecordStore(tmp_path / "log.jsonl")
+def test_aggregate_accepts_store_dicts_round_trip(store):
     scans = [scan_rec("a"), scan_rec("b", 0xC02F)]
     inspections = [inspection_rec("a")]
     for s in scans:
