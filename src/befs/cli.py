@@ -9,6 +9,7 @@ unfiltered.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import signal
 import sys
@@ -52,6 +53,7 @@ from .report import (
     inspection_record_to_dict,
     render_text,
     scan_record_to_dict,
+    scans_and_inspections,
     session_record_to_dict,
 )
 
@@ -315,19 +317,11 @@ def cmd_bench(args) -> int:
             seed=args.seed,
         )
     _note("%-8s %8s %10s %10s %10s %9s" % ("mode", "samples", "max_s", "min_s", "avg_s", "attempts"))
-    modes = {}
     for mode, stats in bench.per_mode.items():
         _note(
             "%-8s %8d %10.5f %10.5f %10.5f %9.2f"
             % (mode.name, stats.samples, stats.max_s, stats.min_s, stats.avg_s, stats.attempts_avg)
         )
-        modes[mode.name] = {
-            "samples": stats.samples,
-            "max_s": stats.max_s,
-            "min_s": stats.min_s,
-            "avg_s": stats.avg_s,
-            "attempts_avg": stats.attempts_avg,
-        }
     if bench.excluded:
         _note("excluded (failed at least one mode): %s" % ", ".join(bench.excluded))
     _emit(
@@ -335,7 +329,7 @@ def cmd_bench(args) -> int:
             "repetitions": bench.repetitions,
             "responders": bench.responders,
             "excluded": list(bench.excluded),
-            "modes": modes,
+            "modes": {mode.name: dataclasses.asdict(s) for mode, s in bench.per_mode.items()},
         }
     )
     return 0
@@ -383,20 +377,14 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_report(args) -> int:
-    store = RecordStore(args.store)
-    loaded = store.load(campaign=args.campaign)
+    loaded = RecordStore(args.store).load(campaign=args.campaign)
     for err in loaded.errors:
         _note("report: skipped corrupt %s" % err)
-    scans = [r for r in loaded.records if r.get("kind") == "scan"]
-    inspections = [r for r in loaded.records if r.get("kind") == "inspection"]
+    scans, inspections = scans_and_inspections(loaded.records)
     meta = None
     if args.device_meta:
         provider = FileBackedProvider(args.device_meta, snapshot_date=args.snapshot_date)
-        hosts = [
-            split_address(r["address"])[0]
-            for r in scans
-            if r.get("selected_suite") is not None
-        ]
+        hosts = [split_address(r.address)[0] for r in scans if r.selected_suite is not None]
         meta = device_type(hosts, provider)
         _note("report: device metadata coverage %.2f%%" % (100.0 * meta.coverage))
     result = aggregate(scans, inspections, meta, campaign=args.campaign or "")

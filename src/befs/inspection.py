@@ -147,6 +147,8 @@ def _run_bounded(fn: Callable, items: Sequence, concurrency: int) -> list:
     worker from taking a new item; it is raised here once the helpers have
     finished the items they hold and been joined.
     """
+    if concurrency < 1:
+        raise ValueError("concurrency must be >= 1")
     results = [None] * len(items)
     indices = iter(range(len(items)))
     lock = threading.Lock()
@@ -234,8 +236,6 @@ def scan(
     """One default-offer handshake per address, concurrency-bounded."""
     if not addresses:
         raise ValueError("addresses must be non-empty")
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
     limiter = RateLimiter(rate_limit) if rate_limit else None
     one = functools.partial(
         scan_one, timeout_s=timeout_s, connector=connector, sni=sni, seed=seed, limiter=limiter
@@ -297,8 +297,6 @@ def inspect_all(
 ) -> list[InspectionRecord]:
     """Inspect every scanned server that selected a non-FS suite."""
     targets = [r for r in scan_output if needs_inspection(r)]
-    if not targets:
-        return []
     limiter = RateLimiter(rate_limit) if rate_limit else None
 
     def one(r: ScanRecord) -> InspectionRecord:
@@ -312,4 +310,4 @@ def inspect_all(
             scanned_at=r.timestamp,
         )
 
-    return _run_bounded(one, targets, max(1, concurrency))
+    return _run_bounded(one, targets, concurrency)

@@ -9,24 +9,28 @@ over the count one level up.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import threading
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import (
+    Callable, Iterable, Mapping, NoReturn, Optional, Sequence, Union, get_args, get_origin,
+    get_type_hints,
+)
 
-from .client import FallbackStyle, PolicyMode, SessionOutcome, SessionStatus
-from .handshake import AttemptKind, AttemptResult
+from .client import FallbackStyle, SessionOutcome
 from .inspection import (
     Classification,
     InspectionRecord,
     STABLE_CLASSES,
     ScanRecord,
     ScanResultKind,
-    StepResult,
 )
 from .metadata import DeviceLookup, IoFailure, split_address
-from .suites import ProfileKind, is_fs
+from .suites import is_fs
 from . import wire
 
 SCHEMA_VERSION = 1
@@ -47,7 +51,7 @@ FS_NONAE_PICK_CLASSES = frozenset(
 
 
 class ParseFailure(Exception):
-    """One store line is not valid JSON; carries the 1-based line number."""
+    """One store line is not a JSON object; carries the 1-based line number."""
 
     def __init__(self, line_number: int, reason: str) -> None:
         super().__init__("line %d: %s" % (line_number, reason))
@@ -59,155 +63,147 @@ class SchemaMismatch(Exception):
     """A structurally valid line is not a record this code understands."""
 
 
-# -- serializers ---------------------------------------------------------------
+# -- record codec --------------------------------------------------------------
+#
+# A store line is the v/kind/campaign envelope plus the record's dataclass
+# fields, each stored by its annotation: enums by name, tuples as lists, an
+# AlertMsg as [level value, description], None as null, nested dataclasses
+# as objects. Decoding checks every value's exact type (an int passes for a
+# float), so a JSON object that is not a record raises SchemaMismatch only.
+
+_SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
 
 
-def _attempt_to_dict(attempt: AttemptResult) -> dict:
-    return {
-        "kind": attempt.kind.name,
-        "suite": attempt.suite,
-        "version": attempt.version,
-        "alert": None
-        if attempt.alert is None
-        else [attempt.alert.level.value, attempt.alert.description],
-        "error": attempt.error,
-        "elapsed_s": attempt.elapsed_s,
-    }
+def _wrong(expected: str, value) -> NoReturn:
+    raise SchemaMismatch("expected %s, got %.40r" % (expected, value))
 
 
-def _attempt_from_dict(data: Mapping) -> AttemptResult:
-    alert = data["alert"]
-    return AttemptResult(
-        kind=AttemptKind[data["kind"]],
-        suite=data["suite"],
-        version=data["version"],
-        alert=None if alert is None else wire.AlertMsg(wire.AlertLevel(alert[0]), alert[1]),
-        error=data["error"],
-        elapsed_s=data["elapsed_s"],
-    )
+def _check(types: tuple, expected: str) -> Callable:
+    return lambda v: v if type(v) in types else _wrong(expected, v)
 
 
-def _step_to_dict(step: Optional[StepResult]) -> Optional[dict]:
-    if step is None:
-        return None
-    return {"profile": step.profile.name, "attempt": _attempt_to_dict(step.attempt)}
+def _fields_codec(build: Callable, fields: Iterable[tuple[str, object]]) -> tuple[Callable, Callable]:
+    """(encode, decode) for an object of annotated fields; ``build(**fields)`` makes one."""
+    codecs = [(name, *_codec(tp)) for name, tp in fields]
+
+    def encode(obj) -> dict:
+        return {
+            name: getattr(obj, name) if enc is None else enc(getattr(obj, name))
+            for name, enc, _ in codecs
+        }
+
+    def decode(data):
+        if not isinstance(data, dict):
+            _wrong("object", data)
+        kwargs = {}
+        for name, _, dec in codecs:
+            try:
+                kwargs[name] = dec(data[name])
+            except KeyError:
+                raise SchemaMismatch("%s: missing" % name) from None
+            except (ValueError, SchemaMismatch) as exc:
+                raise SchemaMismatch("%s: %s" % (name, exc)) from None
+        try:
+            return build(**kwargs)
+        except ValueError as exc:
+            raise SchemaMismatch(str(exc)) from None
+
+    return encode, decode
 
 
-def _step_from_dict(data: Optional[Mapping]) -> Optional[StepResult]:
-    if data is None:
-        return None
-    return StepResult(ProfileKind[data["profile"]], _attempt_from_dict(data["attempt"]))
+@functools.cache
+def _codec(tp) -> tuple[Optional[Callable], Callable]:
+    """(encode, decode) for one annotation, built once per type; no encode stores as is."""
+    if get_origin(tp) is Union:  # Optional[X]
+        inner = get_args(tp)[0]
+        if inner in _SCALARS:
+            return None, _check(_SCALARS[inner] + (type(None),), inner.__name__ + " or null")
+        enc, dec = _codec(inner)
+        return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        enc, dec = _codec(get_args(tp)[0])
+        is_list = _check((list,), "list")
+        return (list if enc is None else lambda v: [enc(x) for x in v]), (
+            lambda v: tuple(dec(x) for x in is_list(v))
+        )
+    if tp is wire.AlertMsg:
+        is_pair, is_int = _check((list,), "[level, description]"), _check((int,), "int")
+
+        def decode_alert(v) -> wire.AlertMsg:
+            level, description = is_pair(v)
+            return wire.AlertMsg(wire.AlertLevel(is_int(level)), is_int(description))
+
+        return (lambda v: [v.level.value, v.description]), decode_alert
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        names = tp.__members__
+        return (lambda v: v.name), (
+            lambda v: names[v] if type(v) is str and v in names else _wrong(tp.__name__, v)
+        )
+    if tp in _SCALARS:
+        return None, _check(_SCALARS[tp], tp.__name__)
+    hints = get_type_hints(tp)
+    return _fields_codec(tp, [(f.name, hints[f.name]) for f in dataclasses.fields(tp)])
+
+
+_DECODERS = {
+    "scan": _codec(ScanRecord)[1],
+    "inspection": _codec(InspectionRecord)[1],
+    "session": _fields_codec(
+        lambda address, **outcome: (address, SessionOutcome(**outcome)),
+        [("address", str), *get_type_hints(SessionOutcome).items()],
+    )[1],
+}
+
+
+def _to_dict(kind: str, campaign: str, record, **envelope) -> dict:
+    fields = _codec(type(record))[0](record)
+    return {"v": SCHEMA_VERSION, "kind": kind, "campaign": campaign, **envelope, **fields}
+
+
+def _from_dict(kind: str, data):
+    try:
+        if not isinstance(data, dict):
+            _wrong("object", data)
+        if (data.get("v"), data.get("kind")) != (SCHEMA_VERSION, kind):
+            _wrong("v %d, kind %r" % (SCHEMA_VERSION, kind), (data.get("v"), data.get("kind")))
+        return _DECODERS[kind](data)
+    except SchemaMismatch as exc:
+        raise SchemaMismatch("bad %s record: %s" % (kind, exc)) from None
 
 
 def scan_record_to_dict(record: ScanRecord, campaign: str = "") -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "kind": "scan",
-        "campaign": campaign,
-        "address": record.address,
-        "timestamp": record.timestamp,
-        "result": record.result.name,
-        "selected_suite": record.selected_suite,
-        "negotiated_version": record.negotiated_version,
-        "error_detail": record.error_detail,
-    }
+    return _to_dict("scan", campaign, record)
 
 
-def scan_record_from_dict(data: Mapping) -> ScanRecord:
-    _check_schema(data, "scan")
-    try:
-        return ScanRecord(
-            address=data["address"],
-            timestamp=data["timestamp"],
-            result=ScanResultKind[data["result"]],
-            selected_suite=data["selected_suite"],
-            negotiated_version=data["negotiated_version"],
-            error_detail=data["error_detail"],
-        )
-    except (KeyError, ValueError) as exc:
-        raise SchemaMismatch("bad scan record: %s" % exc) from exc
+def scan_record_from_dict(data: dict) -> ScanRecord:
+    return _from_dict("scan", data)
 
 
 def inspection_record_to_dict(record: InspectionRecord, campaign: str = "") -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "kind": "inspection",
-        "campaign": campaign,
-        "address": record.address,
-        "h1": _step_to_dict(record.h1),
-        "h2": _step_to_dict(record.h2),
-        "h3": _step_to_dict(record.h3),
-        "classification": record.classification.name,
-        "prior_suite_ae": record.prior_suite_ae,
-        "lose_ae": record.lose_ae,
-        "scanned_at": record.scanned_at,
-        "inspected_at": record.inspected_at,
-    }
+    return _to_dict("inspection", campaign, record)
 
 
-def inspection_record_from_dict(data: Mapping) -> InspectionRecord:
-    _check_schema(data, "inspection")
-    try:
-        return InspectionRecord(
-            address=data["address"],
-            h1=_step_from_dict(data["h1"]),
-            h2=_step_from_dict(data["h2"]),
-            h3=_step_from_dict(data["h3"]),
-            classification=Classification[data["classification"]],
-            prior_suite_ae=data["prior_suite_ae"],
-            lose_ae=data["lose_ae"],
-            scanned_at=data["scanned_at"],
-            inspected_at=data["inspected_at"],
-        )
-    except (KeyError, ValueError) as exc:
-        raise SchemaMismatch("bad inspection record: %s" % exc) from exc
+def inspection_record_from_dict(data: dict) -> InspectionRecord:
+    return _from_dict("inspection", data)
 
 
 def session_record_to_dict(
     address: str, outcome: SessionOutcome, campaign: str = "", fallback: Optional[FallbackStyle] = None
 ) -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "kind": "session",
-        "campaign": campaign,
-        "address": address,
-        "mode": None if outcome.mode is None else outcome.mode.name,
-        "fallback": None if fallback is None else fallback.name,
-        "status": outcome.status.name,
-        "suite": outcome.suite,
-        "fs": outcome.fs,
-        "ae": outcome.ae,
-        "fallback_depth": outcome.fallback_depth,
-        "handshake_attempts": outcome.handshake_attempts,
-        "per_attempt_timings": list(outcome.per_attempt_timings),
-        "attempts": [_attempt_to_dict(a) for a in outcome.attempts],
-    }
+    return _to_dict("session", campaign, outcome, address=address,
+                    fallback=None if fallback is None else fallback.name)
 
 
-def session_record_from_dict(data: Mapping) -> tuple[str, SessionOutcome]:
-    _check_schema(data, "session")
-    try:
-        outcome = SessionOutcome(
-            status=SessionStatus[data["status"]],
-            suite=data["suite"],
-            fs=data["fs"],
-            ae=data["ae"],
-            fallback_depth=data["fallback_depth"],
-            handshake_attempts=data["handshake_attempts"],
-            per_attempt_timings=tuple(data["per_attempt_timings"]),
-            attempts=tuple(_attempt_from_dict(a) for a in data["attempts"]),
-            mode=None if data["mode"] is None else PolicyMode[data["mode"]],
-        )
-    except (KeyError, ValueError) as exc:
-        raise SchemaMismatch("bad session record: %s" % exc) from exc
-    return data["address"], outcome
+def session_record_from_dict(data: dict) -> tuple[str, SessionOutcome]:
+    return _from_dict("session", data)
 
 
-def _check_schema(data: Mapping, kind: str) -> None:
-    if data.get("v") != SCHEMA_VERSION:
-        raise SchemaMismatch("unsupported schema version %r" % (data.get("v"),))
-    if data.get("kind") != kind:
-        raise SchemaMismatch("expected %s record, got %r" % (kind, data.get("kind")))
+def scans_and_inspections(records: Sequence[dict]) -> tuple[list[ScanRecord], list[InspectionRecord]]:
+    """Decode the scan and inspection records among loaded store lines; skip other kinds."""
+    return (
+        [scan_record_from_dict(r) for r in records if r.get("kind") == "scan"],
+        [inspection_record_from_dict(r) for r in records if r.get("kind") == "inspection"],
+    )
 
 
 # -- store ---------------------------------------------------------------------
@@ -233,10 +229,9 @@ class RecordStore:
         self._fh = None
 
     def append(self, record: Mapping) -> None:
-        if "kind" not in record:
-            raise SchemaMismatch("record has no kind tag")
-        payload = {"v": SCHEMA_VERSION, **record}
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        if record.get("v") != SCHEMA_VERSION or "kind" not in record:
+            raise SchemaMismatch("record has no v=%d/kind envelope" % SCHEMA_VERSION)
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with self._write_lock:
             try:
                 if self._fh is None:
@@ -283,6 +278,9 @@ class RecordStore:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
                 result.errors.append(ParseFailure(number, str(exc)))
+                continue
+            if not isinstance(data, dict):
+                result.errors.append(ParseFailure(number, "not a JSON object"))
                 continue
             if campaign is not None and data.get("campaign") != campaign:
                 continue

@@ -11,7 +11,10 @@ import pytest
 
 from befs.cli import main
 from befs.fleetsim import Archetype, FleetSpec, Transport, generate_fleet, serve
-from befs.report import RecordStore
+from befs.handshake import AttemptKind, AttemptResult
+from befs.inspection import Classification, InspectionRecord, ScanRecord, ScanResultKind, StepResult
+from befs.report import RecordStore, inspection_record_to_dict, scan_record_to_dict
+from befs.suites import ProfileKind
 
 
 def write_spec(tmp_path, mix, size=8, seed=3, name="fleet.json", **extra):
@@ -144,6 +147,55 @@ def test_report_with_device_metadata(tmp_path, capsys):
     assert "coverage 75.00%" in err
 
 
+def write_store(tmp_path, *records):
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return str(path)
+
+
+def test_report_skips_a_line_that_is_not_an_object(tmp_path, capsys):
+    good = scan_record_to_dict(ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303))
+    code, out, err = run_cli(["report", "--store", write_store(tmp_path, [1, 2], good)], capsys)
+    assert code == 0
+    assert "skipped corrupt line 1" in err
+    assert json.loads(out)["dataset_size"] == 1
+
+
+_SCAN = scan_record_to_dict(ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303))
+_INSPECTION = inspection_record_to_dict(
+    InspectionRecord(
+        "srv-0000",
+        StepResult(ProfileKind.DEFAULT, AttemptResult(AttemptKind.SELECTED, 0x002F, 0x0303)),
+        None, None, Classification.STABLE_NO_FS_SUPPORT, False, False,
+    )
+)
+_NO_ADDRESS = {k: v for k, v in _SCAN.items() if k != "address"}
+
+
+@pytest.mark.parametrize(
+    "record, device_meta, kind, field",
+    [
+        ({**_INSPECTION, "h1": 5}, False, "inspection", "h1"),
+        ({**_SCAN, "address": 5}, False, "scan", "address"),
+        ({**_SCAN, "result": ["x"]}, False, "scan", "result"),
+        (_NO_ADDRESS, True, "scan", "address"),
+        (_NO_ADDRESS, False, "scan", "address"),
+    ],
+    ids=["inspection-h1-int", "scan-address-int", "scan-result-list",
+         "scan-no-address-device-meta", "scan-no-address"],
+)
+def test_report_rejects_a_bad_record_cleanly(tmp_path, capsys, record, device_meta, kind, field):
+    argv = ["report", "--store", write_store(tmp_path, _SCAN, record)]
+    if device_meta:
+        meta = tmp_path / "meta.tsv"
+        meta.write_text("srv-0000\tbroadband router\n", encoding="utf-8")
+        argv += ["--device-meta", str(meta)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "befs report: bad %s record: %s:" % (kind, field) in err
+
+
 # -- connect -------------------------------------------------------------------
 
 
@@ -246,6 +298,10 @@ def test_bench_attempt_columns(tmp_path, capsys):
     assert data["modes"]["DEFAULT"]["attempts_avg"] == 1.0
     assert data["modes"]["BEFS"]["attempts_avg"] == 2.0
     assert data["modes"]["BESAFE"]["attempts_avg"] == 3.0
+    assert all(
+        set(stats) == {"samples", "max_s", "min_s", "avg_s", "attempts_avg"}
+        for stats in data["modes"].values()
+    )
     assert "avg_s" in err and "BESAFE" in err
 
 

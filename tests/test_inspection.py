@@ -182,6 +182,25 @@ def test_scan_requires_addresses_and_concurrency():
             scan(h.addresses, concurrency=0, connector=h.connector())
 
 
+@pytest.mark.parametrize("concurrency", [0, -5])
+@pytest.mark.parametrize("entry", ["scan", "inspect_all"])
+def test_concurrency_below_one_raises_before_any_work(entry, concurrency):
+    connector = CountingConnector()
+    nonfs = ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, wire.TLS1_2)
+    calls = {
+        "scan": [lambda: scan(["srv-0000", "srv-0001"], 0.01, concurrency,
+                              connector=connector)],
+        "inspect_all": [
+            lambda: inspect_all([nonfs], 0.01, concurrency, connector=connector),
+            lambda: inspect_all([], 0.01, concurrency, connector=connector),
+        ],
+    }[entry]
+    for call in calls:
+        with pytest.raises(ValueError, match="concurrency must be >= 1"):
+            call()
+    assert connector.calls == 0
+
+
 def test_scan_one_record_per_address_in_input_order():
     fleet = generate_fleet(
         FleetSpec(size=30, seed=8, mix={Archetype.NONFS_ONLY: 0.5, Archetype.FS_PREFERRING: 0.5})

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from befs import wire
 from befs.client import (
+    FallbackStyle,
     PolicyConfig,
     PolicyMode,
+    SessionOutcome,
     SessionStatus,
     connect,
 )
@@ -134,6 +136,93 @@ def test_session_record_round_trip():
     assert clone.status is SessionStatus.CONNECTED
 
 
+def _fatal(code):
+    return wire.AlertMsg(wire.AlertLevel.FATAL, code)
+
+
+_GOLDEN_SESSION = SessionOutcome(
+    SessionStatus.CONNECTED, 0x002F, False, False, 2, 3, (0.5, 0.25, 0.125),
+    (
+        AttemptResult(AttemptKind.REJECTED, alert=_fatal(wire.HANDSHAKE_FAILURE), elapsed_s=0.5),
+        AttemptResult(AttemptKind.REJECTED, alert=_fatal(wire.INAPPROPRIATE_FALLBACK),
+                      elapsed_s=0.25),
+        AttemptResult(AttemptKind.SELECTED, 0x002F, wire.TLS1_2, elapsed_s=0.125),
+    ),
+    PolicyMode.BESAFE,
+)
+
+# The exact store line of each record kind. Changing one breaks every
+# store already on disk.
+GOLDEN_LINES = [
+    (
+        "responded scan",
+        lambda: scan_record_to_dict(
+            ScanRecord("198.51.100.7:443", 1700000000.25, ScanResultKind.RESPONDED, 0x002F,
+                       wire.TLS1_2),
+            campaign="c1",
+        ),
+        '{"address":"198.51.100.7:443","campaign":"c1","error_detail":null,"kind":"scan",'
+        '"negotiated_version":771,"result":"RESPONDED","selected_suite":47,'
+        '"timestamp":1700000000.25,"v":1}',
+    ),
+    (
+        "timed-out scan",
+        lambda: scan_record_to_dict(
+            ScanRecord("srv-0003", 12.5, ScanResultKind.TIMEOUT, None, None, "no answer"),
+            campaign="c1",
+        ),
+        '{"address":"srv-0003","campaign":"c1","error_detail":"no answer","kind":"scan",'
+        '"negotiated_version":null,"result":"TIMEOUT","selected_suite":null,"timestamp":12.5,'
+        '"v":1}',
+    ),
+    (
+        "inspection with an alert and no h3",
+        lambda: inspection_record_to_dict(
+            InspectionRecord(
+                "srv-0001",
+                StepResult(ProfileKind.DEFAULT,
+                           AttemptResult(AttemptKind.SELECTED, 0x0035, wire.TLS1_2,
+                                         elapsed_s=0.125)),
+                StepResult(ProfileKind.FS_ONLY,
+                           AttemptResult(AttemptKind.REJECTED,
+                                         alert=_fatal(wire.HANDSHAKE_FAILURE),
+                                         elapsed_s=0.0625)),
+                None, Classification.STABLE_NO_FS_SUPPORT, False, False, 1.5, 2.75,
+            ),
+            campaign="c1",
+        ),
+        '{"address":"srv-0001","campaign":"c1","classification":"STABLE_NO_FS_SUPPORT",'
+        '"h1":{"attempt":{"alert":null,"elapsed_s":0.125,"error":null,"kind":"SELECTED",'
+        '"suite":53,"version":771},"profile":"DEFAULT"},'
+        '"h2":{"attempt":{"alert":[2,40],"elapsed_s":0.0625,"error":null,"kind":"REJECTED",'
+        '"suite":null,"version":null},"profile":"FS_ONLY"},"h3":null,"inspected_at":2.75,'
+        '"kind":"inspection","lose_ae":false,"prior_suite_ae":false,"scanned_at":1.5,"v":1}',
+    ),
+    (
+        "three-attempt signaled session",
+        lambda: session_record_to_dict(
+            "srv-0002:443", _GOLDEN_SESSION, campaign="c1", fallback=FallbackStyle.SIGNALED
+        ),
+        '{"address":"srv-0002:443","ae":false,"attempts":[{"alert":[2,40],"elapsed_s":0.5,'
+        '"error":null,"kind":"REJECTED","suite":null,"version":null},{"alert":[2,86],'
+        '"elapsed_s":0.25,"error":null,"kind":"REJECTED","suite":null,"version":null},'
+        '{"alert":null,"elapsed_s":0.125,"error":null,"kind":"SELECTED","suite":47,'
+        '"version":771}],"campaign":"c1","fallback":"SIGNALED","fallback_depth":2,'
+        '"fs":false,"handshake_attempts":3,"kind":"session","mode":"BESAFE",'
+        '"per_attempt_timings":[0.5,0.25,0.125],"status":"CONNECTED","suite":47,"v":1}',
+    ),
+]
+
+
+@pytest.mark.parametrize("encode, line", [g[1:] for g in GOLDEN_LINES],
+                         ids=[g[0] for g in GOLDEN_LINES])
+def test_store_line_is_byte_identical(tmp_path, encode, line):
+    path = tmp_path / "log.jsonl"
+    with RecordStore(path) as opened:
+        opened.append(encode())
+    assert path.read_bytes() == (line + "\n").encode("utf-8")
+
+
 def test_schema_guards():
     data = scan_record_to_dict(scan_rec())
     with pytest.raises(SchemaMismatch):
@@ -146,6 +235,62 @@ def test_schema_guards():
     del broken["timestamp"]
     with pytest.raises(SchemaMismatch):
         scan_record_from_dict(broken)
+
+
+def test_decoding_checks_exact_types():
+    data = scan_record_to_dict(scan_rec())
+    assert scan_record_from_dict({**data, "timestamp": 7}).timestamp == 7  # int for float
+    for field, value in [("selected_suite", True), ("selected_suite", 47.0),
+                         ("timestamp", "1.5"), ("timestamp", False), ("result", "responded"),
+                         ("address", None), ("error_detail", 3)]:
+        with pytest.raises(SchemaMismatch, match="bad scan record: %s: expected" % field):
+            scan_record_from_dict({**data, field: value})
+    with pytest.raises(SchemaMismatch, match="bad scan record: .*RESPONDED"):
+        scan_record_from_dict({**data, "selected_suite": None})  # __post_init__ refuses it
+
+
+VALID = {
+    "scan": (scan_record_from_dict, json.loads(GOLDEN_LINES[0][2])),
+    "inspection": (inspection_record_from_dict, json.loads(GOLDEN_LINES[2][2])),
+    "session": (session_record_from_dict, json.loads(GOLDEN_LINES[3][2])),
+}
+
+
+def _paths(value, prefix=()):
+    """Every key or index path inside a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["scan", "inspection", "session"]), st.data(), json_values)
+def test_decoding_any_one_replaced_field_is_total(kind, data, value):
+    decode, valid = VALID[kind]
+    mutated = json.loads(json.dumps(valid))
+    path = data.draw(st.sampled_from(sorted(_paths(mutated), key=repr)))
+    parent = mutated
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        decode(mutated)
+    except SchemaMismatch:
+        pass
 
 
 # -- store ---------------------------------------------------------------------
@@ -203,6 +348,24 @@ def test_store_corrupt_line_reported_with_number(store):
 def test_store_requires_kind(store):
     with pytest.raises(SchemaMismatch):
         store.append({"address": "a"})
+
+
+def test_store_requires_the_schema_version(store):
+    for record in ({"kind": "scan", "address": "a"}, {"v": 2, "kind": "scan", "address": "a"}):
+        with pytest.raises(SchemaMismatch):
+            store.append(record)
+    assert not store.path.exists()
+
+
+def test_store_line_that_is_not_an_object_is_a_parse_failure(store):
+    path = store.path
+    store.append(scan_record_to_dict(scan_rec("a")))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("[1,2]\n5\nnull\n\"scan\"\n")
+    loaded = store.load(kind="scan")
+    assert len(loaded.records) == 1
+    assert [e.line_number for e in loaded.errors] == [2, 3, 4, 5]
+    assert all("not a JSON object" in str(e) for e in loaded.errors)
 
 
 def test_store_line_is_on_disk_when_append_returns(store):
