@@ -9,7 +9,9 @@ have an independent oracle.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import itertools
 import json
 import math
 import os
@@ -20,7 +22,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import wire
 from .handshake import ClientIdentity, ConnectFailed, TcpConnector
@@ -209,12 +211,21 @@ def expected_scan_selection(policy: ServerPolicy) -> NegotiationResult:
     return select(policy, DEFAULT.suites, wire.TLS1_2)
 
 
+def server_random(seed: int, index: int, counter: int) -> bytes:
+    """ServerHello random of server `index`'s `counter`-th hello in fleet `seed`.
+
+    A hash, as the client's random is, so a server holds no RNG state and
+    no two (seed, index, counter) triples share an input.
+    """
+    return hashlib.sha256(b"server|%d|%d|%d" % (seed, index, counter)).digest()
+
+
 def answer_offer(
     policy: ServerPolicy,
     supports_fs: bool,
     honors_signal: bool,
     raw: bytes,
-    rng: random.Random,
+    next_random: Callable[[], bytes],
 ) -> bytes:
     """Honest server behavior for one ClientHello, as wire bytes."""
     try:
@@ -231,7 +242,7 @@ def answer_offer(
     if not res.selected:
         return wire.encode_alert(wire.AlertMsg(wire.AlertLevel.FATAL, wire.HANDSHAKE_FAILURE))
     summary = wire.ServerHelloSummary(res.version, res.suite)
-    return wire.encode_server_hello(summary, random=rng.randbytes(32))
+    return wire.encode_server_hello(summary, random=next_random())
 
 
 @dataclass(eq=False)
@@ -242,14 +253,22 @@ class SimServer:
     truth: GroundTruth
     honors_fallback_signal: bool = True
     address: str = ""  # assigned when served
-    rng: random.Random = field(default_factory=random.Random, repr=False)
+    # Fleet seed and position: with a count of hellos sent, they name
+    # each ServerHello random (see server_random).
+    seed: int = 0
+    index: int = 0
+    _hellos: Iterator[int] = field(default_factory=itertools.count, init=False, repr=False)
+
+    def next_random(self) -> bytes:
+        return server_random(self.seed, self.index, next(self._hellos))
 
     def respond(self, raw: bytes, client: ClientIdentity) -> Optional[bytes]:
         """Reply bytes, or None to stall the connection."""
         if self.archetype is Archetype.UNRESPONSIVE:
             return None
         return answer_offer(
-            self.policy, self.truth.supports_fs, self.honors_fallback_signal, raw, self.rng
+            self.policy, self.truth.supports_fs, self.honors_fallback_signal, raw,
+            self.next_random,
         )
 
 
@@ -406,7 +425,8 @@ def generate_fleet(spec: FleetSpec) -> list[SimServer]:
                     archetype=arch,
                     policy=policy,
                     truth=truth,
-                    rng=random.Random((spec.seed << 20) ^ index),
+                    seed=spec.seed,
+                    index=index,
                 )
             )
     device_count = round(spec.network_device_fraction * len(servers))
@@ -551,7 +571,7 @@ class DiscriminatoryServer(EndpointWrapper):
             supports_fs=self.inner.truth.supports_fs,
             honors_signal=False,
             raw=raw,
-            rng=self.inner.rng,
+            next_random=self.inner.next_random,
         )
 
 

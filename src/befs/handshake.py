@@ -9,6 +9,7 @@ for negotiation observation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import socket
 import time
@@ -78,6 +79,12 @@ def _client_random(seed: int, address: str, label: str) -> bytes:
     return hashlib.sha256(material.encode()).digest()
 
 
+# One checked ClientHello template per (max_version, offer). Scans send a
+# handful of offers to every address, so the cache never holds an address
+# or SNI and stays small at any campaign size.
+_hello_template = functools.lru_cache(maxsize=64)(wire.ClientHelloTemplate)
+
+
 def handshake_attempt(
     connector: Connector,
     address: str,
@@ -94,14 +101,10 @@ def handshake_attempt(
     """Send one ClientHello and classify the first server flight."""
     offered = tuple(offer)
     suites = offered + (FALLBACK_SIGNAL,) if signal_fallback else offered
-    extensions = (wire.sni_extension(sni),) if sni else ()
-    msg = wire.ClientHelloMsg(
-        legacy_version=max_version,
-        random=_client_random(seed, address, label or repr(suites)),
-        cipher_suites=suites,
-        extensions=extensions,
+    server_name = sni.encode("ascii") if sni else b""
+    raw = _hello_template(max_version, suites).encode(
+        _client_random(seed, address, label or repr(suites)), server_name
     )
-    raw = wire.encode_client_hello(msg)
     start = time.perf_counter()
 
     def done(**kw) -> AttemptResult:

@@ -155,6 +155,11 @@ _DECODERS = {
 }
 
 
+def _is_schema_version(v) -> bool:
+    # Exact type, as for every field: JSON's true and 1.0 are not version 1.
+    return type(v) is int and v == SCHEMA_VERSION
+
+
 def _to_dict(kind: str, campaign: str, record, **envelope) -> dict:
     fields = _codec(type(record))[0](record)
     return {"v": SCHEMA_VERSION, "kind": kind, "campaign": campaign, **envelope, **fields}
@@ -164,7 +169,7 @@ def _from_dict(kind: str, data):
     try:
         if not isinstance(data, dict):
             _wrong("object", data)
-        if (data.get("v"), data.get("kind")) != (SCHEMA_VERSION, kind):
+        if not _is_schema_version(data.get("v")) or data.get("kind") != kind:
             _wrong("v %d, kind %r" % (SCHEMA_VERSION, kind), (data.get("v"), data.get("kind")))
         return _DECODERS[kind](data)
     except SchemaMismatch as exc:
@@ -229,7 +234,7 @@ class RecordStore:
         self._fh = None
 
     def append(self, record: Mapping) -> None:
-        if record.get("v") != SCHEMA_VERSION or "kind" not in record:
+        if not _is_schema_version(record.get("v")) or "kind" not in record:
             raise SchemaMismatch("record has no v=%d/kind envelope" % SCHEMA_VERSION)
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with self._write_lock:

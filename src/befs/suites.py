@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
 
 
 class KeyExchange(Enum):
@@ -55,21 +54,6 @@ class SuiteDescriptor:
     @property
     def ae(self) -> bool:
         return self.cipher in AEAD_CIPHERS
-
-
-class SuiteClass(NamedTuple):
-    fs: bool
-    ae: bool
-
-
-def classify(desc: SuiteDescriptor) -> SuiteClass:
-    return SuiteClass(fs=desc.fs, ae=desc.ae)
-
-
-def classify_codepoint(codepoint: int) -> Optional[SuiteClass]:
-    """Class of a registered codepoint, None if unknown."""
-    desc = REGISTRY.get(codepoint)
-    return classify(desc) if desc is not None else None
 
 
 def _d(cp: int, name: str, kex: KeyExchange, cipher: Cipher, h: HashAlg) -> SuiteDescriptor:
@@ -163,18 +147,3 @@ def is_fs(codepoint: int) -> bool:
 def is_ae(codepoint: int) -> bool:
     desc = REGISTRY.get(codepoint)
     return desc is not None and desc.ae
-
-
-def suite_name(codepoint: int) -> str:
-    desc = REGISTRY.get(codepoint)
-    return desc.name if desc is not None else "UNKNOWN_0x%04X" % codepoint
-
-
-def registry_table() -> str:
-    """Registry as an aligned text table (codepoint, name, fs, ae)."""
-    rows = [("codepoint", "name", "fs", "ae")]
-    for d in sorted(REGISTRY.values(), key=lambda d: d.codepoint):
-        rows.append(("0x%04X" % d.codepoint, d.name, "yes" if d.fs else "no", "yes" if d.ae else "no"))
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
-    return "\n".join(lines) + "\n"

@@ -14,24 +14,15 @@ opaque (type, body) pairs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-from . import suites
 
 TLS1_0 = 0x0301
 TLS1_1 = 0x0302
 TLS1_2 = 0x0303
 
 SUPPORTED_VERSIONS = frozenset({TLS1_0, TLS1_1, TLS1_2})
-
-VERSION_NAMES = {TLS1_0: "TLS1.0", TLS1_1: "TLS1.1", TLS1_2: "TLS1.2"}
-
-
-def version_name(v: int) -> str:
-    return VERSION_NAMES.get(v, "0x%04X" % v)
-
 
 CONTENT_ALERT = 21
 CONTENT_HANDSHAKE = 22
@@ -117,14 +108,12 @@ class ClientHelloMsg:
             raise ValueError("session_id must be 0-32 bytes")
         if not self.cipher_suites:
             raise ValueError("cipher_suites must be non-empty")
-        for cp in self.cipher_suites:
-            if not 0 <= cp <= 0xFFFF:
-                raise ValueError("cipher suite codepoint out of range")
+        if min(self.cipher_suites) < 0 or max(self.cipher_suites) > 0xFFFF:
+            raise ValueError("cipher suite codepoint out of range")
         if not self.compression:
             raise ValueError("compression list must be non-empty")
-        for c in self.compression:
-            if not 0 <= c <= 0xFF:
-                raise ValueError("compression method out of range")
+        if min(self.compression) < 0 or max(self.compression) > 0xFF:
+            raise ValueError("compression method out of range")
         for etype, body in self.extensions:
             if not 0 <= etype <= 0xFFFF:
                 raise ValueError("extension type out of range")
@@ -144,16 +133,12 @@ class ServerHelloSummary:
         if not 0 <= self.selected_suite <= 0xFFFF:
             raise ValueError("selected_suite out of range")
 
-    @property
-    def suite_known(self) -> bool:
-        return self.selected_suite in suites.REGISTRY
-
 
 def sni_extension(hostname: str) -> tuple[int, bytes]:
     """Build a server_name extension entry for one DNS hostname."""
     raw = hostname.encode("ascii")
-    entry = struct.pack(">BH", 0, len(raw)) + raw
-    body = struct.pack(">H", len(entry)) + entry
+    entry = b"\x00" + _u16(len(raw), "server name") + raw
+    body = _u16(len(entry), "server_name list") + entry
     return (SNI_EXTENSION_TYPE, body)
 
 
@@ -162,17 +147,25 @@ def extract_sni(msg: ClientHelloMsg) -> Optional[str]:
     for etype, body in msg.extensions:
         if etype != SNI_EXTENSION_TYPE:
             continue
-        try:
-            cur = _Cursor(body)
-            list_len = cur.u16()
-            entries = _Cursor(cur.take(list_len))
-            while entries.remaining():
-                name_type = entries.u8()
-                name = entries.take(entries.u16())
-                if name_type == 0:
-                    return name.decode("ascii")
-        except (WireError, UnicodeDecodeError):
+        # server_name_list(2), then entries of name_type(1) length(2) name
+        if len(body) < 2:
             return None
+        end = 2 + (body[0] << 8 | body[1])
+        if end > len(body):
+            return None
+        pos = 2
+        while pos < end:
+            if pos + 3 > end:
+                return None
+            name_type, start = body[pos], pos + 3
+            pos = start + (body[pos + 1] << 8 | body[pos + 2])
+            if pos > end:
+                return None
+            if name_type == 0:
+                try:
+                    return body[start:pos].decode("ascii")
+                except UnicodeDecodeError:
+                    return None
     return None
 
 
@@ -216,6 +209,51 @@ def encode_client_hello(msg: ClientHelloMsg) -> bytes:
     return _record(CONTENT_HANDSHAKE, msg.legacy_version, _handshake(HS_CLIENT_HELLO, body))
 
 
+# Record type, version, length; handshake type, length (u24 as u8 + u16);
+# client_version.  The random follows at offset 11.
+_CH_HEADER = struct.Struct(">BHHBBHH")
+# Extension block length; server_name type, length; name list length;
+# name type, length.
+_SNI_HEADER = struct.Struct(">HHHHBH")
+
+
+class ClientHelloTemplate:
+    """The ClientHello of one offer, built and checked once.
+
+    Construction applies ClientHelloMsg's rules to the offer and raises
+    what ClientHelloMsg and encode_client_hello raise. Then
+    ``encode(random, server_name)`` returns, byte for byte,
+    ``encode_client_hello(ClientHelloMsg(legacy_version, random,
+    cipher_suites, extensions=(sni_extension(host),) if host else ()))``
+    for ``server_name = host.encode("ascii")``, and raises the same
+    exception types, at the cost of one header pack.
+    """
+
+    __slots__ = ("legacy_version", "_tail")
+
+    def __init__(self, legacy_version: int, cipher_suites: tuple[int, ...]) -> None:
+        whole = encode_client_hello(ClientHelloMsg(legacy_version, bytes(32), cipher_suites))
+        self.legacy_version = legacy_version
+        self._tail = whole[43:]  # empty session id, suites, null compression
+
+    def encode(self, random: bytes, server_name: bytes = b"") -> bytes:
+        if len(random) != 32:
+            raise ValueError("random must be exactly 32 bytes")
+        n = len(server_name)
+        body_len = 34 + len(self._tail) + (n + 11 if n else 0)
+        # Every SNI length is below the record's, so this one check stands
+        # for the overflow checks of encode_client_hello and sni_extension.
+        if body_len + 4 > 0xFFFF:
+            raise OversizeMessage("record length %d overflows 2 bytes" % (body_len + 4))
+        head = _CH_HEADER.pack(CONTENT_HANDSHAKE, self.legacy_version, body_len + 4,
+                               HS_CLIENT_HELLO, body_len >> 16, body_len & 0xFFFF,
+                               self.legacy_version)
+        if not n:
+            return head + random + self._tail
+        sni = _SNI_HEADER.pack(n + 9, SNI_EXTENSION_TYPE, n + 5, n + 3, 0, n)
+        return b"".join((head, random, self._tail, sni, server_name))
+
+
 def encode_server_hello(
     summary: ServerHelloSummary,
     random: bytes = b"\x00" * 32,
@@ -240,84 +278,82 @@ def encode_alert(alert: AlertMsg, record_version: int = TLS1_2) -> bytes:
     return _record(CONTENT_ALERT, record_version, bytes([alert.level.value, alert.description]))
 
 
-class _Cursor:
-    """Bounds-checked reader; every underrun is a MalformedRecord."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-
-    def remaining(self) -> int:
-        return len(self.buf) - self.pos
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.remaining() < n:
-            raise MalformedRecord("truncated: wanted %d bytes, have %d" % (n, self.remaining()))
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u24(self) -> int:
-        hi, lo = struct.unpack(">BH", self.take(3))
-        return (hi << 16) | lo
+def _truncated(what: str) -> MalformedRecord:
+    return MalformedRecord("truncated " + what)
 
 
-def _read_record(data: bytes) -> tuple[int, bytes]:
-    """First record's (content_type, payload); trailing records ignored."""
-    cur = _Cursor(data)
-    content_type = cur.u8()
-    cur.u16()  # record version, informational only
-    payload = cur.take(cur.u16())
-    return content_type, payload
+def _record_end(data: bytes) -> int:
+    """End of the first record, which starts at 0; trailing records are ignored."""
+    if len(data) < 5:
+        raise _truncated("record header")
+    end = 5 + (data[3] << 8 | data[4])
+    if end > len(data):
+        raise _truncated("record")
+    return end
 
 
-def _read_handshake(payload: bytes) -> tuple[int, _Cursor]:
-    cur = _Cursor(payload)
-    msg_type = cur.u8()
-    body = cur.take(cur.u24())
-    return msg_type, _Cursor(body)
+def _handshake_end(data: bytes, msg_type: int, not_it: type[WireError], name: str) -> int:
+    """End of the first handshake message's body, which starts at offset 9.
+
+    Bytes after that message inside the record are ignored.
+    """
+    record_end = _record_end(data)
+    if data[0] != CONTENT_HANDSHAKE:
+        raise not_it("content type %d is not handshake" % data[0])
+    if record_end < 9:
+        raise _truncated("handshake header")
+    end = 9 + (data[6] << 16 | data[7] << 8 | data[8])
+    if end > record_end:
+        raise _truncated("handshake body")
+    if data[5] != msg_type:
+        raise not_it("handshake type %d is not %s" % (data[5], name))
+    return end
 
 
 def decode_client_hello(data: bytes) -> ClientHelloMsg:
-    content_type, payload = _read_record(data)
-    if content_type != CONTENT_HANDSHAKE:
-        raise NotClientHello("content type %d is not handshake" % content_type)
-    msg_type, cur = _read_handshake(payload)
-    if msg_type != HS_CLIENT_HELLO:
-        raise NotClientHello("handshake type %d is not client_hello" % msg_type)
-    version = cur.u16()
-    random = cur.take(32)
-    session_id = cur.take(cur.u8())
-    suites_len = cur.u16()
+    end = _handshake_end(data, HS_CLIENT_HELLO, NotClientHello, "client_hello")
+    # client_version(2) random(32) session_id length(1) sit at 9..44.
+    if end < 44:
+        raise _truncated("client_hello")
+    pos = 44 + data[43]
+    if pos + 2 > end:
+        raise _truncated("session_id and cipher_suites length")
+    suites_len = data[pos] << 8 | data[pos + 1]
     if suites_len % 2:
         raise MalformedRecord("odd cipher_suites length")
-    suites_raw = _Cursor(cur.take(suites_len))
-    cipher_suites = tuple(suites_raw.u16() for _ in range(suites_len // 2))
-    compression = tuple(cur.take(cur.u8()))
+    suites_at, pos = pos + 2, pos + 2 + suites_len
+    if pos + 1 > end:
+        raise _truncated("cipher_suites and compression length")
+    compression_at, pos = pos + 1, pos + 1 + data[pos]
+    if pos > end:
+        raise _truncated("compression methods")
+    compression = tuple(data[compression_at:pos])
     extensions: tuple[tuple[int, bytes], ...] = ()
-    if cur.remaining():
-        block = _Cursor(cur.take(cur.u16()))
+    if pos < end:
+        if pos + 2 > end:
+            raise _truncated("extensions length")
+        block_end = pos + 2 + (data[pos] << 8 | data[pos + 1])
+        if block_end > end:
+            raise _truncated("extensions")
         parsed = []
-        while block.remaining():
-            etype = block.u16()
-            parsed.append((etype, block.take(block.u16())))
+        pos += 2
+        while pos < block_end:
+            if pos + 4 > block_end:
+                raise _truncated("extension header")
+            etype, body_at = data[pos] << 8 | data[pos + 1], pos + 4
+            pos = body_at + (data[pos + 2] << 8 | data[pos + 3])
+            if pos > block_end:
+                raise _truncated("extension body")
+            parsed.append((etype, data[body_at:pos]))
         extensions = tuple(parsed)
-    if cur.remaining():
-        raise MalformedRecord("%d trailing bytes inside client_hello" % cur.remaining())
+    if pos != end:
+        raise MalformedRecord("%d trailing bytes inside client_hello" % (end - pos))
     try:
         return ClientHelloMsg(
-            legacy_version=version,
-            random=random,
-            cipher_suites=cipher_suites,
-            session_id=session_id,
+            legacy_version=data[9] << 8 | data[10],
+            random=data[11:43],
+            cipher_suites=struct.unpack_from(">%dH" % (suites_len // 2), data, suites_at),
+            session_id=data[44 : suites_at - 2],
             compression=compression,
             extensions=extensions,
         )
@@ -326,36 +362,34 @@ def decode_client_hello(data: bytes) -> ClientHelloMsg:
 
 
 def decode_server_hello(data: bytes) -> ServerHelloSummary:
-    content_type, payload = _read_record(data)
-    if content_type != CONTENT_HANDSHAKE:
-        raise NotServerHello("content type %d is not handshake" % content_type)
-    msg_type, cur = _read_handshake(payload)
-    if msg_type != HS_SERVER_HELLO:
-        raise NotServerHello("handshake type %d is not server_hello" % msg_type)
-    version = cur.u16()
-    cur.take(32)  # server random, unused
-    cur.take(cur.u8())  # session_id, unused
-    suite = cur.u16()
-    cur.u8()  # compression method
-    # Anything left is the extensions block, kept verbatim.  Trailing
-    # handshake messages after the ServerHello live outside `cur` and are
-    # ignored by construction.
-    raw_extensions = cur.take(cur.remaining())
+    end = _handshake_end(data, HS_SERVER_HELLO, NotServerHello, "server_hello")
+    # server_version(2) random(32) session_id length(1) sit at 9..44; the
+    # random and the session id are unused.
+    if end < 44:
+        raise _truncated("server_hello")
+    pos = 44 + data[43]
+    if pos + 3 > end:
+        raise _truncated("session_id, cipher_suite and compression")
+    # Anything after the compression method is the extensions block, kept
+    # verbatim.  Trailing handshake messages after the ServerHello lie
+    # past `end` and are ignored by construction.
     try:
         return ServerHelloSummary(
-            negotiated_version=version, selected_suite=suite, raw_extensions=raw_extensions
+            negotiated_version=data[9] << 8 | data[10],
+            selected_suite=data[pos] << 8 | data[pos + 1],
+            raw_extensions=data[pos + 3 : end],
         )
     except ValueError as exc:
         raise MalformedRecord(str(exc)) from exc
 
 
 def decode_alert(data: bytes) -> AlertMsg:
-    content_type, payload = _read_record(data)
-    if content_type != CONTENT_ALERT:
-        raise NotAlert("content type %d is not alert" % content_type)
-    if len(payload) != 2:
+    end = _record_end(data)
+    if data[0] != CONTENT_ALERT:
+        raise NotAlert("content type %d is not alert" % data[0])
+    if end != 7:
         raise MalformedRecord("alert payload must be exactly 2 bytes")
-    level, description = payload[0], payload[1]
+    level, description = data[5], data[6]
     if level not in (AlertLevel.WARNING.value, AlertLevel.FATAL.value):
         raise MalformedRecord("unknown alert level %d" % level)
     return AlertMsg(level=AlertLevel(level), description=description)

@@ -72,7 +72,7 @@ def one_policy_server(policy: ServerPolicy) -> SimServer:
         archetype=Archetype.FS_SUPPORTING_NONFS_PREFERRING,
         policy=policy,
         truth=policy_truth(policy),
-        rng=random.Random(1),
+        seed=1,
     )
 
 

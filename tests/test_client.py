@@ -1,6 +1,5 @@
 """Client policy ladders: sequential fallback, parallel race, bench."""
 
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,7 +49,7 @@ def one_server(supported, preference, *, rule=SelectionRule.SERVER_PREFERENCE,
         policy=policy,
         truth=policy_truth(policy),
         honors_fallback_signal=honors_signal,
-        rng=random.Random(7),
+        seed=7,
     )
     return serve([server], Transport.IN_MEMORY, adversary=adversary)
 
@@ -223,7 +222,7 @@ def test_failed_when_nothing_overlaps():
         archetype=Archetype.NONFS_ONLY,
         policy=policy,
         truth=policy_truth(policy),
-        rng=random.Random(3),
+        seed=3,
     )
     with serve([server], Transport.IN_MEMORY) as h:
         out = connect(h.addresses[0], cfg_for(PolicyMode.BEFS),
@@ -253,7 +252,7 @@ def test_policies_best_effort_and_never_worse(policy, style):
         archetype=Archetype.FS_SUPPORTING_NONFS_PREFERRING,
         policy=policy,
         truth=truth,
-        rng=random.Random(11),
+        seed=11,
     )
     with serve([server], Transport.IN_MEMORY) as h:
         conn = h.connector()

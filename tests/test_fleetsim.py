@@ -29,6 +29,7 @@ from befs.fleetsim import (
     offer_is_all_fs,
     policy_truth,
     serve,
+    server_random,
     truth_records,
 )
 from befs.handshake import ClientIdentity, ConnectFailed, handshake_attempt
@@ -54,7 +55,7 @@ def make_server(supported, preference, versions=frozenset({TLS1_2}), **kw):
         archetype=arch,
         policy=policy,
         truth=policy_truth(policy),
-        rng=random.Random(1),
+        seed=1,
         **kw,
     )
 
@@ -118,6 +119,32 @@ def test_generation_is_deterministic():
     a = [(s.server_id, s.archetype, s.policy, s.truth) for s in generate_fleet(spec)]
     b = [(s.server_id, s.archetype, s.policy, s.truth) for s in generate_fleet(spec)]
     assert a == b
+
+
+def _hellos(fleet, rounds=3):
+    """Reply bytes of every server to `rounds` DEFAULT offers each, in a fixed order."""
+    offer = make_ch_bytes(DEFAULT.suites)
+    return [server.respond(offer, CLIENT) for _ in range(rounds) for server in fleet]
+
+
+def test_server_hello_bytes_repeat_with_the_spec():
+    spec = spec_with(size=40, FS_PREFERRING=0.5, NONFS_ONLY=0.5)
+    assert _hellos(generate_fleet(spec)) == _hellos(generate_fleet(spec))
+
+
+def test_server_randoms_differ_across_servers_and_attempts():
+    fleet = generate_fleet(spec_with(size=40, FS_PREFERRING=0.5, NONFS_ONLY=0.5))
+    replies = _hellos(fleet, rounds=3)
+    randoms = [reply[11:43] for reply in replies]
+    assert all(wire.decode_server_hello(reply) for reply in replies)
+    assert len(set(randoms)) == len(randoms) == 3 * 40
+
+
+def test_server_random_derivation_does_not_alias_across_seeds():
+    # (seed << 20) ^ index gave (0, 2**20) and (1, 0) one RNG seed.
+    assert server_random(0, 1 << 20, 0) != server_random(1, 0, 0)
+    assert len({server_random(s, i, c) for s in (0, 1) for i in (0, 1) for c in (0, 1)}) == 8
+    assert len(server_random(0, 0, 0)) == 32
 
 
 def test_all_nonfs_fleet_has_no_fs_support():

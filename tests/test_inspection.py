@@ -1,7 +1,6 @@
 """Scan pass, three-step inspection, and the step classifier."""
 
 import collections
-import random
 import sys
 import threading
 import time
@@ -56,7 +55,7 @@ def harness_for(supported, preference, versions=frozenset({wire.TLS1_2})):
         archetype=Archetype.FS_SUPPORTING_NONFS_PREFERRING,
         policy=policy,
         truth=policy_truth(policy),
-        rng=random.Random(0),
+        seed=0,
     )
     return serve([server], Transport.IN_MEMORY)
 

@@ -357,6 +357,16 @@ def test_store_requires_the_schema_version(store):
     assert not store.path.exists()
 
 
+@pytest.mark.parametrize("v", [True, 1.0], ids=["true", "1.0"])
+def test_schema_version_has_an_exact_type(store, v):
+    data = {**scan_record_to_dict(scan_rec()), "v": v}
+    with pytest.raises(SchemaMismatch, match="bad scan record: expected v 1"):
+        scan_record_from_dict(data)
+    with pytest.raises(SchemaMismatch):
+        store.append(data)
+    assert not store.path.exists()
+
+
 def test_store_line_that_is_not_an_object_is_a_parse_failure(store):
     path = store.path
     store.append(scan_record_to_dict(scan_rec("a")))

@@ -19,9 +19,8 @@ from befs.suites import (
     Cipher,
     KeyExchange,
     ProfileKind,
-    SuiteClass,
-    classify,
-    classify_codepoint,
+    is_ae,
+    is_fs,
 )
 
 # Hand-listed oracle: every ECDHE suite in the default order.
@@ -65,17 +64,17 @@ def test_profile_nesting_is_strict():
 
 
 def test_first_default_suite_is_fs_ae():
-    assert classify_codepoint(DEFAULT.suites[0]) == SuiteClass(True, True)
+    assert DEFAULT.suites[0] in REGISTRY
+    assert (is_fs(DEFAULT.suites[0]), is_ae(DEFAULT.suites[0])) == (True, True)
 
 
 def test_classify_against_structural_truth_table():
     for cp, desc in REGISTRY.items():
-        cls = classify(desc)
-        assert cls.fs == (desc.kex is KeyExchange.ECDHE)
-        assert cls.ae == (
+        assert desc.fs == (desc.kex is KeyExchange.ECDHE)
+        assert desc.ae == (
             desc.cipher in (Cipher.AES_128_GCM, Cipher.AES_256_GCM, Cipher.CHACHA20_POLY1305)
         )
-        assert classify_codepoint(cp) == cls
+        assert (is_fs(cp), is_ae(cp)) == (desc.fs, desc.ae)
 
 
 def test_dhe_is_not_counted_forward_secure():
@@ -98,29 +97,17 @@ def test_registry_names_are_unique_and_match_codepoints():
 def test_fallback_signal_is_not_a_real_suite():
     assert FALLBACK_SIGNAL == 0x5600
     assert FALLBACK_SIGNAL not in REGISTRY
-    assert classify_codepoint(FALLBACK_SIGNAL) is None
+    assert not is_fs(FALLBACK_SIGNAL) and not is_ae(FALLBACK_SIGNAL)
 
 
 def test_classify_codepoint_unknown_returns_none():
-    assert classify_codepoint(0xFFFF) is None
+    assert REGISTRY.get(0xFFFF) is None
+    assert not is_fs(0xFFFF) and not is_ae(0xFFFF)
 
 
 def test_profile_accessor_and_kinds():
     for kind in ProfileKind:
         assert suites.profile(kind).kind is kind
-
-
-def test_registry_table_lists_every_suite():
-    table = suites.registry_table()
-    for d in REGISTRY.values():
-        assert d.name in table
-        assert "0x%04X" % d.codepoint in table
-    assert table.splitlines()[0].startswith("codepoint")
-
-
-def test_suite_name_known_and_unknown():
-    assert suites.suite_name(0xC02B) == "TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256"
-    assert suites.suite_name(0x4242) == "UNKNOWN_0x4242"
 
 
 @given(st.integers(min_value=0, max_value=0xFFFF))

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from befs import wire
-from befs.suites import DEFAULT
+from befs.handshake import AttemptKind, ConnectFailed, _client_random, handshake_attempt
+from befs.suites import DEFAULT, FALLBACK_SIGNAL, REGISTRY
 from befs.wire import (
     TLS1_0,
     TLS1_1,
@@ -178,10 +179,10 @@ def test_nonzero_compression_is_preserved_not_policed():
 def test_unknown_suite_is_flagged_not_an_error():
     sh = decode_server_hello(encode_server_hello(ServerHelloSummary(TLS1_2, 0x4242)))
     assert sh.selected_suite == 0x4242
-    assert not sh.suite_known
+    assert sh.selected_suite not in REGISTRY
     assert decode_server_hello(
         encode_server_hello(ServerHelloSummary(TLS1_2, 0xC02F))
-    ).suite_known
+    ).selected_suite in REGISTRY
 
 
 def test_oversize_extension_body_raises():
@@ -227,3 +228,167 @@ def test_single_byte_mutations_never_crash_decoder(msg, pos, val):
         decode_client_hello(bytes(raw))
     except wire.WireError:
         pass
+
+
+# -- the client's ClientHello template against the general encoder ---------
+
+
+class RecordingConnector:
+    """Keeps every ClientHello sent and answers none of them."""
+
+    def __init__(self):
+        self.sent = []
+
+    def exchange(self, address, raw, timeout_s, client):
+        self.sent.append(raw)
+        raise ConnectFailed("recording only")
+
+
+def _reference_hello(version, suites, sni, random):
+    extensions = (wire.sni_extension(sni),) if sni else ()
+    return encode_client_hello(ClientHelloMsg(version, random, suites, extensions=extensions))
+
+
+def _sent_hello(version, offer, sni, signal):
+    conn = RecordingConnector()
+    res = handshake_attempt(conn, "srv-1", offer, 1.0, max_version=version, sni=sni,
+                            signal_fallback=signal)
+    assert res.kind is AttemptKind.CONNECT_ERROR
+    (raw,) = conn.sent
+    return raw
+
+
+@given(
+    offer=st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=40).map(tuple),
+    signal=st.booleans(),
+    version=st.sampled_from(sorted(wire.SUPPORTED_VERSIONS)),
+    sni=st.none() | st.text(st.characters(max_codepoint=127), max_size=255),
+)
+def test_handshake_attempt_sends_what_encode_client_hello_builds(offer, signal, version, sni):
+    suites = offer + (FALLBACK_SIGNAL,) if signal else offer
+    random = _client_random(0, "srv-1", repr(suites))
+    assert _sent_hello(version, offer, sni, signal) == _reference_hello(version, suites, sni, random)
+
+
+@pytest.mark.parametrize(
+    "version, offer, sni",
+    [
+        (TLS1_2, (), None),
+        (0x0304, (0xC02F,), None),
+        (0x0300, (0xC02F,), "example.com"),
+        (TLS1_2, (0xC02F, 0x10000), None),
+        (TLS1_2, (-1,), None),
+        (TLS1_2, (0xC02F,), "exämple.com"),
+        (TLS1_2, (), "exämple.com"),
+        (TLS1_2, (0xC02F,), "a" * 65500),
+        (TLS1_2, (0xC02F,), "a" * 65531),
+        (TLS1_2, (0xC02F,), "a" * 65533),
+        (TLS1_2, (0xC02F,), "a" * 70000),
+    ],
+    ids=["empty-offer", "tls13", "ssl3", "codepoint-above-u16", "negative-codepoint",
+         "non-ascii-sni", "empty-offer-and-non-ascii-sni", "record-overflow",
+         "extension-overflow", "name-list-overflow", "name-overflow"],
+)
+def test_bad_input_raises_the_same_type_on_both_paths(version, offer, sni):
+    with pytest.raises(Exception) as reference:
+        _reference_hello(version, offer, sni, bytes(32))
+    with pytest.raises(Exception) as sent:
+        _sent_hello(version, offer, sni, False)
+    assert sent.type is reference.type
+
+
+def _framed(msg_type, body):
+    """A record holding one handshake message with `body`, every length exact."""
+    hs = bytes([msg_type]) + len(body).to_bytes(3, "big") + body
+    return b"\x16\x03\x03" + len(hs).to_bytes(2, "big") + hs
+
+
+_CH_FIXED = 2 + 32 + 1 + 2 + 2 * len(DEFAULT.suites) + 2  # up to the end of compression
+TRUNCATION_CASES = [
+    # (decoder, whole record, body lengths that are complete messages)
+    (decode_client_hello, encode_client_hello(make_ch(suites=DEFAULT.suites)), {_CH_FIXED}),
+    (decode_client_hello,
+     encode_client_hello(make_ch(suites=DEFAULT.suites,
+                                 extensions=(wire.sni_extension("example.com"), (0x0017, b"")))),
+     {_CH_FIXED}),
+    (decode_server_hello,
+     encode_server_hello(ServerHelloSummary(TLS1_2, 0xC02F, b"\xff\x01\x00\x01\x00"),
+                         session_id=bytes(8)),
+     set(range(2 + 32 + 1 + 8 + 3, 200))),
+]
+
+
+@pytest.mark.parametrize("decode, raw, complete", TRUNCATION_CASES, ids=["ch", "ch-sni", "sh"])
+def test_every_truncation_is_a_malformed_record(decode, raw, complete):
+    decode(raw)
+    for n in range(len(raw)):  # the record itself is cut
+        with pytest.raises(MalformedRecord):
+            decode(raw[:n])
+    handshake = raw[5:]
+    for n in range(len(handshake)):  # a whole record holding a cut message
+        with pytest.raises(MalformedRecord):
+            decode(raw[:3] + n.to_bytes(2, "big") + handshake[:n])
+    body = raw[9:]
+    for n in range(len(body)):  # a whole message with a cut body
+        if n in complete:
+            decode(_framed(raw[5], body[:n]))
+        else:
+            with pytest.raises(MalformedRecord):
+                decode(_framed(raw[5], body[:n]))
+
+
+def test_every_cut_of_the_extension_block_is_a_malformed_record():
+    extensions = (wire.sni_extension("example.com"), (0x0017, b""), (0x000B, b"\x01\x00"))
+    raw = encode_client_hello(make_ch(suites=DEFAULT.suites, extensions=extensions))
+    fixed, block = raw[9 : 9 + _CH_FIXED], raw[9 + _CH_FIXED + 2 :]
+    whole, at = set(), 0
+    for _, ext_body in extensions:
+        at += 4 + len(ext_body)
+        whole.add(at)
+    for n in range(len(block)):  # the block's own length says where it ends
+        cut = _framed(wire.HS_CLIENT_HELLO, fixed + n.to_bytes(2, "big") + block[:n])
+        if n in whole or n == 0:
+            decode_client_hello(cut)
+        else:
+            with pytest.raises(MalformedRecord):
+                decode_client_hello(cut)
+
+
+@given(st.binary(max_size=64))
+def test_extract_sni_is_total(body):
+    name = wire.extract_sni(make_ch(extensions=((wire.SNI_EXTENSION_TYPE, body),)))
+    assert name is None or isinstance(name, str)
+
+
+def test_extract_sni_of_a_cut_name_list_is_none():
+    body = wire.sni_extension("example.com")[1]
+    entries = body[2:]
+    for n in range(len(entries)):  # the list length left whole, then cut to fit
+        for cut in (body[: 2 + n], n.to_bytes(2, "big") + entries[:n]):
+            assert wire.extract_sni(make_ch(extensions=((wire.SNI_EXTENSION_TYPE, cut),))) is None
+
+
+def test_trailing_bytes_inside_a_hello_are_malformed():
+    for extensions in ((), (wire.sni_extension("example.com"),)):
+        raw = encode_client_hello(make_ch(extensions=extensions))
+        for extra in (b"\x00", b"\x00\x00\x00"):
+            with pytest.raises(MalformedRecord):
+                decode_client_hello(_framed(wire.HS_CLIENT_HELLO, raw[9:] + extra))
+
+
+def test_alert_payload_must_be_two_bytes():
+    for payload in (b"", b"\x02", b"\x02\x28\x00"):
+        raw = bytes([wire.CONTENT_ALERT, 3, 3, 0, len(payload)]) + payload
+        with pytest.raises(MalformedRecord):
+            decode_alert(raw)
+
+
+def test_inner_lengths_that_disagree_are_malformed():
+    head = TLS1_2.to_bytes(2, "big") + bytes(32) + b"\x00"
+    odd_suites = head + b"\x00\x03\xc0\x2f\x00" + b"\x01\x00"
+    sni = encode_client_hello(make_ch(extensions=(wire.sni_extension("example.com"),)))[9:]
+    block_at = len(head) + 2 + 2 + 2
+    short_block = sni[:block_at] + (len(sni) - block_at - 3).to_bytes(2, "big") + sni[block_at + 2 :]
+    for body in (odd_suites, short_block):
+        with pytest.raises(MalformedRecord):
+            decode_client_hello(_framed(wire.HS_CLIENT_HELLO, body))
