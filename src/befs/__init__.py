@@ -21,7 +21,6 @@ from .suites import (
     ProfileKind,
     is_ae,
     is_fs,
-    profile,
 )
 
 __version__ = "0.1.0"
@@ -44,6 +43,5 @@ __all__ = [
     "is_ae",
     "is_fs",
     "latency_bench",
-    "profile",
     "__version__",
 ]

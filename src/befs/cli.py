@@ -84,6 +84,13 @@ class TerminalDecisions:
 # -- argument plumbing ---------------------------------------------------------
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _add_source_options(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="address file, one host[:port] or IPv4[:port] per line")
@@ -153,7 +160,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="per-mode handshake latency table")
     _add_source_options(p_bench)
-    p_bench.add_argument("--repetitions", type=int, default=1)
+    p_bench.add_argument("--repetitions", type=_at_least_one, default=1)
     _add_handshake_options(p_bench, concurrency=False)
 
     p_fleet = sub.add_parser("fleet", help="validate, describe, or serve a fleet spec")
@@ -169,7 +176,6 @@ def _parser() -> argparse.ArgumentParser:
     p_report.add_argument("--store", required=True, help="record log to read")
     p_report.add_argument("--campaign", default=None, help="only records with this tag")
     p_report.add_argument("--device-meta", help="ip<TAB>label file for device typing")
-    p_report.add_argument("--snapshot-date", default="", help="date label for --device-meta")
 
     return parser
 
@@ -314,6 +320,7 @@ def cmd_bench(args) -> int:
             repetitions=args.repetitions,
             connector=connector,
             timeout_s=args.timeout,
+            sni=args.sni == "on",
             seed=args.seed,
         )
     _note("%-8s %8s %10s %10s %10s %9s" % ("mode", "samples", "max_s", "min_s", "avg_s", "attempts"))
@@ -383,7 +390,7 @@ def cmd_report(args) -> int:
     scans, inspections = scans_and_inspections(loaded.records)
     meta = None
     if args.device_meta:
-        provider = FileBackedProvider(args.device_meta, snapshot_date=args.snapshot_date)
+        provider = FileBackedProvider(args.device_meta)
         hosts = [split_address(r.address)[0] for r in scans if r.selected_suite is not None]
         meta = device_type(hosts, provider)
         _note("report: device metadata coverage %.2f%%" % (100.0 * meta.coverage))

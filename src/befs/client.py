@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .handshake import AttemptResult, Connector, handshake_attempt
+from .metadata import split_address
 from .suites import PROFILES, ProfileKind, is_ae, is_fs
 
 
@@ -226,20 +227,24 @@ def latency_bench(
     *,
     connector: Connector,
     timeout_s: float = 5.0,
-    sni: Optional[str] = None,
+    sni: bool = True,
     seed: int = 0,
 ) -> BenchReport:
     """Back-to-back default/BEFS/BESAFE timings per address.
 
     Wall time wraps the full attempt ladder, connection setup included.
     Addresses that fail any mode are excluded from the aggregates and
-    reported separately.
+    reported separately. With ``sni``, each address sends its own host
+    name, as in ``scan``.
     """
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
     walls: dict[PolicyMode, list[float]] = {m: [] for m in BENCH_MODES}
     attempts: dict[PolicyMode, list[int]] = {m: [] for m in BENCH_MODES}
     excluded: list[str] = []
     responders = 0
     for address in addresses:
+        sni_name = split_address(address)[2] if sni else None
         local_walls: dict[PolicyMode, list[float]] = {m: [] for m in BENCH_MODES}
         local_attempts: dict[PolicyMode, list[int]] = {m: [] for m in BENCH_MODES}
         ok = True
@@ -247,7 +252,7 @@ def latency_bench(
             for mode in BENCH_MODES:
                 cfg = PolicyConfig(mode=mode, timeout_s=timeout_s)
                 start = time.perf_counter()
-                outcome = connect(address, cfg, connector=connector, sni=sni, seed=seed)
+                outcome = connect(address, cfg, connector=connector, sni=sni_name, seed=seed)
                 wall = time.perf_counter() - start
                 if not outcome.connected:
                     ok = False

@@ -612,11 +612,6 @@ class _Gauge:
         with self._lock:
             self.current -= 1
 
-    def reset(self) -> None:
-        with self._lock:
-            self.current = 0
-            self.max_seen = 0
-
 
 class _MemoryConnector:
     def __init__(self, harness: "MemoryHarness") -> None:
@@ -863,12 +858,7 @@ class SocketHarness(Harness):
         if len(buf) < total:
             return
         raw = bytes(buf[:total])
-        endpoint = slot[0]
-        try:
-            peer = "%s:%d" % conn.getpeername()
-        except OSError:
-            peer = ""
-        reply = endpoint.respond(raw, ClientIdentity(tag="", source=peer))
+        reply = slot[0].respond(raw, ClientIdentity())
         slot[1] = _CONN_DONE
         if reply is None:
             return  # stall: hold the connection open, client times out

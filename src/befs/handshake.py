@@ -31,12 +31,10 @@ class ClientIdentity:
     """Who is asking, as far as a server endpoint can tell.
 
     tag is a client-supplied label carried by the in-memory transport;
-    source is the transport-level peer (set to the tag in memory mode,
-    the peer address in socket mode).
+    a socket endpoint sees an empty tag.
     """
 
     tag: str = ""
-    source: str = ""
 
 
 class Connector(Protocol):
@@ -51,11 +49,6 @@ class AttemptKind(Enum):
     TIMEOUT = "TIMEOUT"
     CONNECT_ERROR = "CONNECT_ERROR"
     PROTOCOL_ERROR = "PROTOCOL_ERROR"
-
-
-FAILURE_KINDS = frozenset(
-    {AttemptKind.REJECTED, AttemptKind.TIMEOUT, AttemptKind.CONNECT_ERROR, AttemptKind.PROTOCOL_ERROR}
-)
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,7 @@ def handshake_attempt(
         return AttemptResult(elapsed_s=time.perf_counter() - start, **kw)
 
     try:
-        reply = connector.exchange(address, raw, timeout_s, ClientIdentity(tag=tag, source=tag))
+        reply = connector.exchange(address, raw, timeout_s, ClientIdentity(tag=tag))
     except TimeoutError:
         return done(kind=AttemptKind.TIMEOUT, error="timed out after %gs" % timeout_s)
     except ConnectFailed as exc:

@@ -146,7 +146,6 @@ class DeviceMeta:
 
     ip: str
     device_type_label: str = ""
-    snapshot_date: str = ""
 
     @property
     def is_network_device(self) -> bool:
@@ -161,12 +160,10 @@ class MetadataProvider(Protocol):
 class FileBackedProvider:
     """Flat-file provider: one `ip<TAB>label` row per line.
 
-    A row without a tab records the IP with an empty label. The snapshot
-    date is whatever the operator says the file reflects.
+    A row without a tab records the IP with an empty label.
     """
 
     path: str
-    snapshot_date: str = ""
     _cache: Optional[dict[str, DeviceMeta]] = field(default=None, repr=False)
 
     def _table(self) -> dict[str, DeviceMeta]:
@@ -180,11 +177,7 @@ class FileBackedProvider:
                 if not line.strip():
                     continue
                 ip, _, label = line.partition("\t")
-                table[ip.strip()] = DeviceMeta(
-                    ip=ip.strip(),
-                    device_type_label=label.strip(),
-                    snapshot_date=self.snapshot_date,
-                )
+                table[ip.strip()] = DeviceMeta(ip=ip.strip(), device_type_label=label.strip())
             self._cache = table
         return self._cache
 

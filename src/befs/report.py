@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -258,23 +259,12 @@ class RecordStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def load(
-        self,
-        *,
-        campaign: Optional[str] = None,
-        kind: Optional[str] = None,
-        classification: Optional[Union[Classification, str]] = None,
-    ) -> LoadResult:
-        """Filtered read. Corrupt lines become errors, not silent drops."""
+    def load(self, *, campaign: Optional[str] = None) -> LoadResult:
+        """Read every line, or one campaign's. Corrupt lines become errors, not silent drops."""
         try:
             lines = self.path.read_text(encoding="utf-8").splitlines()
         except OSError as exc:
             raise IoFailure("cannot read %s: %s" % (self.path, exc)) from exc
-        wanted_class = (
-            classification.name
-            if isinstance(classification, Classification)
-            else classification
-        )
         result = LoadResult(records=[])
         for number, line in enumerate(lines, start=1):
             if not line.strip():
@@ -288,10 +278,6 @@ class RecordStore:
                 result.errors.append(ParseFailure(number, "not a JSON object"))
                 continue
             if campaign is not None and data.get("campaign") != campaign:
-                continue
-            if kind is not None and data.get("kind") != kind:
-                continue
-            if wanted_class is not None and data.get("classification") != wanted_class:
                 continue
             result.records.append(data)
         return result
@@ -312,8 +298,13 @@ class Level:
         return "-" if self.pct is None else "%.2f%%" % round(self.pct, 2)
 
 
-def _level(count: int, denominator: int) -> Level:
-    return Level(count, None if denominator == 0 else 100.0 * count / denominator)
+def _row(label: str, over: Optional[str] = None, *, shown: bool = True):
+    """A table field: its text label, and the field its percent is taken over.
+
+    A field with ``over`` holds a Level; one without holds a bare count.
+    ``shown=False`` keeps a count in the JSON form but out of the text table.
+    """
+    return field(metadata={"label": label, "over": over, "shown": shown})
 
 
 @dataclass(frozen=True)
@@ -325,153 +316,104 @@ class AggregateReport:
       -> select FS non-AE -> support FS+AE.
     The lose-AE branch hangs off select FS non-AE. Device typing is a
     side channel over whichever responders have provider coverage.
+    The fields after ``campaign`` are the table, in text order.
     """
 
     campaign: str
-    dataset_size: int
-    responding: Level
-    distinct_ip: int
-    metadata_responders: int
-    network_device: Level
-    select_non_fs: Level
-    stable: Level
-    support_fs: Level
-    select_fs_non_ae: Level
-    support_fs_ae: Level
-    lose_ae: Level
-    lose_ae_support_fs_ae: Level
+    dataset_size: int = _row("dataset")
+    responding: Level = _row("responding", "dataset_size")
+    distinct_ip: int = _row("distinct IPs")
+    metadata_responders: int = _row("metadata responders", shown=False)
+    network_device: Level = _row("network device", "metadata_responders")
+    select_non_fs: Level = _row("select non-FS", "responding")
+    stable: Level = _row("stable", "select_non_fs")
+    support_fs: Level = _row("support FS", "stable")
+    select_fs_non_ae: Level = _row("select FS non-AE", "support_fs")
+    support_fs_ae: Level = _row("support FS+AE", "select_fs_non_ae")
+    lose_ae: Level = _row("lose AE", "select_fs_non_ae")
+    lose_ae_support_fs_ae: Level = _row("lose AE, support FS+AE", "lose_ae")
 
-    def chain(self) -> list[tuple[str, Level]]:
-        return [
-            ("responding", self.responding),
-            ("select_non_fs", self.select_non_fs),
-            ("stable", self.stable),
-            ("support_fs", self.support_fs),
-            ("select_fs_non_ae", self.select_fs_non_ae),
-            ("support_fs_ae", self.support_fs_ae),
-        ]
+    @classmethod
+    def from_counts(cls, campaign: str, counts: Mapping[str, int]) -> "AggregateReport":
+        """Build the table from one count per row; each percent is over its ``over`` count."""
+        rows = {}
+        for f in _TABLE:
+            count, over = counts[f.name], f.metadata["over"]
+            if over is None:
+                rows[f.name] = count
+            else:
+                denominator = counts[over]
+                rows[f.name] = Level(count, 100.0 * count / denominator if denominator else None)
+        return cls(campaign, **rows)
 
     def to_dict(self) -> dict:
-        def row(level: Level) -> dict:
-            return {
-                "count": level.count,
-                "pct": None if level.pct is None else round(level.pct, 2),
-            }
-
-        return {
-            "campaign": self.campaign,
-            "dataset_size": self.dataset_size,
-            "distinct_ip": self.distinct_ip,
-            "metadata_responders": self.metadata_responders,
-            "responding": row(self.responding),
-            "network_device": row(self.network_device),
-            "select_non_fs": row(self.select_non_fs),
-            "stable": row(self.stable),
-            "support_fs": row(self.support_fs),
-            "select_fs_non_ae": row(self.select_fs_non_ae),
-            "support_fs_ae": row(self.support_fs_ae),
-            "lose_ae": row(self.lose_ae),
-            "lose_ae_support_fs_ae": row(self.lose_ae_support_fs_ae),
-        }
+        data = {"campaign": self.campaign}
+        for f in _TABLE:
+            value = getattr(self, f.name)
+            if isinstance(value, Level):
+                value = {"count": value.count,
+                         "pct": None if value.pct is None else round(value.pct, 2)}
+            data[f.name] = value
+        return data
 
 
-_ROWS = (
-    ("dataset", None),
-    ("responding", "of dataset"),
-    ("distinct IPs", None),
-    ("network device", "of metadata responders"),
-    ("select non-FS", "of responding"),
-    ("stable", "of select non-FS"),
-    ("support FS", "of stable"),
-    ("select FS non-AE", "of support FS"),
-    ("support FS+AE", "of select FS non-AE"),
-    ("lose AE", "of select FS non-AE"),
-    ("lose AE, support FS+AE", "of lose AE"),
-)
+_TABLE = dataclasses.fields(AggregateReport)[1:]
+_LABELS = {f.name: f.metadata["label"] for f in _TABLE}
 
 
 def render_text(report: AggregateReport) -> str:
     """Fixed-width table; deterministic for byte-level comparison."""
-    values = [
-        (str(report.dataset_size), ""),
-        (str(report.responding.count), report.responding.pct_text),
-        (str(report.distinct_ip), ""),
-        (str(report.network_device.count), report.network_device.pct_text),
-        (str(report.select_non_fs.count), report.select_non_fs.pct_text),
-        (str(report.stable.count), report.stable.pct_text),
-        (str(report.support_fs.count), report.support_fs.pct_text),
-        (str(report.select_fs_non_ae.count), report.select_fs_non_ae.pct_text),
-        (str(report.support_fs_ae.count), report.support_fs_ae.pct_text),
-        (str(report.lose_ae.count), report.lose_ae.pct_text),
-        (str(report.lose_ae_support_fs_ae.count), report.lose_ae_support_fs_ae.pct_text),
-    ]
-    title = "campaign: %s" % (report.campaign or "(none)")
-    lines = [title]
-    for (label, basis), (count, pct) in zip(_ROWS, values):
-        basis_text = " (%s)" % basis if basis else ""
-        lines.append("%-24s %8s  %8s%s" % (label, count, pct, basis_text))
+    lines = ["campaign: %s" % (report.campaign or "(none)")]
+    for f in _TABLE:
+        if not f.metadata["shown"]:
+            continue
+        value, over = getattr(report, f.name), f.metadata["over"]
+        count, pct, basis = (
+            (value, "", "") if over is None
+            else (value.count, value.pct_text, " (of %s)" % _LABELS[over])
+        )
+        lines.append("%-24s %8s  %8s%s" % (f.metadata["label"], count, pct, basis))
     return "\n".join(lines) + "\n"
 
 
 def aggregate(
-    scan_records: Sequence[Union[ScanRecord, Mapping]],
-    inspection_records: Sequence[Union[InspectionRecord, Mapping]],
+    scan_records: Iterable[ScanRecord],
+    inspection_records: Iterable[InspectionRecord],
     device_meta: Optional[DeviceLookup] = None,
     *,
     campaign: str = "",
 ) -> AggregateReport:
-    """Fold one campaign's records into the nested table.
+    """Fold one campaign's decoded records into the nested table, one pass each."""
+    dataset = responding = select_non_fs = metadata_responders = network_device = 0
+    hosts = set()  # the one structure that grows with the input
+    for rec in scan_records:
+        host = split_address(rec.address)[0]
+        hosts.add(host)
+        dataset += 1
+        if rec.result is not ScanResultKind.RESPONDED:
+            continue
+        responding += 1
+        select_non_fs += not is_fs(rec.selected_suite)
+        if device_meta is not None and host in device_meta:
+            metadata_responders += 1
+            network_device += device_meta[host].is_network_device
+    steps = Counter((rec.classification, rec.lose_ae) for rec in inspection_records)
 
-    Accepts typed records or raw store dicts; dicts are schema-checked.
-    """
-    scans = [
-        r if isinstance(r, ScanRecord) else scan_record_from_dict(r) for r in scan_records
-    ]
-    inspections = [
-        r if isinstance(r, InspectionRecord) else inspection_record_from_dict(r)
-        for r in inspection_records
-    ]
+    def inspected(classes, lose_ae=(False, True)) -> int:
+        return sum(n for (c, lost), n in steps.items() if c in classes and lost in lose_ae)
 
-    responding = [r for r in scans if r.result is ScanResultKind.RESPONDED]
-    select_non_fs = [r for r in responding if not is_fs(r.selected_suite)]
-    distinct_ip = len({split_address(r.address)[0] for r in scans})
-
-    by_class: dict[Classification, int] = {c: 0 for c in Classification}
-    lose_ae_count = 0
-    lose_ae_support = 0
-    for rec in inspections:
-        by_class[rec.classification] += 1
-        if rec.lose_ae:
-            lose_ae_count += 1
-            if rec.classification is Classification.STABLE_FS_NONAE_BUT_SUPPORTS_FS_AE:
-                lose_ae_support += 1
-
-    stable = sum(by_class[c] for c in STABLE_CLASSES)
-    support_fs = sum(by_class[c] for c in FS_SUPPORT_CLASSES)
-    select_fs_non_ae = sum(by_class[c] for c in FS_NONAE_PICK_CLASSES)
-    support_fs_ae = by_class[Classification.STABLE_FS_NONAE_BUT_SUPPORTS_FS_AE]
-
-    if device_meta is None:
-        metadata_responders = 0
-        device_count = 0
-    else:
-        hosts = [split_address(r.address)[0] for r in responding]
-        covered = [h for h in hosts if h in device_meta]
-        metadata_responders = len(covered)
-        device_count = sum(1 for h in covered if device_meta[h].is_network_device)
-
-    return AggregateReport(
-        campaign=campaign,
-        dataset_size=len(scans),
-        responding=_level(len(responding), len(scans)),
-        distinct_ip=distinct_ip,
+    regains_ae = {Classification.STABLE_FS_NONAE_BUT_SUPPORTS_FS_AE}
+    return AggregateReport.from_counts(campaign, dict(
+        dataset_size=dataset,
+        responding=responding,
+        distinct_ip=len(hosts),
         metadata_responders=metadata_responders,
-        network_device=_level(device_count, metadata_responders),
-        select_non_fs=_level(len(select_non_fs), len(responding)),
-        stable=_level(stable, len(select_non_fs)),
-        support_fs=_level(support_fs, stable),
-        select_fs_non_ae=_level(select_fs_non_ae, support_fs),
-        support_fs_ae=_level(support_fs_ae, select_fs_non_ae),
-        lose_ae=_level(lose_ae_count, select_fs_non_ae),
-        lose_ae_support_fs_ae=_level(lose_ae_support, lose_ae_count),
-    )
+        network_device=network_device,
+        select_non_fs=select_non_fs,
+        stable=inspected(STABLE_CLASSES),
+        support_fs=inspected(FS_SUPPORT_CLASSES),
+        select_fs_non_ae=inspected(FS_NONAE_PICK_CLASSES),
+        support_fs_ae=inspected(regains_ae),
+        lose_ae=inspected(Classification, (True,)),
+        lose_ae_support_fs_ae=inspected(regains_ae, (True,)),
+    ))

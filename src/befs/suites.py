@@ -135,10 +135,6 @@ PROFILES: dict[ProfileKind, OfferProfile] = {
 }
 
 
-def profile(kind: ProfileKind) -> OfferProfile:
-    return PROFILES[kind]
-
-
 def is_fs(codepoint: int) -> bool:
     desc = REGISTRY.get(codepoint)
     return desc is not None and desc.fs

@@ -305,6 +305,16 @@ def test_bench_attempt_columns(tmp_path, capsys):
     assert "avg_s" in err and "BESAFE" in err
 
 
+@pytest.mark.parametrize("repetitions", ["0", "-1"])
+def test_bench_rejects_fewer_than_one_repetition(tmp_path, capsys, repetitions):
+    spec = write_spec(tmp_path, {"NONFS_ONLY": 1.0}, size=2, seed=4)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--fleet-spec", spec, "--repetitions", repetitions])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at least 1" in err
+
+
 def test_fleet_spec_latency_reaches_the_harness(tmp_path, capsys):
     # spec latency is sleep-injected, so one DEFAULT handshake floors at base_ms
     spec = write_spec(

@@ -464,3 +464,31 @@ def test_bench_excludes_failing_addresses():
     assert report.responders == 1
     assert report.excluded == (dead_addr,)
     assert isinstance(report, BenchReport)
+
+
+class SniRecorder(FixedReply):
+    """Answers like FixedReply and records (address, SNI) of each ClientHello."""
+
+    def __init__(self, reply):
+        super().__init__(reply)
+        self.seen = set()
+
+    def exchange(self, address, raw, timeout_s, client):
+        self.seen.add((address, wire.extract_sni(wire.decode_client_hello(raw))))
+        return self.reply
+
+
+def test_bench_sends_each_address_its_own_sni():
+    addresses = ["a.example:443", "b.example", "192.0.2.1:443"]
+    for sni, names in ((True, ["a.example", "b.example", None]), (False, [None] * 3)):
+        recorder = SniRecorder(server_hello(0xC02F))
+        report = latency_bench(addresses, connector=recorder, timeout_s=0.5, sni=sni)
+        assert report.responders == 3
+        assert recorder.seen == set(zip(addresses, names))
+
+
+def test_bench_refuses_zero_repetitions():
+    recorder = SniRecorder(server_hello(0xC02F))
+    with pytest.raises(ValueError):
+        latency_bench(["a.example"], repetitions=0, connector=recorder)
+    assert recorder.seen == set()

@@ -37,7 +37,7 @@ from befs.negotiate import ServerPolicy
 from befs.suites import DEFAULT, FALLBACK_SIGNAL, FS_ONLY, REGISTRY, is_fs
 from befs.wire import TLS1_0, TLS1_1, TLS1_2
 
-CLIENT = ClientIdentity(tag="t", source="t")
+CLIENT = ClientIdentity(tag="t")
 
 
 def make_ch_bytes(suites, version=TLS1_2):
@@ -330,7 +330,7 @@ def weak_wrapped(target_tag="victim"):
 
 def test_weak_discriminator_submits_to_fs_only_offer():
     weak = weak_wrapped()
-    victim = ClientIdentity(tag="victim", source="victim")
+    victim = ClientIdentity(tag="victim")
     sh = wire.decode_server_hello(weak.respond(make_ch_bytes(FS_ONLY.suites), victim))
     assert is_fs(sh.selected_suite)
 
@@ -340,8 +340,8 @@ def test_weak_discriminator_steers_default_offer_to_non_fs():
     inner = make_server({0xC02F, 0x002F}, (0xC02F, 0x002F))
     cfg = AdversaryConfig(AdversaryKind.DISCRIMINATORY_WEAK, target_predicate=lambda c: c.tag == "v")
     weak = apply_adversary(inner, cfg)
-    victim = ClientIdentity(tag="v", source="v")
-    other = ClientIdentity(tag="w", source="w")
+    victim = ClientIdentity(tag="v")
+    other = ClientIdentity(tag="w")
     assert wire.decode_server_hello(weak.respond(make_ch_bytes(DEFAULT.suites), victim)).selected_suite == 0x002F
     assert wire.decode_server_hello(weak.respond(make_ch_bytes(DEFAULT.suites), other)).selected_suite == 0xC02F
 
@@ -351,7 +351,7 @@ def test_weak_discriminator_steers_default_offer_to_non_fs():
 def test_weak_discriminator_is_observationally_honest(seed):
     rng = random.Random(seed)
     weak = weak_wrapped(target_tag="v")
-    victim = ClientIdentity(tag="v", source="v")
+    victim = ClientIdentity(tag="v")
     offer = tuple(rng.sample(sorted(REGISTRY), rng.randint(1, len(REGISTRY))))
     reply = weak.respond(make_ch_bytes(offer), victim)
     try:

@@ -140,7 +140,7 @@ def test_file_provider_partial_coverage(tmp_path):
         "192.0.2.2\t\n",
         encoding="utf-8",
     )
-    provider = FileBackedProvider(str(f), snapshot_date="2018-04-01")
+    provider = FileBackedProvider(str(f))
     lookup = device_type(["192.0.2.1", "192.0.2.2", "192.0.2.3"], provider)
     assert lookup.coverage == pytest.approx(2 / 3)
     assert lookup.missing == ("192.0.2.3",)
@@ -149,7 +149,7 @@ def test_file_provider_partial_coverage(tmp_path):
     assert lookup["192.0.2.2"].device_type_label == ""
     assert not lookup["192.0.2.2"].is_network_device
     assert lookup["192.0.2.1"].is_network_device
-    assert lookup["192.0.2.1"].snapshot_date == "2018-04-01"
+    assert lookup["192.0.2.1"].device_type_label == "DSL/cable modem"
 
 
 def test_row_without_tab_means_empty_label(tmp_path):
@@ -185,5 +185,5 @@ def test_empty_request_has_full_coverage():
 
 
 def test_meta_equality_is_value_based():
-    assert DeviceMeta("a", "NAS", "d") == DeviceMeta("a", "NAS", "d")
+    assert DeviceMeta("a", "NAS") == DeviceMeta("a", "NAS") != DeviceMeta("a", "")
     assert Address("A", AddressKind.HOSTNAME, "a") == Address("A", AddressKind.HOSTNAME, "a")

@@ -49,6 +49,7 @@ from befs.report import (
     render_text,
     scan_record_from_dict,
     scan_record_to_dict,
+    scans_and_inspections,
     session_record_from_dict,
     session_record_to_dict,
 )
@@ -319,16 +320,12 @@ def test_store_filters(store):
             inspection_rec("a", Classification.STABLE_SUPPORTS_FS_AE), campaign="c1"
         )
     )
-    assert len(store.load(campaign="c1").records) == 2
-    assert len(store.load(kind="scan").records) == 2
-    picked = store.load(kind="inspection",
-                        classification=Classification.STABLE_SUPPORTS_FS_AE).records
-    assert len(picked) == 1 and picked[0]["address"] == "a"
-    assert store.load(classification="STABLE_NO_FS_SUPPORT").records == []
-    # filtered loads return subsets of the unfiltered load
+    picked = store.load(campaign="c1").records
+    assert [(r["kind"], r["address"]) for r in picked] == [("scan", "a"), ("inspection", "a")]
+    assert store.load(campaign="c3").records == []
+    # a filtered load returns a subset of the unfiltered load
     everything = store.load().records
-    for subset in (store.load(campaign="c1").records, store.load(kind="scan").records):
-        assert all(r in everything for r in subset)
+    assert len(everything) == 3 and all(r in everything for r in picked)
 
 
 def test_store_corrupt_line_reported_with_number(store):
@@ -372,7 +369,7 @@ def test_store_line_that_is_not_an_object_is_a_parse_failure(store):
     store.append(scan_record_to_dict(scan_rec("a")))
     with path.open("a", encoding="utf-8") as fh:
         fh.write("[1,2]\n5\nnull\n\"scan\"\n")
-    loaded = store.load(kind="scan")
+    loaded = store.load()
     assert len(loaded.records) == 1
     assert [e.line_number for e in loaded.errors] == [2, 3, 4, 5]
     assert all("not a JSON object" in str(e) for e in loaded.errors)
@@ -502,9 +499,114 @@ def test_aggregate_zero_denominators_render_dashes():
     assert "-" in text
 
 
-def test_aggregate_rejects_foreign_dicts():
-    with pytest.raises(SchemaMismatch):
-        aggregate([{"v": 1, "kind": "session"}], [])
+def _golden_records():
+    """Records under which every table row counts at least one server."""
+    scans = (
+        [scan_rec("192.0.2.%d:443" % i, 0xC02F) for i in range(1, 5)]
+        + [scan_rec("198.51.100.%d:443" % i, 0x002F) for i in range(8)]
+        + [scan_rec("198.51.100.%d:8443" % i, 0x002F) for i in range(2)]
+        + [scan_rec("203.0.113.%d:443" % i, responded=False) for i in range(3)]
+    )
+    picks = [
+        (Classification.CHANGED_BEHAVIOR, False),
+        (Classification.ERROR_H1, False),
+        (Classification.STABLE_NO_FS_SUPPORT, False),
+        (Classification.STABLE_SUPPORTS_FS_AE, False),
+        (Classification.STABLE_SUPPORTS_FS_NONAE_ONLY, True),
+        (Classification.STABLE_SUPPORTS_FS_NONAE_ONLY, False),
+        (Classification.STABLE_FS_NONAE_BUT_SUPPORTS_FS_AE, True),
+        (Classification.STABLE_FS_NONAE_BUT_SUPPORTS_FS_AE, False),
+        (Classification.STABLE_FS_NONAE_BUT_SUPPORTS_FS_AE, True),
+        (Classification.STABLE_NO_FS_SUPPORT, False),
+    ]
+    inspections = [
+        inspection_rec(s.address, c, lose_ae=lose, prior_ae=lose)
+        for s, (c, lose) in zip(scans[4:14], picks)
+    ]
+    return scans, inspections
+
+
+# A metadata responder is counted per responding record: 198.51.100.0 and
+# .1 answer on two ports each.
+_GOLDEN_META = DeviceLookup(
+    by_ip={
+        "192.0.2.1": DeviceMeta("192.0.2.1", "broadband router"),
+        "198.51.100.0": DeviceMeta("198.51.100.0", ""),
+        "198.51.100.1": DeviceMeta("198.51.100.1", "printer"),
+        "203.0.113.0": DeviceMeta("203.0.113.0", "NAS"),
+    },
+    missing=("192.0.2.2",),
+)
+
+GOLDEN_FULL_TEXT = (
+    "campaign: golden\n"
+    "dataset                        17          \n"
+    "responding                     14    82.35% (of dataset)\n"
+    "distinct IPs                   15          \n"
+    "network device                  3    60.00% (of metadata responders)\n"
+    "select non-FS                  10    71.43% (of responding)\n"
+    "stable                          8    80.00% (of select non-FS)\n"
+    "support FS                      6    75.00% (of stable)\n"
+    "select FS non-AE                5    83.33% (of support FS)\n"
+    "support FS+AE                   3    60.00% (of select FS non-AE)\n"
+    "lose AE                         3    60.00% (of select FS non-AE)\n"
+    "lose AE, support FS+AE          2    66.67% (of lose AE)\n"
+)
+
+GOLDEN_FULL_DICT = {
+    "campaign": "golden", "dataset_size": 17, "distinct_ip": 15, "metadata_responders": 5,
+    "responding": {"count": 14, "pct": 82.35}, "network_device": {"count": 3, "pct": 60.0},
+    "select_non_fs": {"count": 10, "pct": 71.43}, "stable": {"count": 8, "pct": 80.0},
+    "support_fs": {"count": 6, "pct": 75.0}, "select_fs_non_ae": {"count": 5, "pct": 83.33},
+    "support_fs_ae": {"count": 3, "pct": 60.0}, "lose_ae": {"count": 3, "pct": 60.0},
+    "lose_ae_support_fs_ae": {"count": 2, "pct": 66.67},
+}
+
+GOLDEN_SPARSE_TEXT = (
+    "campaign: (none)\n"
+    "dataset                         2          \n"
+    "responding                      1    50.00% (of dataset)\n"
+    "distinct IPs                    2          \n"
+    "network device                  0         - (of metadata responders)\n"
+    "select non-FS                   1   100.00% (of responding)\n"
+    "stable                          1   100.00% (of select non-FS)\n"
+    "support FS                      1   100.00% (of stable)\n"
+    "select FS non-AE                0     0.00% (of support FS)\n"
+    "support FS+AE                   0         - (of select FS non-AE)\n"
+    "lose AE                         0         - (of select FS non-AE)\n"
+    "lose AE, support FS+AE          0         - (of lose AE)\n"
+)
+
+GOLDEN_SPARSE_DICT = {
+    "campaign": "", "dataset_size": 2, "distinct_ip": 2, "metadata_responders": 0,
+    "responding": {"count": 1, "pct": 50.0}, "network_device": {"count": 0, "pct": None},
+    "select_non_fs": {"count": 1, "pct": 100.0}, "stable": {"count": 1, "pct": 100.0},
+    "support_fs": {"count": 1, "pct": 100.0}, "select_fs_non_ae": {"count": 0, "pct": 0.0},
+    "support_fs_ae": {"count": 0, "pct": None}, "lose_ae": {"count": 0, "pct": None},
+    "lose_ae_support_fs_ae": {"count": 0, "pct": None},
+}
+
+
+def test_report_table_and_dict_are_pinned():
+    scans, inspections = _golden_records()
+    full = aggregate(scans, inspections, _GOLDEN_META, campaign="golden")
+    assert render_text(full) == GOLDEN_FULL_TEXT
+    assert full.to_dict() == GOLDEN_FULL_DICT
+    sparse = aggregate(
+        [scan_rec("a:443", 0x002F), scan_rec("b:443", responded=False)],
+        [inspection_rec("a:443", Classification.STABLE_SUPPORTS_FS_AE)],
+    )
+    assert render_text(sparse) == GOLDEN_SPARSE_TEXT
+    assert sparse.to_dict() == GOLDEN_SPARSE_DICT
+
+
+def test_aggregate_folds_one_shot_generators():
+    scans, inspections = _golden_records()
+    from_lists = aggregate(scans, inspections, _GOLDEN_META, campaign="golden")
+    from_generators = aggregate(
+        (s for s in scans), (i for i in inspections), _GOLDEN_META, campaign="golden"
+    )
+    assert from_generators == from_lists
 
 
 def test_render_text_deterministic_and_two_decimal():
@@ -528,11 +630,7 @@ def test_aggregate_accepts_store_dicts_round_trip(store):
     for i in inspections:
         store.append(inspection_record_to_dict(i, campaign="c"))
     loaded = store.load(campaign="c")
-    from_dicts = aggregate(
-        [r for r in loaded.records if r["kind"] == "scan"],
-        [r for r in loaded.records if r["kind"] == "inspection"],
-        campaign="c",
-    )
+    from_dicts = aggregate(*scans_and_inspections(loaded.records), campaign="c")
     from_typed = aggregate(scans, inspections, campaign="c")
     assert render_text(from_dicts) == render_text(from_typed)
     assert from_dicts == from_typed

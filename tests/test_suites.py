@@ -107,7 +107,7 @@ def test_classify_codepoint_unknown_returns_none():
 
 def test_profile_accessor_and_kinds():
     for kind in ProfileKind:
-        assert suites.profile(kind).kind is kind
+        assert suites.PROFILES[kind].kind is kind
 
 
 @given(st.integers(min_value=0, max_value=0xFFFF))
