@@ -260,27 +260,104 @@ class RecordStore:
         self.close()
 
     def load(self, *, campaign: Optional[str] = None) -> LoadResult:
-        """Read every line, or one campaign's. Corrupt lines become errors, not silent drops."""
+        """Read every line, or one campaign's. Corrupt lines become errors, not silent drops.
+
+        Lines end at ``\\n`` only. The file is read in blocks of
+        LOAD_BLOCK_BYTES, each cut after its last ``\\n``, so memory holds
+        one block (or one line, if longer) plus the kept records. Every
+        line is parsed, whatever its campaign, so a corrupt line of any
+        campaign is reported.
+        """
+        loader = _BlockLoader(campaign)
+        pending: list[bytes] = []  # the line begun by earlier blocks
         try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
+            with self.path.open("rb") as fh:
+                while block := fh.read(LOAD_BLOCK_BYTES):
+                    cut = block.rfind(b"\n") + 1
+                    if not cut:
+                        pending.append(block)
+                        continue
+                    pending.append(block[:cut])
+                    loader.feed(b"".join(pending))
+                    pending = [block[cut:]]
         except OSError as exc:
             raise IoFailure("cannot read %s: %s" % (self.path, exc)) from exc
-        result = LoadResult(records=[])
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                result.errors.append(ParseFailure(number, str(exc)))
-                continue
-            if not isinstance(data, dict):
-                result.errors.append(ParseFailure(number, "not a JSON object"))
-                continue
-            if campaign is not None and data.get("campaign") != campaign:
-                continue
-            result.records.append(data)
-        return result
+        if any(pending):
+            loader.feed(b"".join(pending) + b"\n")
+        return loader.result
+
+
+LOAD_BLOCK_BYTES = 64 * 1024
+
+# The C scanner behind json.loads, called at a line's offset in a decoded
+# block: it skips json.loads' wrapper and the per-line string slice.
+_scan_value = json.JSONDecoder().scan_once
+
+
+class _BlockLoader:
+    """Parses whole ``\\n``-terminated lines into one LoadResult."""
+
+    def __init__(self, campaign: Optional[str]) -> None:
+        self.campaign = campaign
+        self.result = LoadResult(records=[])
+        self.number = 0  # lines seen so far
+
+    def feed(self, chunk: bytes) -> None:
+        """Parse ``chunk``, which ends with ``\\n``; a line that is not UTF-8 is an error."""
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            for raw in chunk.split(b"\n")[:-1]:
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    self.number += 1
+                    self.result.errors.append(ParseFailure(self.number, "not UTF-8: %s" % exc))
+                    continue
+                self._feed_text(line + "\n")
+            return
+        self._feed_text(text)
+
+    def _feed_text(self, text: str) -> None:
+        campaign, records = self.campaign, self.result.records
+        number, start, size = self.number, 0, len(text)
+        while start < size:
+            end = text.index("\n", start)
+            number += 1
+            # One scan of a line that holds exactly one object and nothing
+            # else; any other line takes the per-line path below, which
+            # gives the same records and the same error messages.
+            if text[start] == "{":
+                try:
+                    data, stop = _scan_value(text, start)
+                except (ValueError, StopIteration, RecursionError):
+                    stop = -1
+                if stop == end:
+                    if campaign is None or data.get("campaign") == campaign:
+                        records.append(data)
+                    start = end + 1
+                    continue
+            self._parse_line(text[start:end], number)
+            start = end + 1
+        self.number = number
+
+    def _parse_line(self, line: str, number: int) -> None:
+        if not line.strip():
+            return
+        errors = self.result.errors
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            errors.append(ParseFailure(number, str(exc)))
+            return
+        except RecursionError:
+            errors.append(ParseFailure(number, "nested too deeply to parse"))
+            return
+        if not isinstance(data, dict):
+            errors.append(ParseFailure(number, "not a JSON object"))
+            return
+        if self.campaign is None or data.get("campaign") == self.campaign:
+            self.result.records.append(data)
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -384,8 +461,10 @@ def aggregate(
     campaign: str = "",
 ) -> AggregateReport:
     """Fold one campaign's decoded records into the nested table, one pass each."""
-    dataset = responding = select_non_fs = metadata_responders = network_device = 0
-    hosts = set()  # the one structure that grows with the input
+    dataset = responding = select_non_fs = 0
+    # The two structures that grow with the input: every host, and the
+    # responding hosts with device metadata. Both count IPs, not addresses.
+    hosts, covered = set(), set()
     for rec in scan_records:
         host = split_address(rec.address)[0]
         hosts.add(host)
@@ -395,8 +474,7 @@ def aggregate(
         responding += 1
         select_non_fs += not is_fs(rec.selected_suite)
         if device_meta is not None and host in device_meta:
-            metadata_responders += 1
-            network_device += device_meta[host].is_network_device
+            covered.add(host)
     steps = Counter((rec.classification, rec.lose_ae) for rec in inspection_records)
 
     def inspected(classes, lose_ae=(False, True)) -> int:
@@ -407,8 +485,8 @@ def aggregate(
         dataset_size=dataset,
         responding=responding,
         distinct_ip=len(hosts),
-        metadata_responders=metadata_responders,
-        network_device=network_device,
+        metadata_responders=len(covered),
+        network_device=sum(device_meta[host].is_network_device for host in covered),
         select_non_fs=select_non_fs,
         stable=inspected(STABLE_CLASSES),
         support_fs=inspected(FS_SUPPORT_CLASSES),

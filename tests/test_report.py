@@ -3,11 +3,12 @@
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from befs import wire
+from befs import report, wire
 from befs.client import (
     FallbackStyle,
     PolicyConfig,
@@ -375,6 +376,95 @@ def test_store_line_that_is_not_an_object_is_a_parse_failure(store):
     assert all("not a JSON object" in str(e) for e in loaded.errors)
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [(b'{"address":"\xff"}', "not UTF-8"), (b'{"a":' + b"[" * 100000, "nested too deeply")],
+    ids=["not-utf8", "over-nested"],
+)
+def test_store_unreadable_line_is_a_parse_failure(store, line, reason):
+    store.append(scan_record_to_dict(scan_rec("a")))
+    with store.path.open("ab") as fh:
+        fh.write(line + b"\n")
+    store.append(scan_record_to_dict(scan_rec("b")))
+    loaded = store.load()
+    assert [r["address"] for r in loaded.records] == ["a", "b"]
+    assert [e.line_number for e in loaded.errors] == [2]
+    assert reason in loaded.errors[0].reason
+
+
+def test_store_lines_end_at_newline_only(store):
+    # Raw U+2028, U+2029 and U+0085 are legal inside a JSON string, and a
+    # \r before the \n is JSON whitespace: none of them ends a line.
+    rec = scan_record_to_dict(scan_rec("a\u2028b\u2029c\x85d"))
+    with store.path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        fh.write(json.dumps(rec) + "\r\n")
+    loaded = store.load()
+    assert loaded.errors == []
+    assert loaded.records == [rec, rec]
+    assert scan_record_from_dict(loaded.records[0]).address == "a\u2028b\u2029c\x85d"
+
+
+def _load_line_by_line(path, campaign=None) -> list:
+    """The store's former load, one json.loads per line, with lines split at \\n only."""
+    records, errors = [], []
+    for number, line in enumerate(path.read_bytes().decode("utf-8").split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            errors.append(ParseFailure(number, str(exc)))
+            continue
+        if not isinstance(data, dict):
+            errors.append(ParseFailure(number, "not a JSON object"))
+            continue
+        if campaign is not None and data.get("campaign") != campaign:
+            continue
+        records.append(data)
+    return [records, [(e.line_number, str(e)) for e in errors]]
+
+
+_text = st.text(alphabet="ab\u00e9\u2028\u2029\x85\u20ac", max_size=6)
+_objects = st.builds(
+    lambda campaign, address, n, spaced: json.dumps(
+        {"v": 1, "kind": "scan", "campaign": campaign, "address": address, "n": n},
+        ensure_ascii=False, separators=(", ", ": ") if spaced else (",", ":"),
+    ),
+    st.sampled_from(["c1", "c2", "c3"]), _text, st.integers(-5, 5), st.booleans(),
+)
+_store_lines = st.one_of(
+    _objects,
+    _objects.map(lambda o: " %s\t" % o),  # whitespace-padded
+    st.sampled_from(["", "  ", "\t", "\r", "[1,2]", "5", "null", '"c1"', "{", "}"]),
+    st.tuples(_objects, st.integers(1, 40)).map(lambda p: p[0][:p[1]]),  # truncated
+    st.tuples(_objects, st.integers(1, 40)).map(  # one object over two lines
+        lambda p: p[0][:p[1]] + "\n" + p[0][p[1]:]),
+    st.tuples(_objects, st.sampled_from(["x", "}", " ,", '{"a":1}'])).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.tuples(_store_lines, st.sampled_from(["\n", "\r\n"])), max_size=12),
+    bom=st.booleans(),
+    last_newline=st.booleans(),
+    block=st.integers(1, 24),
+    campaign=st.sampled_from([None, "c1", "c2"]),
+)
+def test_store_load_matches_a_line_by_line_parse(tmp_path_factory, lines, bom, last_newline,
+                                                 block, campaign):
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_newline:
+        text = text[:-len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("store") / "log.jsonl"
+    path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+    with mock.patch.object(report, "LOAD_BLOCK_BYTES", block):
+        loaded = RecordStore(path).load(campaign=campaign)
+    assert [loaded.records, [(e.line_number, str(e)) for e in loaded.errors]] == \
+        _load_line_by_line(path, campaign)
+
+
 def test_store_line_is_on_disk_when_append_returns(store):
     rec = scan_record_to_dict(scan_rec(), campaign="c")
     store.append(rec)
@@ -526,8 +616,8 @@ def _golden_records():
     return scans, inspections
 
 
-# A metadata responder is counted per responding record: 198.51.100.0 and
-# .1 answer on two ports each.
+# Device rows count IPs: 198.51.100.0 and .1 answer on two ports each and
+# count once, so 3 hosts are metadata responders and 2 are network devices.
 _GOLDEN_META = DeviceLookup(
     by_ip={
         "192.0.2.1": DeviceMeta("192.0.2.1", "broadband router"),
@@ -543,7 +633,7 @@ GOLDEN_FULL_TEXT = (
     "dataset                        17          \n"
     "responding                     14    82.35% (of dataset)\n"
     "distinct IPs                   15          \n"
-    "network device                  3    60.00% (of metadata responders)\n"
+    "network device                  2    66.67% (of metadata responders)\n"
     "select non-FS                  10    71.43% (of responding)\n"
     "stable                          8    80.00% (of select non-FS)\n"
     "support FS                      6    75.00% (of stable)\n"
@@ -554,8 +644,8 @@ GOLDEN_FULL_TEXT = (
 )
 
 GOLDEN_FULL_DICT = {
-    "campaign": "golden", "dataset_size": 17, "distinct_ip": 15, "metadata_responders": 5,
-    "responding": {"count": 14, "pct": 82.35}, "network_device": {"count": 3, "pct": 60.0},
+    "campaign": "golden", "dataset_size": 17, "distinct_ip": 15, "metadata_responders": 3,
+    "responding": {"count": 14, "pct": 82.35}, "network_device": {"count": 2, "pct": 66.67},
     "select_non_fs": {"count": 10, "pct": 71.43}, "stable": {"count": 8, "pct": 80.0},
     "support_fs": {"count": 6, "pct": 75.0}, "select_fs_non_ae": {"count": 5, "pct": 83.33},
     "support_fs_ae": {"count": 3, "pct": 60.0}, "lose_ae": {"count": 3, "pct": 60.0},

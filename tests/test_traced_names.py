@@ -2,7 +2,9 @@
 
 ``perfbench/spans.py`` looks every traced function and method up by name
 when ``perfbench/run.py --trace 1`` starts. A rename or a deletion in befs
-would break only that traced run, so this test resolves each name here.
+would break only that traced run, so these tests resolve each name here,
+and run ``befs report`` under the tracer to derive the per-layer metrics
+from what the traced functions return.
 """
 
 import importlib
@@ -10,6 +12,10 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from befs import cli
+from befs.inspection import ScanRecord, ScanResultKind
+from befs.report import RecordStore, scan_record_to_dict
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +43,26 @@ def test_traced_method_exists(module, cls, method, span):
     assert module in spans.MODULES
     owner = getattr(importlib.import_module("befs." + module), cls)
     assert callable(getattr(owner, method))
+
+
+def test_traced_report_gives_the_report_metrics(tmp_path, capsys):
+    store_path = tmp_path / "store.jsonl"
+    with RecordStore(store_path) as store:
+        for campaign in ("c1", "c2", "c1"):
+            store.append(scan_record_to_dict(
+                ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303),
+                campaign=campaign,
+            ))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["report", "--store", str(store_path), "--campaign", "c1"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert [s[5] for s in tracer.spans if s[0] == "report.load"] == [2]  # records kept
+    metrics = spans.layer_metrics(tracer.spans, 0.0, 0.0)
+    assert metrics["report.load.s"][0] > 0
+    assert metrics["report.record_from_dict.us_per_call"][0] > 0
+    assert metrics["cli.main.self_s"][0] > 0
