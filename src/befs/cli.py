@@ -39,7 +39,6 @@ from .handshake import TcpConnector
 from .inspection import inspect_all, scan
 from .metadata import (
     EmptyDataset,
-    FileBackedProvider,
     IoFailure,
     device_type,
     load_addresses,
@@ -194,8 +193,7 @@ def _targets(args):
         ) as harness:
             yield harness.addresses, harness.connector()
     else:
-        entries = load_addresses(args.input)
-        yield [a.normalized for a in entries], TcpConnector()
+        yield load_addresses(args.input), TcpConnector()
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -277,7 +275,7 @@ _EXIT_BY_STATUS = {
 
 def cmd_connect(args) -> int:
     try:
-        target = parse_address(args.address)
+        address = parse_address(args.address)
     except ValueError as exc:
         _note("befs connect: bad address %r: %s" % (args.address, exc))
         return 2
@@ -292,12 +290,10 @@ def cmd_connect(args) -> int:
         if cfg.fallback is FallbackStyle.INTERACTIVE and not cfg.parallel
         else ALWAYS_PROCEED
     )
-    sni = target.sni_hostname if args.sni == "on" else None
-    outcome = connect(
-        target.normalized, cfg, user, connector=TcpConnector(), sni=sni, seed=args.seed
-    )
+    sni = split_address(address)[2] if args.sni == "on" else None
+    outcome = connect(address, cfg, user, connector=TcpConnector(), sni=sni, seed=args.seed)
     data = session_record_to_dict(
-        target.normalized, outcome, campaign=args.campaign, fallback=cfg.fallback
+        address, outcome, campaign=args.campaign, fallback=cfg.fallback
     )
     with _store_for(args) as store:
         if store:
@@ -388,13 +384,13 @@ def cmd_report(args) -> int:
     for err in loaded.errors:
         _note("report: skipped corrupt %s" % err)
     scans, inspections = scans_and_inspections(loaded.records)
-    meta = None
+    labels = None
     if args.device_meta:
-        provider = FileBackedProvider(args.device_meta)
-        hosts = [split_address(r.address)[0] for r in scans if r.selected_suite is not None]
-        meta = device_type(hosts, provider)
-        _note("report: device metadata coverage %.2f%%" % (100.0 * meta.coverage))
-    result = aggregate(scans, inspections, meta, campaign=args.campaign or "")
+        hosts = {split_address(r.address)[0] for r in scans if r.selected_suite is not None}
+        labels = device_type(hosts, args.device_meta)
+        coverage = len(labels) / len(hosts) if hosts else 1.0
+        _note("report: device metadata coverage %.2f%%" % (100.0 * coverage))
+    result = aggregate(scans, inspections, labels, campaign=args.campaign or "")
     sys.stderr.write(render_text(result))
     _emit(result.to_dict())
     return 0

@@ -1,8 +1,9 @@
-"""Dataset ingestion and device-type enrichment.
+"""Dataset ingestion and device-type labels.
 
 Address files are line-oriented, one host or IPv4 address per line, with
-an optional :port. Device metadata comes from a pluggable provider; the
-shipped one is a flat file so runs stay reproducible offline.
+an optional :port. Device labels come from a flat `ip<TAB>label` file so
+runs stay reproducible offline. Both files are UTF-8, with or without a
+byte-order mark, and a row ends at `\\n` only.
 """
 
 from __future__ import annotations
@@ -10,10 +11,8 @@ from __future__ import annotations
 import ipaddress
 import logging
 import re
-from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Iterable, Optional
 
 log = logging.getLogger(__name__)
 
@@ -24,15 +23,6 @@ class IoFailure(Exception):
 
 class EmptyDataset(Exception):
     """An address file yielded no usable entries."""
-
-
-class ProviderUnavailable(Exception):
-    """The metadata provider cannot serve lookups right now."""
-
-
-class AddressKind(Enum):
-    HOSTNAME = "HOSTNAME"
-    IPV4 = "IPV4"
 
 
 _LABEL = re.compile(r"^[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?$")
@@ -56,30 +46,13 @@ def split_address(address: str) -> tuple[str, Optional[int], Optional[str]]:
     return host, number, host if host and not host.replace(".", "").isdigit() else None
 
 
-@dataclass(frozen=True)
-class Address:
-    """One scan target. `normalized` is the dedup key and dial string."""
+def parse_address(raw: str) -> str:
+    """The normalized dial string of one line; ValueError describes the defect.
 
-    raw: str
-    kind: AddressKind
-    normalized: str
-
-    @property
-    def host(self) -> str:
-        return split_address(self.normalized)[0]
-
-    @property
-    def port(self) -> Optional[int]:
-        return split_address(self.normalized)[1]
-
-    @property
-    def sni_hostname(self) -> Optional[str]:
-        # literal IPs never go into an SNI extension
-        return split_address(self.normalized)[2]
-
-
-def parse_address(raw: str) -> Address:
-    """Parse one line into an Address; ValueError describes the defect."""
+    An IPv4 host takes its canonical form, a hostname is lowercased and
+    loses a trailing dot, and a port is kept as written. The result is
+    the dedup key of an address file.
+    """
     text = raw.strip()
     if not text:
         raise ValueError("empty line")
@@ -101,124 +74,54 @@ def parse_address(raw: str) -> Address:
             host = str(ipaddress.IPv4Address(host))
         except ipaddress.AddressValueError:
             raise ValueError("not a valid IPv4 address") from None
-        kind = AddressKind.IPV4
     else:
         host = host.lower().rstrip(".")
         if len(host) > 253 or not all(_LABEL.match(part) for part in host.split(".")):
             raise ValueError("not a valid hostname")
-        kind = AddressKind.HOSTNAME
-    normalized = host if port_text is None else "%s:%s" % (host, port_text)
-    return Address(raw=raw, kind=kind, normalized=normalized)
+    return host if port_text is None else "%s:%s" % (host, port_text)
 
 
-def load_addresses(path) -> list[Address]:
-    """Read an address file: deduplicated, input order preserved.
+def _rows(path) -> list[str]:
+    """The rows of a UTF-8 text file, split at `\\n` only, BOM dropped."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure("cannot read %s: %s" % (path, exc)) from exc
+
+
+def load_addresses(path) -> list[str]:
+    """Read an address file: normalized, deduplicated, input order preserved.
 
     Malformed lines are skipped with a logged diagnostic naming the line.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoFailure("cannot read %s: %s" % (path, exc)) from exc
-    seen: dict[str, Address] = {}
-    for number, line in enumerate(lines, start=1):
+    seen: dict[str, None] = {}
+    for number, line in enumerate(_rows(path), start=1):
         if not line.strip():
             continue
         try:
-            address = parse_address(line)
+            seen[parse_address(line)] = None
         except ValueError as exc:
             log.warning("%s:%d: skipped %r (%s)", path, number, line.strip(), exc)
-            continue
-        seen.setdefault(address.normalized, address)
     if not seen:
         raise EmptyDataset("no usable addresses in %s" % path)
-    return list(seen.values())
+    return list(seen)
 
 
-@dataclass(frozen=True)
-class DeviceMeta:
-    """Provider row for one IP.
+def device_type(ips: Iterable[str], path) -> dict[str, str]:
+    """The label of each of `ips` that the `ip<TAB>label` file at `path` lists.
 
-    An empty label means an ordinary web server or an endpoint the
-    provider could not type; that is different from the IP being absent
-    from the provider entirely.
+    An empty label, or a row without a tab, means an ordinary web server
+    or an endpoint that could not be typed; that is different from the
+    IP being absent from the file. A later row for an IP replaces an
+    earlier one. IoFailure if the file cannot be read.
     """
-
-    ip: str
-    device_type_label: str = ""
-
-    @property
-    def is_network_device(self) -> bool:
-        return self.device_type_label != ""
-
-
-class MetadataProvider(Protocol):
-    def lookup(self, ips: Sequence[str]) -> Mapping[str, DeviceMeta]: ...
-
-
-@dataclass
-class FileBackedProvider:
-    """Flat-file provider: one `ip<TAB>label` row per line.
-
-    A row without a tab records the IP with an empty label.
-    """
-
-    path: str
-    _cache: Optional[dict[str, DeviceMeta]] = field(default=None, repr=False)
-
-    def _table(self) -> dict[str, DeviceMeta]:
-        if self._cache is None:
-            try:
-                lines = Path(self.path).read_text(encoding="utf-8").splitlines()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ProviderUnavailable(str(exc)) from exc
-            table = {}
-            for line in lines:
-                if not line.strip():
-                    continue
-                ip, _, label = line.partition("\t")
-                table[ip.strip()] = DeviceMeta(ip=ip.strip(), device_type_label=label.strip())
-            self._cache = table
-        return self._cache
-
-    def lookup(self, ips: Sequence[str]) -> Mapping[str, DeviceMeta]:
-        table = self._table()
-        return {ip: table[ip] for ip in ips if ip in table}
-
-
-@dataclass(frozen=True)
-class DeviceLookup:
-    """Lookup outcome: found rows, plus the IPs the provider had no row for."""
-
-    by_ip: Mapping[str, DeviceMeta]
-    missing: tuple[str, ...]
-
-    @property
-    def requested(self) -> int:
-        return len(self.by_ip) + len(self.missing)
-
-    @property
-    def coverage(self) -> float:
-        return len(self.by_ip) / self.requested if self.requested else 1.0
-
-    def __contains__(self, ip: str) -> bool:
-        return ip in self.by_ip
-
-    def __getitem__(self, ip: str) -> DeviceMeta:
-        return self.by_ip[ip]
-
-
-def device_type(ips: Iterable[str], provider: MetadataProvider) -> DeviceLookup:
-    """Batch ip -> DeviceMeta with explicit misses.
-
-    A dead provider degrades to an all-missing result with a warning so
-    a scan can still aggregate, just without device typing.
-    """
-    requested = list(dict.fromkeys(ips))
-    try:
-        found = dict(provider.lookup(requested))
-    except ProviderUnavailable as exc:
-        log.warning("metadata provider unavailable, no device types: %s", exc)
-        found = {}
-    missing = tuple(ip for ip in requested if ip not in found)
-    return DeviceLookup(by_ip=found, missing=missing)
+    wanted = set(ips)
+    labels = {}
+    for line in _rows(path):
+        if not line.strip():
+            continue
+        ip, _, label = line.partition("\t")
+        ip = ip.strip()
+        if ip in wanted:
+            labels[ip] = label.strip()
+    return labels

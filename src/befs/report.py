@@ -30,7 +30,7 @@ from .inspection import (
     ScanRecord,
     ScanResultKind,
 )
-from .metadata import DeviceLookup, IoFailure, split_address
+from .metadata import IoFailure, split_address
 from .suites import is_fs
 from . import wire
 
@@ -392,7 +392,7 @@ class AggregateReport:
       dataset -> responding -> select non-FS -> stable -> support FS
       -> select FS non-AE -> support FS+AE.
     The lose-AE branch hangs off select FS non-AE. Device typing is a
-    side channel over whichever responders have provider coverage.
+    side channel over whichever responding hosts have a device label.
     The fields after ``campaign`` are the table, in text order.
     """
 
@@ -456,11 +456,16 @@ def render_text(report: AggregateReport) -> str:
 def aggregate(
     scan_records: Iterable[ScanRecord],
     inspection_records: Iterable[InspectionRecord],
-    device_meta: Optional[DeviceLookup] = None,
+    device_meta: Optional[Mapping[str, str]] = None,
     *,
     campaign: str = "",
 ) -> AggregateReport:
-    """Fold one campaign's decoded records into the nested table, one pass each."""
+    """Fold one campaign's decoded records into the nested table, one pass each.
+
+    ``device_meta`` maps an IP to its device label, as
+    ``metadata.device_type`` returns it; an empty label is a covered
+    host that is not a network device.
+    """
     dataset = responding = select_non_fs = 0
     # The two structures that grow with the input: every host, and the
     # responding hosts with device metadata. Both count IPs, not addresses.
@@ -486,7 +491,7 @@ def aggregate(
         responding=responding,
         distinct_ip=len(hosts),
         metadata_responders=len(covered),
-        network_device=sum(device_meta[host].is_network_device for host in covered),
+        network_device=sum(device_meta[host] != "" for host in covered),
         select_non_fs=select_non_fs,
         stable=inspected(STABLE_CLASSES),
         support_fs=inspected(FS_SUPPORT_CLASSES),

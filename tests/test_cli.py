@@ -147,6 +147,16 @@ def test_report_with_device_metadata(tmp_path, capsys):
     assert "coverage 75.00%" in err
 
 
+def test_report_with_an_unreadable_device_meta_file_fails_cleanly(tmp_path, capsys):
+    good = scan_record_to_dict(ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303))
+    store = write_store(tmp_path, good)
+    missing = str(tmp_path / "absent.tsv")
+    code, out, err = run_cli(["report", "--store", store, "--device-meta", missing], capsys)
+    assert code == 1
+    assert out == ""
+    assert missing in err
+
+
 def write_store(tmp_path, *records):
     path = tmp_path / "records.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")

@@ -1,24 +1,21 @@
-"""Address ingestion and the device metadata provider seam."""
+"""Address ingestion and device labels."""
 
 import logging
 
 import pytest
 from hypothesis import given, strategies as st
 
+from befs import cli
+from befs.inspection import ScanRecord, ScanResultKind
 from befs.metadata import (
-    Address,
-    AddressKind,
-    DeviceLookup,
-    DeviceMeta,
     EmptyDataset,
-    FileBackedProvider,
     IoFailure,
-    ProviderUnavailable,
     device_type,
     load_addresses,
     parse_address,
     split_address,
 )
+from befs.report import RecordStore, scan_record_to_dict
 
 
 SPLIT_CASES = [
@@ -46,18 +43,18 @@ def test_split_address_is_total(text):
 
 
 def test_parse_hostname_and_ipv4():
-    a = parse_address("example.com")
-    assert a.kind is AddressKind.HOSTNAME and a.normalized == "example.com"
-    assert a.sni_hostname == "example.com" and a.port is None
-    b = parse_address("192.0.2.1")
-    assert b.kind is AddressKind.IPV4 and b.sni_hostname is None
+    assert parse_address("example.com") == "example.com"
+    assert split_address("example.com") == ("example.com", None, "example.com")
+    assert parse_address("Example.COM.") == "example.com"
+    assert parse_address("192.0.2.1") == "192.0.2.1"
+    assert split_address("192.0.2.1")[2] is None
 
 
 def test_parse_ports_and_case():
-    a = parse_address("Example.COM:8443")
-    assert a.normalized == "example.com:8443"
-    assert a.host == "example.com" and a.port == 8443
-    assert parse_address("192.0.2.1:443").normalized == "192.0.2.1:443"
+    address = parse_address("Example.COM:8443")
+    assert address == "example.com:8443"
+    assert split_address(address) == ("example.com", 8443, "example.com")
+    assert parse_address("192.0.2.1:443") == "192.0.2.1:443"
 
 
 @pytest.mark.parametrize(
@@ -87,9 +84,7 @@ def test_parse_rejects_malformed(bad):
 def test_parse_is_idempotent_on_normalized_form():
     for raw in ("Example.COM:8443", "192.0.2.1", "a.b.c"):
         once = parse_address(raw)
-        again = parse_address(once.normalized)
-        assert again.normalized == once.normalized
-        assert again.kind is once.kind
+        assert parse_address(once) == once
 
 
 _HOST_LABEL = r"[A-Za-z]([A-Za-z0-9-]{0,9}[A-Za-z0-9])?"
@@ -98,8 +93,8 @@ _HOST_LABEL = r"[A-Za-z]([A-Za-z0-9-]{0,9}[A-Za-z0-9])?"
 @given(st.from_regex(r"%s(\.%s){0,3}" % (_HOST_LABEL, _HOST_LABEL), fullmatch=True))
 def test_parse_accepts_reasonable_hostnames(name):
     parsed = parse_address(name)
-    assert parsed.kind is AddressKind.HOSTNAME
-    assert parsed.normalized == name.lower().rstrip(".")
+    assert parsed == name.lower().rstrip(".")
+    assert split_address(parsed)[2] == parsed  # a host name, so it goes into SNI
 
 
 def test_load_addresses_dedup_and_diagnostics(tmp_path, caplog):
@@ -115,12 +110,8 @@ def test_load_addresses_dedup_and_diagnostics(tmp_path, caplog):
     )
     with caplog.at_level(logging.WARNING):
         out = load_addresses(f)
-    assert [a.normalized for a in out] == ["example.com", "192.0.2.1", "second.example:443"]
-    assert [a.kind for a in out] == [
-        AddressKind.HOSTNAME,
-        AddressKind.IPV4,
-        AddressKind.HOSTNAME,
-    ]
+    assert out == ["example.com", "192.0.2.1", "second.example:443"]
+    assert [split_address(a)[2] for a in out] == ["example.com", None, "second.example"]
     assert any(":3:" in r.message and "http://x" in r.message for r in caplog.records)
 
 
@@ -133,57 +124,70 @@ def test_load_addresses_errors(tmp_path):
         load_addresses(empty)
 
 
-def test_file_provider_partial_coverage(tmp_path):
+def test_address_lines_end_at_newline_only(tmp_path, caplog):
+    f = tmp_path / "addrs.txt"
+    f.write_bytes(b"example.com\x0cevil.example\nok.example\r\n")
+    with caplog.at_level(logging.WARNING):
+        assert load_addresses(f) == ["ok.example"]
+    assert any(":1:" in r.message and "whitespace" in r.message for r in caplog.records)
+
+
+def test_address_file_may_start_with_a_bom(tmp_path, caplog):
+    f = tmp_path / "addrs.txt"
+    f.write_text("\ufeffexample.com\n192.0.2.1\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        assert load_addresses(f) == ["example.com", "192.0.2.1"]
+    assert not caplog.records
+
+
+def write_meta(tmp_path, text):
     f = tmp_path / "meta.tsv"
-    f.write_text(
-        "192.0.2.1\tDSL/cable modem\n"
-        "192.0.2.2\t\n",
-        encoding="utf-8",
-    )
-    provider = FileBackedProvider(str(f))
-    lookup = device_type(["192.0.2.1", "192.0.2.2", "192.0.2.3"], provider)
-    assert lookup.coverage == pytest.approx(2 / 3)
-    assert lookup.missing == ("192.0.2.3",)
-    assert "192.0.2.3" not in lookup
-    # present with empty label is a covered non-device, not a miss
-    assert lookup["192.0.2.2"].device_type_label == ""
-    assert not lookup["192.0.2.2"].is_network_device
-    assert lookup["192.0.2.1"].is_network_device
-    assert lookup["192.0.2.1"].device_type_label == "DSL/cable modem"
+    f.write_bytes(text.encode("utf-8"))
+    return str(f)
+
+
+def test_file_provider_partial_coverage(tmp_path):
+    f = write_meta(tmp_path, "192.0.2.1\tDSL/cable modem\n192.0.2.2\t\n")
+    labels = device_type(["192.0.2.1", "192.0.2.2", "192.0.2.3"], f)
+    # an empty label is a covered non-device; an IP with no row is a miss
+    assert labels == {"192.0.2.1": "DSL/cable modem", "192.0.2.2": ""}
 
 
 def test_row_without_tab_means_empty_label(tmp_path):
-    f = tmp_path / "meta.tsv"
-    f.write_text("192.0.2.9\n", encoding="utf-8")
-    lookup = device_type(["192.0.2.9"], FileBackedProvider(str(f)))
-    assert lookup["192.0.2.9"].device_type_label == ""
-    assert lookup.coverage == 1.0
+    f = write_meta(tmp_path, "192.0.2.9\n")
+    assert device_type(["192.0.2.9"], f) == {"192.0.2.9": ""}
 
 
-def test_dead_provider_degrades_to_all_missing(tmp_path, caplog):
-    provider = FileBackedProvider(str(tmp_path / "absent.tsv"))
-    with pytest.raises(ProviderUnavailable):
-        provider.lookup(["192.0.2.1"])
-    with caplog.at_level(logging.WARNING):
-        lookup = device_type(["192.0.2.1", "192.0.2.2"], provider)
-    assert lookup.by_ip == {}
-    assert lookup.missing == ("192.0.2.1", "192.0.2.2")
-    assert lookup.coverage == 0.0
-    assert any("provider unavailable" in r.message for r in caplog.records)
+def test_device_rows_end_at_newline_only(tmp_path):
+    f = write_meta(tmp_path, "192.0.2.1\trouter\u2028192.0.2.9\n192.0.2.2\tprinter\r\n")
+    labels = device_type(["192.0.2.1", "192.0.2.2", "192.0.2.9"], f)
+    assert labels == {"192.0.2.1": "router\u2028192.0.2.9", "192.0.2.2": "printer"}
+
+
+def test_device_file_may_start_with_a_bom(tmp_path):
+    f = write_meta(tmp_path, "\ufeff192.0.2.1\trouter\n192.0.2.2\t\n")
+    assert device_type(["192.0.2.1", "192.0.2.2"], f) == {"192.0.2.1": "router", "192.0.2.2": ""}
+
+
+def test_unreadable_device_file_is_an_io_failure(tmp_path):
+    with pytest.raises(IoFailure, match="absent.tsv"):
+        device_type(["192.0.2.1"], tmp_path / "absent.tsv")
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes(b"192.0.2.1\tcam\xe9ra\n")
+    with pytest.raises(IoFailure, match="latin1.tsv"):
+        device_type(["192.0.2.1"], latin1)
 
 
 def test_device_type_dedups_requests(tmp_path):
-    f = tmp_path / "meta.tsv"
-    f.write_text("192.0.2.1\tprinter\n", encoding="utf-8")
-    lookup = device_type(["192.0.2.1", "192.0.2.1"], FileBackedProvider(str(f)))
-    assert lookup.requested == 1 and lookup.coverage == 1.0
+    f = write_meta(tmp_path, "192.0.2.1\tprinter\n")
+    assert device_type(["192.0.2.1", "192.0.2.1"], f) == {"192.0.2.1": "printer"}
 
 
-def test_empty_request_has_full_coverage():
-    lookup = DeviceLookup(by_ip={}, missing=())
-    assert lookup.coverage == 1.0 and lookup.requested == 0
-
-
-def test_meta_equality_is_value_based():
-    assert DeviceMeta("a", "NAS") == DeviceMeta("a", "NAS") != DeviceMeta("a", "")
-    assert Address("A", AddressKind.HOSTNAME, "a") == Address("A", AddressKind.HOSTNAME, "a")
+def test_empty_request_has_full_coverage(tmp_path, capsys):
+    f = write_meta(tmp_path, "192.0.2.1\tprinter\n")
+    assert device_type([], f) == {}
+    store = tmp_path / "records.jsonl"
+    with RecordStore(store) as log:
+        log.append(scan_record_to_dict(ScanRecord("192.0.2.1:443", 1.0, ScanResultKind.TIMEOUT)))
+    assert cli.main(["report", "--store", str(store), "--device-meta", f]) == 0
+    assert "report: device metadata coverage 100.00%" in capsys.readouterr().err

@@ -36,7 +36,6 @@ from befs.inspection import (
     inspect_all,
     scan,
 )
-from befs.metadata import DeviceLookup, DeviceMeta
 from befs.report import (
     AggregateReport,
     FS_NONAE_PICK_CLASSES,
@@ -563,16 +562,13 @@ def test_aggregate_device_share_over_metadata_responders():
     scans = [scan_rec("192.0.2.%d:443" % i, 0x002F) for i in range(1, 5)] + [
         scan_rec("192.0.2.9:443", responded=False)
     ]
-    meta = DeviceLookup(
-        by_ip={
-            "192.0.2.1": DeviceMeta("192.0.2.1", "broadband router"),
-            "192.0.2.2": DeviceMeta("192.0.2.2", ""),
-            "192.0.2.3": DeviceMeta("192.0.2.3", "printer"),
-            # .9 covered but never responded: not a metadata responder
-            "192.0.2.9": DeviceMeta("192.0.2.9", "NAS"),
-        },
-        missing=("192.0.2.4",),
-    )
+    # .4 has no label; .9 has one but never responded: neither is a metadata responder
+    meta = {
+        "192.0.2.1": "broadband router",
+        "192.0.2.2": "",
+        "192.0.2.3": "printer",
+        "192.0.2.9": "NAS",
+    }
     report = aggregate(scans, [], device_meta=meta)
     assert report.metadata_responders == 3
     assert report.network_device.count == 2
@@ -618,15 +614,12 @@ def _golden_records():
 
 # Device rows count IPs: 198.51.100.0 and .1 answer on two ports each and
 # count once, so 3 hosts are metadata responders and 2 are network devices.
-_GOLDEN_META = DeviceLookup(
-    by_ip={
-        "192.0.2.1": DeviceMeta("192.0.2.1", "broadband router"),
-        "198.51.100.0": DeviceMeta("198.51.100.0", ""),
-        "198.51.100.1": DeviceMeta("198.51.100.1", "printer"),
-        "203.0.113.0": DeviceMeta("203.0.113.0", "NAS"),
-    },
-    missing=("192.0.2.2",),
-)
+_GOLDEN_META = {
+    "192.0.2.1": "broadband router",
+    "198.51.100.0": "",
+    "198.51.100.1": "printer",
+    "203.0.113.0": "NAS",
+}
 
 GOLDEN_FULL_TEXT = (
     "campaign: golden\n"
