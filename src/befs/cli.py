@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import signal
 import sys
 import threading
@@ -90,6 +91,13 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # false for NaN too
+        raise argparse.ArgumentTypeError("must be positive and finite, got %s" % text)
+    return value
+
+
 def _add_source_options(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="address file, one host[:port] or IPv4[:port] per line")
@@ -103,14 +111,14 @@ def _add_source_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_handshake_options(p: argparse.ArgumentParser, concurrency: bool = True) -> None:
-    p.add_argument("--timeout", type=float, default=5.0, help="per-connection timeout, seconds")
+    p.add_argument("--timeout", type=_positive, default=5.0, help="per-connection timeout, seconds")
     if concurrency:
         p.add_argument(
-            "--concurrency", type=int, default=50,
+            "--concurrency", type=_at_least_one, default=50,
             help="workers, the calling thread included; at most this many handshakes in flight",
         )
         p.add_argument(
-            "--rate-limit", type=float, default=None,
+            "--rate-limit", type=_positive, default=None,
             help="global cap on new connections per second",
         )
     p.add_argument("--sni", choices=("on", "off"), default="on",
@@ -147,13 +155,13 @@ def _parser() -> argparse.ArgumentParser:
     p_connect.add_argument("address", help="host[:port], port defaults to 443")
     p_connect.add_argument("--mode", choices=("default", "befs", "besafe"), default="befs")
     p_connect.add_argument(
-        "--fallback", choices=("silent", "interactive", "signaled"), default="silent",
+        "--fallback", choices=("silent", "interactive", "signaled", "parallel"),
+        default="silent",
         help="how a failed rung widens the offer: silently, after a terminal prompt, or "
         "with TLS_FALLBACK_SCSV (RFC 7507) appended; a real server that speaks TLS 1.3 "
-        "refuses every signaled rung, one whose maximum is TLS 1.2 never does",
+        "refuses every signaled rung, one whose maximum is TLS 1.2 never does. "
+        "parallel races every rung at once and keeps the strongest",
     )
-    p_connect.add_argument("--parallel", action="store_true",
-                           help="race all ladder rungs instead of falling back")
     _add_handshake_options(p_connect, concurrency=False)
     _add_store_options(p_connect)
 
@@ -169,7 +177,6 @@ def _parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--addresses-out", help="write served addresses here, one per line")
     p_fleet.add_argument("--truth-out", help="write ground-truth records here, one JSON per line")
     p_fleet.add_argument("--campaign", default="", help="campaign tag for truth records")
-    p_fleet.add_argument("--seed", type=int, default=0, help="harness latency randomness")
 
     p_report = sub.add_parser("report", help="aggregate stored records into the nested table")
     p_report.add_argument("--store", required=True, help="record log to read")
@@ -188,9 +195,7 @@ def _targets(args):
         transport = (
             Transport.IN_MEMORY if args.transport == "memory" else Transport.LOOPBACK_SOCKET
         )
-        with serve(
-            fleet, transport, latency=spec.latency, seed=getattr(args, "seed", 0)
-        ) as harness:
+        with serve(fleet, transport, latency=spec.latency, seed=spec.seed) as harness:
             yield harness.addresses, harness.connector()
     else:
         yield load_addresses(args.input), TcpConnector()
@@ -282,16 +287,12 @@ def cmd_connect(args) -> int:
     cfg = PolicyConfig(
         mode=PolicyMode[args.mode.upper()],
         fallback=FallbackStyle[args.fallback.upper()],
-        parallel=args.parallel,
         timeout_s=args.timeout,
     )
-    user = (
-        TerminalDecisions()
-        if cfg.fallback is FallbackStyle.INTERACTIVE and not cfg.parallel
-        else ALWAYS_PROCEED
+    user = TerminalDecisions() if cfg.fallback is FallbackStyle.INTERACTIVE else ALWAYS_PROCEED
+    outcome = connect(
+        address, cfg, user, connector=TcpConnector(), sni=args.sni == "on", seed=args.seed
     )
-    sni = split_address(address)[2] if args.sni == "on" else None
-    outcome = connect(address, cfg, user, connector=TcpConnector(), sni=sni, seed=args.seed)
     data = session_record_to_dict(
         address, outcome, campaign=args.campaign, fallback=cfg.fallback
     )
@@ -365,7 +366,7 @@ def cmd_fleet(args) -> int:
     if not args.serve:
         _emit({"size": spec.size, "seed": spec.seed, "archetypes": counts})
         return 0
-    with serve(fleet, Transport.LOOPBACK_SOCKET, latency=spec.latency, seed=args.seed) as harness:
+    with serve(fleet, Transport.LOOPBACK_SOCKET, latency=spec.latency, seed=spec.seed) as harness:
         lines = "\n".join(harness.addresses) + "\n"
         if args.addresses_out:
             with open(args.addresses_out, "w", encoding="utf-8") as fh:

@@ -5,9 +5,9 @@ picks.  The best-effort policies instead start from the strongest offer
 and widen only on failure: FS-only then default, or FS+AE-only then
 FS-only then default.  Fallback can happen silently, behind a user
 decision, or accompanied by a wire signal that lets honest capable
-servers reject a downgrade they should never have seen.  A parallel
-variant sends every rung at once, waits for all answers, and keeps the
-strongest.
+servers reject a downgrade they should never have seen.  The parallel
+style instead sends every rung at once, waits for all answers, and keeps
+the strongest.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .handshake import AttemptResult, Connector, handshake_attempt
-from .metadata import split_address
 from .suites import PROFILES, ProfileKind, is_ae, is_fs
 
 
@@ -33,6 +32,7 @@ class FallbackStyle(Enum):
     SILENT = "SILENT"
     INTERACTIVE = "INTERACTIVE"
     SIGNALED = "SIGNALED"
+    PARALLEL = "PARALLEL"
 
 
 class SessionStatus(Enum):
@@ -45,7 +45,6 @@ class SessionStatus(Enum):
 class PolicyConfig:
     mode: PolicyMode
     fallback: FallbackStyle = FallbackStyle.SILENT
-    parallel: bool = False
     timeout_s: float = 5.0
 
 
@@ -136,21 +135,21 @@ def connect(
     user: UserDecisionSource = ALWAYS_PROCEED,
     *,
     connector: Connector,
-    sni: Optional[str] = None,
+    sni: bool = False,
     tag: str = "",
     seed: int = 0,
 ) -> SessionOutcome:
     """Walk LADDERS[cfg.mode] from the strongest offer to the widest.
 
     Sequentially, each rung is tried only after the one before it failed,
-    behind the fallback style: a user decision (INTERACTIVE) or the
-    fallback signal on the widened offer (SIGNALED). With cfg.parallel,
-    every rung is sent at once, all answers are awaited, and the
-    strongest selecting rung wins; fallback style does not apply, since
-    no rung reacts to a failure. The rungs run on one module-wide pool
-    sized for the longest ladder, so concurrent parallel connects share
-    those workers and their rungs queue for a free one. DEFAULT has a
-    single rung, so it ignores both parallel and fallback.
+    silently (SILENT), behind a user decision (INTERACTIVE) or with the
+    fallback signal on the widened offer (SIGNALED). With PARALLEL, every
+    rung is sent at once, all answers are awaited, and the strongest
+    selecting rung wins. The rungs run on one module-wide pool sized for
+    the longest ladder, so concurrent parallel connects share those
+    workers and their rungs queue for a free one. DEFAULT has a single
+    rung, so it ignores the style. With ``sni``, the hello names the
+    address's host (see handshake_attempt).
     """
     ladder = LADDERS[cfg.mode]
 
@@ -168,7 +167,7 @@ def connect(
         )
 
     status = SessionStatus.FAILED
-    if cfg.parallel and len(ladder) > 1:
+    if cfg.fallback is FallbackStyle.PARALLEL and len(ladder) > 1:
         futures = [_RUNG_POOL.submit(attempt, d, p) for d, p in enumerate(ladder)]
         attempts = [f.result() for f in futures]  # join-all barrier
     else:
@@ -244,7 +243,6 @@ def latency_bench(
     excluded: list[str] = []
     responders = 0
     for address in addresses:
-        sni_name = split_address(address)[2] if sni else None
         local_walls: dict[PolicyMode, list[float]] = {m: [] for m in BENCH_MODES}
         local_attempts: dict[PolicyMode, list[int]] = {m: [] for m in BENCH_MODES}
         ok = True
@@ -252,7 +250,7 @@ def latency_bench(
             for mode in BENCH_MODES:
                 cfg = PolicyConfig(mode=mode, timeout_s=timeout_s)
                 start = time.perf_counter()
-                outcome = connect(address, cfg, connector=connector, sni=sni_name, seed=seed)
+                outcome = connect(address, cfg, connector=connector, sni=sni, seed=seed)
                 wall = time.perf_counter() - start
                 if not outcome.connected:
                     ok = False

@@ -18,6 +18,7 @@ import os
 import random
 import selectors
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -69,6 +70,11 @@ class LatencyModel:
     base_ms: float = 0.0
     jitter_ms: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in ("base_ms", "jitter_ms"):
+            if not 0 <= getattr(self, name) <= sys.float_info.max:  # false for NaN too
+                raise InvalidSpec("latency %s must be finite and non-negative" % name)
+
     def sample_s(self, rng: random.Random) -> float:
         delay = self.base_ms
         if self.jitter_ms:
@@ -92,8 +98,8 @@ class FleetSpec:
         for arch, p in self.mix.items():
             if not isinstance(arch, Archetype):
                 raise InvalidSpec("mix keys must be archetypes, got %r" % (arch,))
-            if p < 0:
-                raise InvalidSpec("mix proportion for %s is negative" % arch.value)
+            if not 0 <= p <= 1:  # false for NaN too
+                raise InvalidSpec("mix proportion for %s must be within [0, 1]" % arch.value)
         total = sum(self.mix.values())
         if abs(total - 1.0) > 1e-9:
             raise InvalidSpec("mix proportions sum to %g, expected 1" % total)
@@ -104,38 +110,55 @@ class FleetSpec:
 FLEET_SPEC_KEYS = {"size", "seed", "mix", "network_device_fraction", "latency"}
 
 
+_NUMBER = (int, float)
+_JSON_TYPE_NAMES = {dict: "an object", int: "an integer", _NUMBER: "a number"}
+
+
+def _json(value, kind, what: str):
+    """``value`` if it loaded from JSON as ``kind``; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidSpec("%s must be %s, got %r" % (what, _JSON_TYPE_NAMES[kind], value))
+    return value
+
+
 def fleet_spec_from_dict(data: dict) -> FleetSpec:
     """Build a spec from the documented config keys.
 
     Keys: size (int), seed (int), mix (archetype name -> proportion),
-    network_device_fraction (float, optional), latency
-    ({base_ms, jitter_ms}, optional).
+    network_device_fraction (number, optional), latency
+    ({base_ms, jitter_ms}, optional). FleetSpec and LatencyModel check
+    the ranges.
     """
-    unknown = set(data) - FLEET_SPEC_KEYS
+    unknown = set(_json(data, dict, "a fleet spec")) - FLEET_SPEC_KEYS
     if unknown:
         raise InvalidSpec("unknown fleet spec keys: %s" % ", ".join(sorted(unknown)))
     try:
-        mix_raw = data["mix"]
-        size = data["size"]
-        seed = data["seed"]
+        mix_raw = _json(data["mix"], dict, "mix")
+        size = _json(data["size"], int, "size")
+        seed = _json(data["seed"], int, "seed")
     except KeyError as exc:
         raise InvalidSpec("missing fleet spec key: %s" % exc) from exc
     mix = {}
     for name, p in mix_raw.items():
         try:
-            mix[Archetype(name)] = float(p)
+            arch = Archetype(name)
         except ValueError:
             raise InvalidSpec("unknown archetype %r" % name) from None
-    lat = data.get("latency", {})
+        mix[arch] = _json(p, _NUMBER, "mix proportion for %s" % name)
+    lat = _json(data.get("latency", {}), dict, "latency")
     extra = set(lat) - {"base_ms", "jitter_ms"}
     if extra:
         raise InvalidSpec("unknown latency keys: %s" % ", ".join(sorted(extra)))
+    fraction = data.get("network_device_fraction", 0.0)
     return FleetSpec(
-        size=int(size),
-        seed=int(seed),
+        size=size,
+        seed=seed,
         mix=mix,
-        network_device_fraction=float(data.get("network_device_fraction", 0.0)),
-        latency=LatencyModel(float(lat.get("base_ms", 0.0)), float(lat.get("jitter_ms", 0.0))),
+        network_device_fraction=_json(fraction, _NUMBER, "network_device_fraction"),
+        latency=LatencyModel(
+            _json(lat.get("base_ms", 0.0), _NUMBER, "latency base_ms"),
+            _json(lat.get("jitter_ms", 0.0), _NUMBER, "latency jitter_ms"),
+        ),
     )
 
 
@@ -446,7 +469,6 @@ def generate_fleet(spec: FleetSpec) -> list[SimServer]:
 
 
 class AdversaryKind(Enum):
-    NONE = "NONE"
     PASSIVE = "PASSIVE"
     ACTIVE_DROPPER = "ACTIVE_DROPPER"
     DISCRIMINATORY_WEAK = "DISCRIMINATORY_WEAK"
@@ -461,17 +483,11 @@ def offer_is_all_fs(ch: wire.ClientHelloMsg) -> bool:
 @dataclass
 class AdversaryConfig:
     kind: AdversaryKind
-    # None matches every client (discriminatory kinds).
+    # None matches every client.
     target_predicate: Optional[Callable[[ClientIdentity], bool]] = None
-    # None means "offer contains only FS suites" (dropper).
-    drop_predicate: Optional[Callable[[wire.ClientHelloMsg], bool]] = None
 
     def matches(self, client: ClientIdentity) -> bool:
         return self.target_predicate is None or self.target_predicate(client)
-
-    def should_drop(self, ch: wire.ClientHelloMsg) -> bool:
-        pred = self.drop_predicate or offer_is_all_fs
-        return pred(ch)
 
 
 @dataclass(frozen=True)
@@ -483,19 +499,11 @@ class TranscriptEntry:
     at: float
 
 
-class EndpointWrapper:
-    def __init__(self, inner):
-        self.inner = inner
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-class PassiveTap(EndpointWrapper):
+class PassiveTap:
     """Records every exchange, alters nothing."""
 
-    def __init__(self, inner):
-        super().__init__(inner)
+    def __init__(self, inner: SimServer):
+        self.inner = inner
         self.transcript: list[TranscriptEntry] = []
         self._lock = threading.Lock()
 
@@ -507,11 +515,11 @@ class PassiveTap(EndpointWrapper):
         return response
 
 
-class ActiveDropper(EndpointWrapper):
-    """Drops matching ClientHellos on the floor; forwards the rest untouched."""
+class ActiveDropper:
+    """Drops offers of only FS suites from matched clients; forwards the rest untouched."""
 
-    def __init__(self, inner, cfg: AdversaryConfig):
-        super().__init__(inner)
+    def __init__(self, inner: SimServer, cfg: AdversaryConfig):
+        self.inner = inner
         self.cfg = cfg
         self.dropped = 0
 
@@ -520,7 +528,7 @@ class ActiveDropper(EndpointWrapper):
             ch = wire.decode_client_hello(raw)
         except wire.WireError:
             ch = None
-        if ch is not None and self.cfg.matches(client) and self.cfg.should_drop(ch):
+        if ch is not None and self.cfg.matches(client) and offer_is_all_fs(ch):
             self.dropped += 1
             return None
         return self.inner.respond(raw, client)
@@ -537,7 +545,7 @@ def _non_fs_first(policy: ServerPolicy) -> ServerPolicy:
     )
 
 
-class DiscriminatoryServer(EndpointWrapper):
+class DiscriminatoryServer:
     """Semi-trusted server that steers matched clients toward non-FS.
 
     Weak form answers every offer honestly out of a non-FS-first
@@ -546,14 +554,14 @@ class DiscriminatoryServer(EndpointWrapper):
     steering clients downward has no interest in policing downgrades.
     """
 
-    def __init__(self, inner, cfg: AdversaryConfig, strong: bool):
-        super().__init__(inner)
+    def __init__(self, inner: SimServer, cfg: AdversaryConfig, strong: bool):
+        self.inner = inner
         self.cfg = cfg
         self.strong = strong
         self._steered = _non_fs_first(inner.policy)
 
     def respond(self, raw: bytes, client: ClientIdentity) -> Optional[bytes]:
-        if getattr(self.inner, "archetype", None) is Archetype.UNRESPONSIVE:
+        if self.inner.archetype is Archetype.UNRESPONSIVE:
             return None
         if not self.cfg.matches(client):
             return self.inner.respond(raw, client)
@@ -576,8 +584,8 @@ class DiscriminatoryServer(EndpointWrapper):
 
 
 def apply_adversary(endpoint, cfg: Optional[AdversaryConfig]):
-    """Wrap one endpoint per the adversary config; NONE/None is identity."""
-    if cfg is None or cfg.kind is AdversaryKind.NONE:
+    """Wrap one endpoint per the adversary config; None is identity."""
+    if cfg is None:
         return endpoint
     if cfg.kind is AdversaryKind.PASSIVE:
         return PassiveTap(endpoint)
@@ -667,9 +675,6 @@ class Harness:
     @property
     def max_in_flight(self) -> int:
         return self.gauge.max_seen
-
-    def truth(self) -> dict[str, GroundTruth]:
-        return {s.address: s.truth for s in self.servers}
 
     def stop(self) -> None:
         self.stopped = True

@@ -85,16 +85,21 @@ def handshake_attempt(
     timeout_s: float,
     *,
     max_version: int = wire.TLS1_2,
-    sni: Optional[str] = None,
+    sni: bool = False,
     tag: str = "",
     seed: int = 0,
     label: str = "",
     signal_fallback: bool = False,
 ) -> AttemptResult:
-    """Send one ClientHello and classify the first server flight."""
+    """Send one ClientHello and classify the first server flight.
+
+    With ``sni``, the hello carries the address's host name in the
+    server_name extension; an IPv4 literal never does (split_address).
+    """
     offered = tuple(offer)
     suites = offered + (FALLBACK_SIGNAL,) if signal_fallback else offered
-    server_name = sni.encode("ascii") if sni else b""
+    name = split_address(address)[2] if sni else None
+    server_name = name.encode("ascii") if name else b""
     raw = _hello_template(max_version, suites).encode(
         _client_random(seed, address, label or repr(suites)), server_name
     )

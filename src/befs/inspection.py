@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 from .handshake import AttemptKind, AttemptResult, Connector, handshake_attempt
-from .metadata import split_address
 from .suites import DEFAULT, FS_AE_ONLY, FS_ONLY, OfferProfile, ProfileKind, is_ae, is_fs
 
 
@@ -183,7 +182,7 @@ def _attempt_profile(
     address: str,
     profile: OfferProfile,
     timeout_s: float,
-    sni: Optional[str],
+    sni: bool,
     seed: int,
     limiter: Optional[RateLimiter],
 ) -> StepResult:
@@ -210,8 +209,7 @@ def scan_one(
     seed: int = 0,
     limiter: Optional[RateLimiter] = None,
 ) -> ScanRecord:
-    sni_name = split_address(address)[2] if sni else None
-    step = _attempt_profile(connector, address, DEFAULT, timeout_s, sni_name, seed, limiter)
+    step = _attempt_profile(connector, address, DEFAULT, timeout_s, sni, seed, limiter)
     now = time.time()
     a = step.attempt
     if a.selected:
@@ -255,10 +253,8 @@ def inspect_one(
 ) -> InspectionRecord:
     """Run the three-step heuristic; each step is a fresh connection."""
 
-    sni_name = split_address(address)[2] if sni else None
-
     def run(profile: OfferProfile) -> StepResult:
-        return _attempt_profile(connector, address, profile, timeout_s, sni_name, seed, limiter)
+        return _attempt_profile(connector, address, profile, timeout_s, sni, seed, limiter)
 
     h2: Optional[StepResult] = None
     h3: Optional[StepResult] = None

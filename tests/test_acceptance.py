@@ -5,8 +5,12 @@ in captured output) carrying the numbers that met the bound."""
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from befs import wire
 from befs.client import (
@@ -347,6 +351,20 @@ def test_criterion_4_adversaries():
     return "dropper/weak/strong/signal each 100%% over %d-server fleets" % size
 
 
+def test_adversary_sweep_script_runs_every_model():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_adversaries.py"), "--size", "8"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 6, done.stdout
+    assert all(line.endswith(" 8/  8 (100.0%)") for line in lines), done.stdout
+
+
 # -- 5: attempt and latency structure --------------------------------------------
 
 
@@ -370,7 +388,7 @@ def test_criterion_5_latency_structure():
 
         parallel_avg = {}
         for mode, rungs in ((PolicyMode.BEFS, 2), (PolicyMode.BESAFE, 3)):
-            cfg = PolicyConfig(mode=mode, parallel=True, timeout_s=2.0)
+            cfg = PolicyConfig(mode=mode, fallback=FallbackStyle.PARALLEL, timeout_s=2.0)
             walls = []
             for address in harness.addresses:
                 start = time.perf_counter()

@@ -97,6 +97,64 @@ def test_usage_errors_exit_nonzero(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        (command, option, value)
+        for option, values, commands in (
+            ("--concurrency", ("0", "-2"), ("scan", "inspect")),
+            ("--rate-limit", ("-1", "0", "nan", "inf"), ("scan", "inspect")),
+            ("--timeout", ("-1", "0", "nan", "inf"), ("scan", "inspect", "bench", "connect")),
+        )
+        for value in values
+        for command in commands
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, command, option, value):
+    target = (["127.0.0.1:1"] if command == "connect"
+              else ["--fleet-spec", write_spec(tmp_path, MIXED)])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, option + "=" + value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and option in err
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": NaN}}', "NONFS_ONLY"),
+        ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": 0.5, "FS_PREFERRING": NaN}}',
+         "FS_PREFERRING"),
+        ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": Infinity}}', "NONFS_ONLY"),
+        ('{"size": "abc", "seed": 1, "mix": {"NONFS_ONLY": 1}}', "size"),
+        ('{"size": true, "seed": 1, "mix": {"NONFS_ONLY": 1}}', "size"),
+        ('{"size": 5, "seed": 1.5, "mix": {"NONFS_ONLY": 1}}', "seed"),
+        ('{"size": 5, "seed": 1, "mix": [1]}', "mix"),
+        ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": "x"}}', "mix proportion for NONFS_ONLY"),
+        ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": true}}', "mix proportion for NONFS_ONLY"),
+        ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": 1}, "latency": 5}', "latency"),
+        ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": 1}, "latency": {"base_ms": -5}}',
+         "base_ms"),
+        ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": 1}, "latency": {"jitter_ms": NaN}}',
+         "jitter_ms"),
+        ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": 1}, "network_device_fraction": NaN}',
+         "network_device_fraction"),
+        ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": 1}, "network_device_fraction": false}',
+         "network_device_fraction"),
+        ("[1]", "fleet spec"),
+    ],
+)
+@pytest.mark.parametrize("command", ["fleet", "scan"])
+def test_bad_fleet_spec_is_one_line_naming_the_key(tmp_path, capsys, command, spec, key):
+    path = tmp_path / "fleet.json"
+    path.write_text(spec, encoding="utf-8")
+    argv = ["fleet", "--spec", str(path)] if command == "fleet" else ["scan", "--fleet-spec", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and key in err, err
+
+
 # -- report --------------------------------------------------------------------
 
 
@@ -285,12 +343,13 @@ def test_connect_parallel_over_tcp(socket_fleet, capsys):
     harness, truth = socket_fleet
     nonfs_addr = pick(harness, truth, fs=False)
     code, out, _ = run_cli(
-        ["connect", nonfs_addr, "--mode", "besafe", "--parallel", "--timeout", "2"],
+        ["connect", nonfs_addr, "--mode", "besafe", "--fallback", "parallel", "--timeout", "2"],
         capsys,
     )
     assert code == 10
     record = json.loads(out)
     assert record["handshake_attempts"] == 3
+    assert record["fallback"] == "PARALLEL"
 
 
 # -- bench ---------------------------------------------------------------------

@@ -35,7 +35,7 @@ from befs.handshake import AttemptKind
 from befs.negotiate import SelectionRule, ServerPolicy
 from befs.suites import DEFAULT_ORDER, FALLBACK_SIGNAL, PROFILES, ProfileKind
 
-ALL_STYLES = (FallbackStyle.SILENT, FallbackStyle.INTERACTIVE, FallbackStyle.SIGNALED)
+SEQUENTIAL_STYLES = (FallbackStyle.SILENT, FallbackStyle.INTERACTIVE, FallbackStyle.SIGNALED)
 
 
 def one_server(supported, preference, *, rule=SelectionRule.SERVER_PREFERENCE,
@@ -54,14 +54,14 @@ def one_server(supported, preference, *, rule=SelectionRule.SERVER_PREFERENCE,
     return serve([server], Transport.IN_MEMORY, adversary=adversary)
 
 
-def cfg_for(mode, style=FallbackStyle.SILENT, parallel=False, timeout_s=0.2):
-    return PolicyConfig(mode=mode, fallback=style, parallel=parallel, timeout_s=timeout_s)
+def cfg_for(mode, style=FallbackStyle.SILENT, timeout_s=0.2):
+    return PolicyConfig(mode=mode, fallback=style, timeout_s=timeout_s)
 
 
 # -- BEFS, sequential ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("style", ALL_STYLES)
+@pytest.mark.parametrize("style", SEQUENTIAL_STYLES)
 def test_befs_first_rung_wins_when_fs_supported(style):
     # server prefers plain RSA but the FS-only offer leaves it no choice
     with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F)) as h:
@@ -244,7 +244,7 @@ def server_policies(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(policy=server_policies(), style=st.sampled_from(ALL_STYLES))
+@given(policy=server_policies(), style=st.sampled_from(SEQUENTIAL_STYLES))
 def test_policies_best_effort_and_never_worse(policy, style):
     truth = policy_truth(policy)
     server = SimServer(
@@ -286,7 +286,7 @@ def test_policies_best_effort_and_never_worse(policy, style):
 def test_parallel_befs_prefers_strongest_rung():
     with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F)) as h:
         out = connect(
-            h.addresses[0], cfg_for(PolicyMode.BEFS, parallel=True),
+            h.addresses[0], cfg_for(PolicyMode.BEFS, FallbackStyle.PARALLEL),
             connector=h.connector(),
         )
     assert out.connected and out.fs is True
@@ -300,7 +300,7 @@ def test_parallel_befs_prefers_strongest_rung():
 def test_parallel_befs_on_nonfs_server():
     with one_server({0x002F}, (0x002F,)) as h:
         out = connect(
-            h.addresses[0], cfg_for(PolicyMode.BEFS, parallel=True),
+            h.addresses[0], cfg_for(PolicyMode.BEFS, FallbackStyle.PARALLEL),
             connector=h.connector(),
         )
     assert out.connected and out.fs is False
@@ -310,7 +310,7 @@ def test_parallel_befs_on_nonfs_server():
 def test_parallel_besafe_runs_three_rungs():
     with one_server({0xC013, 0x002F}, (0x002F, 0xC013)) as h:
         out = connect(
-            h.addresses[0], cfg_for(PolicyMode.BESAFE, parallel=True),
+            h.addresses[0], cfg_for(PolicyMode.BESAFE, FallbackStyle.PARALLEL),
             connector=h.connector(),
         )
     assert out.connected and out.fs is True and out.ae is False
@@ -321,7 +321,7 @@ def test_parallel_unresponsive_fails_with_all_rungs_accounted():
     fleet = generate_fleet(FleetSpec(size=1, seed=1, mix={Archetype.UNRESPONSIVE: 1.0}))
     with serve(fleet, Transport.IN_MEMORY) as h:
         out = connect(
-            h.addresses[0], cfg_for(PolicyMode.BEFS, parallel=True, timeout_s=0.05),
+            h.addresses[0], cfg_for(PolicyMode.BEFS, FallbackStyle.PARALLEL, timeout_s=0.05),
             connector=h.connector(),
         )
     assert out.status is SessionStatus.FAILED
@@ -331,19 +331,20 @@ def test_parallel_unresponsive_fails_with_all_rungs_accounted():
 
 def test_parallel_requires_flag_and_dispatch_honors_it():
     with one_server({0x002F}, (0x002F,)) as h:
-        out = connect(h.addresses[0], cfg_for(PolicyMode.BEFS, parallel=True),
+        out = connect(h.addresses[0], cfg_for(PolicyMode.BEFS, FallbackStyle.PARALLEL),
                       connector=h.connector())
     assert out.connected and out.handshake_attempts == 2
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+@pytest.mark.parametrize("style", [FallbackStyle.SILENT, FallbackStyle.PARALLEL],
+                         ids=["sequential", "parallel"])
 @pytest.mark.parametrize("mode", list(PolicyMode))
-def test_nonfs_fleet_walks_the_whole_ladder(mode, parallel):
+def test_nonfs_fleet_walks_the_whole_ladder(mode, style):
     rungs = {PolicyMode.DEFAULT: 1, PolicyMode.BEFS: 2, PolicyMode.BESAFE: 3}[mode]
     assert len(LADDERS[mode]) == rungs
     fleet = generate_fleet(FleetSpec(size=3, seed=5, mix={Archetype.NONFS_ONLY: 1.0}))
     with serve(fleet, Transport.IN_MEMORY) as h:
-        outs = [connect(a, cfg_for(mode, parallel=parallel), connector=h.connector())
+        outs = [connect(a, cfg_for(mode, style), connector=h.connector())
                 for a in h.addresses]
     for out in outs:
         assert out.connected and out.fs is False
@@ -410,12 +411,10 @@ _VERSIONS = st.one_of(st.sampled_from((wire.TLS1_0, wire.TLS1_2, 0x0304)),
 @given(
     reply=st.one_of(st.binary(max_size=80), st.builds(server_hello, _SUITES, _VERSIONS)),
     mode=st.sampled_from(list(PolicyMode)),
-    style=st.sampled_from(ALL_STYLES),
-    parallel=st.booleans(),
+    style=st.sampled_from(list(FallbackStyle)),
 )
-def test_no_reply_connects_on_an_unoffered_suite_or_version(reply, mode, style, parallel):
-    out = connect("srv-0", cfg_for(mode, style, parallel=parallel),
-                  connector=FixedReply(reply))
+def test_no_reply_connects_on_an_unoffered_suite_or_version(reply, mode, style):
+    out = connect("srv-0", cfg_for(mode, style), connector=FixedReply(reply))
     if out.connected:
         rung = LADDERS[mode][out.fallback_depth]
         assert out.suite in PROFILES[rung].suites
@@ -484,6 +483,17 @@ def test_bench_sends_each_address_its_own_sni():
         recorder = SniRecorder(server_hello(0xC02F))
         report = latency_bench(addresses, connector=recorder, timeout_s=0.5, sni=sni)
         assert report.responders == 3
+        assert recorder.seen == set(zip(addresses, names))
+
+
+@pytest.mark.parametrize("style", list(FallbackStyle))
+def test_connect_sends_the_host_as_sni_only_when_asked(style):
+    addresses = ["a.example:443", "b.example", "192.0.2.1:443"]
+    for sni, names in ((True, ["a.example", "b.example", None]), (False, [None] * 3)):
+        recorder = SniRecorder(server_hello(0x002F))  # only the widest rung connects
+        for address in addresses:
+            assert connect(address, cfg_for(PolicyMode.BESAFE, style), connector=recorder,
+                           sni=sni).connected
         assert recorder.seen == set(zip(addresses, names))
 
 

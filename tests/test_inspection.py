@@ -392,13 +392,13 @@ def test_inspect_all_empty_when_everyone_selects_fs():
         assert inspect_all(records, 0.5, 5, connector=h.connector()) == []
 
 
-def test_inspect_all_matches_ground_truth_across_archetypes():
+@pytest.mark.parametrize("transport", list(Transport))
+def test_inspect_all_matches_ground_truth_across_archetypes(transport):
     fleet = generate_fleet(FleetSpec(size=120, seed=13, mix=FULL_MIX))
-    by_address = {}
-    with serve(fleet, Transport.IN_MEMORY) as h:
+    with serve(fleet, transport) as h:
         by_address = {s.address: s for s in fleet}
-        records = scan(h.addresses, timeout_s=0.1, concurrency=20, connector=h.connector())
-        inspections = inspect_all(records, 0.1, 20, connector=h.connector())
+        records = scan(h.addresses, timeout_s=0.5, concurrency=20, connector=h.connector())
+        inspections = inspect_all(records, 0.5, 20, connector=h.connector())
     assert inspections  # the mix guarantees non-FS selectors exist
     for rec in inspections:
         expected = expected_for_server(by_address[rec.address])

@@ -249,10 +249,15 @@ def _reference_hello(version, suites, sni, random):
     return encode_client_hello(ClientHelloMsg(version, random, suites, extensions=extensions))
 
 
+def _address(sni):
+    """An address whose host is ``sni``, or one that sends no SNI for None."""
+    return "srv-1" if sni is None else sni + ":443"
+
+
 def _sent_hello(version, offer, sni, signal):
     conn = RecordingConnector()
-    res = handshake_attempt(conn, "srv-1", offer, 1.0, max_version=version, sni=sni,
-                            signal_fallback=signal)
+    res = handshake_attempt(conn, _address(sni), offer, 1.0, max_version=version,
+                            sni=sni is not None, signal_fallback=signal)
     assert res.kind is AttemptKind.CONNECT_ERROR
     (raw,) = conn.sent
     return raw
@@ -266,8 +271,10 @@ def _sent_hello(version, offer, sni, signal):
 )
 def test_handshake_attempt_sends_what_encode_client_hello_builds(offer, signal, version, sni):
     suites = offer + (FALLBACK_SIGNAL,) if signal else offer
-    random = _client_random(0, "srv-1", repr(suites))
-    assert _sent_hello(version, offer, sni, signal) == _reference_hello(version, suites, sni, random)
+    random = _client_random(0, _address(sni), repr(suites))
+    # an IPv4 literal, or a host of only digits and dots, is never a server name
+    name = sni if sni and not sni.replace(".", "").isdigit() else None
+    assert _sent_hello(version, offer, sni, signal) == _reference_hello(version, suites, name, random)
 
 
 @pytest.mark.parametrize(
