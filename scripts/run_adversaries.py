@@ -8,6 +8,7 @@ the fallback signal.
 """
 
 import argparse
+import functools
 import sys
 
 from befs import wire
@@ -20,9 +21,9 @@ from befs.client import (
     connect,
 )
 from befs.fleetsim import (
-    AdversaryConfig,
-    AdversaryKind,
+    ActiveDropper,
     Archetype,
+    DiscriminatoryServer,
     FleetSpec,
     Transport,
     generate_fleet,
@@ -72,23 +73,22 @@ def main() -> int:
         FleetSpec(size=args.size, seed=args.seed,
                   mix={Archetype.FS_SUPPORTING_NONFS_PREFERRING: 1.0})
     )
-    dropper = AdversaryConfig(kind=AdversaryKind.ACTIVE_DROPPER)
-    outs = run_all(fleet, dropper, FallbackStyle.SILENT)
+    outs = run_all(fleet, ActiveDropper, FallbackStyle.SILENT)
     rate("dropper + silent: downgraded to non-FS",
          sum(o.connected and not o.fs for o in outs), len(outs))
-    outs = run_all(fleet, dropper, FallbackStyle.INTERACTIVE, user=ALWAYS_ABORT)
+    outs = run_all(fleet, ActiveDropper, FallbackStyle.INTERACTIVE, user=ALWAYS_ABORT)
     rate("dropper + interactive(abort): connections refused",
          sum(o.status is SessionStatus.ABORTED_BY_USER for o in outs), len(outs))
 
     # weak discrimination reorders but honors the offer, so BEFS holds
-    weak = AdversaryConfig(kind=AdversaryKind.DISCRIMINATORY_WEAK)
-    outs = run_all(fs_capable_fleet(args.size, args.seed + 1), weak, FallbackStyle.SILENT)
+    outs = run_all(fs_capable_fleet(args.size, args.seed + 1), DiscriminatoryServer,
+                   FallbackStyle.SILENT)
     rate("weak discriminator + BEFS: still forward secure",
          sum(o.connected and o.fs for o in outs), len(outs))
 
     # strong discrimination rejects FS-only offers outright; downgrade
     # needs servers that have a non-FS suite to be steered onto
-    strong = AdversaryConfig(kind=AdversaryKind.DISCRIMINATORY_STRONG)
+    strong = functools.partial(DiscriminatoryServer, strong=True)
     steerable = generate_fleet(
         FleetSpec(size=args.size, seed=args.seed + 2,
                   mix={Archetype.FS_SUPPORTING_NONFS_PREFERRING: 1.0})

@@ -359,14 +359,19 @@ def cmd_fleet(args) -> int:
     spec = load_fleet_spec(args.spec)
     fleet = generate_fleet(spec)
     counts = {a.value: n for a, n in archetype_counts(spec).items() if n}
-    if args.truth_out:
-        with open(args.truth_out, "w", encoding="utf-8") as fh:
-            for row in truth_records(fleet, campaign=args.campaign):
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+    def write_truth() -> None:
+        if args.truth_out:
+            with open(args.truth_out, "w", encoding="utf-8") as fh:
+                for row in truth_records(fleet, campaign=args.campaign):
+                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+
     if not args.serve:
+        write_truth()
         _emit({"size": spec.size, "seed": spec.seed, "archetypes": counts})
         return 0
     with serve(fleet, Transport.LOOPBACK_SOCKET, latency=spec.latency, seed=spec.seed) as harness:
+        write_truth()  # serve has given each server its address
         lines = "\n".join(harness.addresses) + "\n"
         if args.addresses_out:
             with open(args.addresses_out, "w", encoding="utf-8") as fh:

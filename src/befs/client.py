@@ -136,7 +136,6 @@ def connect(
     *,
     connector: Connector,
     sni: bool = False,
-    tag: str = "",
     seed: int = 0,
 ) -> SessionOutcome:
     """Walk LADDERS[cfg.mode] from the strongest offer to the widest.
@@ -160,7 +159,6 @@ def connect(
             PROFILES[profile].suites,
             cfg.timeout_s,
             sni=sni,
-            tag=tag,
             seed=seed,
             label="%s/%s/%d" % (cfg.mode.value, profile.value, depth),
             signal_fallback=signal,

@@ -1,10 +1,12 @@
 """Simulated server fleets with ground-truth labels.
 
 Generates deterministic populations of negotiation policies across six
-archetypes, serves them over an in-memory transport or real loopback
-sockets, and wraps endpoints in channel/discriminatory adversaries.
-Every truth label is recomputed from the policy itself, so tests always
-have an independent oracle.
+archetypes and serves them over an in-memory transport or real loopback
+sockets. An adversary is the endpoint wrapper passed to ``serve``: it sees
+only the ClientHello bytes, and the dropper and the discriminators target
+clients by the hello's JA3 string (wire.fingerprint). Every truth label
+is recomputed from the policy itself, so tests always have an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Protocol
 
 from . import wire
-from .handshake import ClientIdentity, ConnectFailed, TcpConnector
+from .handshake import ConnectFailed, TcpConnector
 from .inspection import Classification
 from .negotiate import NegotiationResult, SelectionRule, ServerPolicy, select
 from .suites import (
@@ -285,7 +287,7 @@ class SimServer:
     def next_random(self) -> bytes:
         return server_random(self.seed, self.index, next(self._hellos))
 
-    def respond(self, raw: bytes, client: ClientIdentity) -> Optional[bytes]:
+    def respond(self, raw: bytes) -> Optional[bytes]:
         """Reply bytes, or None to stall the connection."""
         if self.archetype is Archetype.UNRESPONSIVE:
             return None
@@ -468,11 +470,10 @@ def generate_fleet(spec: FleetSpec) -> list[SimServer]:
 # Adversaries
 
 
-class AdversaryKind(Enum):
-    PASSIVE = "PASSIVE"
-    ACTIVE_DROPPER = "ACTIVE_DROPPER"
-    DISCRIMINATORY_WEAK = "DISCRIMINATORY_WEAK"
-    DISCRIMINATORY_STRONG = "DISCRIMINATORY_STRONG"
+class Endpoint(Protocol):
+    """What a served address runs: a SimServer or an adversary wrapping one."""
+
+    def respond(self, raw: bytes) -> Optional[bytes]: ...
 
 
 def offer_is_all_fs(ch: wire.ClientHelloMsg) -> bool:
@@ -480,20 +481,14 @@ def offer_is_all_fs(ch: wire.ClientHelloMsg) -> bool:
     return bool(real) and all(is_fs(s) for s in real)
 
 
-@dataclass
-class AdversaryConfig:
-    kind: AdversaryKind
-    # None matches every client.
-    target_predicate: Optional[Callable[[ClientIdentity], bool]] = None
-
-    def matches(self, client: ClientIdentity) -> bool:
-        return self.target_predicate is None or self.target_predicate(client)
+def _targeted(ch: wire.ClientHelloMsg, targets: Optional[frozenset[str]]) -> bool:
+    """Whether the hello's fingerprint (wire.fingerprint) is a target; None targets all."""
+    return targets is None or wire.fingerprint(ch) in targets
 
 
 @dataclass(frozen=True)
 class TranscriptEntry:
     address: str
-    client: ClientIdentity
     request: bytes
     response: Optional[bytes]
     at: float
@@ -507,31 +502,31 @@ class PassiveTap:
         self.transcript: list[TranscriptEntry] = []
         self._lock = threading.Lock()
 
-    def respond(self, raw: bytes, client: ClientIdentity) -> Optional[bytes]:
-        response = self.inner.respond(raw, client)
-        entry = TranscriptEntry(self.inner.address, client, raw, response, time.time())
+    def respond(self, raw: bytes) -> Optional[bytes]:
+        response = self.inner.respond(raw)
+        entry = TranscriptEntry(self.inner.address, raw, response, time.time())
         with self._lock:
             self.transcript.append(entry)
         return response
 
 
 class ActiveDropper:
-    """Drops offers of only FS suites from matched clients; forwards the rest untouched."""
+    """Drops targeted offers of only FS suites (see _targeted); forwards the rest untouched."""
 
-    def __init__(self, inner: SimServer, cfg: AdversaryConfig):
+    def __init__(self, inner: SimServer, targets: Optional[frozenset[str]] = None):
         self.inner = inner
-        self.cfg = cfg
+        self.targets = targets
         self.dropped = 0
 
-    def respond(self, raw: bytes, client: ClientIdentity) -> Optional[bytes]:
+    def respond(self, raw: bytes) -> Optional[bytes]:
         try:
             ch = wire.decode_client_hello(raw)
         except wire.WireError:
             ch = None
-        if ch is not None and self.cfg.matches(client) and offer_is_all_fs(ch):
+        if ch is not None and offer_is_all_fs(ch) and _targeted(ch, self.targets):
             self.dropped += 1
             return None
-        return self.inner.respond(raw, client)
+        return self.inner.respond(raw)
 
 
 def _non_fs_first(policy: ServerPolicy) -> ServerPolicy:
@@ -546,34 +541,33 @@ def _non_fs_first(policy: ServerPolicy) -> ServerPolicy:
 
 
 class DiscriminatoryServer:
-    """Semi-trusted server that steers matched clients toward non-FS.
+    """Semi-trusted server that steers targeted clients toward non-FS.
 
-    Weak form answers every offer honestly out of a non-FS-first
-    preference; strong form additionally refuses offers that contain
-    only FS suites.  Either form ignores the fallback signal: a server
-    steering clients downward has no interest in policing downgrades.
+    A client is targeted by its hello's fingerprint (see _targeted); the
+    rest get the honest server. Weak form answers a targeted offer
+    honestly out of a non-FS-first preference; strong form additionally
+    refuses targeted offers of only FS suites. Either form ignores the
+    fallback signal: a server steering clients downward has no interest
+    in policing downgrades.
     """
 
-    def __init__(self, inner: SimServer, cfg: AdversaryConfig, strong: bool):
+    def __init__(self, inner: SimServer, strong: bool = False, targets: Optional[frozenset[str]] = None):
         self.inner = inner
-        self.cfg = cfg
         self.strong = strong
+        self.targets = targets
         self._steered = _non_fs_first(inner.policy)
 
-    def respond(self, raw: bytes, client: ClientIdentity) -> Optional[bytes]:
+    def respond(self, raw: bytes) -> Optional[bytes]:
         if self.inner.archetype is Archetype.UNRESPONSIVE:
             return None
-        if not self.cfg.matches(client):
-            return self.inner.respond(raw, client)
-        if self.strong:
-            try:
-                ch = wire.decode_client_hello(raw)
-            except wire.WireError:
-                return wire.encode_alert(wire.AlertMsg(wire.AlertLevel.FATAL, wire.DECODE_ERROR))
-            if offer_is_all_fs(ch):
-                return wire.encode_alert(
-                    wire.AlertMsg(wire.AlertLevel.FATAL, wire.HANDSHAKE_FAILURE)
-                )
+        try:
+            ch = wire.decode_client_hello(raw)
+        except wire.WireError:
+            return wire.encode_alert(wire.AlertMsg(wire.AlertLevel.FATAL, wire.DECODE_ERROR))
+        if not _targeted(ch, self.targets):
+            return self.inner.respond(raw)
+        if self.strong and offer_is_all_fs(ch):
+            return wire.encode_alert(wire.AlertMsg(wire.AlertLevel.FATAL, wire.HANDSHAKE_FAILURE))
         return answer_offer(
             self._steered,
             supports_fs=self.inner.truth.supports_fs,
@@ -583,19 +577,7 @@ class DiscriminatoryServer:
         )
 
 
-def apply_adversary(endpoint, cfg: Optional[AdversaryConfig]):
-    """Wrap one endpoint per the adversary config; None is identity."""
-    if cfg is None:
-        return endpoint
-    if cfg.kind is AdversaryKind.PASSIVE:
-        return PassiveTap(endpoint)
-    if cfg.kind is AdversaryKind.ACTIVE_DROPPER:
-        return ActiveDropper(endpoint, cfg)
-    if cfg.kind is AdversaryKind.DISCRIMINATORY_WEAK:
-        return DiscriminatoryServer(endpoint, cfg, strong=False)
-    if cfg.kind is AdversaryKind.DISCRIMINATORY_STRONG:
-        return DiscriminatoryServer(endpoint, cfg, strong=True)
-    raise ValueError("unhandled adversary kind %r" % cfg.kind)
+Adversary = Callable[[SimServer], Endpoint]
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +607,7 @@ class _MemoryConnector:
     def __init__(self, harness: "MemoryHarness") -> None:
         self._h = harness
 
-    def exchange(
-        self, address: str, raw: bytes, timeout_s: float, client: ClientIdentity
-    ) -> bytes:
+    def exchange(self, address: str, raw: bytes, timeout_s: float) -> bytes:
         h = self._h
         if h.stopped:
             raise ConnectFailed("harness stopped")
@@ -636,7 +616,7 @@ class _MemoryConnector:
             raise ConnectFailed("no server at %s" % address)
         h.gauge.enter()
         try:
-            reply = endpoint.respond(raw, client)
+            reply = endpoint.respond(raw)
             delay_s = h.latency.sample_s(h.latency_rng)
             if reply is None or delay_s >= timeout_s:
                 time.sleep(timeout_s)
@@ -652,13 +632,13 @@ class Harness:
     """What every running fleet shares: servers, endpoints, latency, gauge.
 
     Plain instance attributes, since the memory connector reads them on
-    every handshake. Subclasses assign each server its address and add
-    its endpoint, then provide connector().
+    every handshake. Subclasses give each server its address through
+    _add, then provide connector().
     """
 
     def __init__(self, servers: Iterable[SimServer], latency: LatencyModel, seed: int) -> None:
         self.servers = list(servers)
-        self.endpoints = {}
+        self.endpoints: dict[str, Endpoint] = {}
         self.latency = latency
         self.latency_rng = random.Random(seed ^ 0x1A7E)
         self.gauge = _Gauge()
@@ -675,6 +655,13 @@ class Harness:
     @property
     def max_in_flight(self) -> int:
         return self.gauge.max_seen
+
+    def _add(self, server: SimServer, address: str, adversary: Optional[Adversary]) -> Endpoint:
+        """Serve ``server`` at ``address``, wrapped in the adversary if there is one."""
+        server.address = address
+        endpoint = adversary(server) if adversary else server
+        self.endpoints[address] = endpoint
+        return endpoint
 
     def stop(self) -> None:
         self.stopped = True
@@ -693,14 +680,13 @@ class MemoryHarness(Harness):
         self,
         servers: Iterable[SimServer],
         *,
-        adversary: Optional[AdversaryConfig] = None,
+        adversary: Optional[Adversary] = None,
         latency: LatencyModel = LatencyModel(),
         seed: int = 0,
     ) -> None:
         super().__init__(servers, latency, seed)
         for server in self.servers:
-            server.address = server.server_id
-            self.endpoints[server.address] = apply_adversary(server, adversary)
+            self._add(server, server.server_id, adversary)
 
     def connector(self) -> _MemoryConnector:
         return _MemoryConnector(self)
@@ -708,6 +694,9 @@ class MemoryHarness(Harness):
 
 # sentinel stored in a connection slot once the server answered or stalled
 _CONN_DONE = object()
+# Longest select wait: a reply due further ahead (a huge latency) would
+# overflow the platform's timeout, so the loop wakes and waits again.
+_MAX_WAIT_S = 1.0
 
 
 class SocketHarness(Harness):
@@ -722,7 +711,7 @@ class SocketHarness(Harness):
         self,
         servers: Iterable[SimServer],
         *,
-        adversary: Optional[AdversaryConfig] = None,
+        adversary: Optional[Adversary] = None,
         latency: LatencyModel = LatencyModel(),
         seed: int = 0,
     ) -> None:
@@ -745,10 +734,7 @@ class SocketHarness(Harness):
                     raise BindFailure("bind failed after %d listeners: %s" % (len(self._listeners), exc)) from exc
                 sock.listen(128)
                 sock.setblocking(False)
-                host, port = sock.getsockname()
-                server.address = "%s:%d" % (host, port)
-                endpoint = apply_adversary(server, adversary)
-                self.endpoints[server.address] = endpoint
+                endpoint = self._add(server, "%s:%d" % sock.getsockname(), adversary)
                 self._listeners.append(sock)
                 self._sel.register(sock, selectors.EVENT_READ, ("listen", endpoint))
         except BaseException:
@@ -806,7 +792,7 @@ class SocketHarness(Harness):
         while not self.stopped:
             timeout = None
             if self._pending:
-                timeout = max(0.0, self._pending[0][0] - time.perf_counter())
+                timeout = min(max(0.0, self._pending[0][0] - time.perf_counter()), _MAX_WAIT_S)
             for key, _ in self._sel.select(timeout):
                 kind = key.data[0]
                 if kind == "wake":
@@ -863,7 +849,7 @@ class SocketHarness(Harness):
         if len(buf) < total:
             return
         raw = bytes(buf[:total])
-        reply = slot[0].respond(raw, ClientIdentity())
+        reply = slot[0].respond(raw)
         slot[1] = _CONN_DONE
         if reply is None:
             return  # stall: hold the connection open, client times out
@@ -876,11 +862,15 @@ def serve(
     fleet: Iterable[SimServer],
     transport: Transport,
     *,
-    adversary: Optional[AdversaryConfig] = None,
+    adversary: Optional[Adversary] = None,
     latency: LatencyModel = LatencyModel(),
     seed: int = 0,
 ) -> Harness:
-    """Running harness for the fleet; stop() or use as a context manager."""
+    """Running harness for the fleet; stop() or use as a context manager.
+
+    ``adversary`` wraps each server into its served endpoint, e.g. PassiveTap
+    or functools.partial(DiscriminatoryServer, strong=True).
+    """
     if transport is Transport.IN_MEMORY:
         return MemoryHarness(fleet, adversary=adversary, latency=latency, seed=seed)
     if transport is Transport.LOOPBACK_SOCKET:

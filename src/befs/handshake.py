@@ -13,7 +13,7 @@ import functools
 import hashlib
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Protocol, Sequence
 
@@ -26,21 +26,8 @@ class ConnectFailed(Exception):
     """TCP connect refused/reset, or unknown in-memory address."""
 
 
-@dataclass(frozen=True)
-class ClientIdentity:
-    """Who is asking, as far as a server endpoint can tell.
-
-    tag is a client-supplied label carried by the in-memory transport;
-    a socket endpoint sees an empty tag.
-    """
-
-    tag: str = ""
-
-
 class Connector(Protocol):
-    def exchange(
-        self, address: str, raw: bytes, timeout_s: float, client: ClientIdentity
-    ) -> bytes: ...
+    def exchange(self, address: str, raw: bytes, timeout_s: float) -> bytes: ...
 
 
 class AttemptKind(Enum):
@@ -86,7 +73,6 @@ def handshake_attempt(
     *,
     max_version: int = wire.TLS1_2,
     sni: bool = False,
-    tag: str = "",
     seed: int = 0,
     label: str = "",
     signal_fallback: bool = False,
@@ -109,7 +95,7 @@ def handshake_attempt(
         return AttemptResult(elapsed_s=time.perf_counter() - start, **kw)
 
     try:
-        reply = connector.exchange(address, raw, timeout_s, ClientIdentity(tag=tag))
+        reply = connector.exchange(address, raw, timeout_s)
     except TimeoutError:
         return done(kind=AttemptKind.TIMEOUT, error="timed out after %gs" % timeout_s)
     except ConnectFailed as exc:
@@ -162,9 +148,7 @@ def read_record(sock: socket.socket, deadline: float) -> bytes:
 class TcpConnector:
     """Connector over real TCP; one connection per exchange."""
 
-    def exchange(
-        self, address: str, raw: bytes, timeout_s: float, client: ClientIdentity
-    ) -> bytes:
+    def exchange(self, address: str, raw: bytes, timeout_s: float) -> bytes:
         host, port, _ = split_address(address)
         if port is None:
             port = 443

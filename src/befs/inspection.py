@@ -103,8 +103,9 @@ def classify_steps(
     prior_ae = is_ae(a1.suite)
     if h2 is None:
         raise ValueError("h1 selected non-FS but h2 is missing")
-    # An off-profile selection (server ignored the offer) counts as that
-    # step failing, same as an alert or timeout.
+    # From inspect_one a SELECTED h2 is FS, since handshake_attempt turns a
+    # pick outside the offer into PROTOCOL_ERROR; testing selected_fs, not
+    # selected, keeps this total over hand-built steps.
     if not h2.selected_fs:
         return Classification.STABLE_NO_FS_SUPPORT, prior_ae, False
     if h2.selected_fs_ae:
@@ -261,7 +262,7 @@ def inspect_one(
     h1 = run(DEFAULT)
     if h1.attempt.selected and not is_fs(h1.attempt.suite):
         h2 = run(FS_ONLY)
-        if h2.attempt.selected and h2.selected_fs and not h2.selected_fs_ae:
+        if h2.selected_fs and not h2.selected_fs_ae:
             h3 = run(FS_AE_ONLY)
     classification, prior_ae, lose_ae = classify_steps(h1, h2, h3)
     return InspectionRecord(

@@ -169,6 +169,20 @@ def extract_sni(msg: ClientHelloMsg) -> Optional[str]:
     return None
 
 
+def fingerprint(msg: ClientHelloMsg) -> str:
+    """The hello's JA3 string (Althouse, Atkinson and Atkins, 2017), unhashed.
+
+    Version, cipher suites and extension types in decimal, dash-joined
+    within a field and comma-joined between fields: ``"771,49199-47,,,"``
+    for a TLS 1.2 hello of two suites and no extensions. The last two
+    fields, supported groups and EC point formats, stay empty: no befs
+    hello carries either extension, and their bodies are opaque here.
+    """
+    suites = "-".join(map(str, msg.cipher_suites))
+    types = "-".join(str(etype) for etype, _ in msg.extensions)
+    return "%d,%s,%s,," % (msg.legacy_version, suites, types)
+
+
 def _u16(v: int, what: str) -> bytes:
     if v > 0xFFFF:
         raise OversizeMessage("%s length %d overflows 2 bytes" % (what, v))

@@ -24,9 +24,9 @@ from befs.client import (
     latency_bench,
 )
 from befs.fleetsim import (
-    AdversaryConfig,
-    AdversaryKind,
+    ActiveDropper,
     Archetype,
+    DiscriminatoryServer,
     FleetSpec,
     LatencyModel,
     SimServer,
@@ -312,17 +312,17 @@ def test_criterion_4_adversaries():
         )
     )
 
-    dropper = AdversaryConfig(kind=AdversaryKind.ACTIVE_DROPPER)
+    dropper = ActiveDropper
     outs = _connect_fleet(steerable(41), dropper, FallbackStyle.SILENT)
     assert all(o.connected and o.fs is False for o in outs)
     outs = _connect_fleet(steerable(41), dropper, FallbackStyle.INTERACTIVE, ALWAYS_ABORT)
     assert all(o.status is SessionStatus.ABORTED_BY_USER for o in outs)
 
-    weak = AdversaryConfig(kind=AdversaryKind.DISCRIMINATORY_WEAK)
+    weak = DiscriminatoryServer
     outs = _connect_fleet(fs_capable(42), weak, FallbackStyle.SILENT)
     assert all(o.connected and o.fs is True for o in outs)
 
-    strong = AdversaryConfig(kind=AdversaryKind.DISCRIMINATORY_STRONG)
+    strong = functools.partial(DiscriminatoryServer, strong=True)
     outs = _connect_fleet(steerable(43), strong, FallbackStyle.SILENT)
     assert all(o.connected and o.fs is False for o in outs)
     outs = _connect_fleet(steerable(43), strong, FallbackStyle.INTERACTIVE, ALWAYS_ABORT)

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from befs import cli
 from befs.cli import main
 from befs.fleetsim import Archetype, FleetSpec, Transport, generate_fleet, serve
 from befs.handshake import AttemptKind, AttemptResult
@@ -417,6 +418,21 @@ def test_fleet_describe_and_truth_out(tmp_path, capsys):
     rows = [json.loads(l) for l in truth_path.read_text().splitlines()]
     assert len(rows) == 8
     assert all(r["campaign"] == "t" for r in rows)
+
+
+def test_fleet_serve_truth_out_names_the_served_addresses(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_wait_for_interrupt", lambda: None)
+    spec = write_spec(tmp_path, MIXED, size=3, seed=3)
+    truth_path, addrs_path = tmp_path / "truth.jsonl", tmp_path / "addrs.txt"
+    code, _, _ = run_cli(
+        ["fleet", "--spec", spec, "--serve", "--truth-out", str(truth_path),
+         "--addresses-out", str(addrs_path)],
+        capsys,
+    )
+    assert code == 0
+    addresses = addrs_path.read_text().splitlines()
+    assert len(addresses) == 3 and all(a.startswith("127.0.0.1:") for a in addresses)
+    assert [json.loads(l)["address"] for l in truth_path.read_text().splitlines()] == addresses
 
 
 def test_fleet_serve_then_scan_pipeline(tmp_path):

@@ -20,8 +20,7 @@ from befs.client import (
     latency_bench,
 )
 from befs.fleetsim import (
-    AdversaryConfig,
-    AdversaryKind,
+    ActiveDropper,
     Archetype,
     FleetSpec,
     LatencyModel,
@@ -143,8 +142,7 @@ def test_befs_signaled_fallback_connects_against_nonfs_server():
 def test_signaled_fallback_is_refused_by_fs_capable_server_under_dropper():
     # the dropper suppresses the FS-only offer; the signaled retry then
     # reaches an FS-capable server, which refuses the marked downgrade
-    adv = AdversaryConfig(kind=AdversaryKind.ACTIVE_DROPPER)
-    with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F), adversary=adv) as h:
+    with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F), adversary=ActiveDropper) as h:
         out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.SIGNALED, timeout_s=0.05),
@@ -157,8 +155,7 @@ def test_signaled_fallback_is_refused_by_fs_capable_server_under_dropper():
 
 def test_silent_fallback_is_downgraded_by_dropper_unnoticed():
     # same attack without the signal: the retry quietly lands on non-FS
-    adv = AdversaryConfig(kind=AdversaryKind.ACTIVE_DROPPER)
-    with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F), adversary=adv) as h:
+    with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F), adversary=ActiveDropper) as h:
         out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.SILENT, timeout_s=0.05),
@@ -378,7 +375,7 @@ class FixedReply:
     def __init__(self, reply):
         self.reply = reply
 
-    def exchange(self, address, raw, timeout_s, client):
+    def exchange(self, address, raw, timeout_s):
         return self.reply
 
 
@@ -472,7 +469,7 @@ class SniRecorder(FixedReply):
         super().__init__(reply)
         self.seen = set()
 
-    def exchange(self, address, raw, timeout_s, client):
+    def exchange(self, address, raw, timeout_s):
         self.seen.add((address, wire.extract_sni(wire.decode_client_hello(raw))))
         return self.reply
 

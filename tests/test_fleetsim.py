@@ -1,26 +1,29 @@
 """Fleet generation, honest serving, adversary wrappers, transports."""
 
+import functools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from befs import wire
+from befs.client import FallbackStyle, PolicyConfig, PolicyMode, connect
 from befs.fleetsim import (
-    AdversaryConfig,
-    AdversaryKind,
+    ActiveDropper,
     Archetype,
     BindFailure,
+    DiscriminatoryServer,
     FleetSpec,
     GroundTruth,
     InvalidSpec,
     LatencyModel,
     MemoryHarness,
+    PassiveTap,
     SimServer,
     Transport,
-    apply_adversary,
     archetype_counts,
     expected_for_server,
     fleet_spec_from_dict,
@@ -32,12 +35,10 @@ from befs.fleetsim import (
     server_random,
     truth_records,
 )
-from befs.handshake import ClientIdentity, ConnectFailed, handshake_attempt
+from befs.handshake import AttemptKind, ConnectFailed, handshake_attempt
 from befs.negotiate import ServerPolicy
 from befs.suites import DEFAULT, FALLBACK_SIGNAL, FS_ONLY, REGISTRY, is_fs
 from befs.wire import TLS1_0, TLS1_1, TLS1_2
-
-CLIENT = ClientIdentity(tag="t")
 
 
 def make_ch_bytes(suites, version=TLS1_2):
@@ -157,7 +158,7 @@ def test_generation_is_deterministic():
 def _hellos(fleet, rounds=3):
     """Reply bytes of every server to `rounds` DEFAULT offers each, in a fixed order."""
     offer = make_ch_bytes(DEFAULT.suites)
-    return [server.respond(offer, CLIENT) for _ in range(rounds) for server in fleet]
+    return [server.respond(offer) for _ in range(rounds) for server in fleet]
 
 
 def test_server_hello_bytes_repeat_with_the_spec():
@@ -256,14 +257,14 @@ def test_policy_truth_matches_brute_force(seed):
 
 def test_default_offer_to_fs_preferring_yields_fs_suite():
     fleet = generate_fleet(spec_with(size=3, FS_PREFERRING=1.0))
-    reply = fleet[0].respond(make_ch_bytes(DEFAULT.suites), CLIENT)
+    reply = fleet[0].respond(make_ch_bytes(DEFAULT.suites))
     sh = wire.decode_server_hello(reply)
     assert is_fs(sh.selected_suite)
 
 
 def test_fs_offer_to_nonfs_server_yields_alert_40():
     server = make_server({0x002F}, (0x002F,), archetype=Archetype.NONFS_ONLY)
-    reply = server.respond(make_ch_bytes(FS_ONLY.suites), CLIENT)
+    reply = server.respond(make_ch_bytes(FS_ONLY.suites))
     alert = wire.decode_alert(reply)
     assert alert.level is wire.AlertLevel.FATAL
     assert alert.description == wire.HANDSHAKE_FAILURE
@@ -271,36 +272,36 @@ def test_fs_offer_to_nonfs_server_yields_alert_40():
 
 def test_malformed_ch_yields_decode_error_alert():
     server = make_server({0x002F}, (0x002F,))
-    alert = wire.decode_alert(server.respond(b"\x16\x03\x03\x00\x02\x01\x00", CLIENT))
+    alert = wire.decode_alert(server.respond(b"\x16\x03\x03\x00\x02\x01\x00"))
     assert alert.description == wire.DECODE_ERROR
 
 
 def test_unresponsive_server_stalls():
     server = make_server({0x002F}, (0x002F,), archetype=Archetype.UNRESPONSIVE)
-    assert server.respond(make_ch_bytes(DEFAULT.suites), CLIENT) is None
+    assert server.respond(make_ch_bytes(DEFAULT.suites)) is None
 
 
 def test_signal_honoring_fs_server_rejects_signaled_offer():
     server = make_server({0xC02F, 0x002F}, (0x002F, 0xC02F))
     signaled = make_ch_bytes(DEFAULT.suites + (FALLBACK_SIGNAL,))
-    alert = wire.decode_alert(server.respond(signaled, CLIENT))
+    alert = wire.decode_alert(server.respond(signaled))
     assert alert.description == wire.INAPPROPRIATE_FALLBACK
     # same offer without the signal is answered
-    sh = wire.decode_server_hello(server.respond(make_ch_bytes(DEFAULT.suites), CLIENT))
+    sh = wire.decode_server_hello(server.respond(make_ch_bytes(DEFAULT.suites)))
     assert sh.selected_suite == 0x002F
 
 
 def test_signal_ignored_when_server_lacks_fs_or_honor_flag():
     nonfs = make_server({0x002F}, (0x002F,), archetype=Archetype.NONFS_ONLY)
     signaled = make_ch_bytes(DEFAULT.suites + (FALLBACK_SIGNAL,))
-    assert wire.decode_server_hello(nonfs.respond(signaled, CLIENT)).selected_suite == 0x002F
+    assert wire.decode_server_hello(nonfs.respond(signaled)).selected_suite == 0x002F
     dishonoring = make_server({0xC02F, 0x002F}, (0x002F, 0xC02F), honors_fallback_signal=False)
-    assert wire.decode_server_hello(dishonoring.respond(signaled, CLIENT)).selected_suite == 0x002F
+    assert wire.decode_server_hello(dishonoring.respond(signaled)).selected_suite == 0x002F
 
 
 def test_version_negotiation_respects_client_max():
     server = make_server({0x002F}, (0x002F,), versions=frozenset({TLS1_0, TLS1_2}))
-    sh = wire.decode_server_hello(server.respond(make_ch_bytes((0x002F,), version=TLS1_1), CLIENT))
+    sh = wire.decode_server_hello(server.respond(make_ch_bytes((0x002F,), version=TLS1_1)))
     assert sh.negotiated_version == TLS1_0
 
 
@@ -315,10 +316,10 @@ def twin_servers(**kw):
 
 def test_passive_tap_forwards_unchanged_and_logs():
     plain, tapped_inner = twin_servers()
-    tap = apply_adversary(tapped_inner, AdversaryConfig(AdversaryKind.PASSIVE))
+    tap = PassiveTap(tapped_inner)
     raw = make_ch_bytes(DEFAULT.suites)
-    want = plain.respond(raw, CLIENT)
-    got = tap.respond(raw, CLIENT)
+    want = plain.respond(raw)
+    got = tap.respond(raw)
     assert got == want
     assert len(tap.transcript) == 1
     entry = tap.transcript[0]
@@ -327,12 +328,21 @@ def test_passive_tap_forwards_unchanged_and_logs():
 
 def test_dropper_drops_all_fs_offers_and_forwards_rest():
     plain, inner = twin_servers()
-    dropper = apply_adversary(inner, AdversaryConfig(AdversaryKind.ACTIVE_DROPPER))
-    assert dropper.respond(make_ch_bytes(FS_ONLY.suites), CLIENT) is None
-    assert dropper.respond(make_ch_bytes(FS_ONLY.suites), CLIENT) is None  # every one, not just the first
+    dropper = ActiveDropper(inner)
+    assert dropper.respond(make_ch_bytes(FS_ONLY.suites)) is None
+    assert dropper.respond(make_ch_bytes(FS_ONLY.suites)) is None  # every one, not just the first
     raw = make_ch_bytes(DEFAULT.suites)
-    assert dropper.respond(raw, CLIENT) == plain.respond(raw, CLIENT)
+    assert dropper.respond(raw) == plain.respond(raw)
     assert dropper.dropped == 2
+
+
+def test_targeted_dropper_forwards_other_clients_fs_offers():
+    plain, inner = twin_servers()
+    dropper = ActiveDropper(inner, targets=frozenset({fingerprint_of(FS_ONLY.suites)}))
+    assert dropper.respond(make_ch_bytes(FS_ONLY.suites)) is None
+    other = make_ch_bytes(FS_ONLY.suites[::-1])  # the same suites in another order
+    assert dropper.respond(other) == plain.respond(other)
+    assert dropper.dropped == 1
 
 
 def test_offer_is_all_fs_ignores_signal_marker():
@@ -342,41 +352,38 @@ def test_offer_is_all_fs_ignores_signal_marker():
     assert not offer_is_all_fs(ch)
 
 
-def weak_wrapped(target_tag="victim"):
+def fingerprint_of(suites):
+    return wire.fingerprint(wire.decode_client_hello(make_ch_bytes(suites)))
+
+
+def weak_wrapped(targets=None):
     _, inner = twin_servers()
-    cfg = AdversaryConfig(
-        AdversaryKind.DISCRIMINATORY_WEAK,
-        target_predicate=lambda c: c.tag == target_tag,
-    )
-    return apply_adversary(inner, cfg)
+    return DiscriminatoryServer(inner, targets=targets)
 
 
 def test_weak_discriminator_submits_to_fs_only_offer():
-    weak = weak_wrapped()
-    victim = ClientIdentity(tag="victim")
-    sh = wire.decode_server_hello(weak.respond(make_ch_bytes(FS_ONLY.suites), victim))
+    weak = weak_wrapped(targets=frozenset({fingerprint_of(FS_ONLY.suites)}))
+    sh = wire.decode_server_hello(weak.respond(make_ch_bytes(FS_ONLY.suites)))
     assert is_fs(sh.selected_suite)
 
 
 def test_weak_discriminator_steers_default_offer_to_non_fs():
     # inner twin prefers non-FS already; use an FS-preferring inner instead
     inner = make_server({0xC02F, 0x002F}, (0xC02F, 0x002F))
-    cfg = AdversaryConfig(AdversaryKind.DISCRIMINATORY_WEAK, target_predicate=lambda c: c.tag == "v")
-    weak = apply_adversary(inner, cfg)
-    victim = ClientIdentity(tag="v")
-    other = ClientIdentity(tag="w")
-    assert wire.decode_server_hello(weak.respond(make_ch_bytes(DEFAULT.suites), victim)).selected_suite == 0x002F
-    assert wire.decode_server_hello(weak.respond(make_ch_bytes(DEFAULT.suites), other)).selected_suite == 0xC02F
+    weak = DiscriminatoryServer(inner, targets=frozenset({fingerprint_of(DEFAULT.suites)}))
+    victim = make_ch_bytes(DEFAULT.suites)
+    other = make_ch_bytes(DEFAULT.suites[::-1])  # the same suites in another order
+    assert wire.decode_server_hello(weak.respond(victim)).selected_suite == 0x002F
+    assert wire.decode_server_hello(weak.respond(other)).selected_suite == 0xC02F
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=100)
 def test_weak_discriminator_is_observationally_honest(seed):
     rng = random.Random(seed)
-    weak = weak_wrapped(target_tag="v")
-    victim = ClientIdentity(tag="v")
+    weak = weak_wrapped()
     offer = tuple(rng.sample(sorted(REGISTRY), rng.randint(1, len(REGISTRY))))
-    reply = weak.respond(make_ch_bytes(offer), victim)
+    reply = weak.respond(make_ch_bytes(offer))
     try:
         sh = wire.decode_server_hello(reply)
     except wire.NotServerHello:
@@ -387,28 +394,66 @@ def test_weak_discriminator_is_observationally_honest(seed):
 
 def test_strong_discriminator_rejects_all_fs_offers():
     _, inner = twin_servers()
-    strong = apply_adversary(
-        inner, AdversaryConfig(AdversaryKind.DISCRIMINATORY_STRONG, target_predicate=lambda c: True)
-    )
-    alert = wire.decode_alert(strong.respond(make_ch_bytes(FS_ONLY.suites), CLIENT))
+    strong = DiscriminatoryServer(inner, strong=True)
+    alert = wire.decode_alert(strong.respond(make_ch_bytes(FS_ONLY.suites)))
     assert alert.description == wire.HANDSHAKE_FAILURE
-    sh = wire.decode_server_hello(strong.respond(make_ch_bytes(DEFAULT.suites), CLIENT))
+    sh = wire.decode_server_hello(strong.respond(make_ch_bytes(DEFAULT.suites)))
     assert not is_fs(sh.selected_suite)
+
+
+def test_strong_discriminator_answers_untargeted_fs_offers_honestly():
+    plain, inner = twin_servers()
+    strong = DiscriminatoryServer(inner, strong=True, targets=frozenset({"771,47,,,"}))
+    raw = make_ch_bytes(FS_ONLY.suites)
+    assert strong.respond(raw) == plain.respond(raw)
+
+
+def test_discriminators_answer_undecodable_hellos_with_decode_error():
+    _, inner = twin_servers()
+    for targets in (None, frozenset({"771,47,,,"})):
+        strong = DiscriminatoryServer(inner, strong=True, targets=targets)
+        alert = wire.decode_alert(strong.respond(b"\x16\x03\x03\x00\x02\x01\x00"))
+        assert alert.description == wire.DECODE_ERROR
 
 
 def test_discriminators_ignore_fallback_signal():
     inner = make_server({0xC02F, 0x002F}, (0xC02F, 0x002F))
-    strong = apply_adversary(
-        inner, AdversaryConfig(AdversaryKind.DISCRIMINATORY_STRONG, target_predicate=lambda c: True)
-    )
+    strong = DiscriminatoryServer(inner, strong=True)
     signaled = make_ch_bytes(DEFAULT.suites + (FALLBACK_SIGNAL,))
-    sh = wire.decode_server_hello(strong.respond(signaled, CLIENT))
+    sh = wire.decode_server_hello(strong.respond(signaled))
     assert not is_fs(sh.selected_suite)
 
 
-def test_apply_adversary_none_is_identity():
-    server, _ = twin_servers()
-    assert apply_adversary(server, None) is server
+@pytest.mark.parametrize("transport", list(Transport))
+def test_serve_wraps_each_server_in_the_adversary(transport):
+    fleet = generate_fleet(spec_with(size=2, FS_PREFERRING=1.0))
+    with serve(fleet, transport) as h:
+        assert [h.endpoints[a] for a in h.addresses] == fleet
+    with serve(fleet, transport, adversary=PassiveTap) as h:
+        taps = [h.endpoints[a] for a in h.addresses]
+        assert all(isinstance(t, PassiveTap) for t in taps)
+        assert [t.inner for t in taps] == fleet
+
+
+def _strong_discriminator_outcomes(transport):
+    """BEFS silent connects through a strong discriminator that targets BEFS's first rung."""
+    fleet = generate_fleet(FleetSpec(size=30, seed=43, mix={Archetype.FS_SUPPORTING_NONFS_PREFERRING: 1.0}))
+    befs_first_rung = fingerprint_of(FS_ONLY.suites)
+    adversary = functools.partial(DiscriminatoryServer, strong=True, targets=frozenset({befs_first_rung}))
+    cfg = PolicyConfig(PolicyMode.BEFS, FallbackStyle.SILENT, timeout_s=2.0)
+    with serve(fleet, transport, adversary=adversary) as h:
+        outs = [connect(a, cfg, connector=h.connector()) for a in h.addresses]
+    return [(o.status, o.suite, o.fs, o.fallback_depth, tuple(a.kind for a in o.attempts))
+            for o in outs]
+
+
+def test_targeted_discriminator_acts_alike_on_both_transports():
+    memory = _strong_discriminator_outcomes(Transport.IN_MEMORY)
+    sockets = _strong_discriminator_outcomes(Transport.LOOPBACK_SOCKET)
+    assert memory == sockets
+    assert len(memory) == 30
+    assert all(fs is False and kinds == (AttemptKind.REJECTED, AttemptKind.SELECTED)
+               for _, _, fs, _, kinds in memory)
 
 
 # -- transports --------------------------------------------------------------
@@ -420,7 +465,7 @@ def test_memory_transport_roundtrip_and_unknown_address():
         res = handshake_attempt(h.connector(), h.addresses[0], DEFAULT.suites, 0.5)
         assert res.selected and is_fs(res.suite)
         with pytest.raises(ConnectFailed):
-            h.connector().exchange("nowhere", b"x", 0.5, CLIENT)
+            h.connector().exchange("nowhere", b"x", 0.5)
 
 
 def test_memory_transport_times_out_on_stall():
@@ -459,6 +504,20 @@ def test_socket_transport_serves_alerts_and_stalls():
         stalled = next(s for s in fleet if s.archetype is Archetype.UNRESPONSIVE)
         res = handshake_attempt(h.connector(), stalled.address, DEFAULT.suites, 0.2)
         assert res.kind.value == "TIMEOUT"
+
+
+def test_socket_loop_survives_a_reply_due_past_the_platform_clock():
+    # a finite latency too large for select's timeout: the reply never comes
+    fleet = generate_fleet(spec_with(size=1, FS_PREFERRING=1.0))
+    with serve(fleet, Transport.LOOPBACK_SOCKET, latency=LatencyModel(base_ms=1e300)) as h:
+        for _ in range(2):
+            res = handshake_attempt(h.connector(), h.addresses[0], DEFAULT.suites, 0.2)
+            assert res.kind is AttemptKind.TIMEOUT
+        assert h._thread.is_alive()
+        start = time.perf_counter()
+        h.stop()
+        assert time.perf_counter() - start < 2.0
+        assert not h._thread.is_alive()
 
 
 def test_truth_records_shape():

@@ -232,7 +232,7 @@ class CountingConnector:
     def calls(self):
         return sum(self.per_address.values())
 
-    def exchange(self, address, raw, timeout_s, client):
+    def exchange(self, address, raw, timeout_s):
         thread = threading.current_thread()
         with self.lock:
             self.per_address[address] += 1
@@ -242,7 +242,7 @@ class CountingConnector:
         time.sleep(self.delay_s)
         if self.inner is None:
             raise TimeoutError("no answer")
-        return self.inner.exchange(address, raw, timeout_s, client)
+        return self.inner.exchange(address, raw, timeout_s)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -365,6 +365,21 @@ def test_inspect_one_no_fs_support():
     assert rec.h3 is None
 
 
+class OfferIgnoringServer:
+    """Answers every ClientHello with a ServerHello for 0x002F, whatever it offered."""
+
+    def exchange(self, address, raw, timeout_s):
+        return wire.encode_server_hello(wire.ServerHelloSummary(wire.TLS1_2, 0x002F))
+
+
+def test_inspect_one_offer_ignoring_server_fails_h2_as_a_protocol_error():
+    rec = inspect_one("srv-0", 0.5, connector=OfferIgnoringServer())
+    assert rec.h1.attempt.kind is AttemptKind.SELECTED
+    assert rec.h2.attempt.kind is AttemptKind.PROTOCOL_ERROR
+    assert rec.h3 is None
+    assert rec.classification is Classification.STABLE_NO_FS_SUPPORT
+
+
 def test_inspect_one_timeout_classification():
     fleet = generate_fleet(FleetSpec(size=1, seed=1, mix={Archetype.UNRESPONSIVE: 1.0}))
     with serve(fleet, Transport.IN_MEMORY) as h:
@@ -444,7 +459,7 @@ class SniRecorder:
     def __init__(self):
         self.seen = []
 
-    def exchange(self, address, raw, timeout_s, client):
+    def exchange(self, address, raw, timeout_s):
         self.seen.append(wire.extract_sni(wire.decode_client_hello(raw)))
         raise TimeoutError("recorded")
 

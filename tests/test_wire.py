@@ -125,6 +125,13 @@ def test_sni_encoding_matches_golden_capture():
     assert wire.sni_extension("example.com") == (0x0000, golden_sni)
 
 
+def test_fingerprint_is_the_unhashed_ja3_string():
+    suites = (0xC02F, 0x002F)
+    assert wire.fingerprint(ClientHelloMsg(TLS1_2, bytes(32), suites)) == "771,49199-47,,,"
+    named = wire.ClientHelloTemplate(TLS1_1, suites).encode(bytes(32), b"a.example")
+    assert wire.fingerprint(decode_client_hello(named)) == "770,49199-47,0,,"
+
+
 def test_extract_sni_absent_returns_none():
     assert wire.extract_sni(make_ch()) is None
 
@@ -239,7 +246,7 @@ class RecordingConnector:
     def __init__(self):
         self.sent = []
 
-    def exchange(self, address, raw, timeout_s, client):
+    def exchange(self, address, raw, timeout_s):
         self.sent.append(raw)
         raise ConnectFailed("recording only")
 
