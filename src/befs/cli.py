@@ -139,17 +139,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_scan = sub.add_parser("scan", help="one default-offer handshake per address")
-    _add_source_options(p_scan)
-    _add_handshake_options(p_scan)
-    _add_store_options(p_scan)
-
-    p_inspect = sub.add_parser(
-        "inspect", help="scan, then run the three-step inspection on non-FS selectors"
-    )
-    _add_source_options(p_inspect)
-    _add_handshake_options(p_inspect)
-    _add_store_options(p_inspect)
+    for name, text in (
+        ("scan", "one default-offer handshake per address"),
+        ("inspect", "scan each address and, if it selected a non-FS suite, run the three-step "
+         "inspection on it at once; records are stored as each address finishes"),
+    ):
+        p_measure = sub.add_parser(name, help=text)
+        _add_source_options(p_measure)
+        _add_handshake_options(p_measure)
+        _add_store_options(p_measure)
 
     p_connect = sub.add_parser("connect", help="single policy-driven connection over TCP")
     p_connect.add_argument("address", help="host[:port], port defaults to 443")
@@ -209,64 +207,42 @@ def _store_for(args):
     return RecordStore(args.store) if getattr(args, "store", None) else nullcontext()
 
 
-def cmd_scan(args) -> int:
-    with _targets(args) as (addresses, connector):
-        records = scan(
-            addresses,
-            timeout_s=args.timeout,
-            concurrency=args.concurrency,
-            connector=connector,
-            sni=args.sni == "on",
-            seed=args.seed,
-            rate_limit=args.rate_limit,
-        )
-    responded = 0
-    with _store_for(args) as store:
-        for rec in records:
-            data = scan_record_to_dict(rec, campaign=args.campaign)
-            if store:
-                store.append(data)
-            _emit(data)
-            responded += rec.selected_suite is not None
-    _note("scan: %d addresses, %d responded" % (len(records), responded))
-    return 0
+def cmd_measure(args) -> int:
+    """``befs scan`` and ``befs inspect``: store and emit each address's records as it finishes.
 
-
-def cmd_inspect(args) -> int:
-    with _targets(args) as (addresses, connector):
-        scanned = scan(
-            addresses,
-            timeout_s=args.timeout,
-            concurrency=args.concurrency,
-            connector=connector,
-            sni=args.sni == "on",
-            seed=args.seed,
-            rate_limit=args.rate_limit,
-        )
-        inspections = inspect_all(
-            scanned,
-            args.timeout,
-            args.concurrency,
-            connector=connector,
-            sni=args.sni == "on",
-            seed=args.seed,
-            rate_limit=args.rate_limit,
-        )
+    An address's inspection record is appended before its scan record, so
+    a stored scan record means every record of that address is stored.
+    """
+    inspecting = args.command == "inspect"
+    scanned = responded = 0
     histogram: dict[str, int] = {}
-    with _store_for(args) as store:
-        for rec in scanned:
-            data = scan_record_to_dict(rec, campaign=args.campaign)
+    with _targets(args) as (addresses, connector), _store_for(args) as store:
+
+        def keep(data: dict, show: bool) -> None:
             if store:
                 store.append(data)
-        for rec in inspections:
-            data = inspection_record_to_dict(rec, campaign=args.campaign)
-            if store:
-                store.append(data)
-            _emit(data)
-            histogram[rec.classification.name] = histogram.get(rec.classification.name, 0) + 1
-    _note(
-        "inspect: %d scanned, %d inspected" % (len(scanned), len(inspections))
-    )
+            if show:
+                _emit(data)
+
+        def on_address(pair) -> None:
+            nonlocal scanned, responded
+            scan_rec, inspection = pair
+            if inspection is not None:
+                keep(inspection_record_to_dict(inspection, campaign=args.campaign), True)
+                name = inspection.classification.name
+                histogram[name] = histogram.get(name, 0) + 1
+            keep(scan_record_to_dict(scan_rec, campaign=args.campaign), not inspecting)
+            scanned += 1
+            responded += scan_rec.selected_suite is not None
+
+        measure = inspect_all if inspecting else scan
+        on_result = on_address if inspecting else lambda rec: on_address((rec, None))
+        measure(addresses, on_result, args.timeout, args.concurrency, connector=connector,
+                sni=args.sni == "on", seed=args.seed, rate_limit=args.rate_limit)
+    if not inspecting:
+        _note("scan: %d addresses, %d responded" % (scanned, responded))
+        return 0
+    _note("inspect: %d scanned, %d inspected" % (scanned, sum(histogram.values())))
     for name in sorted(histogram):
         _note("  %-40s %d" % (name, histogram[name]))
     return 0
@@ -403,8 +379,8 @@ def cmd_report(args) -> int:
 
 
 _COMMANDS = {
-    "scan": cmd_scan,
-    "inspect": cmd_inspect,
+    "scan": cmd_measure,
+    "inspect": cmd_measure,
     "connect": cmd_connect,
     "bench": cmd_bench,
     "fleet": cmd_fleet,

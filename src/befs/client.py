@@ -236,48 +236,36 @@ def latency_bench(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    walls: dict[PolicyMode, list[float]] = {m: [] for m in BENCH_MODES}
-    attempts: dict[PolicyMode, list[int]] = {m: [] for m in BENCH_MODES}
+    kept: dict[PolicyMode, list[tuple[float, int]]] = {m: [] for m in BENCH_MODES}
     excluded: list[str] = []
-    responders = 0
     for address in addresses:
-        local_walls: dict[PolicyMode, list[float]] = {m: [] for m in BENCH_MODES}
-        local_attempts: dict[PolicyMode, list[int]] = {m: [] for m in BENCH_MODES}
-        ok = True
-        for _ in range(repetitions):
-            for mode in BENCH_MODES:
-                cfg = PolicyConfig(mode=mode, timeout_s=timeout_s)
-                start = time.perf_counter()
-                outcome = connect(address, cfg, connector=connector, sni=sni, seed=seed)
-                wall = time.perf_counter() - start
-                if not outcome.connected:
-                    ok = False
-                    break
-                local_walls[mode].append(wall)
-                local_attempts[mode].append(outcome.handshake_attempts)
-            if not ok:
+        samples = []  # (mode, wall, attempts) of this address
+        for mode in BENCH_MODES * repetitions:
+            cfg = PolicyConfig(mode=mode, timeout_s=timeout_s)
+            start = time.perf_counter()
+            outcome = connect(address, cfg, connector=connector, sni=sni, seed=seed)
+            wall = time.perf_counter() - start
+            if not outcome.connected:
+                excluded.append(address)
                 break
-        if not ok:
-            excluded.append(address)
-            continue
-        responders += 1
-        for mode in BENCH_MODES:
-            walls[mode].extend(local_walls[mode])
-            attempts[mode].extend(local_attempts[mode])
+            samples.append((mode, wall, outcome.handshake_attempts))
+        else:
+            for mode, wall, attempts in samples:
+                kept[mode].append((wall, attempts))
     per_mode = {}
-    for mode in BENCH_MODES:
-        ws = walls[mode]
-        if ws:
+    for mode, pairs in kept.items():
+        if pairs:
+            walls = [wall for wall, _ in pairs]
             per_mode[mode] = ModeStats(
-                max_s=max(ws),
-                min_s=min(ws),
-                avg_s=sum(ws) / len(ws),
-                attempts_avg=sum(attempts[mode]) / len(attempts[mode]),
-                samples=len(ws),
+                max_s=max(walls),
+                min_s=min(walls),
+                avg_s=sum(walls) / len(walls),
+                attempts_avg=sum(attempts for _, attempts in pairs) / len(pairs),
+                samples=len(pairs),
             )
     return BenchReport(
         per_mode=per_mode,
         repetitions=repetitions,
-        responders=responders,
+        responders=len(addresses) - len(excluded),
         excluded=tuple(excluded),
     )

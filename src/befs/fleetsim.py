@@ -779,6 +779,9 @@ class SocketHarness(Harness):
         if conn in self._conns:
             del self._conns[conn]
             self.gauge.leave()
+            # a reply still scheduled has no one left to read it
+            self._pending = [entry for entry in self._pending if entry[2] is not conn]
+            heapq.heapify(self._pending)
         try:
             self._sel.unregister(conn)
         except (KeyError, ValueError):
@@ -807,8 +810,6 @@ class SocketHarness(Harness):
             now = time.perf_counter()
             while self._pending and self._pending[0][0] <= now:
                 _, _, conn, payload = heapq.heappop(self._pending)
-                if conn not in self._conns:
-                    continue
                 try:
                     conn.sendall(payload)
                 except OSError:

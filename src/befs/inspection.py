@@ -1,22 +1,24 @@
-"""Two-phase measurement: a wide scan, then per-server heuristic inspection.
+"""Measurement, one task per address: a scan, then heuristic inspection.
 
-The scan sends the default offer once per address and records what each
-server selects.  Servers that answered with a non-FS suite are then
-inspected with up to three fresh handshakes (default offer, FS-only
-offer, FS+AE-only offer); the pattern of selections and failures
+The scan sends the default offer once and records what the server
+selects. A server that answered with a non-FS suite is then inspected,
+in the same task, with up to three fresh handshakes (default offer,
+FS-only offer, FS+AE-only offer); the pattern of selections and failures
 classifies whether the server merely supports forward secrecy or
 actually picks it, and whether guiding it to FS costs authenticated
-encryption.
+encryption. Each address's records are handed on as soon as it and every
+address before it are done, so a caller can store them while the run goes on.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .handshake import AttemptKind, AttemptResult, Connector, handshake_attempt
 from .suites import DEFAULT, FS_AE_ONLY, FS_ONLY, OfferProfile, ProfileKind, is_ae, is_fs
@@ -137,35 +139,62 @@ class RateLimiter:
             time.sleep(wait)
 
 
-def _run_bounded(fn: Callable, items: Sequence, concurrency: int) -> list:
-    """``fn(item)`` for every item, at most ``concurrency`` at once, in input order.
+_WINDOW_PER_WORKER = 4  # finished results the engine may hold, per worker
+_END = object()  # what a worker takes once the items run out
 
-    The calling thread is one of the workers and ``concurrency - 1`` helper
-    threads are the rest, so a concurrency of 1 starts no thread. Workers
-    take the next index under a lock and write the result into that
-    index's slot. The first exception, an interrupt included, stops every
-    worker from taking a new item; it is raised here once the helpers have
-    finished the items they hold and been joined.
+
+def _run_bounded(fn: Callable, items: Iterable, emit: Callable, concurrency: int) -> None:
+    """``emit(fn(item))`` for every item in input order, ``fn`` at most ``concurrency`` at once.
+
+    The calling thread is one of the workers and up to ``concurrency - 1``
+    helper threads are the rest, so a concurrency of 1 starts no thread.
+    Workers take the next item under a lock; whoever finishes the oldest
+    pending item emits, under the lock, every result that is now in order.
+    No worker takes an item ``_WINDOW_PER_WORKER * concurrency`` or more
+    places past the oldest pending one: that bounds the results held, and
+    makes one slow item stall the rest once the window behind it is full.
+    The first exception, an interrupt included, stops every worker from
+    taking a new item; it is raised here once the helpers have finished
+    the items they hold and been joined, so what was emitted is a prefix.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
-    results = [None] * len(items)
-    indices = iter(range(len(items)))
-    lock = threading.Lock()
+    source = iter(items)
+    first = list(itertools.islice(source, concurrency))
+    if not first:
+        raise ValueError("addresses must be non-empty")
+    source = itertools.chain(first, source)
+    window = _WINDOW_PER_WORKER * concurrency
+    cond = threading.Condition(threading.Lock())
+    finished: dict[int, object] = {}  # index -> result, not yet emitted
     errors: list[BaseException] = []
+    taken = emitted = 0
 
     def work() -> None:
+        nonlocal taken, emitted
         try:
             while True:
-                with lock:
-                    i = None if errors else next(indices, None)
-                if i is None:
-                    return
-                results[i] = fn(items[i])
+                with cond:
+                    while not errors and taken - emitted >= window:
+                        cond.wait()
+                    item = _END if errors else next(source, _END)
+                    if item is _END:
+                        return
+                    index = taken
+                    taken += 1
+                result = fn(item)
+                with cond:
+                    finished[index] = result
+                    while emitted in finished:
+                        emit(finished.pop(emitted))
+                        emitted += 1
+                    cond.notify_all()
         except BaseException as exc:  # re-raised in the caller below
-            errors.append(exc)
+            with cond:
+                errors.append(exc)
+                cond.notify_all()
 
-    helpers = [threading.Thread(target=work) for _ in range(min(concurrency, len(items)) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(len(first) - 1)]
     for thread in helpers:
         thread.start()
     try:
@@ -175,7 +204,6 @@ def _run_bounded(fn: Callable, items: Sequence, concurrency: int) -> list:
             thread.join()
     if errors:
         raise errors[0]
-    return results
 
 
 def _attempt_profile(
@@ -223,7 +251,8 @@ def scan_one(
 
 
 def scan(
-    addresses: Sequence[str],
+    addresses: Iterable[str],
+    emit: Callable[[ScanRecord], None],
     timeout_s: float = 5.0,
     concurrency: int = 50,
     *,
@@ -231,15 +260,13 @@ def scan(
     sni: bool = True,
     seed: int = 0,
     rate_limit: Optional[float] = None,
-) -> list[ScanRecord]:
-    """One default-offer handshake per address, concurrency-bounded."""
-    if not addresses:
-        raise ValueError("addresses must be non-empty")
+) -> None:
+    """One default-offer handshake per address; ``emit`` gets each record in input order."""
     limiter = RateLimiter(rate_limit) if rate_limit else None
     one = functools.partial(
         scan_one, timeout_s=timeout_s, connector=connector, sni=sni, seed=seed, limiter=limiter
     )
-    return _run_bounded(one, addresses, concurrency)
+    _run_bounded(one, addresses, emit, concurrency)
 
 
 def inspect_one(
@@ -282,8 +309,18 @@ def needs_inspection(record: ScanRecord) -> bool:
     return record.result is ScanResultKind.RESPONDED and not is_fs(record.selected_suite)
 
 
+def _scan_then_inspect(
+    address: str, timeout_s: float, **options
+) -> tuple[ScanRecord, Optional[InspectionRecord]]:
+    scanned = scan_one(address, timeout_s, **options)
+    if not needs_inspection(scanned):
+        return scanned, None
+    return scanned, inspect_one(address, timeout_s, scanned_at=scanned.timestamp, **options)
+
+
 def inspect_all(
-    scan_output: Iterable[ScanRecord],
+    addresses: Iterable[str],
+    emit: Callable[[tuple[ScanRecord, Optional[InspectionRecord]]], None],
     timeout_s: float = 5.0,
     concurrency: int = 50,
     *,
@@ -291,20 +328,14 @@ def inspect_all(
     sni: bool = True,
     seed: int = 0,
     rate_limit: Optional[float] = None,
-) -> list[InspectionRecord]:
-    """Inspect every scanned server that selected a non-FS suite."""
-    targets = [r for r in scan_output if needs_inspection(r)]
+) -> None:
+    """Scan each address and inspect it if it selected a non-FS suite, one task per address.
+
+    ``emit`` gets ``(scan record, inspection record or None)`` in input order.
+    """
     limiter = RateLimiter(rate_limit) if rate_limit else None
-
-    def one(r: ScanRecord) -> InspectionRecord:
-        return inspect_one(
-            r.address,
-            timeout_s,
-            connector=connector,
-            sni=sni,
-            seed=seed,
-            limiter=limiter,
-            scanned_at=r.timestamp,
-        )
-
-    return _run_bounded(one, targets, concurrency)
+    one = functools.partial(
+        _scan_then_inspect,
+        timeout_s=timeout_s, connector=connector, sni=sni, seed=seed, limiter=limiter,
+    )
+    _run_bounded(one, addresses, emit, concurrency)

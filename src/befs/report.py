@@ -237,7 +237,7 @@ class RecordStore:
     def append(self, record: Mapping) -> None:
         if not _is_schema_version(record.get("v")) or "kind" not in record:
             raise SchemaMismatch("record has no v=%d/kind envelope" % SCHEMA_VERSION)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        line = _encode_line(record)
         with self._write_lock:
             try:
                 if self._fh is None:
@@ -292,6 +292,8 @@ LOAD_BLOCK_BYTES = 64 * 1024
 # The C scanner behind json.loads, called at a line's offset in a decoded
 # block: it skips json.loads' wrapper and the per-line string slice.
 _scan_value = json.JSONDecoder().scan_once
+# The encoder that json.dumps with these options would build for every line.
+_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class _BlockLoader:

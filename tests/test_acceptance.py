@@ -43,7 +43,6 @@ from befs.inspection import (
     Classification,
     ScanResultKind,
     inspect_all,
-    scan,
 )
 from befs.negotiate import SelectionRule, ServerPolicy, select
 from befs.report import FS_NONAE_PICK_CLASSES, FS_SUPPORT_CLASSES, aggregate
@@ -198,12 +197,10 @@ def test_criterion_3_classification_fidelity():
 
     with serve(fleet, Transport.IN_MEMORY) as harness:
         by_address = {s.address: s for s in fleet}
-        records = scan(
-            harness.addresses, timeout_s=0.2, concurrency=50, connector=harness.connector()
-        )
-        inspections = inspect_all(
-            records, 0.2, 50, connector=harness.connector()
-        )
+        pairs = []
+        inspect_all(harness.addresses, pairs.append, 0.2, 50, connector=harness.connector())
+    records = [scanned for scanned, _ in pairs]
+    inspections = [found for _, found in pairs if found is not None]
 
     # scan phase must agree with the selection oracle server by server
     for record in records:
@@ -493,11 +490,11 @@ def _run_1000(seed: int):
     fleet = generate_fleet(spec)
     with serve(fleet, Transport.LOOPBACK_SOCKET) as harness:
         id_of = {address: server_id for server_id, address in harness.address_of.items()}
-        records = scan(
-            harness.addresses, timeout_s=5.0, concurrency=50, connector=harness.connector()
-        )
-        inspections = inspect_all(records, 5.0, 50, connector=harness.connector())
+        pairs = []
+        inspect_all(harness.addresses, pairs.append, 5.0, 50, connector=harness.connector())
         peak = harness.max_in_flight
+    records = [scanned for scanned, _ in pairs]
+    inspections = [found for _, found in pairs if found is not None]
     scan_by_id = {id_of[r.address]: (r.result, r.selected_suite) for r in records}
     class_by_id = {id_of[r.address]: (r.classification, r.lose_ae) for r in inspections}
     return records, scan_by_id, class_by_id, peak

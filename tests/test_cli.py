@@ -11,11 +11,11 @@ import pytest
 
 from befs import cli
 from befs.cli import main
-from befs.fleetsim import Archetype, FleetSpec, Transport, generate_fleet, serve
+from befs.fleetsim import Archetype, FleetSpec, Transport, generate_fleet, load_fleet_spec, serve
 from befs.handshake import AttemptKind, AttemptResult
 from befs.inspection import Classification, InspectionRecord, ScanRecord, ScanResultKind, StepResult
 from befs.report import RecordStore, inspection_record_to_dict, scan_record_to_dict
-from befs.suites import ProfileKind
+from befs.suites import ProfileKind, is_fs
 
 
 def write_spec(tmp_path, mix, size=8, seed=3, name="fleet.json", **extra):
@@ -73,6 +73,49 @@ def test_inspect_writes_store_and_histogram(tmp_path, capsys):
     assert kinds == {"scan", "inspection"}
     assert sum(r["kind"] == "scan" for r in loaded.records) == 8
     assert "inspected" in err
+
+
+def test_a_killed_inspect_leaves_a_store_of_whole_addresses(tmp_path, capsys):
+    """SIGKILL mid-run: the store holds whole addresses, a prefix of the input."""
+    mix = {"FS_SUPPORTING_NONFS_PREFERRING": 0.3, "NONFS_ONLY": 0.2, "FS_NONAE_ONLY": 0.25,
+           "UNRESPONSIVE": 0.25}
+    spec = write_spec(tmp_path, mix, size=400, seed=9, latency={"base_ms": 2})
+    store_path = tmp_path / "records.jsonl"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "befs.cli", "inspect", "--fleet-spec", spec,
+         "--transport", "memory", "--timeout", "0.05", "--concurrency", "4",
+         "--store", str(store_path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+    )
+    try:
+        deadline = time.time() + 30
+        while time.time() < deadline and proc.poll() is None:
+            if store_path.exists() and store_path.read_bytes().count(b"\n") >= 20:
+                break
+            time.sleep(0.005)
+        assert proc.poll() is None, "the run ended before it could be killed"
+        proc.kill()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=10)
+    assert proc.returncode == -signal.SIGKILL
+
+    loaded = RecordStore(store_path).load()
+    assert loaded.errors == []
+    scans = [r for r in loaded.records if r["kind"] == "scan"]
+    inspected = {r["address"] for r in loaded.records if r["kind"] == "inspection"}
+    with serve(generate_fleet(load_fleet_spec(spec)), Transport.IN_MEMORY) as h:
+        served = h.addresses
+    assert len(scans) < len(served)
+    assert [r["address"] for r in scans] == served[: len(scans)]
+    non_fs = [r["address"] for r in scans
+              if r["result"] == "RESPONDED" and not is_fs(r["selected_suite"])]
+    assert non_fs and set(non_fs) <= inspected
+    code, _, _ = run_cli(["report", "--store", str(store_path)], capsys)
+    assert code == 0
 
 
 def test_scan_missing_input_file_fails_cleanly(tmp_path, capsys):

@@ -520,6 +520,21 @@ def test_socket_loop_survives_a_reply_due_past_the_platform_clock():
         assert not h._thread.is_alive()
 
 
+def test_socket_loop_forgets_the_reply_of_a_client_that_left():
+    # every reply is due long after the client gave up and closed
+    fleet = generate_fleet(spec_with(size=1, FS_PREFERRING=1.0))
+    with serve(fleet, Transport.LOOPBACK_SOCKET, latency=LatencyModel(base_ms=1e300)) as h:
+        for _ in range(5):
+            res = handshake_attempt(h.connector(), h.addresses[0], DEFAULT.suites, 0.1)
+            assert res.kind is AttemptKind.TIMEOUT
+        deadline = time.perf_counter() + 5.0
+        while h._conns and time.perf_counter() < deadline:
+            time.sleep(0.01)
+        assert not h._conns
+        h.stop()  # joins the loop thread, so what it left is final
+        assert len(h._pending) == 0
+
+
 def test_truth_records_shape():
     fleet = generate_fleet(spec_with(size=6, FS_PREFERRING=0.5, NONFS_ONLY=0.5))
     recs = truth_records(fleet, campaign="c1")

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from befs import wire
+from befs import inspection, wire
 from befs.fleetsim import (
     Archetype,
     FleetSpec,
@@ -156,8 +156,9 @@ def test_scan_counts_over_known_fleet():
         size=4, seed=2, mix={Archetype.NONFS_ONLY: 0.25, Archetype.FS_PREFERRING: 0.75}
     )
     fleet = generate_fleet(spec)
+    records = []
     with serve(fleet, Transport.IN_MEMORY) as h:
-        records = scan(h.addresses, timeout_s=0.5, concurrency=4, connector=h.connector())
+        scan(h.addresses, records.append, timeout_s=0.5, concurrency=4, connector=h.connector())
     assert len(records) == 4
     assert all(r.result is ScanResultKind.RESPONDED for r in records)
     non_fs = [r for r in records if needs_inspection(r)]
@@ -176,54 +177,51 @@ def test_scan_requires_addresses_and_concurrency():
     fleet = generate_fleet(FleetSpec(size=1, seed=1, mix={Archetype.NONFS_ONLY: 1.0}))
     with serve(fleet, Transport.IN_MEMORY) as h:
         with pytest.raises(ValueError):
-            scan([], connector=h.connector())
+            scan([], [].append, connector=h.connector())
         with pytest.raises(ValueError):
-            scan(h.addresses, concurrency=0, connector=h.connector())
+            scan(h.addresses, [].append, concurrency=0, connector=h.connector())
 
 
 @pytest.mark.parametrize("concurrency", [0, -5])
 @pytest.mark.parametrize("entry", ["scan", "inspect_all"])
 def test_concurrency_below_one_raises_before_any_work(entry, concurrency):
     connector = CountingConnector()
-    nonfs = ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, wire.TLS1_2)
-    calls = {
-        "scan": [lambda: scan(["srv-0000", "srv-0001"], 0.01, concurrency,
-                              connector=connector)],
-        "inspect_all": [
-            lambda: inspect_all([nonfs], 0.01, concurrency, connector=connector),
-            lambda: inspect_all([], 0.01, concurrency, connector=connector),
-        ],
-    }[entry]
-    for call in calls:
+    emitted = []
+    run = {"scan": scan, "inspect_all": inspect_all}[entry]
+    for addresses in (["srv-0000", "srv-0001"], []):
         with pytest.raises(ValueError, match="concurrency must be >= 1"):
-            call()
+            run(addresses, emitted.append, 0.01, concurrency, connector=connector)
     assert connector.calls == 0
+    assert emitted == []
 
 
 def test_scan_one_record_per_address_in_input_order():
     fleet = generate_fleet(
         FleetSpec(size=30, seed=8, mix={Archetype.NONFS_ONLY: 0.5, Archetype.FS_PREFERRING: 0.5})
     )
+    records = []
     with serve(fleet, Transport.IN_MEMORY) as h:
-        records = scan(h.addresses, timeout_s=0.5, concurrency=10, connector=h.connector())
+        scan(h.addresses, records.append, timeout_s=0.5, concurrency=10, connector=h.connector())
     assert [r.address for r in records] == h.addresses
 
 
 def test_concurrency_bound_is_respected_under_load():
     fleet = generate_fleet(FleetSpec(size=30, seed=4, mix={Archetype.FS_PREFERRING: 1.0}))
     with serve(fleet, Transport.IN_MEMORY, latency=LatencyModel(base_ms=20)) as h:
-        scan(h.addresses, timeout_s=1.0, concurrency=5, connector=h.connector())
+        scan(h.addresses, [].append, timeout_s=1.0, concurrency=5, connector=h.connector())
         assert 1 < h.max_in_flight <= 5
 
 
 class CountingConnector:
     """Wraps a connector; counts exchanges per address and notes each thread."""
 
-    def __init__(self, inner=None, raise_if=None, delay_s=0.0, error=RuntimeError):
+    def __init__(self, inner=None, raise_if=None, delay_s=0.0, error=RuntimeError,
+                 delay_if=lambda address: True):
         self.inner = inner
         self.raise_if = raise_if  # (address, thread) -> bool
         self.error = error
         self.delay_s = delay_s
+        self.delay_if = delay_if
         self.lock = threading.Lock()
         self.per_address = collections.Counter()
         self.threads = set()
@@ -239,7 +237,8 @@ class CountingConnector:
             self.threads.add(thread)
         if self.raise_if is not None and self.raise_if(address, thread):
             raise self.error("connector broke on %s" % address)
-        time.sleep(self.delay_s)
+        if self.delay_if(address):
+            time.sleep(self.delay_s)
         if self.inner is None:
             raise TimeoutError("no answer")
         return self.inner.exchange(address, raw, timeout_s)
@@ -251,9 +250,11 @@ def test_scan_error_stops_new_work(error):
     connector = CountingConnector(
         raise_if=lambda address, _: address == addresses[0], error=error
     )
+    emitted = []
     with pytest.raises(error, match="srv-0000"):
-        scan(addresses, timeout_s=0.01, concurrency=1, connector=connector)
+        scan(addresses, emitted.append, timeout_s=0.01, concurrency=1, connector=connector)
     assert connector.calls == 1
+    assert emitted == []
 
 
 def test_scan_error_on_a_helper_thread_stops_new_work_and_joins():
@@ -262,9 +263,59 @@ def test_scan_error_on_a_helper_thread_stops_new_work_and_joins():
     connector = CountingConnector(raise_if=lambda _, thread: thread is not main, delay_s=0.002)
     threads_before = threading.active_count()
     with pytest.raises(RuntimeError, match="connector broke"):
-        scan(addresses, timeout_s=0.01, concurrency=4, connector=connector)
+        scan(addresses, [].append, timeout_s=0.01, concurrency=4, connector=connector)
     assert connector.calls < 50
     assert threading.active_count() == threads_before  # every helper joined
+
+
+def run_on_caller_thread(call, timeout_s=30.0):
+    """``call()`` on a thread named "caller"; what it raised, once it ended within the timeout."""
+    raised = []
+
+    def target():
+        try:
+            call()
+        except BaseException as exc:  # handed to the test to check
+            raised.append(exc)
+
+    caller = threading.Thread(target=target, name="caller")
+    caller.start()
+    caller.join(timeout_s)
+    assert not caller.is_alive()
+    return raised[0] if raised else None
+
+
+def test_a_held_head_address_lets_at_most_a_window_of_later_ones_start():
+    concurrency = 4
+    window = inspection._WINDOW_PER_WORKER * concurrency
+    addresses = ["srv-%04d" % i for i in range(200)]
+    connector = CountingConnector(delay_s=0.3, delay_if=lambda address: address == addresses[0])
+    started_at_emit = []  # exchanges begun when each record was emitted
+    assert run_on_caller_thread(lambda: scan(
+        addresses, lambda rec: started_at_emit.append(connector.calls), 0.01, concurrency,
+        connector=connector)) is None
+    assert len(started_at_emit) == len(addresses)
+    # the head is emitted once its 0.3 s hold ends; until then the other
+    # workers may run ahead only as far as the window
+    assert concurrency <= started_at_emit[0] <= window
+
+
+def test_a_helper_error_leaves_an_input_order_prefix_emitted_and_joins_every_helper():
+    addresses = ["srv-%04d" % i for i in range(500)]
+    connector = CountingConnector(
+        raise_if=lambda address, thread: thread.name != "caller" and addresses.index(address) >= 40,
+        delay_s=0.001,
+    )
+    emitted = []
+    threads_before = threading.active_count()
+    error = run_on_caller_thread(lambda: scan(
+        addresses, emitted.append, timeout_s=0.01, concurrency=4, connector=connector))
+    assert isinstance(error, RuntimeError) and "connector broke" in str(error)
+    assert threading.active_count() == threads_before  # every helper joined
+    got = [r.address for r in emitted]
+    assert got == addresses[: len(got)]
+    assert len(got) >= 40  # every address before the first failure was emitted
+    assert len(got) < len(addresses)
 
 
 def test_scan_and_inspect_under_contention():
@@ -286,12 +337,13 @@ def test_scan_and_inspect_under_contention():
             connector = CountingConnector(h.connector())
 
             def run():
-                scanned = scan(h.addresses, timeout_s=1.0, concurrency=concurrency,
-                               connector=connector)
+                scanned, pairs = [], []
+                scan(h.addresses, scanned.append, timeout_s=1.0, concurrency=concurrency,
+                     connector=connector)
                 outcome["scanned"] = scanned
                 outcome["scan_exchanges"] = dict(connector.per_address)
-                outcome["inspected"] = inspect_all(scanned, 1.0, concurrency,
-                                                   connector=connector)
+                inspect_all(h.addresses, pairs.append, 1.0, concurrency, connector=connector)
+                outcome["pairs"] = pairs
 
             worker = threading.Thread(target=run)
             worker.start()
@@ -305,7 +357,8 @@ def test_scan_and_inspect_under_contention():
     assert outcome["scan_exchanges"] == {a: 1 for a in h.addresses}
     targets = [r.address for r in scanned if needs_inspection(r)]
     assert targets
-    assert [r.address for r in outcome["inspected"]] == targets
+    assert [r.address for r, _ in outcome["pairs"]] == h.addresses
+    assert [r.address for _, r in outcome["pairs"] if r is not None] == targets
     assert 1 < peak <= concurrency
 
 
@@ -313,8 +366,7 @@ def test_concurrency_one_runs_every_exchange_on_the_calling_thread():
     fleet = generate_fleet(FleetSpec(size=20, seed=5, mix=FULL_MIX))
     with serve(fleet, Transport.IN_MEMORY) as h:
         connector = CountingConnector(h.connector())
-        scanned = scan(h.addresses, timeout_s=0.01, concurrency=1, connector=connector)
-        inspect_all(scanned, 0.01, 1, connector=connector)
+        inspect_all(h.addresses, [].append, 0.01, 1, connector=connector)
     assert connector.calls > len(h.addresses)
     assert connector.threads == {threading.main_thread()}
 
@@ -402,18 +454,21 @@ def test_inspection_record_recomputable_and_timestamped():
 
 def test_inspect_all_empty_when_everyone_selects_fs():
     fleet = generate_fleet(FleetSpec(size=5, seed=6, mix={Archetype.FS_PREFERRING: 1.0}))
+    pairs = []
     with serve(fleet, Transport.IN_MEMORY) as h:
-        records = scan(h.addresses, timeout_s=0.5, concurrency=5, connector=h.connector())
-        assert inspect_all(records, 0.5, 5, connector=h.connector()) == []
+        inspect_all(h.addresses, pairs.append, 0.5, 5, connector=h.connector())
+    assert [r.address for r, _ in pairs] == h.addresses
+    assert [found for _, found in pairs if found is not None] == []
 
 
 @pytest.mark.parametrize("transport", list(Transport))
 def test_inspect_all_matches_ground_truth_across_archetypes(transport):
     fleet = generate_fleet(FleetSpec(size=120, seed=13, mix=FULL_MIX))
+    pairs = []
     with serve(fleet, transport) as h:
         by_address = {s.address: s for s in fleet}
-        records = scan(h.addresses, timeout_s=0.5, concurrency=20, connector=h.connector())
-        inspections = inspect_all(records, 0.5, 20, connector=h.connector())
+        inspect_all(h.addresses, pairs.append, 0.5, 20, connector=h.connector())
+    inspections = [found for _, found in pairs if found is not None]
     assert inspections  # the mix guarantees non-FS selectors exist
     for rec in inspections:
         expected = expected_for_server(by_address[rec.address])
@@ -432,11 +487,11 @@ def test_inspect_all_matches_ground_truth_across_archetypes(transport):
 
 def test_inspect_rerun_is_classification_identical():
     fleet = generate_fleet(FleetSpec(size=40, seed=21, mix=FULL_MIX))
+    first, second = [], []
     with serve(fleet, Transport.IN_MEMORY) as h:
-        records = scan(h.addresses, timeout_s=0.1, concurrency=10, connector=h.connector())
-        first = inspect_all(records, 0.1, 10, connector=h.connector())
-        second = inspect_all(records, 0.1, 10, connector=h.connector())
-    key = lambda recs: {r.address: (r.classification, r.lose_ae) for r in recs}
+        inspect_all(h.addresses, first.append, 0.1, 10, connector=h.connector())
+        inspect_all(h.addresses, second.append, 0.1, 10, connector=h.connector())
+    key = lambda pairs: {r.address: (r.classification, r.lose_ae) for _, r in pairs if r is not None}
     assert key(first) == key(second)
 
 

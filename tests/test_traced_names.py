@@ -3,12 +3,13 @@
 ``perfbench/spans.py`` looks every traced function and method up by name
 when ``perfbench/run.py --trace 1`` starts. A rename or a deletion in befs
 would break only that traced run, so these tests resolve each name here,
-and run ``befs report`` under the tracer to derive the per-layer metrics
-from what the traced functions return.
+and run ``befs report`` and ``befs inspect`` under the tracer to derive
+the per-layer metrics from what the traced functions return.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,25 @@ def test_traced_report_gives_the_report_metrics(tmp_path, capsys):
     assert metrics["report.load.s"][0] > 0
     assert metrics["report.record_from_dict.us_per_call"][0] > 0
     assert metrics["cli.main.self_s"][0] > 0
+
+
+def test_traced_inspect_gives_the_campaign_metrics(tmp_path, capsys):
+    spec_path = tmp_path / "fleet.json"
+    spec_path.write_text(json.dumps({"size": 30, "seed": 3, "mix": {
+        "FS_PREFERRING": 0.3, "NONFS_ONLY": 0.3, "FS_NONAE_ONLY": 0.2, "UNRESPONSIVE": 0.2}}))
+    store_path = tmp_path / "store.jsonl"
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["inspect", "--fleet-spec", str(spec_path), "--transport", "memory",
+                         "--concurrency", "1", "--timeout", "0.01", "--store", str(store_path)])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = spans.layer_metrics(tracer.spans, 0.0, 0.0)
+    assert metrics["inspection.inspect_all.s"][0] > 0
+    assert metrics["inspection.dispatch_us_per_item"][0] >= 0
+    assert 1 <= metrics["inspection.handshakes_per_address"][0] <= 4
+    with open(store_path, encoding="utf-8") as fh:
+        assert metrics["report.append.calls"][0] == sum(1 for _ in fh)
