@@ -208,30 +208,25 @@ def _store_for(args):
 
 
 def cmd_measure(args) -> int:
-    """``befs scan`` and ``befs inspect``: store and emit each address's records as it finishes.
-
-    An address's inspection record is appended before its scan record, so
-    a stored scan record means every record of that address is stored.
-    """
+    """``befs scan`` and ``befs inspect``: each address's records, stored in one write as it ends."""
     inspecting = args.command == "inspect"
     scanned = responded = 0
     histogram: dict[str, int] = {}
     with _targets(args) as (addresses, connector), _store_for(args) as store:
 
-        def keep(data: dict, show: bool) -> None:
-            if store:
-                store.append(data)
-            if show:
-                _emit(data)
-
         def on_address(pair) -> None:
             nonlocal scanned, responded
             scan_rec, inspection = pair
+            records = [scan_record_to_dict(scan_rec, campaign=args.campaign)]
             if inspection is not None:
-                keep(inspection_record_to_dict(inspection, campaign=args.campaign), True)
+                records.append(inspection_record_to_dict(inspection, campaign=args.campaign))
                 name = inspection.classification.name
                 histogram[name] = histogram.get(name, 0) + 1
-            keep(scan_record_to_dict(scan_rec, campaign=args.campaign), not inspecting)
+            if store:
+                for data in records:
+                    store.append(data, flush=data is records[-1])
+            for data in records[1:] if inspecting else records:
+                _emit(data)
             scanned += 1
             responded += scan_rec.selected_suite is not None
 

@@ -779,9 +779,6 @@ class SocketHarness(Harness):
         if conn in self._conns:
             del self._conns[conn]
             self.gauge.leave()
-            # a reply still scheduled has no one left to read it
-            self._pending = [entry for entry in self._pending if entry[2] is not conn]
-            heapq.heapify(self._pending)
         try:
             self._sel.unregister(conn)
         except (KeyError, ValueError):
@@ -835,9 +832,10 @@ class SocketHarness(Harness):
         except BlockingIOError:
             return
         except OSError:
-            self._drop_conn(conn)
-            return
-        if not chunk:
+            chunk = b""
+        if not chunk:  # the client left: a reply still scheduled for it has no reader
+            self._pending = [entry for entry in self._pending if entry[2] is not conn]
+            heapq.heapify(self._pending)
             self._drop_conn(conn)
             return
         if slot[1] is _CONN_DONE:

@@ -139,7 +139,9 @@ class RateLimiter:
             time.sleep(wait)
 
 
-_WINDOW_PER_WORKER = 4  # finished results the engine may hold, per worker
+# Finished results held per worker while a silent server holds the head for
+# its timeout: 256 covers a 5 s timeout over 20 ms addresses, at ~0.5 KB each.
+_WINDOW_PER_WORKER = 256
 _END = object()  # what a worker takes once the items run out
 
 
@@ -147,15 +149,15 @@ def _run_bounded(fn: Callable, items: Iterable, emit: Callable, concurrency: int
     """``emit(fn(item))`` for every item in input order, ``fn`` at most ``concurrency`` at once.
 
     The calling thread is one of the workers and up to ``concurrency - 1``
-    helper threads are the rest, so a concurrency of 1 starts no thread.
-    Workers take the next item under a lock; whoever finishes the oldest
-    pending item emits, under the lock, every result that is now in order.
-    No worker takes an item ``_WINDOW_PER_WORKER * concurrency`` or more
-    places past the oldest pending one: that bounds the results held, and
-    makes one slow item stall the rest once the window behind it is full.
-    The first exception, an interrupt included, stops every worker from
-    taking a new item; it is raised here once the helpers have finished
-    the items they hold and been joined, so what was emitted is a prefix.
+    helper threads are the rest; a concurrency of 1 is a plain loop. Workers
+    take the next item under a lock; whoever finishes the oldest pending
+    item emits, under the lock, every result now in order. No worker takes
+    an item ``_WINDOW_PER_WORKER * concurrency`` or more places past the
+    oldest pending one: that bounds the results held, and makes one slow
+    item stall the rest once the window behind it is full. The first
+    exception, an interrupt included, stops every worker from taking a new
+    item; it is raised once the helpers are joined, so what was emitted is
+    a prefix.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
@@ -164,6 +166,10 @@ def _run_bounded(fn: Callable, items: Iterable, emit: Callable, concurrency: int
     if not first:
         raise ValueError("addresses must be non-empty")
     source = itertools.chain(first, source)
+    if concurrency == 1:  # no other worker: no lock, window or wake-ups to keep
+        for item in source:
+            emit(fn(item))
+        return
     window = _WINDOW_PER_WORKER * concurrency
     cond = threading.Condition(threading.Lock())
     finished: dict[int, object] = {}  # index -> result, not yet emitted

@@ -225,30 +225,41 @@ class RecordStore:
     """Append-only JSON-lines log. Writes are serialized; reads are not.
 
     Appends go through one handle, opened on the first append and flushed
-    after every line, so a killed process leaves every line appended so
-    far. close(), or the end of a ``with`` block, releases the handle.
+    by each flushing append, so a killed process leaves every line flushed
+    so far. close(), or the end of a ``with`` block, releases the handle.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         self._write_lock = threading.Lock()
         self._fh = None
+        self._held = ""  # lines appended with flush=False
 
-    def append(self, record: Mapping) -> None:
+    def append(self, record: Mapping, *, flush: bool = True) -> None:
+        """Add ``record`` as one line.
+
+        Lines appended with ``flush=False`` wait for the next flushing append
+        and go out in its one write, all or none; close() drops them.
+        """
         if not _is_schema_version(record.get("v")) or "kind" not in record:
             raise SchemaMismatch("record has no v=%d/kind envelope" % SCHEMA_VERSION)
-        line = _encode_line(record)
+        line = _encode_line(record) + "\n"
         with self._write_lock:
+            self._held += line
+            if not flush:
+                return
+            text, self._held = self._held, ""
             try:
                 if self._fh is None:
                     self._fh = self.path.open("a", encoding="utf-8")
-                self._fh.write(line + "\n")
+                self._fh.write(text)
                 self._fh.flush()
             except OSError as exc:
                 raise IoFailure("cannot append to %s: %s" % (self.path, exc)) from exc
 
     def close(self) -> None:
         with self._write_lock:
+            self._held = ""
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None

@@ -113,9 +113,39 @@ def test_a_killed_inspect_leaves_a_store_of_whole_addresses(tmp_path, capsys):
     assert [r["address"] for r in scans] == served[: len(scans)]
     non_fs = [r["address"] for r in scans
               if r["result"] == "RESPONDED" and not is_fs(r["selected_suite"])]
-    assert non_fs and set(non_fs) <= inspected
-    code, _, _ = run_cli(["report", "--store", str(store_path)], capsys)
+    assert non_fs and set(non_fs) == inspected
+    code, out, _ = run_cli(["report", "--store", str(store_path)], capsys)
     assert code == 0
+    shares = [v["pct"] for v in json.loads(out).values() if isinstance(v, dict) and v["pct"]]
+    assert shares and max(shares) <= 100.0
+
+
+def test_inspect_writes_each_address_to_the_store_in_one_go(tmp_path, capsys, monkeypatch):
+    appends = []  # (address, kind, flush) per append
+
+    class Recording(RecordStore):
+        def append(self, record, *, flush=True):
+            appends.append((record["address"], record["kind"], flush))
+            super().append(record, flush=flush)
+
+    monkeypatch.setattr(cli, "RecordStore", Recording)
+    spec = write_spec(tmp_path, MIXED, size=12)
+    store_path = tmp_path / "records.jsonl"
+    code, _, _ = run_cli(["inspect", "--fleet-spec", spec, "--timeout", "0.5", "--concurrency",
+                          "4", "--store", str(store_path)], capsys)
+    assert code == 0
+    groups, group = [], []
+    for address, kind, flush in appends:
+        group.append((address, kind))
+        if flush:
+            groups.append(group)
+            group = []
+    assert group == []  # nothing left held back
+    assert len(groups) == 12 and any(len(g) == 2 for g in groups)
+    for g in groups:  # one address each: its scan record, then its inspection if any
+        assert len({address for address, _ in g}) == 1
+        assert [kind for _, kind in g] in (["scan"], ["scan", "inspection"])
+    assert store_path.read_bytes().count(b"\n") == len(appends)
 
 
 def test_scan_missing_input_file_fails_cleanly(tmp_path, capsys):

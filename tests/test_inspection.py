@@ -288,7 +288,7 @@ def run_on_caller_thread(call, timeout_s=30.0):
 def test_a_held_head_address_lets_at_most_a_window_of_later_ones_start():
     concurrency = 4
     window = inspection._WINDOW_PER_WORKER * concurrency
-    addresses = ["srv-%04d" % i for i in range(200)]
+    addresses = ["srv-%04d" % i for i in range(window + 400)]
     connector = CountingConnector(delay_s=0.3, delay_if=lambda address: address == addresses[0])
     started_at_emit = []  # exchanges begun when each record was emitted
     assert run_on_caller_thread(lambda: scan(

@@ -312,6 +312,21 @@ def test_store_append_then_load_identical(store):
     assert scan_record_from_dict(loaded.records[0]) == scan_rec()
 
 
+def test_store_writes_a_group_of_lines_all_at_once_or_not_at_all(store, monkeypatch):
+    a, b = (scan_record_to_dict(scan_rec(name)) for name in "ab")
+    store.append(a)  # opens the handle
+    writes = []
+    real_write = store._fh.write
+    monkeypatch.setattr(store._fh, "write", lambda text: writes.append(text) or real_write(text))
+    store.append(b, flush=False)
+    assert store.load().records == [a]
+    store.append(a)
+    assert len(writes) == 1 and store.load().records == [a, b, a]
+    store.append(b, flush=False)
+    store.close()  # a group that never got its last line is dropped
+    assert store.load().records == [a, b, a]
+
+
 def test_store_filters(store):
     store.append(scan_record_to_dict(scan_rec("a"), campaign="c1"))
     store.append(scan_record_to_dict(scan_rec("b"), campaign="c2"))
