@@ -51,6 +51,7 @@ from .report import (
     SchemaMismatch,
     aggregate,
     inspection_record_to_dict,
+    json_line,
     render_text,
     scan_record_to_dict,
     scans_and_inspections,
@@ -61,7 +62,7 @@ _USER_ERRORS = (InvalidSpec, IoFailure, EmptyDataset, BindFailure, SchemaMismatc
 
 
 def _emit(data: dict) -> None:
-    sys.stdout.write(json.dumps(data, sort_keys=True) + "\n")
+    sys.stdout.write(json_line(data))
 
 
 def _note(text: str) -> None:
@@ -222,11 +223,11 @@ def cmd_measure(args) -> int:
                 records.append(inspection_record_to_dict(inspection, campaign=args.campaign))
                 name = inspection.classification.name
                 histogram[name] = histogram.get(name, 0) + 1
-            if store:
-                for data in records:
-                    store.append(data, flush=data is records[-1])
-            for data in records[1:] if inspecting else records:
-                _emit(data)
+            # Each line is encoded once: stdout gets the line the store wrote.
+            lines = [store.append(data, flush=data is records[-1]) if store else json_line(data)
+                     for data in records]
+            for line in lines[1:] if inspecting else lines:
+                sys.stdout.write(line)
             scanned += 1
             responded += scan_rec.selected_suite is not None
 
@@ -268,9 +269,7 @@ def cmd_connect(args) -> int:
         address, outcome, campaign=args.campaign, fallback=cfg.fallback
     )
     with _store_for(args) as store:
-        if store:
-            store.append(data)
-    _emit(data)
+        sys.stdout.write(store.append(data) if store else json_line(data))
     if outcome.status is SessionStatus.CONNECTED:
         _note(
             "connected: suite=0x%04X fs=%s ae=%s after %d attempt(s)"
@@ -368,6 +367,9 @@ def cmd_report(args) -> int:
         coverage = len(labels) / len(hosts) if hosts else 1.0
         _note("report: device metadata coverage %.2f%%" % (100.0 * coverage))
     result = aggregate(scans, inspections, labels, campaign=args.campaign or "")
+    if result.unmatched_inspections:
+        _note("report: skipped %d inspection records with no non-FS scan of their address"
+              % result.unmatched_inspections)
     sys.stderr.write(render_text(result))
     _emit(result.to_dict())
     return 0

@@ -11,6 +11,7 @@ independent oracle.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import itertools
@@ -183,11 +184,15 @@ class GroundTruth:
     device_type: str = ""
 
 
+_FS_SET = frozenset(FS_ONLY.suites)
+_FS_AE_SET = frozenset(FS_AE_ONLY.suites)
+
+
 def policy_truth(policy: ServerPolicy, device_type: str = "") -> GroundTruth:
     default_pick = select(policy, DEFAULT.suites, wire.TLS1_2)
     return GroundTruth(
-        supports_fs=bool(policy.supported & set(FS_ONLY.suites)),
-        supports_fs_ae=bool(policy.supported & set(FS_AE_ONLY.suites)),
+        supports_fs=not policy.supported.isdisjoint(_FS_SET),
+        supports_fs_ae=not policy.supported.isdisjoint(_FS_AE_SET),
         selects_fs_by_default=default_pick.selected and is_fs(default_pick.suite),
         device_type=device_type,
     )
@@ -245,6 +250,17 @@ def server_random(seed: int, index: int, counter: int) -> bytes:
     return hashlib.sha256(b"server|%d|%d|%d" % (seed, index, counter)).digest()
 
 
+_DECODE_ERROR_ALERT, _FALLBACK_ALERT, _HANDSHAKE_FAILURE_ALERT = (
+    wire.encode_alert(wire.AlertMsg(wire.AlertLevel.FATAL, description))
+    for description in (wire.DECODE_ERROR, wire.INAPPROPRIATE_FALLBACK, wire.HANDSHAKE_FAILURE)
+)
+
+
+@functools.cache
+def _server_hello(version: int, suite: int) -> wire.ServerHelloSummary:
+    return wire.ServerHelloSummary(version, suite)
+
+
 def answer_offer(
     policy: ServerPolicy,
     supports_fs: bool,
@@ -254,20 +270,17 @@ def answer_offer(
 ) -> bytes:
     """Honest server behavior for one ClientHello, as wire bytes."""
     try:
-        ch = wire.decode_client_hello(raw)
+        version, suites = wire.read_offer(raw)
     except wire.WireError:
-        return wire.encode_alert(wire.AlertMsg(wire.AlertLevel.FATAL, wire.DECODE_ERROR))
-    if honors_signal and supports_fs and FALLBACK_SIGNAL in ch.cipher_suites:
+        return _DECODE_ERROR_ALERT
+    if honors_signal and supports_fs and FALLBACK_SIGNAL in suites:
         # The client says this offer is a fallback; a server that could
         # have answered the stronger first flight refuses it.
-        return wire.encode_alert(
-            wire.AlertMsg(wire.AlertLevel.FATAL, wire.INAPPROPRIATE_FALLBACK)
-        )
-    res = select(policy, ch.cipher_suites, ch.legacy_version)
+        return _FALLBACK_ALERT
+    res = select(policy, suites, version)
     if not res.selected:
-        return wire.encode_alert(wire.AlertMsg(wire.AlertLevel.FATAL, wire.HANDSHAKE_FAILURE))
-    summary = wire.ServerHelloSummary(res.version, res.suite)
-    return wire.encode_server_hello(summary, random=next_random())
+        return _HANDSHAKE_FAILURE_ALERT
+    return wire.encode_server_hello(_server_hello(res.version, res.suite), random=next_random())
 
 
 @dataclass(eq=False)
@@ -563,11 +576,11 @@ class DiscriminatoryServer:
         try:
             ch = wire.decode_client_hello(raw)
         except wire.WireError:
-            return wire.encode_alert(wire.AlertMsg(wire.AlertLevel.FATAL, wire.DECODE_ERROR))
+            return _DECODE_ERROR_ALERT
         if not _targeted(ch, self.targets):
             return self.inner.respond(raw)
         if self.strong and offer_is_all_fs(ch):
-            return wire.encode_alert(wire.AlertMsg(wire.AlertLevel.FATAL, wire.HANDSHAKE_FAILURE))
+            return _HANDSHAKE_FAILURE_ALERT
         return answer_offer(
             self._steered,
             supports_fs=self.inner.truth.supports_fs,

@@ -7,6 +7,7 @@ fatal handshake_failure alert a live server would send.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -57,6 +58,12 @@ class NegotiationResult:
 FAILURE = NegotiationResult(Outcome.FAILURE)
 
 
+@functools.cache
+def _selected(version: int, suite: int) -> NegotiationResult:
+    """The one SELECTED result of each (version, suite); results are frozen, so shared."""
+    return NegotiationResult(Outcome.SELECTED, version=version, suite=suite)
+
+
 def select(policy: ServerPolicy, offer: Sequence[int], client_max_version: int) -> NegotiationResult:
     """Outcome of one negotiation round.
 
@@ -67,15 +74,20 @@ def select(policy: ServerPolicy, offer: Sequence[int], client_max_version: int) 
     """
     if not offer:
         raise ValueError("offer must be non-empty")
-    acceptable = [v for v in policy.versions if v <= client_max_version]
-    if not acceptable:
+    version = None
+    for v in policy.versions:
+        if v <= client_max_version and (version is None or v > version):
+            version = v
+    if version is None:
         return FAILURE
-    version = max(acceptable)
     if policy.selection_rule is SelectionRule.SERVER_PREFERENCE:
         offered = set(offer)
-        suite = next((s for s in policy.preference if s in offered), None)
+        for suite in policy.preference:
+            if suite in offered:
+                return _selected(version, suite)
     else:
-        suite = next((s for s in offer if s in policy.supported), None)
-    if suite is None:
-        return FAILURE
-    return NegotiationResult(Outcome.SELECTED, version=version, suite=suite)
+        supported = policy.supported
+        for suite in offer:
+            if suite in supported:
+                return _selected(version, suite)
+    return FAILURE

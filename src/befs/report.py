@@ -235,19 +235,19 @@ class RecordStore:
         self._fh = None
         self._held = ""  # lines appended with flush=False
 
-    def append(self, record: Mapping, *, flush: bool = True) -> None:
-        """Add ``record`` as one line.
+    def append(self, record: Mapping, *, flush: bool = True) -> str:
+        """Add ``record`` as one line, ``json_line(record)``, and return that line.
 
         Lines appended with ``flush=False`` wait for the next flushing append
         and go out in its one write, all or none; close() drops them.
         """
         if not _is_schema_version(record.get("v")) or "kind" not in record:
             raise SchemaMismatch("record has no v=%d/kind envelope" % SCHEMA_VERSION)
-        line = _encode_line(record) + "\n"
+        line = json_line(record)
         with self._write_lock:
             self._held += line
             if not flush:
-                return
+                return line
             text, self._held = self._held, ""
             try:
                 if self._fh is None:
@@ -256,6 +256,7 @@ class RecordStore:
                 self._fh.flush()
             except OSError as exc:
                 raise IoFailure("cannot append to %s: %s" % (self.path, exc)) from exc
+        return line
 
     def close(self) -> None:
         with self._write_lock:
@@ -305,6 +306,11 @@ LOAD_BLOCK_BYTES = 64 * 1024
 _scan_value = json.JSONDecoder().scan_once
 # The encoder that json.dumps with these options would build for every line.
 _encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def json_line(data: Mapping) -> str:
+    """``data`` as one line of JSON, as the store writes it: sorted keys, no spaces, ``\\n``."""
+    return _encode_line(data) + "\n"
 
 
 class _BlockLoader:
@@ -406,10 +412,13 @@ class AggregateReport:
       -> select FS non-AE -> support FS+AE.
     The lose-AE branch hangs off select FS non-AE. Device typing is a
     side channel over whichever responding hosts have a device label.
-    The fields after ``campaign`` are the table, in text order.
+    The fields after ``unmatched_inspections`` are the table, in text order.
     """
 
     campaign: str
+    # Inspection records left uncounted, since their address has no
+    # responding non-FS scan among the records (a cut store); not a row.
+    unmatched_inspections: int
     dataset_size: int = _row("dataset")
     responding: Level = _row("responding", "dataset_size")
     distinct_ip: int = _row("distinct IPs")
@@ -424,7 +433,9 @@ class AggregateReport:
     lose_ae_support_fs_ae: Level = _row("lose AE, support FS+AE", "lose_ae")
 
     @classmethod
-    def from_counts(cls, campaign: str, counts: Mapping[str, int]) -> "AggregateReport":
+    def from_counts(
+        cls, campaign: str, counts: Mapping[str, int], unmatched_inspections: int
+    ) -> "AggregateReport":
         """Build the table from one count per row; each percent is over its ``over`` count."""
         rows = {}
         for f in _TABLE:
@@ -434,7 +445,7 @@ class AggregateReport:
             else:
                 denominator = counts[over]
                 rows[f.name] = Level(count, 100.0 * count / denominator if denominator else None)
-        return cls(campaign, **rows)
+        return cls(campaign, unmatched_inspections, **rows)
 
     def to_dict(self) -> dict:
         data = {"campaign": self.campaign}
@@ -447,7 +458,7 @@ class AggregateReport:
         return data
 
 
-_TABLE = dataclasses.fields(AggregateReport)[1:]
+_TABLE = dataclasses.fields(AggregateReport)[2:]
 _LABELS = {f.name: f.metadata["label"] for f in _TABLE}
 
 
@@ -477,12 +488,15 @@ def aggregate(
 
     ``device_meta`` maps an IP to its device label, as
     ``metadata.device_type`` returns it; an empty label is a covered
-    host that is not a network device.
+    host that is not a network device. An inspection counts only if its
+    address has a responding non-FS scan among ``scan_records``; the
+    report's ``unmatched_inspections`` says how many did not.
     """
     dataset = responding = select_non_fs = 0
-    # The two structures that grow with the input: every host, and the
-    # responding hosts with device metadata. Both count IPs, not addresses.
-    hosts, covered = set(), set()
+    # The structures that grow with the input: every host and the
+    # responding hosts with device metadata, both by IP, and the addresses
+    # that selected non-FS.
+    hosts, covered, non_fs = set(), set(), set()
     for rec in scan_records:
         host = split_address(rec.address)[0]
         hosts.add(host)
@@ -490,10 +504,15 @@ def aggregate(
         if rec.result is not ScanResultKind.RESPONDED:
             continue
         responding += 1
-        select_non_fs += not is_fs(rec.selected_suite)
+        if not is_fs(rec.selected_suite):
+            select_non_fs += 1
+            non_fs.add(rec.address)
         if device_meta is not None and host in device_meta:
             covered.add(host)
-    steps = Counter((rec.classification, rec.lose_ae) for rec in inspection_records)
+    # An unmatched inspection counts under the key None.
+    steps = Counter((rec.classification, rec.lose_ae) if rec.address in non_fs else None
+                    for rec in inspection_records)
+    unmatched = steps.pop(None, 0)
 
     def inspected(classes, lose_ae=(False, True)) -> int:
         return sum(n for (c, lost), n in steps.items() if c in classes and lost in lose_ae)
@@ -512,4 +531,4 @@ def aggregate(
         support_fs_ae=inspected(regains_ae),
         lose_ae=inspected(Classification, (True,)),
         lose_ae_support_fs_ae=inspected(regains_ae, (True,)),
-    ))
+    ), unmatched)

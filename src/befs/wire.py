@@ -13,6 +13,7 @@ opaque (type, body) pairs.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -268,6 +269,13 @@ class ClientHelloTemplate:
         return b"".join((head, random, self._tail, sni, server_name))
 
 
+@functools.cache
+def _sh_layout(session_id_len: int) -> struct.Struct:
+    """Record and handshake headers and server_version, as _CH_HEADER; then the
+    random, the session id with its length, the suite and null compression."""
+    return struct.Struct(">BHHBBHH32sB%dsHB" % session_id_len)
+
+
 def encode_server_hello(
     summary: ServerHelloSummary,
     random: bytes = b"\x00" * 32,
@@ -275,17 +283,18 @@ def encode_server_hello(
 ) -> bytes:
     if len(random) != 32:
         raise ValueError("random must be exactly 32 bytes")
-    if len(session_id) > 32:
+    n = len(session_id)
+    if n > 32:
         raise ValueError("session_id must be 0-32 bytes")
-    body = struct.pack(">H", summary.negotiated_version)
-    body += random
-    body += bytes([len(session_id)]) + session_id
-    body += struct.pack(">H", summary.selected_suite)
-    body += b"\x00"  # null compression
-    body += summary.raw_extensions
-    return _record(
-        CONTENT_HANDSHAKE, summary.negotiated_version, _handshake(HS_SERVER_HELLO, body)
-    )
+    body_len = 38 + n + len(summary.raw_extensions)
+    if body_len + 4 > 0xFFFF:  # raise what the length fields' own checks raise
+        _u24(body_len, "handshake")
+        _u16(body_len + 4, "record")
+    version = summary.negotiated_version
+    head = _sh_layout(n).pack(CONTENT_HANDSHAKE, version, body_len + 4,
+                              HS_SERVER_HELLO, body_len >> 16, body_len & 0xFFFF, version,
+                              random, n, session_id, summary.selected_suite, 0)
+    return head + summary.raw_extensions
 
 
 def encode_alert(alert: AlertMsg, record_version: int = TLS1_2) -> bytes:
@@ -324,7 +333,13 @@ def _handshake_end(data: bytes, msg_type: int, not_it: type[WireError], name: st
     return end
 
 
-def decode_client_hello(data: bytes) -> ClientHelloMsg:
+def _client_hello_fields(data: bytes, extensions: Optional[list]) -> tuple[int, int]:
+    """Check a ClientHello record; return where its suites start and how many there are.
+
+    Applies every framing rule and each ClientHelloMsg rule that bytes can
+    break, with ClientHelloMsg's messages, and appends each extension's
+    ``(type, body)`` to ``extensions`` unless that is None.
+    """
     end = _handshake_end(data, HS_CLIENT_HELLO, NotClientHello, "client_hello")
     # client_version(2) random(32) session_id length(1) sit at 9..44.
     if end < 44:
@@ -338,18 +353,15 @@ def decode_client_hello(data: bytes) -> ClientHelloMsg:
     suites_at, pos = pos + 2, pos + 2 + suites_len
     if pos + 1 > end:
         raise _truncated("cipher_suites and compression length")
-    compression_at, pos = pos + 1, pos + 1 + data[pos]
+    compressions, pos = data[pos], pos + 1 + data[pos]
     if pos > end:
         raise _truncated("compression methods")
-    compression = tuple(data[compression_at:pos])
-    extensions: tuple[tuple[int, bytes], ...] = ()
     if pos < end:
         if pos + 2 > end:
             raise _truncated("extensions length")
         block_end = pos + 2 + (data[pos] << 8 | data[pos + 1])
         if block_end > end:
             raise _truncated("extensions")
-        parsed = []
         pos += 2
         while pos < block_end:
             if pos + 4 > block_end:
@@ -358,21 +370,46 @@ def decode_client_hello(data: bytes) -> ClientHelloMsg:
             pos = body_at + (data[pos + 2] << 8 | data[pos + 3])
             if pos > block_end:
                 raise _truncated("extension body")
-            parsed.append((etype, data[body_at:pos]))
-        extensions = tuple(parsed)
+            if extensions is not None:
+                extensions.append((etype, data[body_at:pos]))
     if pos != end:
         raise MalformedRecord("%d trailing bytes inside client_hello" % (end - pos))
+    if (data[9] << 8 | data[10]) not in SUPPORTED_VERSIONS:
+        raise MalformedRecord("legacy_version must be a TLS 1.0-1.2 code")
+    if data[43] > 32:
+        raise MalformedRecord("session_id must be 0-32 bytes")
+    if not suites_len:
+        raise MalformedRecord("cipher_suites must be non-empty")
+    if not compressions:
+        raise MalformedRecord("compression list must be non-empty")
+    return suites_at, suites_len // 2
+
+
+def decode_client_hello(data: bytes) -> ClientHelloMsg:
+    extensions: list[tuple[int, bytes]] = []
+    suites_at, n_suites = _client_hello_fields(data, extensions)
+    compression_at = suites_at + 2 * n_suites + 1
     try:
         return ClientHelloMsg(
             legacy_version=data[9] << 8 | data[10],
             random=data[11:43],
-            cipher_suites=struct.unpack_from(">%dH" % (suites_len // 2), data, suites_at),
+            cipher_suites=struct.unpack_from(">%dH" % n_suites, data, suites_at),
             session_id=data[44 : suites_at - 2],
-            compression=compression,
-            extensions=extensions,
+            compression=tuple(data[compression_at : compression_at + data[compression_at - 1]]),
+            extensions=tuple(extensions),
         )
     except ValueError as exc:
         raise MalformedRecord(str(exc)) from exc
+
+
+def read_offer(data: bytes) -> tuple[int, tuple[int, ...]]:
+    """``(legacy_version, cipher_suites)`` of a ClientHello, for a server to answer.
+
+    Accepts and rejects exactly what decode_client_hello does, raising the
+    same errors, but builds no ClientHelloMsg.
+    """
+    suites_at, n_suites = _client_hello_fields(data, None)
+    return data[9] << 8 | data[10], struct.unpack_from(">%dH" % n_suites, data, suites_at)
 
 
 def decode_server_hello(data: bytes) -> ServerHelloSummary:

@@ -11,7 +11,16 @@ import pytest
 
 from befs import cli
 from befs.cli import main
-from befs.fleetsim import Archetype, FleetSpec, Transport, generate_fleet, load_fleet_spec, serve
+from befs.fleetsim import (
+    Archetype,
+    FleetSpec,
+    Transport,
+    expected_for_server,
+    expected_scan_selection,
+    generate_fleet,
+    load_fleet_spec,
+    serve,
+)
 from befs.handshake import AttemptKind, AttemptResult
 from befs.inspection import Classification, InspectionRecord, ScanRecord, ScanResultKind, StepResult
 from befs.report import RecordStore, inspection_record_to_dict, scan_record_to_dict
@@ -126,7 +135,7 @@ def test_inspect_writes_each_address_to_the_store_in_one_go(tmp_path, capsys, mo
     class Recording(RecordStore):
         def append(self, record, *, flush=True):
             appends.append((record["address"], record["kind"], flush))
-            super().append(record, flush=flush)
+            return super().append(record, flush=flush)
 
     monkeypatch.setattr(cli, "RecordStore", Recording)
     spec = write_spec(tmp_path, MIXED, size=12)
@@ -146,6 +155,58 @@ def test_inspect_writes_each_address_to_the_store_in_one_go(tmp_path, capsys, mo
         assert len({address for address, _ in g}) == 1
         assert [kind for _, kind in g] in (["scan"], ["scan", "inspection"])
     assert store_path.read_bytes().count(b"\n") == len(appends)
+
+
+SIX_ARCHETYPES = {
+    "FS_PREFERRING": 0.25,
+    "FS_SUPPORTING_NONFS_PREFERRING": 0.25,
+    "NONFS_ONLY": 0.125,
+    "FS_NONAE_ONLY": 0.125,
+    "LEGACY_PRE_TLS12": 0.125,
+    "UNRESPONSIVE": 0.125,
+}
+
+
+@pytest.mark.parametrize("transport", ["memory", "socket"])
+@pytest.mark.parametrize("command", ["scan", "inspect"])
+def test_stdout_lines_are_the_stored_lines_and_match_ground_truth(
+    tmp_path, capsys, command, transport
+):
+    spec = write_spec(tmp_path, SIX_ARCHETYPES, size=16, seed=11)
+    store_path = tmp_path / "records.jsonl"
+    code, out, _ = run_cli([command, "--fleet-spec", spec, "--transport", transport,
+                            "--timeout", "0.2", "--concurrency", "4",
+                            "--store", str(store_path)], capsys)
+    assert code == 0
+    stored = store_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    records = [json.loads(line) for line in stored]
+    printed = [line for line, rec in zip(stored, records)
+               if command == "scan" or rec["kind"] == "inspection"]
+    assert out.splitlines(keepends=True) == printed
+    # The store holds one scan per served server, in fleet order, each
+    # followed by its inspection if it picked a non-FS suite.
+    fleet = generate_fleet(load_fleet_spec(spec))
+    scans = [rec for rec in records if rec["kind"] == "scan"]
+    inspections = {rec["address"]: rec for rec in records if rec["kind"] == "inspection"}
+    assert len(scans) == len(fleet) and len(records) == len(scans) + len(inspections)
+    assert {server.archetype for server in fleet} == set(Archetype)
+    for server, scan in zip(fleet, scans):
+        want = expected_for_server(server)
+        if server.archetype is Archetype.UNRESPONSIVE:
+            assert scan["result"] == "TIMEOUT"
+            assert want.classification is Classification.TIMEOUT
+            assert scan["address"] not in inspections
+            continue
+        pick = expected_scan_selection(server.policy)
+        assert (scan["result"], scan["selected_suite"], scan["negotiated_version"]) == (
+            "RESPONDED", pick.suite, pick.version)
+        inspection = inspections.get(scan["address"])
+        if command == "scan" or server.truth.selects_fs_by_default:
+            assert inspection is None
+        else:
+            assert (inspection["classification"], inspection["prior_suite_ae"],
+                    inspection["lose_ae"]) == (
+                want.classification.name, want.prior_suite_ae, want.lose_ae)
 
 
 def test_scan_missing_input_file_fails_cleanly(tmp_path, capsys):
@@ -256,6 +317,23 @@ def test_report_over_inspect_store(tmp_path, capsys):
     # NONFS_ONLY quarter is there
     assert data["select_non_fs"]["count"] >= 3
     assert data["stable"]["pct"] == 100.0
+
+
+def test_report_skips_an_inspection_whose_scan_line_was_cut(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"NONFS_ONLY": 1.0}, size=4, seed=2)
+    store_path = tmp_path / "records.jsonl"
+    run_cli(["inspect", "--fleet-spec", spec, "--store", str(store_path), "--timeout", "0.5"],
+            capsys)
+    lines = store_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert [json.loads(line)["kind"] for line in lines] == ["scan", "inspection"] * 4
+    store_path.write_text("".join(lines[1:]), encoding="utf-8")  # the first scan is cut
+    code, out, err = run_cli(["report", "--store", str(store_path)], capsys)
+    assert code == 0
+    assert "skipped 1 inspection records with no non-FS scan" in err
+    data = json.loads(out)
+    assert data["select_non_fs"]["count"] == data["stable"]["count"] == 3
+    shares = [v["pct"] for v in data.values() if isinstance(v, dict) and v["pct"] is not None]
+    assert shares and max(shares) <= 100.0
 
 
 def test_report_with_device_metadata(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Record log round-trips and the nested aggregation table."""
 
+import dataclasses
 import json
 import math
 import random
@@ -524,6 +525,19 @@ def test_aggregate_quarter_select_non_fs():
     assert report.dataset_size == 4
     assert report.responding.count == 4 and report.responding.pct == 100.0
     assert report.select_non_fs.count == 1 and report.select_non_fs.pct == 25.0
+
+
+def test_aggregate_counts_only_inspections_of_a_non_fs_scan():
+    scans = [scan_rec("a"), scan_rec("b", 0xC02F), scan_rec("c", responded=False)]
+    inspections = [inspection_rec(address) for address in ("a", "b", "c", "gone")]
+    report = aggregate(scans, inspections)
+    assert report.unmatched_inspections == 3
+    assert report.select_non_fs.count == report.stable.count == 1
+    assert report.stable.pct == 100.0
+    matched = aggregate(scans, inspections[:1])
+    assert matched.unmatched_inspections == 0
+    assert dataclasses.replace(report, unmatched_inspections=0) == matched
+    assert "unmatched_inspections" not in report.to_dict()
 
 
 def test_aggregate_support_fs_nested_in_stable():

@@ -33,6 +33,7 @@ from befs.wire import (
     encode_alert,
     encode_client_hello,
     encode_server_hello,
+    read_offer,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -406,3 +407,122 @@ def test_inner_lengths_that_disagree_are_malformed():
     for body in (odd_suites, short_block):
         with pytest.raises(MalformedRecord):
             decode_client_hello(_framed(wire.HS_CLIENT_HELLO, body))
+
+
+# -- the server's offer read and ServerHello encoder against the general codec --
+
+
+def assert_offer_read_agrees(raw):
+    """read_offer accepts what decode_client_hello accepts, with its fields,
+    and raises the same error, type and message, for everything else.
+    Returns whether the hello was accepted."""
+    try:
+        msg = decode_client_hello(raw)
+    except wire.WireError as exc:
+        with pytest.raises(wire.WireError) as got:
+            read_offer(raw)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return False
+    assert read_offer(raw) == (msg.legacy_version, msg.cipher_suites)
+    return True
+
+
+@given(st.binary(max_size=300) | st.binary(max_size=300).map(lambda b: _framed(1, b)))
+def test_offer_read_agrees_on_arbitrary_bytes(data):
+    assert_offer_read_agrees(data)
+
+
+@given(client_hellos, st.integers(0, 200), st.integers(0, 255))
+@settings(max_examples=200)
+def test_offer_read_agrees_under_single_byte_mutations(msg, pos, val):
+    raw = bytearray(encode_client_hello(msg))
+    assert_offer_read_agrees(bytes(raw))
+    raw[pos % len(raw)] = val
+    assert_offer_read_agrees(bytes(raw))
+
+
+def _every_cut(raw):
+    """Each cut of test_every_truncation_is_a_malformed_record, and the whole record."""
+    yield raw
+    yield from (raw[:n] for n in range(len(raw)))
+    handshake = raw[5:]
+    yield from (raw[:3] + n.to_bytes(2, "big") + handshake[:n] for n in range(len(handshake)))
+    body = raw[9:]
+    yield from (_framed(raw[5], body[:n]) for n in range(len(body)))
+
+
+def _extension_block_cuts():
+    """Each cut of test_every_cut_of_the_extension_block_is_a_malformed_record."""
+    extensions = (wire.sni_extension("example.com"), (0x0017, b""), (0x000B, b"\x01\x00"))
+    raw = encode_client_hello(make_ch(suites=DEFAULT.suites, extensions=extensions))
+    fixed, block = raw[9 : 9 + _CH_FIXED], raw[9 + _CH_FIXED + 2 :]
+    for n in range(len(block)):
+        yield _framed(wire.HS_CLIENT_HELLO, fixed + n.to_bytes(2, "big") + block[:n])
+
+
+def test_offer_read_agrees_on_every_truncation_and_extension_block_cut():
+    hellos = [raw for decode, raw, _ in TRUNCATION_CASES if decode is decode_client_hello]
+    cuts = [cut for raw in hellos for cut in _every_cut(raw)] + list(_extension_block_cuts())
+    accepted = sum([assert_offer_read_agrees(cut) for cut in cuts])
+    # The two whole hellos, the SNI hello's body cut after compression, and
+    # the extension block cut at 0 and after its first and second extension.
+    assert accepted == 6
+
+
+def test_offer_read_rejects_each_field_rule_as_decode_client_hello_does():
+    body = encode_client_hello(make_ch(suites=(0xC02F, 0x002F), session_id=bytes(4)))[9:]
+    # version 0..2, random 2..34, session id 34..39, suites 39..45, compression 45..47
+    variants = [
+        (b"\x03\x04" + body[2:], "legacy_version must be a TLS 1.0-1.2 code"),
+        (b"\x03\x00" + body[2:], "legacy_version must be a TLS 1.0-1.2 code"),
+        (body[:34] + b"\x21" + bytes(33) + body[39:], "session_id must be 0-32 bytes"),
+        (body[:39] + b"\x00\x00" + body[45:], "cipher_suites must be non-empty"),
+        (body[:45] + b"\x00", "compression list must be non-empty"),
+    ]
+    for variant, message in variants:
+        raw = _framed(wire.HS_CLIENT_HELLO, variant)
+        with pytest.raises(MalformedRecord, match=message):
+            decode_client_hello(raw)
+        assert_offer_read_agrees(raw)
+
+
+def _reference_server_hello(summary, random, session_id):
+    """encode_server_hello as plain concatenation of its fields."""
+    body = (summary.negotiated_version.to_bytes(2, "big") + random
+            + bytes([len(session_id)]) + session_id
+            + summary.selected_suite.to_bytes(2, "big") + b"\x00" + summary.raw_extensions)
+    hs = bytes([wire.HS_SERVER_HELLO]) + len(body).to_bytes(3, "big") + body
+    return (bytes([wire.CONTENT_HANDSHAKE]) + summary.negotiated_version.to_bytes(2, "big")
+            + len(hs).to_bytes(2, "big") + hs)
+
+
+@given(server_hellos, randoms, session_ids)
+def test_encode_server_hello_is_the_plain_concatenation(summary, random, session_id):
+    got = encode_server_hello(summary, random=random, session_id=session_id)
+    assert got == _reference_server_hello(summary, random, session_id)
+
+
+def test_encode_server_hello_for_every_version_and_session_id_length():
+    random = bytes(range(32))
+    for version in (0, TLS1_0, TLS1_1, TLS1_2, 0x0304, 0xFFFF):
+        for n in range(33):
+            for extensions in (b"", b"\xff\x01\x00\x01\x00"):
+                summary = ServerHelloSummary(version, 0xC02F, extensions)
+                session_id = bytes(range(n))
+                assert encode_server_hello(summary, random, session_id) == _reference_server_hello(
+                    summary, random, session_id)
+
+
+def test_encode_server_hello_raises_oversize_past_the_record_limit():
+    for n in (0, 32):
+        fits = ServerHelloSummary(TLS1_2, 0xC02F, bytes(0xFFFF - 4 - 38 - n))
+        raw = encode_server_hello(fits, session_id=bytes(n))
+        assert len(raw) == 5 + 0xFFFF
+        assert raw == _reference_server_hello(fits, bytes(32), bytes(n))
+        over = ServerHelloSummary(TLS1_2, 0xC02F, fits.raw_extensions + b"\x00")
+        with pytest.raises(OversizeMessage, match="record length 65536 overflows 2 bytes"):
+            encode_server_hello(over, session_id=bytes(n))
+    with pytest.raises(ValueError):
+        encode_server_hello(ServerHelloSummary(TLS1_2, 0xC02F), random=bytes(31))
+    with pytest.raises(ValueError):
+        encode_server_hello(ServerHelloSummary(TLS1_2, 0xC02F), session_id=bytes(33))
