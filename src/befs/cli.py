@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import signal
 import sys
@@ -334,7 +333,7 @@ def cmd_fleet(args) -> int:
         if args.truth_out:
             with open(args.truth_out, "w", encoding="utf-8") as fh:
                 for row in truth_records(fleet, campaign=args.campaign):
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+                    fh.write(json_line(row))
 
     if not args.serve:
         write_truth()

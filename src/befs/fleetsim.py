@@ -24,7 +24,7 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Protocol
 
@@ -409,6 +409,8 @@ def _unresponsive(rng: random.Random) -> ServerPolicy:
     return ServerPolicy(frozenset({0x002F}), (0x002F,), frozenset({wire.TLS1_2}))
 
 
+# Each builder meets its archetype's ground truth by construction, as
+# test_every_archetype_realizes_its_constraints checks.
 _BUILDERS: dict[Archetype, Callable[[random.Random], ServerPolicy]] = {
     Archetype.FS_PREFERRING: _fs_preferring,
     Archetype.FS_SUPPORTING_NONFS_PREFERRING: _fs_supporting_nonfs_preferring,
@@ -417,20 +419,6 @@ _BUILDERS: dict[Archetype, Callable[[random.Random], ServerPolicy]] = {
     Archetype.LEGACY_PRE_TLS12: _legacy,
     Archetype.UNRESPONSIVE: _unresponsive,
 }
-
-# Forced-truth checks per archetype; generation re-rolls until they hold.
-_ARCHETYPE_REQUIREMENTS: dict[Archetype, Callable[[GroundTruth], bool]] = {
-    Archetype.FS_PREFERRING: lambda t: t.supports_fs and t.selects_fs_by_default,
-    Archetype.FS_SUPPORTING_NONFS_PREFERRING: lambda t: t.supports_fs
-    and not t.selects_fs_by_default,
-    Archetype.NONFS_ONLY: lambda t: not t.supports_fs,
-    Archetype.FS_NONAE_ONLY: lambda t: t.supports_fs
-    and not t.supports_fs_ae
-    and not t.selects_fs_by_default,
-    Archetype.LEGACY_PRE_TLS12: lambda t: not t.supports_fs_ae,
-    Archetype.UNRESPONSIVE: lambda t: True,
-}
-
 
 def archetype_counts(spec: FleetSpec) -> dict[Archetype, int]:
     """Largest-remainder apportionment of spec.size over the mix."""
@@ -449,33 +437,21 @@ def generate_fleet(spec: FleetSpec) -> list[SimServer]:
     servers: list[SimServer] = []
     for arch in Archetype:  # fixed iteration order keeps generation deterministic
         for _ in range(counts.get(arch, 0)):
-            build = _BUILDERS[arch]
-            needs = _ARCHETYPE_REQUIREMENTS[arch]
-            while True:
-                policy = build(rng)
-                truth = policy_truth(policy)
-                if needs(truth):
-                    break
+            policy = _BUILDERS[arch](rng)
             index = len(servers)
             servers.append(
                 SimServer(
                     server_id="srv-%04d" % index,
                     archetype=arch,
                     policy=policy,
-                    truth=truth,
+                    truth=policy_truth(policy),
                     seed=spec.seed,
                     index=index,
                 )
             )
     device_count = round(spec.network_device_fraction * len(servers))
     for server in rng.sample(servers, device_count):
-        label = rng.choice(DEVICE_LABELS)
-        server.truth = GroundTruth(
-            server.truth.supports_fs,
-            server.truth.supports_fs_ae,
-            server.truth.selects_fs_by_default,
-            device_type=label,
-        )
+        server.truth = replace(server.truth, device_type=rng.choice(DEVICE_LABELS))
     return servers
 
 

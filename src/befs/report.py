@@ -274,35 +274,39 @@ class RecordStore:
     def load(self, *, campaign: Optional[str] = None) -> LoadResult:
         """Read every line, or one campaign's. Corrupt lines become errors, not silent drops.
 
-        Lines end at ``\\n`` only. The file is read in blocks of
-        LOAD_BLOCK_BYTES, each cut after its last ``\\n``, so memory holds
-        one block (or one line, if longer) plus the kept records. Every
-        line is parsed, whatever its campaign, so a corrupt line of any
-        campaign is reported.
+        Lines end at ``\\n`` only. They are read through one buffered text
+        handle, so memory holds its buffer (or one line, if longer) plus
+        the kept records. Every line is parsed, whatever its campaign, so a
+        corrupt line of any campaign is reported.
         """
-        loader = _BlockLoader(campaign)
-        pending: list[bytes] = []  # the line begun by earlier blocks
+        result = LoadResult(records=[])
+        records, errors = result.records, result.errors
         try:
-            with self.path.open("rb") as fh:
-                while block := fh.read(LOAD_BLOCK_BYTES):
-                    cut = block.rfind(b"\n") + 1
-                    if not cut:
-                        pending.append(block)
-                        continue
-                    pending.append(block[:cut])
-                    loader.feed(b"".join(pending))
-                    pending = [block[cut:]]
+            # surrogateescape: a line that is not UTF-8 is read, then reported.
+            with self.path.open(encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+                for number, line in enumerate(fh, 1):
+                    # One scan of an ASCII line (never empty) that holds
+                    # exactly one object and nothing else; any other line
+                    # takes _parse_line, which gives the same records and
+                    # the same errors.
+                    if line[0] == "{" and line.isascii():
+                        try:
+                            data, stop = _scan_value(line, 0)
+                        except (ValueError, StopIteration, RecursionError):
+                            stop = 0
+                        if line[stop:] not in ("\n", ""):  # not the line's end
+                            data = _parse_line(line, number, errors)
+                    else:
+                        data = _parse_line(line, number, errors)
+                    if data is not None and (campaign is None or data.get("campaign") == campaign):
+                        records.append(data)
         except OSError as exc:
             raise IoFailure("cannot read %s: %s" % (self.path, exc)) from exc
-        if any(pending):
-            loader.feed(b"".join(pending) + b"\n")
-        return loader.result
+        return result
 
 
-LOAD_BLOCK_BYTES = 64 * 1024
-
-# The C scanner behind json.loads, called at a line's offset in a decoded
-# block: it skips json.loads' wrapper and the per-line string slice.
+# The C scanner behind json.loads: called on a whole line, it skips
+# json.loads' wrapper and whitespace checks.
 _scan_value = json.JSONDecoder().scan_once
 # The encoder that json.dumps with these options would build for every line.
 _encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -313,70 +317,26 @@ def json_line(data: Mapping) -> str:
     return _encode_line(data) + "\n"
 
 
-class _BlockLoader:
-    """Parses whole ``\\n``-terminated lines into one LoadResult."""
-
-    def __init__(self, campaign: Optional[str]) -> None:
-        self.campaign = campaign
-        self.result = LoadResult(records=[])
-        self.number = 0  # lines seen so far
-
-    def feed(self, chunk: bytes) -> None:
-        """Parse ``chunk``, which ends with ``\\n``; a line that is not UTF-8 is an error."""
-        try:
-            text = chunk.decode("utf-8")
-        except UnicodeDecodeError:
-            for raw in chunk.split(b"\n")[:-1]:
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    self.number += 1
-                    self.result.errors.append(ParseFailure(self.number, "not UTF-8: %s" % exc))
-                    continue
-                self._feed_text(line + "\n")
-            return
-        self._feed_text(text)
-
-    def _feed_text(self, text: str) -> None:
-        campaign, records = self.campaign, self.result.records
-        number, start, size = self.number, 0, len(text)
-        while start < size:
-            end = text.index("\n", start)
-            number += 1
-            # One scan of a line that holds exactly one object and nothing
-            # else; any other line takes the per-line path below, which
-            # gives the same records and the same error messages.
-            if text[start] == "{":
-                try:
-                    data, stop = _scan_value(text, start)
-                except (ValueError, StopIteration, RecursionError):
-                    stop = -1
-                if stop == end:
-                    if campaign is None or data.get("campaign") == campaign:
-                        records.append(data)
-                    start = end + 1
-                    continue
-            self._parse_line(text[start:end], number)
-            start = end + 1
-        self.number = number
-
-    def _parse_line(self, line: str, number: int) -> None:
+def _parse_line(line: str, number: int, errors: list[ParseFailure]) -> Optional[dict]:
+    """The object on one store line, or None for a blank or corrupt one, which adds an error."""
+    line = line.removesuffix("\n")
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
         if not line.strip():
-            return
-        errors = self.result.errors
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(ParseFailure(number, str(exc)))
-            return
-        except RecursionError:
-            errors.append(ParseFailure(number, "nested too deeply to parse"))
-            return
-        if not isinstance(data, dict):
-            errors.append(ParseFailure(number, "not a JSON object"))
-            return
-        if self.campaign is None or data.get("campaign") == self.campaign:
-            self.result.records.append(data)
+            return None
+        data = json.loads(line)
+    except UnicodeDecodeError as exc:
+        reason = "not UTF-8: %s" % exc
+    except json.JSONDecodeError as exc:
+        reason = str(exc)
+    except RecursionError:
+        reason = "nested too deeply to parse"
+    else:
+        if isinstance(data, dict):
+            return data
+        reason = "not a JSON object"
+    errors.append(ParseFailure(number, reason))
+    return None
 
 
 # -- aggregation ---------------------------------------------------------------

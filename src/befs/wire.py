@@ -386,6 +386,7 @@ def _client_hello_fields(data: bytes, extensions: Optional[list]) -> tuple[int, 
 
 
 def decode_client_hello(data: bytes) -> ClientHelloMsg:
+    data = bytes(data)  # so a bytearray's random, session id and extension bodies are bytes
     extensions: list[tuple[int, bytes]] = []
     suites_at, n_suites = _client_hello_fields(data, extensions)
     compression_at = suites_at + 2 * n_suites + 1

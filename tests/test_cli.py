@@ -23,7 +23,7 @@ from befs.fleetsim import (
 )
 from befs.handshake import AttemptKind, AttemptResult
 from befs.inspection import Classification, InspectionRecord, ScanRecord, ScanResultKind, StepResult
-from befs.report import RecordStore, inspection_record_to_dict, scan_record_to_dict
+from befs.report import RecordStore, inspection_record_to_dict, json_line, scan_record_to_dict
 from befs.suites import ProfileKind, is_fs
 
 
@@ -61,6 +61,28 @@ def test_scan_fleet_spec_memory(tmp_path, capsys):
     assert len(lines) == 8
     assert all(l["kind"] == "scan" and l["v"] == 1 for l in lines)
     assert "8 responded" in err
+
+
+# Record fields that hold no clock reading (the h1-h3 steps hold elapsed times).
+OUTCOME_FIELDS = {"kind", "address", "result", "selected_suite", "negotiated_version",
+                  "error_detail", "classification", "prior_suite_ae", "lose_ae"}
+
+
+@pytest.mark.parametrize("command", ["scan", "inspect"])
+def test_rate_limit_spaces_connection_starts_and_keeps_the_records(command, tmp_path, capsys):
+    """N memory servers at R connects per second take at least (N - 1) / R seconds."""
+    n, rate = 6, 40.0
+    argv = [command, "--fleet-spec", write_spec(tmp_path, MIXED, size=n), "--timeout", "0.5"]
+    runs = []
+    for extra in ([], ["--rate-limit", str(rate)]):
+        start = time.perf_counter()
+        code, out, _ = run_cli(argv + extra, capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        runs.append([{k: v for k, v in json.loads(l).items() if k in OUTCOME_FIELDS}
+                     for l in out.splitlines()])
+    assert elapsed >= (n - 1) / rate
+    assert runs[0] == runs[1] and runs[0]
 
 
 def test_inspect_writes_store_and_histogram(tmp_path, capsys):
@@ -569,6 +591,8 @@ def test_fleet_describe_and_truth_out(tmp_path, capsys):
     rows = [json.loads(l) for l in truth_path.read_text().splitlines()]
     assert len(rows) == 8
     assert all(r["campaign"] == "t" for r in rows)
+    # Written as the store writes its lines: sorted keys, no spaces.
+    assert truth_path.read_text() == "".join(map(json_line, rows))
 
 
 def test_fleet_serve_truth_out_names_the_served_addresses(tmp_path, capsys, monkeypatch):

@@ -173,6 +173,16 @@ def test_scan_marks_unresponsive_as_timeout():
     assert rec.selected_suite is None
 
 
+def test_scan_marks_a_rejecting_server_and_an_empty_address_as_failed():
+    # DHE only: the server shares no suite with the DEFAULT offer.
+    with harness_for({0x0033}, [0x0033]) as h:
+        records = []
+        scan([*h.addresses, "no-server"], records.append, 0.5, 1, connector=h.connector())
+    assert [r.result for r in records] == [ScanResultKind.FAILED] * 2
+    assert records[0].error_detail.startswith("REJECTED: handshake_failure")
+    assert records[1].error_detail.startswith("CONNECT_ERROR: ")
+
+
 def test_scan_requires_addresses_and_concurrency():
     fleet = generate_fleet(FleetSpec(size=1, seed=1, mix={Archetype.NONFS_ONLY: 1.0}))
     with serve(fleet, Transport.IN_MEMORY) as h:

@@ -4,12 +4,11 @@ import dataclasses
 import json
 import math
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from befs import report, wire
+from befs import wire
 from befs.client import (
     FallbackStyle,
     PolicyConfig,
@@ -423,7 +422,12 @@ def test_store_lines_end_at_newline_only(store):
 def _load_line_by_line(path, campaign=None) -> list:
     """The store's former load, one json.loads per line, with lines split at \\n only."""
     records, errors = [], []
-    for number, line in enumerate(path.read_bytes().decode("utf-8").split("\n"), start=1):
+    for number, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            errors.append(ParseFailure(number, "not UTF-8: %s" % exc))
+            continue
         if not line.strip():
             continue
         try:
@@ -464,20 +468,56 @@ _store_lines = st.one_of(
     lines=st.lists(st.tuples(_store_lines, st.sampled_from(["\n", "\r\n"])), max_size=12),
     bom=st.booleans(),
     last_newline=st.booleans(),
-    block=st.integers(1, 24),
     campaign=st.sampled_from([None, "c1", "c2"]),
 )
 def test_store_load_matches_a_line_by_line_parse(tmp_path_factory, lines, bom, last_newline,
-                                                 block, campaign):
+                                                 campaign):
     text = "".join(line + end for line, end in lines)
     if lines and not last_newline:
         text = text[:-len(lines[-1][1])]
     path = tmp_path_factory.mktemp("store") / "log.jsonl"
     path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
-    with mock.patch.object(report, "LOAD_BLOCK_BYTES", block):
-        loaded = RecordStore(path).load(campaign=campaign)
+    loaded = RecordStore(path).load(campaign=campaign)
     assert [loaded.records, [(e.line_number, str(e)) for e in loaded.errors]] == \
         _load_line_by_line(path, campaign)
+
+
+READ_BYTES = 8192  # what a text handle reads and decodes at a time
+
+
+def test_store_load_matches_a_line_by_line_parse_across_reads(tmp_path):
+    """Lines longer than a read, and characters, a non-UTF-8 sequence and
+    a line end that a read boundary cuts."""
+    out = bytearray()
+
+    def record(address: bytes, padding: int = 0) -> bytes:
+        return b'{"address":"%s%s","campaign":"c1","kind":"scan","v":1}\n' % (
+            b"x" * padding, address)
+
+    def cut_by_a_read(address: bytes, cut: int) -> None:
+        """Append a record whose address has ``cut`` bytes before a read boundary."""
+        start = len(out) + len(b'{"address":"')
+        out.extend(record(address, (-start - cut) % READ_BYTES))
+
+    out += record(b"a" * 20000)
+    for char in ("\u00e9", "\u20ac", "\u2028"):
+        piece = char.encode("utf-8")
+        for cut in range(1, len(piece)):
+            cut_by_a_read(piece * 3, cut)
+    cut_by_a_read(b"\xe2\x82x", 1)  # a cut sequence that is not UTF-8
+    out += record(b"b" * 9000)
+    out += record(b"\xff")  # not UTF-8, after a long line
+    cut_by_a_read(b"", len(record(b"")) - len(b'{"address":"'))  # \n ends a read
+    out += record("\u20ac".encode("utf-8") * 5000)[:-1]  # no final newline
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(out)
+    loaded = RecordStore(path).load()
+    assert len(loaded.records) == 9
+    assert [e.line_number for e in loaded.errors] == [7, 9]
+    for campaign in (None, "c1", "c2"):
+        loaded = RecordStore(path).load(campaign=campaign)
+        assert [loaded.records, [(e.line_number, str(e)) for e in loaded.errors]] == \
+            _load_line_by_line(path, campaign)
 
 
 def test_store_line_is_on_disk_when_append_returns(store):

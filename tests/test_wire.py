@@ -414,17 +414,25 @@ def test_inner_lengths_that_disagree_are_malformed():
 
 def assert_offer_read_agrees(raw):
     """read_offer accepts what decode_client_hello accepts, with its fields,
-    and raises the same error, type and message, for everything else.
+    and raises the same error, type and message, for everything else. Both
+    hold for ``raw`` as bytes and as a bytearray, which read the same.
     Returns whether the hello was accepted."""
-    try:
-        msg = decode_client_hello(raw)
-    except wire.WireError as exc:
-        with pytest.raises(wire.WireError) as got:
-            read_offer(raw)
-        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
-        return False
-    assert read_offer(raw) == (msg.legacy_version, msg.cipher_suites)
-    return True
+    outcomes = []
+    for data in (bytes(raw), bytearray(raw)):
+        try:
+            msg = decode_client_hello(data)
+        except wire.WireError as exc:
+            with pytest.raises(wire.WireError) as got:
+                read_offer(data)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            outcomes.append((type(exc), str(exc)))
+            continue
+        assert read_offer(data) == (msg.legacy_version, msg.cipher_suites)
+        fields = (msg.random, msg.session_id, *(body for _, body in msg.extensions))
+        assert {type(f) for f in fields} == {bytes}
+        outcomes.append(msg)
+    assert outcomes[0] == outcomes[1]
+    return isinstance(outcomes[0], ClientHelloMsg)
 
 
 @given(st.binary(max_size=300) | st.binary(max_size=300).map(lambda b: _framed(1, b)))
