@@ -17,7 +17,6 @@ from .suites import (
     DEFAULT,
     FS_AE_ONLY,
     FS_ONLY,
-    OfferProfile,
     ProfileKind,
     is_ae,
     is_fs,
@@ -32,7 +31,6 @@ __all__ = [
     "FS_AE_ONLY",
     "FS_ONLY",
     "FallbackStyle",
-    "OfferProfile",
     "PolicyConfig",
     "PolicyMode",
     "ProfileKind",

@@ -358,6 +358,8 @@ def cmd_report(args) -> int:
     loaded = RecordStore(args.store).load(campaign=args.campaign)
     for err in loaded.errors:
         _note("report: skipped corrupt %s" % err)
+    if args.campaign is not None and not loaded.records:
+        _note("report: no records of campaign %r" % args.campaign)
     scans, inspections = scans_and_inspections(loaded.records)
     labels = None
     if args.device_meta:

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .handshake import AttemptResult, Connector, handshake_attempt
-from .suites import PROFILES, ProfileKind, is_ae, is_fs
+from .suites import ProfileKind, is_ae, is_fs
 
 
 class PolicyMode(Enum):
@@ -156,7 +156,7 @@ def connect(
         return handshake_attempt(
             connector,
             address,
-            PROFILES[profile].suites,
+            profile.suites,
             cfg.timeout_s,
             sni=sni,
             seed=seed,

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Optional, Protocol
 from . import wire
 from .handshake import ConnectFailed, TcpConnector
 from .inspection import Classification
-from .negotiate import NegotiationResult, SelectionRule, ServerPolicy, select
+from .negotiate import SelectionRule, ServerPolicy, select
 from .suites import (
     DEFAULT,
     DEFAULT_ORDER,
@@ -205,25 +205,25 @@ class ExpectedInspection:
     lose_ae: bool = False
 
 
-def expected_inspection(policy: ServerPolicy, client_max: int = wire.TLS1_2) -> ExpectedInspection:
+def expected_inspection(policy: ServerPolicy) -> ExpectedInspection:
     """Replay the three-profile decision tree against a known policy.
 
     This walks negotiate.select directly, independently of the live
     inspection path, so it serves as the classification oracle.
     """
-    r1 = select(policy, DEFAULT.suites, client_max)
+    r1 = select(policy, DEFAULT.suites, wire.TLS1_2)
     if not r1.selected:
         return ExpectedInspection(Classification.ERROR_H1)
     if is_fs(r1.suite):
         return ExpectedInspection(Classification.CHANGED_BEHAVIOR)
     prior_ae = is_ae(r1.suite)
-    r2 = select(policy, FS_ONLY.suites, client_max)
+    r2 = select(policy, FS_ONLY.suites, wire.TLS1_2)
     if not r2.selected:
         return ExpectedInspection(Classification.STABLE_NO_FS_SUPPORT, prior_ae, False)
     if is_ae(r2.suite):
         return ExpectedInspection(Classification.STABLE_SUPPORTS_FS_AE, prior_ae, False)
     lose_ae = prior_ae
-    r3 = select(policy, FS_AE_ONLY.suites, client_max)
+    r3 = select(policy, FS_AE_ONLY.suites, wire.TLS1_2)
     if not r3.selected:
         return ExpectedInspection(Classification.STABLE_SUPPORTS_FS_NONAE_ONLY, prior_ae, lose_ae)
     return ExpectedInspection(
@@ -235,10 +235,6 @@ def expected_for_server(server: "SimServer") -> ExpectedInspection:
     if server.archetype is Archetype.UNRESPONSIVE:
         return ExpectedInspection(Classification.TIMEOUT)
     return expected_inspection(server.policy)
-
-
-def expected_scan_selection(policy: ServerPolicy) -> NegotiationResult:
-    return select(policy, DEFAULT.suites, wire.TLS1_2)
 
 
 def server_random(seed: int, index: int, counter: int) -> bytes:
@@ -311,7 +307,6 @@ class SimServer:
 
 
 FS_SUITES = list(FS_ONLY.suites)
-FS_AE_SUITES = list(FS_AE_ONLY.suites)
 FS_NONAE_SUITES = [cp for cp in FS_ONLY.suites if not is_ae(cp)]
 NONFS_SUITES = [cp for cp in DEFAULT_ORDER if not is_fs(cp)]
 NONFS_AE_SUITES = [cp for cp in NONFS_SUITES if is_ae(cp)]
@@ -636,10 +631,6 @@ class Harness:
     @property
     def addresses(self) -> list[str]:
         return [s.address for s in self.servers]
-
-    @property
-    def address_of(self) -> dict[str, str]:
-        return {s.server_id: s.address for s in self.servers}
 
     @property
     def max_in_flight(self) -> int:

@@ -59,10 +59,12 @@ def _client_random(seed: int, address: str, label: str) -> bytes:
     return hashlib.sha256(material.encode()).digest()
 
 
-# One checked ClientHello template per (max_version, offer). Scans send a
-# handful of offers to every address, so the cache never holds an address
-# or SNI and stays small at any campaign size.
-_hello_template = functools.lru_cache(maxsize=64)(wire.ClientHelloTemplate)
+@functools.lru_cache(maxsize=64)
+def _hello_template(offer: tuple[int, ...]) -> wire.ClientHelloTemplate:
+    """The checked TLS 1.2 ClientHello of one offer. Scans send a handful of
+    offers to every address, so the cache never holds an address or SNI and
+    stays small at any campaign size."""
+    return wire.ClientHelloTemplate(wire.TLS1_2, offer)
 
 
 def handshake_attempt(
@@ -71,13 +73,12 @@ def handshake_attempt(
     offer: Sequence[int],
     timeout_s: float,
     *,
-    max_version: int = wire.TLS1_2,
     sni: bool = False,
     seed: int = 0,
     label: str = "",
     signal_fallback: bool = False,
 ) -> AttemptResult:
-    """Send one ClientHello and classify the first server flight.
+    """Send one TLS 1.2 ClientHello and classify the first server flight.
 
     With ``sni``, the hello carries the address's host name in the
     server_name extension; an IPv4 literal never does (split_address).
@@ -86,7 +87,7 @@ def handshake_attempt(
     suites = offered + (FALLBACK_SIGNAL,) if signal_fallback else offered
     name = split_address(address)[2] if sni else None
     server_name = name.encode("ascii") if name else b""
-    raw = _hello_template(max_version, suites).encode(
+    raw = _hello_template(suites).encode(
         _client_random(seed, address, label or repr(suites)), server_name
     )
     start = time.perf_counter()
@@ -111,10 +112,10 @@ def handshake_attempt(
         if sh.selected_suite not in offered or sh.selected_suite == FALLBACK_SIGNAL:
             return done(kind=AttemptKind.PROTOCOL_ERROR,
                         error="server selected unoffered suite 0x%04X" % sh.selected_suite)
-        if sh.negotiated_version > max_version:
+        if sh.negotiated_version > wire.TLS1_2:
             return done(kind=AttemptKind.PROTOCOL_ERROR,
                         error="server selected version 0x%04X above 0x%04X"
-                        % (sh.negotiated_version, max_version))
+                        % (sh.negotiated_version, wire.TLS1_2))
         return done(kind=AttemptKind.SELECTED, suite=sh.selected_suite, version=sh.negotiated_version)
     try:
         alert = wire.decode_alert(reply)
@@ -132,10 +133,7 @@ def read_record(sock: socket.socket, deadline: float) -> bytes:
         if remaining <= 0:
             raise TimeoutError("record read deadline exceeded")
         sock.settimeout(remaining)
-        try:
-            chunk = sock.recv(4096)
-        except socket.timeout:
-            raise TimeoutError("record read deadline exceeded") from None
+        chunk = sock.recv(4096)
         if not chunk:
             raise ConnectFailed("connection closed before a full record")
         buf += chunk
@@ -155,15 +153,13 @@ class TcpConnector:
         deadline = time.perf_counter() + timeout_s
         try:
             sock = socket.create_connection((host, port), timeout=timeout_s)
-        except socket.timeout:
-            raise TimeoutError("connect timed out") from None
+        except TimeoutError:
+            raise
         except OSError as exc:
             raise ConnectFailed("connect %s failed: %s" % (address, exc)) from exc
         try:
             sock.sendall(raw)
             return read_record(sock, deadline)
-        except socket.timeout:
-            raise TimeoutError("exchange timed out") from None
         except TimeoutError:
             raise
         except OSError as exc:

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .handshake import AttemptKind, AttemptResult, Connector, handshake_attempt
-from .suites import DEFAULT, FS_AE_ONLY, FS_ONLY, OfferProfile, ProfileKind, is_ae, is_fs
+from .suites import DEFAULT, FS_AE_ONLY, FS_ONLY, ProfileKind, is_ae, is_fs
 
 
 class ScanResultKind(Enum):
@@ -212,10 +212,17 @@ def _run_bounded(fn: Callable, items: Iterable, emit: Callable, concurrency: int
         raise errors[0]
 
 
+def _measure(task: Callable, addresses: Iterable[str], emit: Callable, concurrency: int,
+             rate_limit: Optional[float], **options) -> None:
+    """The body of scan and inspect_all: ``task(address, **options)`` per address."""
+    limiter = RateLimiter(rate_limit) if rate_limit else None
+    _run_bounded(functools.partial(task, limiter=limiter, **options), addresses, emit, concurrency)
+
+
 def _attempt_profile(
     connector: Connector,
     address: str,
-    profile: OfferProfile,
+    profile: ProfileKind,
     timeout_s: float,
     sni: bool,
     seed: int,
@@ -230,9 +237,9 @@ def _attempt_profile(
         timeout_s,
         sni=sni,
         seed=seed,
-        label=profile.kind.value,
+        label=profile.value,
     )
-    return StepResult(profile.kind, attempt)
+    return StepResult(profile, attempt)
 
 
 def scan_one(
@@ -268,11 +275,8 @@ def scan(
     rate_limit: Optional[float] = None,
 ) -> None:
     """One default-offer handshake per address; ``emit`` gets each record in input order."""
-    limiter = RateLimiter(rate_limit) if rate_limit else None
-    one = functools.partial(
-        scan_one, timeout_s=timeout_s, connector=connector, sni=sni, seed=seed, limiter=limiter
-    )
-    _run_bounded(one, addresses, emit, concurrency)
+    _measure(scan_one, addresses, emit, concurrency, rate_limit,
+             timeout_s=timeout_s, connector=connector, sni=sni, seed=seed)
 
 
 def inspect_one(
@@ -287,7 +291,7 @@ def inspect_one(
 ) -> InspectionRecord:
     """Run the three-step heuristic; each step is a fresh connection."""
 
-    def run(profile: OfferProfile) -> StepResult:
+    def run(profile: ProfileKind) -> StepResult:
         return _attempt_profile(connector, address, profile, timeout_s, sni, seed, limiter)
 
     h2: Optional[StepResult] = None
@@ -339,9 +343,5 @@ def inspect_all(
 
     ``emit`` gets ``(scan record, inspection record or None)`` in input order.
     """
-    limiter = RateLimiter(rate_limit) if rate_limit else None
-    one = functools.partial(
-        _scan_then_inspect,
-        timeout_s=timeout_s, connector=connector, sni=sni, seed=seed, limiter=limiter,
-    )
-    _run_bounded(one, addresses, emit, concurrency)
+    _measure(_scan_then_inspect, addresses, emit, concurrency, rate_limit,
+             timeout_s=timeout_s, connector=connector, sni=sni, seed=seed)

@@ -100,39 +100,28 @@ REGISTRY: dict[int, SuiteDescriptor] = {
 FALLBACK_SIGNAL = 0x5600
 
 
-class ProfileKind(Enum):
-    DEFAULT = "DEFAULT"
-    FS_ONLY = "FS_ONLY"
-    FS_AE_ONLY = "FS_AE_ONLY"
-
-
-@dataclass(frozen=True)
-class OfferProfile:
-    kind: ProfileKind
-    suites: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.suites:
-            raise ValueError("offer profile must list at least one suite")
-
-
 DEFAULT_ORDER: tuple[int, ...] = tuple(d.codepoint for d in _DEFAULT_DESCRIPTORS)
 
-DEFAULT = OfferProfile(ProfileKind.DEFAULT, DEFAULT_ORDER)
-FS_ONLY = OfferProfile(
-    ProfileKind.FS_ONLY,
-    tuple(cp for cp in DEFAULT_ORDER if REGISTRY[cp].fs),
-)
-FS_AE_ONLY = OfferProfile(
-    ProfileKind.FS_AE_ONLY,
-    tuple(cp for cp in DEFAULT_ORDER if REGISTRY[cp].fs and REGISTRY[cp].ae),
-)
 
-PROFILES: dict[ProfileKind, OfferProfile] = {
-    ProfileKind.DEFAULT: DEFAULT,
-    ProfileKind.FS_ONLY: FS_ONLY,
-    ProfileKind.FS_AE_ONLY: FS_AE_ONLY,
-}
+class ProfileKind(Enum):
+    """A client offer profile: its name is its value, and ``suites`` its offer."""
+
+    DEFAULT = ("DEFAULT", DEFAULT_ORDER)
+    FS_ONLY = ("FS_ONLY", tuple(cp for cp in DEFAULT_ORDER if REGISTRY[cp].fs))
+    FS_AE_ONLY = ("FS_AE_ONLY", tuple(cp for cp in DEFAULT_ORDER if REGISTRY[cp].fs and REGISTRY[cp].ae))
+
+    suites: tuple[int, ...]
+
+    def __new__(cls, value: str, suites: tuple[int, ...]) -> "ProfileKind":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.suites = suites
+        return member
+
+
+DEFAULT = ProfileKind.DEFAULT
+FS_ONLY = ProfileKind.FS_ONLY
+FS_AE_ONLY = ProfileKind.FS_AE_ONLY
 
 
 def is_fs(codepoint: int) -> bool:

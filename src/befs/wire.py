@@ -143,33 +143,6 @@ def sni_extension(hostname: str) -> tuple[int, bytes]:
     return (SNI_EXTENSION_TYPE, body)
 
 
-def extract_sni(msg: ClientHelloMsg) -> Optional[str]:
-    """Hostname from the first well-formed SNI extension, else None."""
-    for etype, body in msg.extensions:
-        if etype != SNI_EXTENSION_TYPE:
-            continue
-        # server_name_list(2), then entries of name_type(1) length(2) name
-        if len(body) < 2:
-            return None
-        end = 2 + (body[0] << 8 | body[1])
-        if end > len(body):
-            return None
-        pos = 2
-        while pos < end:
-            if pos + 3 > end:
-                return None
-            name_type, start = body[pos], pos + 3
-            pos = start + (body[pos + 1] << 8 | body[pos + 2])
-            if pos > end:
-                return None
-            if name_type == 0:
-                try:
-                    return body[start:pos].decode("ascii")
-                except UnicodeDecodeError:
-                    return None
-    return None
-
-
 def fingerprint(msg: ClientHelloMsg) -> str:
     """The hello's JA3 string (Althouse, Atkinson and Atkins, 2017), unhashed.
 
@@ -297,8 +270,8 @@ def encode_server_hello(
     return head + summary.raw_extensions
 
 
-def encode_alert(alert: AlertMsg, record_version: int = TLS1_2) -> bytes:
-    return _record(CONTENT_ALERT, record_version, bytes([alert.level.value, alert.description]))
+def encode_alert(alert: AlertMsg) -> bytes:
+    return _record(CONTENT_ALERT, TLS1_2, bytes([alert.level.value, alert.description]))
 
 
 def _truncated(what: str) -> MalformedRecord:

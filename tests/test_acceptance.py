@@ -32,7 +32,6 @@ from befs.fleetsim import (
     SimServer,
     Transport,
     expected_for_server,
-    expected_scan_selection,
     generate_fleet,
     policy_truth,
     serve,
@@ -208,7 +207,7 @@ def test_criterion_3_classification_fidelity():
         if server.archetype is Archetype.UNRESPONSIVE:
             assert record.result is ScanResultKind.TIMEOUT
         else:
-            want = expected_scan_selection(server.policy)
+            want = select(server.policy, DEFAULT.suites, TLS1_2)
             assert record.result is ScanResultKind.RESPONDED
             assert record.selected_suite == want.suite
 
@@ -466,7 +465,7 @@ def test_criterion_6_wire_robustness():
     msg = wire.decode_client_hello(blob)
     assert msg.legacy_version == TLS1_2
     assert len(msg.cipher_suites) == 15 and msg.cipher_suites[0] == 0xC02C
-    assert wire.extract_sni(msg) == "example.com"
+    assert wire.sni_extension("example.com") in msg.extensions
     return "%d round-trips, %d fuzz inputs, 0 failures, golden vector ok" % (
         3 * per_kind,
         fuzz_inputs,
@@ -489,7 +488,7 @@ def _run_1000(seed: int):
     spec = FleetSpec(size=1000, seed=seed, mix=RESPONSIVE_MIX)
     fleet = generate_fleet(spec)
     with serve(fleet, Transport.LOOPBACK_SOCKET) as harness:
-        id_of = {address: server_id for server_id, address in harness.address_of.items()}
+        id_of = {server.address: server.server_id for server in fleet}
         pairs = []
         inspect_all(harness.addresses, pairs.append, 5.0, 50, connector=harness.connector())
         peak = harness.max_in_flight

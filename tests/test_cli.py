@@ -16,7 +16,6 @@ from befs.fleetsim import (
     FleetSpec,
     Transport,
     expected_for_server,
-    expected_scan_selection,
     generate_fleet,
     load_fleet_spec,
     serve,
@@ -24,7 +23,9 @@ from befs.fleetsim import (
 from befs.handshake import AttemptKind, AttemptResult
 from befs.inspection import Classification, InspectionRecord, ScanRecord, ScanResultKind, StepResult
 from befs.report import RecordStore, inspection_record_to_dict, json_line, scan_record_to_dict
-from befs.suites import ProfileKind, is_fs
+from befs.negotiate import select
+from befs.suites import DEFAULT, ProfileKind, is_fs
+from befs.wire import TLS1_2
 
 
 def write_spec(tmp_path, mix, size=8, seed=3, name="fleet.json", **extra):
@@ -219,7 +220,7 @@ def test_stdout_lines_are_the_stored_lines_and_match_ground_truth(
             assert want.classification is Classification.TIMEOUT
             assert scan["address"] not in inspections
             continue
-        pick = expected_scan_selection(server.policy)
+        pick = select(server.policy, DEFAULT.suites, TLS1_2)
         assert (scan["result"], scan["selected_suite"], scan["negotiated_version"]) == (
             "RESPONDED", pick.suite, pick.version)
         inspection = inspections.get(scan["address"])
@@ -331,6 +332,7 @@ def test_report_over_inspect_store(tmp_path, capsys):
     assert code == 0
     table = err
     assert "campaign: c1" in table and "select non-FS" in table
+    assert "no records of campaign" not in err
     data = json.loads(out)
     assert data["dataset_size"] == 12
     assert data["responding"]["count"] == 12
@@ -339,6 +341,11 @@ def test_report_over_inspect_store(tmp_path, capsys):
     # NONFS_ONLY quarter is there
     assert data["select_non_fs"]["count"] >= 3
     assert data["stable"]["pct"] == 100.0
+    # a campaign no record carries is said so on stderr; stdout is the empty report
+    code, out, err = run_cli(["report", "--store", str(store_path), "--campaign", "c2"], capsys)
+    assert code == 0
+    assert "report: no records of campaign 'c2'" in err
+    assert json.loads(out)["dataset_size"] == 0
 
 
 def test_report_skips_an_inspection_whose_scan_line_was_cut(tmp_path, capsys):
@@ -450,22 +457,20 @@ def socket_fleet():
             mix={Archetype.NONFS_ONLY: 0.5, Archetype.FS_PREFERRING: 0.5},
         )
     )
-    with serve(fleet, Transport.LOOPBACK_SOCKET) as harness:
-        truth = {s.server_id: s.truth for s in fleet}
-        yield harness, truth
+    with serve(fleet, Transport.LOOPBACK_SOCKET):
+        yield fleet
 
 
-def pick(harness, truth, fs: bool) -> str:
-    for server_id, address in harness.address_of.items():
-        if truth[server_id].selects_fs_by_default == fs:
-            return address
+def pick(fleet, fs: bool) -> str:
+    for server in fleet:
+        if server.truth.selects_fs_by_default == fs:
+            return server.address
     raise AssertionError("no such server in fixture fleet")
 
 
 def test_connect_exit_codes_over_tcp(socket_fleet, capsys):
-    harness, truth = socket_fleet
-    fs_addr = pick(harness, truth, fs=True)
-    nonfs_addr = pick(harness, truth, fs=False)
+    fs_addr = pick(socket_fleet, fs=True)
+    nonfs_addr = pick(socket_fleet, fs=False)
 
     code, out, _ = run_cli(
         ["connect", fs_addr, "--mode", "befs", "--timeout", "2"], capsys
@@ -482,8 +487,7 @@ def test_connect_exit_codes_over_tcp(socket_fleet, capsys):
 
 
 def test_connect_interactive_prompts_terminal(socket_fleet, capsys, monkeypatch):
-    harness, truth = socket_fleet
-    nonfs_addr = pick(harness, truth, fs=False)
+    nonfs_addr = pick(socket_fleet, fs=False)
     monkeypatch.setattr("builtins.input", lambda: "n")
     code, out, err = run_cli(
         ["connect", nonfs_addr, "--mode", "befs", "--fallback", "interactive",
@@ -514,8 +518,7 @@ def test_connect_failure_and_bad_address(capsys):
 
 
 def test_connect_parallel_over_tcp(socket_fleet, capsys):
-    harness, truth = socket_fleet
-    nonfs_addr = pick(harness, truth, fs=False)
+    nonfs_addr = pick(socket_fleet, fs=False)
     code, out, _ = run_cli(
         ["connect", nonfs_addr, "--mode", "besafe", "--fallback", "parallel", "--timeout", "2"],
         capsys,

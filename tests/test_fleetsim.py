@@ -3,6 +3,8 @@
 import functools
 import json
 import random
+import socket
+import threading
 import time
 
 import pytest
@@ -35,7 +37,7 @@ from befs.fleetsim import (
     server_random,
     truth_records,
 )
-from befs.handshake import AttemptKind, ConnectFailed, handshake_attempt
+from befs.handshake import AttemptKind, ConnectFailed, TcpConnector, handshake_attempt, read_record
 from befs.negotiate import ServerPolicy
 from befs.suites import DEFAULT, FALLBACK_SIGNAL, FS_ONLY, REGISTRY, is_fs
 from befs.wire import TLS1_0, TLS1_1, TLS1_2
@@ -78,6 +80,8 @@ def test_spec_rejects_bad_size_and_mix():
         FleetSpec(size=5, seed=1, mix={Archetype.NONFS_ONLY: -0.5, Archetype.FS_PREFERRING: 1.5})
     with pytest.raises(InvalidSpec):
         FleetSpec(size=5, seed=1, mix={Archetype.NONFS_ONLY: 1.0}, network_device_fraction=1.5)
+    with pytest.raises(InvalidSpec, match="mix must name at least one archetype"):
+        FleetSpec(size=5, seed=1, mix={})
 
 
 def test_spec_from_dict_and_file(tmp_path):
@@ -99,6 +103,19 @@ def test_spec_from_dict_and_file(tmp_path):
         fleet_spec_from_dict({**data, "bogus": 1})
     with pytest.raises(InvalidSpec):
         fleet_spec_from_dict({"size": 3, "mix": {"NONFS_ONLY": 1.0}})
+    with pytest.raises(InvalidSpec, match="unknown latency keys: delay_ms"):
+        fleet_spec_from_dict({**data, "latency": {"base_ms": 1.0, "delay_ms": 2.0}})
+    with pytest.raises(InvalidSpec, match="cannot read"):
+        load_fleet_spec(str(tmp_path / "absent.json"))
+
+
+def test_latency_jitter_draws_stay_in_range_and_repeat_with_the_seed():
+    model = LatencyModel(base_ms=2.0, jitter_ms=3.0)
+    first, second = ([model.sample_s(rng) for _ in range(200)]
+                     for rng in (random.Random(7), random.Random(7)))
+    assert first == second
+    assert all(0.002 <= s <= 0.005 for s in first)
+    assert len(set(first)) > 1
 
 
 _JSON_JUNK = (st.none() | st.booleans() | st.text(max_size=3) | st.integers(-3, 3)
@@ -466,6 +483,8 @@ def test_memory_transport_roundtrip_and_unknown_address():
         assert res.selected and is_fs(res.suite)
         with pytest.raises(ConnectFailed):
             h.connector().exchange("nowhere", b"x", 0.5)
+    res = handshake_attempt(h.connector(), h.addresses[0], DEFAULT.suites, 0.5)
+    assert res.kind is AttemptKind.CONNECT_ERROR and res.error == "harness stopped"
 
 
 def test_memory_transport_times_out_on_stall():
@@ -533,6 +552,26 @@ def test_socket_loop_forgets_the_reply_of_a_client_that_left():
         assert not h._conns
         h.stop()  # joins the loop thread, so what it left is final
         assert len(h._pending) == 0
+
+
+def test_a_peer_that_closes_inside_a_record_is_a_connect_error():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5.0)
+
+        def send_three_bytes_and_close():
+            conn, _ = listener.accept()
+            with conn:
+                read_record(conn, time.perf_counter() + 5.0)  # all of the hello, so the close is clean
+                conn.sendall(b"\x16\x03\x03")
+
+        peer = threading.Thread(target=send_three_bytes_and_close)
+        peer.start()
+        address = "127.0.0.1:%d" % listener.getsockname()[1]
+        res = handshake_attempt(TcpConnector(), address, DEFAULT.suites, 5.0)
+        peer.join(5.0)
+        assert not peer.is_alive()
+    assert res.kind is AttemptKind.CONNECT_ERROR
+    assert res.error == "connection closed before a full record"
 
 
 def test_truth_records_shape():

@@ -519,13 +519,14 @@ def test_rate_limiter_rejects_nonpositive():
 
 
 class SniRecorder:
-    """Records the SNI of each ClientHello, then answers like a timeout."""
+    """Records the SNI extension body of each ClientHello, then answers like a timeout."""
 
     def __init__(self):
         self.seen = []
 
     def exchange(self, address, raw, timeout_s):
-        self.seen.append(wire.extract_sni(wire.decode_client_hello(raw)))
+        extensions = dict(wire.decode_client_hello(raw).extensions)
+        self.seen.append(extensions.get(wire.SNI_EXTENSION_TYPE))
         raise TimeoutError("recorded")
 
 
@@ -534,4 +535,4 @@ def test_scan_sends_the_host_as_sni_only_when_asked():
     for address, sni in (("example.com:443", True), ("192.0.2.1:443", True),
                          ("example.com:443", False)):
         scan_one(address, 0.1, connector=recorder, sni=sni)
-    assert recorder.seen == ["example.com", None, None]
+    assert recorder.seen == [wire.sni_extension("example.com")[1], None, None]

@@ -53,6 +53,7 @@ from befs.report import (
     session_record_from_dict,
     session_record_to_dict,
 )
+from befs.metadata import IoFailure
 from befs.suites import ProfileKind
 
 
@@ -526,6 +527,14 @@ def test_store_line_is_on_disk_when_append_returns(store):
     assert RecordStore(store.path).load().records == [rec]
     store.append(rec)
     assert RecordStore(store.path).load().records == [rec, rec]
+
+
+def test_store_that_cannot_be_written_or_read_raises_io_failure(tmp_path):
+    with RecordStore(tmp_path) as directory:  # a directory is no log file
+        with pytest.raises(IoFailure, match="cannot append"):
+            directory.append(scan_record_to_dict(scan_rec()))
+    with pytest.raises(IoFailure, match="cannot read"):
+        RecordStore(tmp_path / "absent.jsonl").load()
 
 
 def test_store_reopens_after_close(store):

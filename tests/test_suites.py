@@ -82,7 +82,7 @@ def test_dhe_is_not_counted_forward_secure():
     assert suites.is_ae(0x009E)
     assert not suites.is_fs(0x0033)
     # DHE codepoints stay out of every client offer.
-    for prof in suites.PROFILES.values():
+    for prof in ProfileKind:
         assert 0x009E not in prof.suites
         assert 0x0033 not in prof.suites
 
@@ -105,9 +105,11 @@ def test_classify_codepoint_unknown_returns_none():
     assert not is_fs(0xFFFF) and not is_ae(0xFFFF)
 
 
-def test_profile_accessor_and_kinds():
-    for kind in ProfileKind:
-        assert suites.PROFILES[kind].kind is kind
+def test_profile_kinds_are_the_offers():
+    assert [(k.name, k.value) for k in ProfileKind] == [
+        ("DEFAULT", "DEFAULT"), ("FS_ONLY", "FS_ONLY"), ("FS_AE_ONLY", "FS_AE_ONLY")]
+    assert (DEFAULT, FS_ONLY, FS_AE_ONLY) == tuple(ProfileKind)
+    assert ProfileKind("FS_ONLY") is FS_ONLY
 
 
 @given(st.integers(min_value=0, max_value=0xFFFF))

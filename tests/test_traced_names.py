@@ -4,7 +4,8 @@
 when ``perfbench/run.py --trace 1`` starts. A rename or a deletion in befs
 would break only that traced run, so these tests resolve each name here,
 and run ``befs report`` and ``befs inspect`` under the tracer to derive
-the per-layer metrics from what the traced functions return.
+the per-layer metrics from what the traced functions return. Every name
+the package exports in ``befs.__all__`` must resolve too.
 """
 
 import importlib
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import befs
 from befs import cli
 from befs.inspection import ScanRecord, ScanResultKind
 from befs.report import RecordStore, scan_record_to_dict
@@ -29,6 +31,11 @@ def _spans():
 
 
 spans = _spans()
+
+
+@pytest.mark.parametrize("name", befs.__all__)
+def test_exported_name_resolves(name):
+    assert hasattr(befs, name)
 
 
 @pytest.mark.parametrize("module, name", spans.FUNCTIONS,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from befs import wire
 from befs.handshake import AttemptKind, ConnectFailed, _client_random, handshake_attempt
+from befs.metadata import split_address
 from befs.suites import DEFAULT, FALLBACK_SIGNAL, REGISTRY
 from befs.wire import (
     TLS1_0,
@@ -116,7 +117,7 @@ def test_golden_openssl_client_hello_decodes():
     assert len(msg.cipher_suites) == 15
     assert msg.cipher_suites[0] == 0xC02C
     assert 0xC02F in msg.cipher_suites
-    assert wire.extract_sni(msg) == "example.com"
+    assert wire.sni_extension("example.com") in msg.extensions
 
 
 def test_sni_encoding_matches_golden_capture():
@@ -131,10 +132,6 @@ def test_fingerprint_is_the_unhashed_ja3_string():
     assert wire.fingerprint(ClientHelloMsg(TLS1_2, bytes(32), suites)) == "771,49199-47,,,"
     named = wire.ClientHelloTemplate(TLS1_1, suites).encode(bytes(32), b"a.example")
     assert wire.fingerprint(decode_client_hello(named)) == "770,49199-47,0,,"
-
-
-def test_extract_sni_absent_returns_none():
-    assert wire.extract_sni(make_ch()) is None
 
 
 def test_alert_framing_is_seven_fixed_bytes():
@@ -177,6 +174,12 @@ def test_decode_client_hello_on_server_hello_raises():
 def test_decode_alert_on_handshake_raises():
     with pytest.raises(NotAlert):
         decode_alert(encode_client_hello(make_ch()))
+
+
+def test_decode_alert_of_an_unknown_level_is_malformed():
+    raw = encode_alert(AlertMsg(AlertLevel.FATAL, wire.HANDSHAKE_FAILURE))
+    with pytest.raises(MalformedRecord, match="unknown alert level 3"):
+        decode_alert(raw[:5] + b"\x03" + raw[6:])
 
 
 def test_nonzero_compression_is_preserved_not_policed():
@@ -263,9 +266,16 @@ def _address(sni):
 
 
 def _sent_hello(version, offer, sni, signal):
+    """The hello handshake_attempt sends, which is TLS 1.2; at another version,
+    the ClientHelloTemplate encoding of the same offer, random and name."""
+    address = _address(sni)
+    if version != TLS1_2:
+        suites = offer + (FALLBACK_SIGNAL,) if signal else offer
+        name = split_address(address)[2] if sni is not None else None
+        return wire.ClientHelloTemplate(version, suites).encode(
+            _client_random(0, address, repr(suites)), name.encode("ascii") if name else b"")
     conn = RecordingConnector()
-    res = handshake_attempt(conn, _address(sni), offer, 1.0, max_version=version,
-                            sni=sni is not None, signal_fallback=signal)
+    res = handshake_attempt(conn, address, offer, 1.0, sni=sni is not None, signal_fallback=signal)
     assert res.kind is AttemptKind.CONNECT_ERROR
     (raw,) = conn.sent
     return raw
@@ -367,20 +377,6 @@ def test_every_cut_of_the_extension_block_is_a_malformed_record():
         else:
             with pytest.raises(MalformedRecord):
                 decode_client_hello(cut)
-
-
-@given(st.binary(max_size=64))
-def test_extract_sni_is_total(body):
-    name = wire.extract_sni(make_ch(extensions=((wire.SNI_EXTENSION_TYPE, body),)))
-    assert name is None or isinstance(name, str)
-
-
-def test_extract_sni_of_a_cut_name_list_is_none():
-    body = wire.sni_extension("example.com")[1]
-    entries = body[2:]
-    for n in range(len(entries)):  # the list length left whole, then cut to fit
-        for cut in (body[: 2 + n], n.to_bytes(2, "big") + entries[:n]):
-            assert wire.extract_sni(make_ch(extensions=((wire.SNI_EXTENSION_TYPE, cut),))) is None
 
 
 def test_trailing_bytes_inside_a_hello_are_malformed():
