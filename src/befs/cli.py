@@ -49,12 +49,10 @@ from .report import (
     RecordStore,
     SchemaMismatch,
     aggregate,
-    inspection_record_to_dict,
     json_line,
+    record_line,
     render_text,
-    scan_record_to_dict,
     scans_and_inspections,
-    session_record_to_dict,
 )
 
 _USER_ERRORS = (InvalidSpec, IoFailure, EmptyDataset, BindFailure, SchemaMismatch)
@@ -217,14 +215,14 @@ def cmd_measure(args) -> int:
         def on_address(pair) -> None:
             nonlocal scanned, responded
             scan_rec, inspection = pair
-            records = [scan_record_to_dict(scan_rec, campaign=args.campaign)]
+            records = [scan_rec]
             if inspection is not None:
-                records.append(inspection_record_to_dict(inspection, campaign=args.campaign))
+                records.append(inspection)
                 name = inspection.classification.name
                 histogram[name] = histogram.get(name, 0) + 1
             # Each line is encoded once: stdout gets the line the store wrote.
-            lines = [store.append(data, flush=data is records[-1]) if store else json_line(data)
-                     for data in records]
+            lines = [store.append(rec, campaign=args.campaign, flush=rec is records[-1]) if store
+                     else record_line(rec, args.campaign) for rec in records]
             for line in lines[1:] if inspecting else lines:
                 sys.stdout.write(line)
             scanned += 1
@@ -264,11 +262,10 @@ def cmd_connect(args) -> int:
     outcome = connect(
         address, cfg, user, connector=TcpConnector(), sni=args.sni == "on", seed=args.seed
     )
-    data = session_record_to_dict(
-        address, outcome, campaign=args.campaign, fallback=cfg.fallback
-    )
     with _store_for(args) as store:
-        sys.stdout.write(store.append(data) if store else json_line(data))
+        line = store.append if store else record_line
+        sys.stdout.write(line(outcome, campaign=args.campaign, address=address,
+                              fallback=cfg.fallback))
     if outcome.status is SessionStatus.CONNECTED:
         _note(
             "connected: suite=0x%04X fs=%s ae=%s after %d attempt(s)"

@@ -857,26 +857,22 @@ def serve(
     raise ValueError("unknown transport %r" % transport)
 
 
-def truth_records(servers: Iterable[SimServer], campaign: str = "") -> list[dict]:
-    """Ground-truth export, one line-delimited record per server."""
-    out = []
+def truth_records(servers: Iterable[SimServer], campaign: str = "") -> Iterator[dict]:
+    """Ground-truth export, one line-delimited record per server, yielded as it is made."""
     for s in servers:
         expected = expected_for_server(s)
-        out.append(
-            {
-                "kind": "truth",
-                "campaign": campaign,
-                "server_id": s.server_id,
-                "address": s.address,
-                "archetype": s.archetype.value,
-                "supports_fs": s.truth.supports_fs,
-                "supports_fs_ae": s.truth.supports_fs_ae,
-                "selects_fs_by_default": s.truth.selects_fs_by_default,
-                "device_type": s.truth.device_type,
-                "honors_fallback_signal": s.honors_fallback_signal,
-                "expected_classification": expected.classification.value,
-                "expected_prior_suite_ae": expected.prior_suite_ae,
-                "expected_lose_ae": expected.lose_ae,
-            }
-        )
-    return out
+        yield {
+            "kind": "truth",
+            "campaign": campaign,
+            "server_id": s.server_id,
+            "address": s.address,
+            "archetype": s.archetype.value,
+            "supports_fs": s.truth.supports_fs,
+            "supports_fs_ae": s.truth.supports_fs_ae,
+            "selects_fs_by_default": s.truth.selects_fs_by_default,
+            "device_type": s.truth.device_type,
+            "honors_fallback_signal": s.honors_fallback_signal,
+            "expected_classification": expected.classification.value,
+            "expected_prior_suite_ae": expected.prior_suite_ae,
+            "expected_lose_ae": expected.lose_ae,
+        }

@@ -69,8 +69,121 @@ class SchemaMismatch(Exception):
 # A store line is the v/kind/campaign envelope plus the record's dataclass
 # fields, each stored by its annotation: enums by name, tuples as lists, an
 # AlertMsg as [level value, description], None as null, nested dataclasses
-# as objects. Decoding checks every value's exact type (an int passes for a
-# float), so a JSON object that is not a record raises SchemaMismatch only.
+# as objects. Its bytes are json.dumps(..., sort_keys=True, separators=(",",
+# ":")) of that object, but no dict is built. Each kind's line function is
+# generated once from the annotations, as dataclasses builds __init__: one
+# %-template holds every key, separator and constant envelope value in
+# sorted-key order (keys and kinds are identifiers, so none holds a %), and
+# one expression per field fills it. A line costs one template fill, plus
+# one call per Optional or repeated nested object. The encoder trusts each
+# value to be of its annotated type; the v/kind envelope comes from the
+# record's type, so every line has it. Decoding checks every value's exact
+# type (an int passes for a float), so a JSON object that is not a record
+# raises SchemaMismatch only.
+
+_json_str = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
+
+
+def _nonfinite(x: float) -> str:
+    """A NaN or infinite float as json.dumps writes it."""
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# The globals of the generated functions: the helpers they call, the
+# name -> JSON text table of each enum, and the functions themselves.
+_NS: dict = {"_str": _json_str, "_nonfinite": _nonfinite}
+
+
+def _global(value) -> str:
+    name = "_g%d" % len(_NS)
+    _NS[name] = value
+    return name
+
+
+def _define(name: str, params: Sequence[str], body: list[str], template: str, args: str) -> str:
+    """Generate ``def name(params): body; return template % (args,)``; its global name."""
+    source = "def %s(%s):\n%s    return %r %% (%s,)\n" % (
+        name, ", ".join(params), "".join("    %s\n" % s for s in body), template, args)
+    scope: dict = {}
+    exec(source, _NS, scope)
+    return _global(scope[name])
+
+
+def _template(tp, var: str, body: list[str]) -> tuple[str, str]:
+    """(%-template, arguments) of the JSON text of local ``var``, whose annotation is ``tp``.
+
+    Statements that bind locals the arguments read are added to ``body``.
+    A value whose text needs such statements, if Optional or in a tuple, is
+    written by its own generated function instead.
+    """
+    origin = get_origin(tp)
+    if origin in (Union, tuple):  # Optional[X] or tuple[X, ...]
+        inner, item, own = get_args(tp)[0], var if origin is Union else "x", []
+        template, args = _template(inner, item, own)
+        if own:
+            text = "%s(%s)" % (_function(inner), item)
+        else:
+            text = args if template == "%s" else "%r %% (%s,)" % (template, args)
+        if origin is Union:
+            return "%s", '"null" if %s is None else %s' % (var, text)
+        return "[%s]", '",".join([%s for x in %s])' % (text, var)
+    if tp is wire.AlertMsg:
+        return "[%d,%d]", "%s.level._value_, %s.description" % (var, var)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return "%s", "%s[%s._name_]" % (_names(tp), var)
+    if tp is int:
+        return "%d", var
+    if tp is float:
+        return "%s", "repr(%s) if %s - %s == 0 else _nonfinite(%s)" % ((var,) * 4)
+    if tp is str:
+        return "%s", "_str(%s)" % var
+    if tp is bool:
+        return "%s", '"true" if %s else "false"' % var
+    return _object(_fields(tp, var, body))
+
+
+def _fields(tp, var: str, body: list[str]) -> dict[str, tuple[str, str]]:
+    """Each field of the dataclass in local ``var``, bound to a local, and its (template, args)."""
+    hints, members = get_type_hints(tp), {}
+    for f in dataclasses.fields(tp):
+        local = "v%d" % len(body)
+        body.append("%s = %s.%s" % (local, var, f.name))
+        members[f.name] = _template(hints[f.name], local, body)
+    return members
+
+
+def _object(members: Mapping[str, tuple[str, str]]) -> tuple[str, str]:
+    """(template, args) of a JSON object from each key's (template, args), keys sorted."""
+    keys = sorted(members)
+    return (
+        "{%s}" % ",".join(_json_str(k) + ":" + members[k][0] for k in keys),
+        ", ".join(members[k][1] for k in keys if members[k][1]),
+    )
+
+
+@functools.cache
+def _names(enum: type[Enum]) -> str:
+    """The global name of the member name -> JSON text table of ``enum``."""
+    return _global({m._name_: _json_str(m._name_) for m in enum})
+
+
+@functools.cache
+def _function(tp) -> str:
+    """The global name of a generated function giving a ``tp`` value's JSON text."""
+    body: list[str] = []
+    return _define(tp.__name__ + "_json", ["o"], body, *_template(tp, "o", body))
+
+
+def _line_function(kind: str, tp, **envelope) -> Callable[..., str]:
+    """``(record, campaign, *envelope) -> line`` for the records of one kind."""
+    body: list[str] = []
+    members = {"v": (str(SCHEMA_VERSION), ""), "kind": (_json_str(kind), "")}
+    for name, annotation in {"campaign": str, **envelope}.items():
+        members[name] = _template(annotation, name, body)
+    members.update(_fields(tp, "rec", body))
+    template, args = _object(members)
+    return _NS[_define(kind + "_line", ["rec", "campaign", *envelope], body, template + "\n", args)]
+
 
 _SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
 
@@ -83,21 +196,15 @@ def _check(types: tuple, expected: str) -> Callable:
     return lambda v: v if type(v) in types else _wrong(expected, v)
 
 
-def _fields_codec(build: Callable, fields: Iterable[tuple[str, object]]) -> tuple[Callable, Callable]:
-    """(encode, decode) for an object of annotated fields; ``build(**fields)`` makes one."""
-    codecs = [(name, *_codec(tp)) for name, tp in fields]
-
-    def encode(obj) -> dict:
-        return {
-            name: getattr(obj, name) if enc is None else enc(getattr(obj, name))
-            for name, enc, _ in codecs
-        }
+def _fields_decoder(build: Callable, fields: Iterable[tuple[str, object]]) -> Callable:
+    """The decoder of an object of annotated fields; ``build(**fields)`` makes one."""
+    decoders = [(name, _decoder(tp)) for name, tp in fields]
 
     def decode(data):
         if not isinstance(data, dict):
             _wrong("object", data)
         kwargs = {}
-        for name, _, dec in codecs:
+        for name, dec in decoders:
             try:
                 kwargs[name] = dec(data[name])
             except KeyError:
@@ -109,24 +216,21 @@ def _fields_codec(build: Callable, fields: Iterable[tuple[str, object]]) -> tupl
         except ValueError as exc:
             raise SchemaMismatch(str(exc)) from None
 
-    return encode, decode
+    return decode
 
 
 @functools.cache
-def _codec(tp) -> tuple[Optional[Callable], Callable]:
-    """(encode, decode) for one annotation, built once per type; no encode stores as is."""
+def _decoder(tp) -> Callable:
+    """The decoder of one annotation, built once per type."""
     if get_origin(tp) is Union:  # Optional[X]
         inner = get_args(tp)[0]
         if inner in _SCALARS:
-            return None, _check(_SCALARS[inner] + (type(None),), inner.__name__ + " or null")
-        enc, dec = _codec(inner)
-        return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
+            return _check(_SCALARS[inner] + (type(None),), inner.__name__ + " or null")
+        dec = _decoder(inner)
+        return lambda v: None if v is None else dec(v)
     if get_origin(tp) is tuple:  # tuple[X, ...]
-        enc, dec = _codec(get_args(tp)[0])
-        is_list = _check((list,), "list")
-        return (list if enc is None else lambda v: [enc(x) for x in v]), (
-            lambda v: tuple(dec(x) for x in is_list(v))
-        )
+        dec, is_list = _decoder(get_args(tp)[0]), _check((list,), "list")
+        return lambda v: tuple(dec(x) for x in is_list(v))
     if tp is wire.AlertMsg:
         is_pair, is_int = _check((list,), "[level, description]"), _check((int,), "int")
 
@@ -134,25 +238,29 @@ def _codec(tp) -> tuple[Optional[Callable], Callable]:
             level, description = is_pair(v)
             return wire.AlertMsg(wire.AlertLevel(is_int(level)), is_int(description))
 
-        return (lambda v: [v.level.value, v.description]), decode_alert
+        return decode_alert
     if isinstance(tp, type) and issubclass(tp, Enum):
         names = tp.__members__
-        return (lambda v: v.name), (
-            lambda v: names[v] if type(v) is str and v in names else _wrong(tp.__name__, v)
-        )
+        return lambda v: names[v] if type(v) is str and v in names else _wrong(tp.__name__, v)
     if tp in _SCALARS:
-        return None, _check(_SCALARS[tp], tp.__name__)
+        return _check(_SCALARS[tp], tp.__name__)
     hints = get_type_hints(tp)
-    return _fields_codec(tp, [(f.name, hints[f.name]) for f in dataclasses.fields(tp)])
+    return _fields_decoder(tp, [(f.name, hints[f.name]) for f in dataclasses.fields(tp)])
 
 
+_LINES = {
+    ScanRecord: _line_function("scan", ScanRecord),
+    InspectionRecord: _line_function("inspection", InspectionRecord),
+    SessionOutcome: _line_function(
+        "session", SessionOutcome, address=str, fallback=Optional[FallbackStyle]),
+}
 _DECODERS = {
-    "scan": _codec(ScanRecord)[1],
-    "inspection": _codec(InspectionRecord)[1],
-    "session": _fields_codec(
+    "scan": _decoder(ScanRecord),
+    "inspection": _decoder(InspectionRecord),
+    "session": _fields_decoder(
         lambda address, **outcome: (address, SessionOutcome(**outcome)),
         [("address", str), *get_type_hints(SessionOutcome).items()],
-    )[1],
+    ),
 }
 
 
@@ -161,9 +269,15 @@ def _is_schema_version(v) -> bool:
     return type(v) is int and v == SCHEMA_VERSION
 
 
-def _to_dict(kind: str, campaign: str, record, **envelope) -> dict:
-    fields = _codec(type(record))[0](record)
-    return {"v": SCHEMA_VERSION, "kind": kind, "campaign": campaign, **envelope, **fields}
+def record_line(record, campaign: str = "", **envelope) -> str:
+    """The store line of a ScanRecord or an InspectionRecord, or of a
+    SessionOutcome given its ``address`` and ``fallback``: one JSON object,
+    sorted keys, no spaces, ending in ``\\n``."""
+    try:
+        line = _LINES[type(record)]
+    except KeyError:
+        raise SchemaMismatch("not a record: %.40r" % (record,)) from None
+    return line(record, campaign, **envelope)
 
 
 def _from_dict(kind: str, data):
@@ -178,7 +292,7 @@ def _from_dict(kind: str, data):
 
 
 def scan_record_to_dict(record: ScanRecord, campaign: str = "") -> dict:
-    return _to_dict("scan", campaign, record)
+    return json.loads(record_line(record, campaign))
 
 
 def scan_record_from_dict(data: dict) -> ScanRecord:
@@ -186,7 +300,7 @@ def scan_record_from_dict(data: dict) -> ScanRecord:
 
 
 def inspection_record_to_dict(record: InspectionRecord, campaign: str = "") -> dict:
-    return _to_dict("inspection", campaign, record)
+    return json.loads(record_line(record, campaign))
 
 
 def inspection_record_from_dict(data: dict) -> InspectionRecord:
@@ -196,8 +310,7 @@ def inspection_record_from_dict(data: dict) -> InspectionRecord:
 def session_record_to_dict(
     address: str, outcome: SessionOutcome, campaign: str = "", fallback: Optional[FallbackStyle] = None
 ) -> dict:
-    return _to_dict("session", campaign, outcome, address=address,
-                    fallback=None if fallback is None else fallback.name)
+    return json.loads(record_line(outcome, campaign, address=address, fallback=fallback))
 
 
 def session_record_from_dict(data: dict) -> tuple[str, SessionOutcome]:
@@ -235,15 +348,14 @@ class RecordStore:
         self._fh = None
         self._held = ""  # lines appended with flush=False
 
-    def append(self, record: Mapping, *, flush: bool = True) -> str:
-        """Add ``record`` as one line, ``json_line(record)``, and return that line.
+    def append(self, record, *, campaign: str = "", flush: bool = True, **envelope) -> str:
+        """Add one record as one line, ``record_line(record, campaign, **envelope)``,
+        and return that line.
 
         Lines appended with ``flush=False`` wait for the next flushing append
         and go out in its one write, all or none; close() drops them.
         """
-        if not _is_schema_version(record.get("v")) or "kind" not in record:
-            raise SchemaMismatch("record has no v=%d/kind envelope" % SCHEMA_VERSION)
-        line = json_line(record)
+        line = record_line(record, campaign, **envelope)
         with self._write_lock:
             self._held += line
             if not flush:
@@ -308,12 +420,13 @@ class RecordStore:
 # The C scanner behind json.loads: called on a whole line, it skips
 # json.loads' wrapper and whitespace checks.
 _scan_value = json.JSONDecoder().scan_once
-# The encoder that json.dumps with these options would build for every line.
+# The encoder that json.dumps with these options would build for every call.
 _encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def json_line(data: Mapping) -> str:
-    """``data`` as one line of JSON, as the store writes it: sorted keys, no spaces, ``\\n``."""
+    """A plain dict (a truth row, the report table) as one line of JSON, in
+    the store's format: sorted keys, no spaces, ``\\n``."""
     return _encode_line(data) + "\n"
 
 

@@ -22,7 +22,15 @@ from befs.fleetsim import (
 )
 from befs.handshake import AttemptKind, AttemptResult
 from befs.inspection import Classification, InspectionRecord, ScanRecord, ScanResultKind, StepResult
-from befs.report import RecordStore, inspection_record_to_dict, json_line, scan_record_to_dict
+from befs.report import (
+    RecordStore,
+    inspection_record_from_dict,
+    inspection_record_to_dict,
+    json_line,
+    record_line,
+    scan_record_from_dict,
+    scan_record_to_dict,
+)
 from befs.negotiate import select
 from befs.suites import DEFAULT, ProfileKind, is_fs
 from befs.wire import TLS1_2
@@ -156,9 +164,9 @@ def test_inspect_writes_each_address_to_the_store_in_one_go(tmp_path, capsys, mo
     appends = []  # (address, kind, flush) per append
 
     class Recording(RecordStore):
-        def append(self, record, *, flush=True):
-            appends.append((record["address"], record["kind"], flush))
-            return super().append(record, flush=flush)
+        def append(self, record, *, flush=True, **envelope):
+            appends.append((record.address, type(record), flush))
+            return super().append(record, flush=flush, **envelope)
 
     monkeypatch.setattr(cli, "RecordStore", Recording)
     spec = write_spec(tmp_path, MIXED, size=12)
@@ -176,7 +184,7 @@ def test_inspect_writes_each_address_to_the_store_in_one_go(tmp_path, capsys, mo
     assert len(groups) == 12 and any(len(g) == 2 for g in groups)
     for g in groups:  # one address each: its scan record, then its inspection if any
         assert len({address for address, _ in g}) == 1
-        assert [kind for _, kind in g] in (["scan"], ["scan", "inspection"])
+        assert [kind for _, kind in g] in ([ScanRecord], [ScanRecord, InspectionRecord])
     assert store_path.read_bytes().count(b"\n") == len(appends)
 
 
@@ -206,6 +214,10 @@ def test_stdout_lines_are_the_stored_lines_and_match_ground_truth(
     printed = [line for line, rec in zip(stored, records)
                if command == "scan" or rec["kind"] == "inspection"]
     assert out.splitlines(keepends=True) == printed
+    # Each line decodes to a record that encodes back to the same bytes.
+    decode = {"scan": scan_record_from_dict, "inspection": inspection_record_from_dict}
+    assert [record_line(decode[rec["kind"]](rec), rec["campaign"]) for rec in records] == stored
+    assert command == "scan" or any('"alert":[' in line for line in stored)
     # The store holds one scan per served server, in fleet order, each
     # followed by its inspection if it picked a non-FS suite.
     fleet = generate_fleet(load_fleet_spec(spec))

@@ -576,7 +576,7 @@ def test_a_peer_that_closes_inside_a_record_is_a_connect_error():
 
 def test_truth_records_shape():
     fleet = generate_fleet(spec_with(size=6, FS_PREFERRING=0.5, NONFS_ONLY=0.5))
-    recs = truth_records(fleet, campaign="c1")
+    recs = list(truth_records(fleet, campaign="c1"))
     assert len(recs) == 6
     for rec in recs:
         assert rec["kind"] == "truth" and rec["campaign"] == "c1"

@@ -15,7 +15,7 @@ from befs.metadata import (
     parse_address,
     split_address,
 )
-from befs.report import RecordStore, scan_record_to_dict
+from befs.report import RecordStore
 
 
 SPLIT_CASES = [
@@ -188,6 +188,6 @@ def test_empty_request_has_full_coverage(tmp_path, capsys):
     assert device_type([], f) == {}
     store = tmp_path / "records.jsonl"
     with RecordStore(store) as log:
-        log.append(scan_record_to_dict(ScanRecord("192.0.2.1:443", 1.0, ScanResultKind.TIMEOUT)))
+        log.append(ScanRecord("192.0.2.1:443", 1.0, ScanResultKind.TIMEOUT))
     assert cli.main(["report", "--store", str(store), "--device-meta", f]) == 0
     assert "report: device metadata coverage 100.00%" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,7 @@ from befs.report import (
     aggregate,
     inspection_record_from_dict,
     inspection_record_to_dict,
+    record_line,
     render_text,
     scan_record_from_dict,
     scan_record_to_dict,
@@ -158,41 +160,35 @@ _GOLDEN_SESSION = SessionOutcome(
 GOLDEN_LINES = [
     (
         "responded scan",
-        lambda: scan_record_to_dict(
-            ScanRecord("198.51.100.7:443", 1700000000.25, ScanResultKind.RESPONDED, 0x002F,
-                       wire.TLS1_2),
-            campaign="c1",
-        ),
+        ScanRecord("198.51.100.7:443", 1700000000.25, ScanResultKind.RESPONDED, 0x002F,
+                   wire.TLS1_2),
+        {"campaign": "c1"},
         '{"address":"198.51.100.7:443","campaign":"c1","error_detail":null,"kind":"scan",'
         '"negotiated_version":771,"result":"RESPONDED","selected_suite":47,'
         '"timestamp":1700000000.25,"v":1}',
     ),
     (
         "timed-out scan",
-        lambda: scan_record_to_dict(
-            ScanRecord("srv-0003", 12.5, ScanResultKind.TIMEOUT, None, None, "no answer"),
-            campaign="c1",
-        ),
+        ScanRecord("srv-0003", 12.5, ScanResultKind.TIMEOUT, None, None, "no answer"),
+        {"campaign": "c1"},
         '{"address":"srv-0003","campaign":"c1","error_detail":"no answer","kind":"scan",'
         '"negotiated_version":null,"result":"TIMEOUT","selected_suite":null,"timestamp":12.5,'
         '"v":1}',
     ),
     (
         "inspection with an alert and no h3",
-        lambda: inspection_record_to_dict(
-            InspectionRecord(
-                "srv-0001",
-                StepResult(ProfileKind.DEFAULT,
-                           AttemptResult(AttemptKind.SELECTED, 0x0035, wire.TLS1_2,
-                                         elapsed_s=0.125)),
-                StepResult(ProfileKind.FS_ONLY,
-                           AttemptResult(AttemptKind.REJECTED,
-                                         alert=_fatal(wire.HANDSHAKE_FAILURE),
-                                         elapsed_s=0.0625)),
-                None, Classification.STABLE_NO_FS_SUPPORT, False, False, 1.5, 2.75,
-            ),
-            campaign="c1",
+        InspectionRecord(
+            "srv-0001",
+            StepResult(ProfileKind.DEFAULT,
+                       AttemptResult(AttemptKind.SELECTED, 0x0035, wire.TLS1_2,
+                                     elapsed_s=0.125)),
+            StepResult(ProfileKind.FS_ONLY,
+                       AttemptResult(AttemptKind.REJECTED,
+                                     alert=_fatal(wire.HANDSHAKE_FAILURE),
+                                     elapsed_s=0.0625)),
+            None, Classification.STABLE_NO_FS_SUPPORT, False, False, 1.5, 2.75,
         ),
+        {"campaign": "c1"},
         '{"address":"srv-0001","campaign":"c1","classification":"STABLE_NO_FS_SUPPORT",'
         '"h1":{"attempt":{"alert":null,"elapsed_s":0.125,"error":null,"kind":"SELECTED",'
         '"suite":53,"version":771},"profile":"DEFAULT"},'
@@ -202,9 +198,8 @@ GOLDEN_LINES = [
     ),
     (
         "three-attempt signaled session",
-        lambda: session_record_to_dict(
-            "srv-0002:443", _GOLDEN_SESSION, campaign="c1", fallback=FallbackStyle.SIGNALED
-        ),
+        _GOLDEN_SESSION,
+        {"campaign": "c1", "address": "srv-0002:443", "fallback": FallbackStyle.SIGNALED},
         '{"address":"srv-0002:443","ae":false,"attempts":[{"alert":[2,40],"elapsed_s":0.5,'
         '"error":null,"kind":"REJECTED","suite":null,"version":null},{"alert":[2,86],'
         '"elapsed_s":0.25,"error":null,"kind":"REJECTED","suite":null,"version":null},'
@@ -216,13 +211,99 @@ GOLDEN_LINES = [
 ]
 
 
-@pytest.mark.parametrize("encode, line", [g[1:] for g in GOLDEN_LINES],
+@pytest.mark.parametrize("record, envelope, line", [g[1:] for g in GOLDEN_LINES],
                          ids=[g[0] for g in GOLDEN_LINES])
-def test_store_line_is_byte_identical(tmp_path, encode, line):
+def test_store_line_is_byte_identical(tmp_path, record, envelope, line):
     path = tmp_path / "log.jsonl"
     with RecordStore(path) as opened:
-        opened.append(encode())
+        assert opened.append(record, **envelope) == line + "\n"
     assert path.read_bytes() == (line + "\n").encode("utf-8")
+    assert record_line(record, **envelope) == _former_line(record, **envelope) == line + "\n"
+
+
+# -- the line encoder against the former one -----------------------------------
+
+
+def _former_value(value):
+    """The former encoder, by value: enums by name, tuples as lists, an
+    AlertMsg as [level, description], dataclasses as dicts."""
+    if isinstance(value, wire.AlertMsg):
+        return [value.level.value, value.description]
+    if isinstance(value, Enum):
+        return value.name
+    if dataclasses.is_dataclass(value):
+        return {f.name: _former_value(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_former_value(item) for item in value]
+    return value
+
+
+_KINDS = {ScanRecord: "scan", InspectionRecord: "inspection", SessionOutcome: "session"}
+
+
+def _former_line(record, campaign="", **envelope):
+    """The former store line: the envelope and fields merged into one dict, then json.dumps."""
+    data = {"v": 1, "kind": _KINDS[type(record)], "campaign": campaign,
+            **{key: _former_value(value) for key, value in envelope.items()},
+            **_former_value(record)}
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+_texts = st.text(st.characters(exclude_categories=(), include_characters=" \ud800\"\\\x00é"),
+                 max_size=6)
+_floats = st.one_of(st.floats(), st.integers(),
+                    st.sampled_from([-0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]))
+_ints = st.integers()
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+_attempts = st.builds(
+    AttemptResult, st.sampled_from(AttemptKind), _optional(_ints), _optional(_ints),
+    _optional(st.builds(wire.AlertMsg, st.sampled_from(wire.AlertLevel),
+                        st.integers(0, 255))),
+    _optional(_texts), _floats,
+)
+_steps = st.builds(StepResult, st.sampled_from(ProfileKind), _attempts)
+_scans = st.sampled_from(ScanResultKind).flatmap(lambda result: st.builds(
+    ScanRecord, _texts, _floats, st.just(result),
+    _ints if result is ScanResultKind.RESPONDED else st.none(),
+    _optional(_ints), _optional(_texts),
+))
+_inspections = st.builds(
+    InspectionRecord, _texts, _steps, _optional(_steps), _optional(_steps),
+    st.sampled_from(Classification), st.booleans(), st.booleans(), _optional(_floats), _floats,
+)
+_sessions = st.sampled_from(SessionStatus).flatmap(lambda status: st.builds(
+    SessionOutcome, st.just(status),
+    _ints if status is SessionStatus.CONNECTED else _optional(_ints),
+    _optional(st.booleans()), _optional(st.booleans()), _ints, _ints,
+    st.lists(_floats, max_size=3).map(tuple), st.lists(_attempts, max_size=3).map(tuple),
+    _optional(st.sampled_from(PolicyMode)),
+))
+_envelopes = st.fixed_dictionaries({"campaign": _texts})
+_session_envelopes = st.fixed_dictionaries(
+    {"campaign": _texts, "address": _texts,
+     "fallback": _optional(st.sampled_from(FallbackStyle))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_scans, _envelopes), st.tuples(_inspections, _envelopes),
+                 st.tuples(_sessions, _session_envelopes)))
+def test_record_line_is_the_former_line_and_decodes_back(drawn):
+    record, envelope = drawn
+    line = record_line(record, **envelope)
+    assert line == _former_line(record, **envelope)
+    data = json.loads(line)
+    if isinstance(record, SessionOutcome):
+        address, decoded = session_record_from_dict(data)
+        assert address == envelope["address"]
+    else:
+        decoded = {ScanRecord: scan_record_from_dict,
+                   InspectionRecord: inspection_record_from_dict}[type(record)](data)
+    assert repr(decoded) == repr(record)  # equal, and NaN reads as NaN
 
 
 def test_schema_guards():
@@ -252,9 +333,9 @@ def test_decoding_checks_exact_types():
 
 
 VALID = {
-    "scan": (scan_record_from_dict, json.loads(GOLDEN_LINES[0][2])),
-    "inspection": (inspection_record_from_dict, json.loads(GOLDEN_LINES[2][2])),
-    "session": (session_record_from_dict, json.loads(GOLDEN_LINES[3][2])),
+    "scan": (scan_record_from_dict, json.loads(GOLDEN_LINES[0][3])),
+    "inspection": (inspection_record_from_dict, json.loads(GOLDEN_LINES[2][3])),
+    "session": (session_record_from_dict, json.loads(GOLDEN_LINES[3][3])),
 }
 
 
@@ -306,7 +387,7 @@ def store(tmp_path):
 
 def test_store_append_then_load_identical(store):
     rec = scan_record_to_dict(scan_rec(), campaign="c")
-    store.append(rec)
+    store.append(scan_rec(), campaign="c")
     loaded = store.load()
     assert loaded.errors == []
     assert loaded.records == [rec]
@@ -315,27 +396,23 @@ def test_store_append_then_load_identical(store):
 
 def test_store_writes_a_group_of_lines_all_at_once_or_not_at_all(store, monkeypatch):
     a, b = (scan_record_to_dict(scan_rec(name)) for name in "ab")
-    store.append(a)  # opens the handle
+    store.append(scan_rec("a"))  # opens the handle
     writes = []
     real_write = store._fh.write
     monkeypatch.setattr(store._fh, "write", lambda text: writes.append(text) or real_write(text))
-    store.append(b, flush=False)
+    store.append(scan_rec("b"), flush=False)
     assert store.load().records == [a]
-    store.append(a)
+    store.append(scan_rec("a"))
     assert len(writes) == 1 and store.load().records == [a, b, a]
-    store.append(b, flush=False)
+    store.append(scan_rec("b"), flush=False)
     store.close()  # a group that never got its last line is dropped
     assert store.load().records == [a, b, a]
 
 
 def test_store_filters(store):
-    store.append(scan_record_to_dict(scan_rec("a"), campaign="c1"))
-    store.append(scan_record_to_dict(scan_rec("b"), campaign="c2"))
-    store.append(
-        inspection_record_to_dict(
-            inspection_rec("a", Classification.STABLE_SUPPORTS_FS_AE), campaign="c1"
-        )
-    )
+    store.append(scan_rec("a"), campaign="c1")
+    store.append(scan_rec("b"), campaign="c2")
+    store.append(inspection_rec("a", Classification.STABLE_SUPPORTS_FS_AE), campaign="c1")
     picked = store.load(campaign="c1").records
     assert [(r["kind"], r["address"]) for r in picked] == [("scan", "a"), ("inspection", "a")]
     assert store.load(campaign="c3").records == []
@@ -346,10 +423,10 @@ def test_store_filters(store):
 
 def test_store_corrupt_line_reported_with_number(store):
     path = store.path
-    store.append(scan_record_to_dict(scan_rec("a")))
+    store.append(scan_rec("a"))
     with path.open("a", encoding="utf-8") as fh:
         fh.write("{not json\n")
-    store.append(scan_record_to_dict(scan_rec("b")))
+    store.append(scan_rec("b"))
     loaded = store.load()
     assert len(loaded.records) == 2  # good lines still load
     assert len(loaded.errors) == 1
@@ -359,8 +436,13 @@ def test_store_corrupt_line_reported_with_number(store):
 
 
 def test_store_requires_kind(store):
-    with pytest.raises(SchemaMismatch):
-        store.append({"address": "a"})
+    # A line's kind comes from its record's type, so only records are written.
+    for value in ({"address": "a"}, {"v": 1, "kind": "scan"}, step(AttemptKind.SELECTED), None):
+        with pytest.raises(SchemaMismatch):
+            store.append(value)
+        with pytest.raises(SchemaMismatch, match="not a record"):
+            record_line(value)
+    assert not store.path.exists()
 
 
 def test_store_requires_the_schema_version(store):
@@ -382,7 +464,7 @@ def test_schema_version_has_an_exact_type(store, v):
 
 def test_store_line_that_is_not_an_object_is_a_parse_failure(store):
     path = store.path
-    store.append(scan_record_to_dict(scan_rec("a")))
+    store.append(scan_rec("a"))
     with path.open("a", encoding="utf-8") as fh:
         fh.write("[1,2]\n5\nnull\n\"scan\"\n")
     loaded = store.load()
@@ -397,10 +479,10 @@ def test_store_line_that_is_not_an_object_is_a_parse_failure(store):
     ids=["not-utf8", "over-nested"],
 )
 def test_store_unreadable_line_is_a_parse_failure(store, line, reason):
-    store.append(scan_record_to_dict(scan_rec("a")))
+    store.append(scan_rec("a"))
     with store.path.open("ab") as fh:
         fh.write(line + b"\n")
-    store.append(scan_record_to_dict(scan_rec("b")))
+    store.append(scan_rec("b"))
     loaded = store.load()
     assert [r["address"] for r in loaded.records] == ["a", "b"]
     assert [e.line_number for e in loaded.errors] == [2]
@@ -523,33 +605,32 @@ def test_store_load_matches_a_line_by_line_parse_across_reads(tmp_path):
 
 def test_store_line_is_on_disk_when_append_returns(store):
     rec = scan_record_to_dict(scan_rec(), campaign="c")
-    store.append(rec)
+    store.append(scan_rec(), campaign="c")
     assert RecordStore(store.path).load().records == [rec]
-    store.append(rec)
+    store.append(scan_rec(), campaign="c")
     assert RecordStore(store.path).load().records == [rec, rec]
 
 
 def test_store_that_cannot_be_written_or_read_raises_io_failure(tmp_path):
     with RecordStore(tmp_path) as directory:  # a directory is no log file
         with pytest.raises(IoFailure, match="cannot append"):
-            directory.append(scan_record_to_dict(scan_rec()))
+            directory.append(scan_rec())
     with pytest.raises(IoFailure, match="cannot read"):
         RecordStore(tmp_path / "absent.jsonl").load()
 
 
 def test_store_reopens_after_close(store):
-    rec = scan_record_to_dict(scan_rec(), campaign="c")
-    store.append(rec)
+    store.append(scan_rec(), campaign="c")
     store.close()
     store.close()
-    store.append(rec)
+    store.append(scan_rec(), campaign="c")
     assert len(store.load().records) == 2
 
 
 def test_store_concurrent_appends_keep_lines_whole(store):
     import threading
 
-    rec = scan_record_to_dict(scan_rec())
+    rec = scan_rec()
 
     def write_many():
         for _ in range(50):
@@ -786,10 +867,8 @@ def test_render_text_deterministic_and_two_decimal():
 def test_aggregate_accepts_store_dicts_round_trip(store):
     scans = [scan_rec("a"), scan_rec("b", 0xC02F)]
     inspections = [inspection_rec("a")]
-    for s in scans:
-        store.append(scan_record_to_dict(s, campaign="c"))
-    for i in inspections:
-        store.append(inspection_record_to_dict(i, campaign="c"))
+    for rec in scans + inspections:
+        store.append(rec, campaign="c")
     loaded = store.load(campaign="c")
     from_dicts = aggregate(*scans_and_inspections(loaded.records), campaign="c")
     from_typed = aggregate(scans, inspections, campaign="c")

@@ -18,7 +18,7 @@ import pytest
 import befs
 from befs import cli
 from befs.inspection import ScanRecord, ScanResultKind
-from befs.report import RecordStore, scan_record_to_dict
+from befs.report import RecordStore
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -57,10 +57,8 @@ def test_traced_report_gives_the_report_metrics(tmp_path, capsys):
     store_path = tmp_path / "store.jsonl"
     with RecordStore(store_path) as store:
         for campaign in ("c1", "c2", "c1"):
-            store.append(scan_record_to_dict(
-                ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303),
-                campaign=campaign,
-            ))
+            store.append(ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303),
+                         campaign=campaign)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -96,3 +94,5 @@ def test_traced_inspect_gives_the_campaign_metrics(tmp_path, capsys):
     assert 1 <= metrics["inspection.handshakes_per_address"][0] <= 4
     with open(store_path, encoding="utf-8") as fh:
         assert metrics["report.append.calls"][0] == sum(1 for _ in fh)
+    # Every stored line went through the traced RecordStore.append.
+    assert metrics["report.append.us_per_call"][0] > 0
