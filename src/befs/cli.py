@@ -264,8 +264,7 @@ def cmd_connect(args) -> int:
     )
     with _store_for(args) as store:
         line = store.append if store else record_line
-        sys.stdout.write(line(outcome, campaign=args.campaign, address=address,
-                              fallback=cfg.fallback))
+        sys.stdout.write(line(outcome, campaign=args.campaign))
     if outcome.status is SessionStatus.CONNECTED:
         _note(
             "connected: suite=0x%04X fs=%s ae=%s after %d attempt(s)"
@@ -321,6 +320,15 @@ def _wait_for_interrupt() -> None:
             signal.signal(sig, old)
 
 
+def _write(path, chunks) -> None:
+    """Write the text ``chunks`` to a new file at ``path``; IoFailure names the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise IoFailure("cannot write %s: %s" % (path, exc)) from exc
+
+
 def cmd_fleet(args) -> int:
     spec = load_fleet_spec(args.spec)
     fleet = generate_fleet(spec)
@@ -328,9 +336,7 @@ def cmd_fleet(args) -> int:
 
     def write_truth() -> None:
         if args.truth_out:
-            with open(args.truth_out, "w", encoding="utf-8") as fh:
-                for row in truth_records(fleet, campaign=args.campaign):
-                    fh.write(json_line(row))
+            _write(args.truth_out, map(json_line, truth_records(fleet, campaign=args.campaign)))
 
     if not args.serve:
         write_truth()
@@ -340,8 +346,7 @@ def cmd_fleet(args) -> int:
         write_truth()  # serve has given each server its address
         lines = "\n".join(harness.addresses) + "\n"
         if args.addresses_out:
-            with open(args.addresses_out, "w", encoding="utf-8") as fh:
-                fh.write(lines)
+            _write(args.addresses_out, [lines])
         else:
             sys.stdout.write(lines)
             sys.stdout.flush()

@@ -66,6 +66,8 @@ class SessionOutcome:
     per_attempt_timings: tuple[float, ...]
     attempts: tuple[AttemptResult, ...] = ()
     mode: Optional[PolicyMode] = None
+    address: str = ""
+    fallback: Optional[FallbackStyle] = None
 
     def __post_init__(self) -> None:
         if self.status is SessionStatus.CONNECTED and self.suite is None:
@@ -148,7 +150,8 @@ def connect(
     the longest ladder, so concurrent parallel connects share those
     workers and their rungs queue for a free one. DEFAULT has a single
     rung, so it ignores the style. With ``sni``, the hello names the
-    address's host (see handshake_attempt).
+    address's host (see handshake_attempt). The outcome carries
+    ``address`` and ``cfg.fallback``, so a stored session says how it ran.
     """
     ladder = LADDERS[cfg.mode]
 
@@ -195,6 +198,8 @@ def connect(
         per_attempt_timings=tuple(a.elapsed_s for a in attempts),
         attempts=tuple(attempts),
         mode=cfg.mode,
+        address=address,
+        fallback=cfg.fallback,
     )
 
 

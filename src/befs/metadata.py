@@ -65,7 +65,7 @@ def parse_address(raw: str) -> str:
         host, port_text = text.rsplit(":", 1)
         if ":" in host:
             raise ValueError("IPv6 addresses are not supported")
-        if not port_text.isdigit() or not 1 <= int(port_text) <= 65535:
+        if not (port_text.isascii() and port_text.isdigit()) or not 1 <= int(port_text) <= 65535:
             raise ValueError("port must be 1-65535")
     if not host:
         raise ValueError("missing host")

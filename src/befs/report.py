@@ -22,7 +22,7 @@ from typing import (
     get_type_hints,
 )
 
-from .client import FallbackStyle, SessionOutcome
+from .client import SessionOutcome
 from .inspection import (
     Classification,
     InspectionRecord,
@@ -66,20 +66,22 @@ class SchemaMismatch(Exception):
 
 # -- record codec --------------------------------------------------------------
 #
-# A store line is the v/kind/campaign envelope plus the record's dataclass
-# fields, each stored by its annotation: enums by name, tuples as lists, an
-# AlertMsg as [level value, description], None as null, nested dataclasses
-# as objects. Its bytes are json.dumps(..., sort_keys=True, separators=(",",
-# ":")) of that object, but no dict is built. Each kind's line function is
-# generated once from the annotations, as dataclasses builds __init__: one
-# %-template holds every key, separator and constant envelope value in
-# sorted-key order (keys and kinds are identifiers, so none holds a %), and
-# one expression per field fills it. A line costs one template fill, plus
-# one call per Optional or repeated nested object. The encoder trusts each
-# value to be of its annotated type; the v/kind envelope comes from the
-# record's type, so every line has it. Decoding checks every value's exact
-# type (an int passes for a float), so a JSON object that is not a record
-# raises SchemaMismatch only.
+# Each stored kind is exactly one dataclass (_KINDS): a store line is that
+# record's fields plus "v", "kind" and "campaign", each field stored by its
+# annotation: enums by name, tuples as lists, an AlertMsg as [level value,
+# description], None as null, nested dataclasses as objects. A session's
+# address and fallback style are SessionOutcome fields like any other. Its
+# bytes are json.dumps(..., sort_keys=True, separators=(",", ":")) of that
+# object, but no dict is built. Each kind's line function is generated once
+# from the annotations, as dataclasses builds __init__: one %-template holds
+# every key, separator and the constant "v" and "kind" values in sorted-key
+# order (keys and kinds are identifiers, so none holds a %), and one
+# expression per field fills it. A line costs one template fill, plus one
+# call per Optional or repeated nested object. The encoder trusts each value
+# to be of its annotated type; "v" and "kind" come from the record's type,
+# so every line has them. Decoding checks every value's exact type (an int
+# passes for a float), so a JSON object that is not a record raises
+# SchemaMismatch only.
 
 _json_str = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
 
@@ -174,15 +176,14 @@ def _function(tp) -> str:
     return _define(tp.__name__ + "_json", ["o"], body, *_template(tp, "o", body))
 
 
-def _line_function(kind: str, tp, **envelope) -> Callable[..., str]:
-    """``(record, campaign, *envelope) -> line`` for the records of one kind."""
+def _line_function(kind: str, tp) -> Callable[[object, str], str]:
+    """``(record, campaign) -> line`` for the records of one kind."""
     body: list[str] = []
-    members = {"v": (str(SCHEMA_VERSION), ""), "kind": (_json_str(kind), "")}
-    for name, annotation in {"campaign": str, **envelope}.items():
-        members[name] = _template(annotation, name, body)
+    members = {"v": (str(SCHEMA_VERSION), ""), "kind": (_json_str(kind), ""),
+               "campaign": _template(str, "campaign", body)}
     members.update(_fields(tp, "rec", body))
     template, args = _object(members)
-    return _NS[_define(kind + "_line", ["rec", "campaign", *envelope], body, template + "\n", args)]
+    return _NS[_define(kind + "_line", ["rec", "campaign"], body, template + "\n", args)]
 
 
 _SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
@@ -194,29 +195,6 @@ def _wrong(expected: str, value) -> NoReturn:
 
 def _check(types: tuple, expected: str) -> Callable:
     return lambda v: v if type(v) in types else _wrong(expected, v)
-
-
-def _fields_decoder(build: Callable, fields: Iterable[tuple[str, object]]) -> Callable:
-    """The decoder of an object of annotated fields; ``build(**fields)`` makes one."""
-    decoders = [(name, _decoder(tp)) for name, tp in fields]
-
-    def decode(data):
-        if not isinstance(data, dict):
-            _wrong("object", data)
-        kwargs = {}
-        for name, dec in decoders:
-            try:
-                kwargs[name] = dec(data[name])
-            except KeyError:
-                raise SchemaMismatch("%s: missing" % name) from None
-            except (ValueError, SchemaMismatch) as exc:
-                raise SchemaMismatch("%s: %s" % (name, exc)) from None
-        try:
-            return build(**kwargs)
-        except ValueError as exc:
-            raise SchemaMismatch(str(exc)) from None
-
-    return decode
 
 
 @functools.cache
@@ -245,23 +223,30 @@ def _decoder(tp) -> Callable:
     if tp in _SCALARS:
         return _check(_SCALARS[tp], tp.__name__)
     hints = get_type_hints(tp)
-    return _fields_decoder(tp, [(f.name, hints[f.name]) for f in dataclasses.fields(tp)])
+    decoders = [(f.name, _decoder(hints[f.name])) for f in dataclasses.fields(tp)]
+
+    def decode(data):
+        if not isinstance(data, dict):
+            _wrong("object", data)
+        kwargs = {}
+        for name, dec in decoders:
+            try:
+                kwargs[name] = dec(data[name])
+            except KeyError:
+                raise SchemaMismatch("%s: missing" % name) from None
+            except (ValueError, SchemaMismatch) as exc:
+                raise SchemaMismatch("%s: %s" % (name, exc)) from None
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise SchemaMismatch(str(exc)) from None
+
+    return decode
 
 
-_LINES = {
-    ScanRecord: _line_function("scan", ScanRecord),
-    InspectionRecord: _line_function("inspection", InspectionRecord),
-    SessionOutcome: _line_function(
-        "session", SessionOutcome, address=str, fallback=Optional[FallbackStyle]),
-}
-_DECODERS = {
-    "scan": _decoder(ScanRecord),
-    "inspection": _decoder(InspectionRecord),
-    "session": _fields_decoder(
-        lambda address, **outcome: (address, SessionOutcome(**outcome)),
-        [("address", str), *get_type_hints(SessionOutcome).items()],
-    ),
-}
+_KINDS = {"scan": ScanRecord, "inspection": InspectionRecord, "session": SessionOutcome}
+_LINES = {tp: _line_function(kind, tp) for kind, tp in _KINDS.items()}
+_DECODERS = {kind: _decoder(tp) for kind, tp in _KINDS.items()}
 
 
 def _is_schema_version(v) -> bool:
@@ -269,15 +254,15 @@ def _is_schema_version(v) -> bool:
     return type(v) is int and v == SCHEMA_VERSION
 
 
-def record_line(record, campaign: str = "", **envelope) -> str:
-    """The store line of a ScanRecord or an InspectionRecord, or of a
-    SessionOutcome given its ``address`` and ``fallback``: one JSON object,
-    sorted keys, no spaces, ending in ``\\n``."""
+def record_line(record, campaign: str = "") -> str:
+    """The store line of a ScanRecord, an InspectionRecord or a
+    SessionOutcome: one JSON object, sorted keys, no spaces, ending in
+    ``\\n``."""
     try:
         line = _LINES[type(record)]
     except KeyError:
         raise SchemaMismatch("not a record: %.40r" % (record,)) from None
-    return line(record, campaign, **envelope)
+    return line(record, campaign)
 
 
 def _from_dict(kind: str, data):
@@ -291,29 +276,15 @@ def _from_dict(kind: str, data):
         raise SchemaMismatch("bad %s record: %s" % (kind, exc)) from None
 
 
-def scan_record_to_dict(record: ScanRecord, campaign: str = "") -> dict:
-    return json.loads(record_line(record, campaign))
-
-
 def scan_record_from_dict(data: dict) -> ScanRecord:
     return _from_dict("scan", data)
-
-
-def inspection_record_to_dict(record: InspectionRecord, campaign: str = "") -> dict:
-    return json.loads(record_line(record, campaign))
 
 
 def inspection_record_from_dict(data: dict) -> InspectionRecord:
     return _from_dict("inspection", data)
 
 
-def session_record_to_dict(
-    address: str, outcome: SessionOutcome, campaign: str = "", fallback: Optional[FallbackStyle] = None
-) -> dict:
-    return json.loads(record_line(outcome, campaign, address=address, fallback=fallback))
-
-
-def session_record_from_dict(data: dict) -> tuple[str, SessionOutcome]:
+def session_record_from_dict(data: dict) -> SessionOutcome:
     return _from_dict("session", data)
 
 
@@ -348,14 +319,14 @@ class RecordStore:
         self._fh = None
         self._held = ""  # lines appended with flush=False
 
-    def append(self, record, *, campaign: str = "", flush: bool = True, **envelope) -> str:
-        """Add one record as one line, ``record_line(record, campaign, **envelope)``,
-        and return that line.
+    def append(self, record, *, campaign: str = "", flush: bool = True) -> str:
+        """Add one record as one line, ``record_line(record, campaign)``, and
+        return that line.
 
         Lines appended with ``flush=False`` wait for the next flushing append
         and go out in its one write, all or none; close() drops them.
         """
-        line = record_line(record, campaign, **envelope)
+        line = record_line(record, campaign)
         with self._write_lock:
             self._held += line
             if not flush:

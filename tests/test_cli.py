@@ -11,6 +11,7 @@ import pytest
 
 from befs import cli
 from befs.cli import main
+from befs.client import FallbackStyle, PolicyMode
 from befs.fleetsim import (
     Archetype,
     FleetSpec,
@@ -25,11 +26,10 @@ from befs.inspection import Classification, InspectionRecord, ScanRecord, ScanRe
 from befs.report import (
     RecordStore,
     inspection_record_from_dict,
-    inspection_record_to_dict,
     json_line,
     record_line,
     scan_record_from_dict,
-    scan_record_to_dict,
+    session_record_from_dict,
 )
 from befs.negotiate import select
 from befs.suites import DEFAULT, ProfileKind, is_fs
@@ -164,9 +164,9 @@ def test_inspect_writes_each_address_to_the_store_in_one_go(tmp_path, capsys, mo
     appends = []  # (address, kind, flush) per append
 
     class Recording(RecordStore):
-        def append(self, record, *, flush=True, **envelope):
+        def append(self, record, *, campaign="", flush=True):
             appends.append((record.address, type(record), flush))
-            return super().append(record, flush=flush, **envelope)
+            return super().append(record, campaign=campaign, flush=flush)
 
     monkeypatch.setattr(cli, "RecordStore", Recording)
     spec = write_spec(tmp_path, MIXED, size=12)
@@ -399,7 +399,7 @@ def test_report_with_device_metadata(tmp_path, capsys):
 
 
 def test_report_with_an_unreadable_device_meta_file_fails_cleanly(tmp_path, capsys):
-    good = scan_record_to_dict(ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303))
+    good = json.loads(record_line(ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303)))
     store = write_store(tmp_path, good)
     missing = str(tmp_path / "absent.tsv")
     code, out, err = run_cli(["report", "--store", store, "--device-meta", missing], capsys)
@@ -415,21 +415,21 @@ def write_store(tmp_path, *records):
 
 
 def test_report_skips_a_line_that_is_not_an_object(tmp_path, capsys):
-    good = scan_record_to_dict(ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303))
+    good = json.loads(record_line(ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303)))
     code, out, err = run_cli(["report", "--store", write_store(tmp_path, [1, 2], good)], capsys)
     assert code == 0
     assert "skipped corrupt line 1" in err
     assert json.loads(out)["dataset_size"] == 1
 
 
-_SCAN = scan_record_to_dict(ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303))
-_INSPECTION = inspection_record_to_dict(
+_SCAN = json.loads(record_line(ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303)))
+_INSPECTION = json.loads(record_line(
     InspectionRecord(
         "srv-0000",
         StepResult(ProfileKind.DEFAULT, AttemptResult(AttemptKind.SELECTED, 0x002F, 0x0303)),
         None, None, Classification.STABLE_NO_FS_SUPPORT, False, False,
     )
-)
+))
 _NO_ADDRESS = {k: v for k, v in _SCAN.items() if k != "address"}
 
 
@@ -529,16 +529,23 @@ def test_connect_failure_and_bad_address(capsys):
     assert code == 2 and "bad address" in err
 
 
-def test_connect_parallel_over_tcp(socket_fleet, capsys):
+def test_connect_parallel_over_tcp(socket_fleet, tmp_path, capsys):
     nonfs_addr = pick(socket_fleet, fs=False)
+    store_path = tmp_path / "sessions.jsonl"
     code, out, _ = run_cli(
-        ["connect", nonfs_addr, "--mode", "besafe", "--fallback", "parallel", "--timeout", "2"],
+        ["connect", nonfs_addr, "--mode", "besafe", "--fallback", "parallel", "--timeout", "2",
+         "--store", str(store_path)],
         capsys,
     )
     assert code == 10
     record = json.loads(out)
     assert record["handshake_attempts"] == 3
     assert record["fallback"] == "PARALLEL"
+    # The stored line decodes to the session, its address and style included.
+    [stored] = RecordStore(store_path).load().records
+    session = session_record_from_dict(stored)
+    assert session.fallback is FallbackStyle.PARALLEL and session.address == nonfs_addr
+    assert session.mode is PolicyMode.BESAFE and record_line(session) == out
 
 
 # -- bench ---------------------------------------------------------------------
@@ -623,6 +630,22 @@ def test_fleet_serve_truth_out_names_the_served_addresses(tmp_path, capsys, monk
     addresses = addrs_path.read_text().splitlines()
     assert len(addresses) == 3 and all(a.startswith("127.0.0.1:") for a in addresses)
     assert [json.loads(l)["address"] for l in truth_path.read_text().splitlines()] == addresses
+
+
+@pytest.mark.parametrize("flag, serving", [
+    ("--truth-out", False), ("--truth-out", True), ("--addresses-out", True),
+])
+def test_fleet_output_in_a_missing_directory_fails_cleanly(
+    tmp_path, capsys, monkeypatch, flag, serving
+):
+    monkeypatch.setattr(cli, "_wait_for_interrupt", lambda: None)
+    spec = write_spec(tmp_path, MIXED, size=2, seed=3)
+    target = str(tmp_path / "absent" / "out.txt")
+    argv = ["fleet", "--spec", spec, flag, target] + (["--serve"] if serving else [])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("befs fleet: cannot write %s: " % target) and err.count("\n") == 1
 
 
 def test_fleet_serve_then_scan_pipeline(tmp_path):

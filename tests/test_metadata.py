@@ -81,6 +81,28 @@ def test_parse_rejects_malformed(bad):
         parse_address(bad)
 
 
+# Digits outside ASCII: Arabic-Indic, fullwidth, a superscript two.
+NON_ASCII_PORTS = ["example.com:\u0664\u0664\u0663", "host:\uff18\uff10", "192.0.2.1:\u00b2"]
+
+
+@pytest.mark.parametrize("raw", NON_ASCII_PORTS)
+def test_parse_rejects_a_port_of_non_ascii_digits(raw):
+    with pytest.raises(ValueError, match="port must be 1-65535"):
+        parse_address(raw)
+
+
+def test_a_non_ascii_port_is_skipped_in_files_and_refused_by_connect(tmp_path, caplog, capsys):
+    f = tmp_path / "addrs.txt"
+    f.write_text("".join(raw + "\n" for raw in NON_ASCII_PORTS) + "ok.example\n",
+                 encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        assert load_addresses(f) == ["ok.example"]
+    assert sum("port must be 1-65535" in r.message for r in caplog.records) == 3
+    assert cli.main(["connect", "127.0.0.1:\u0664\u0664\u0663", "--timeout", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "bad address" in err
+
+
 def test_parse_is_idempotent_on_normalized_form():
     for raw in ("Example.COM:8443", "192.0.2.1", "a.b.c"):
         once = parse_address(raw)

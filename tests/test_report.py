@@ -38,6 +38,7 @@ from befs.inspection import (
     scan,
 )
 from befs.report import (
+    _KINDS,
     AggregateReport,
     FS_NONAE_PICK_CLASSES,
     FS_SUPPORT_CLASSES,
@@ -46,14 +47,11 @@ from befs.report import (
     SchemaMismatch,
     aggregate,
     inspection_record_from_dict,
-    inspection_record_to_dict,
     record_line,
     render_text,
     scan_record_from_dict,
-    scan_record_to_dict,
     scans_and_inspections,
     session_record_from_dict,
-    session_record_to_dict,
 )
 from befs.metadata import IoFailure
 from befs.suites import ProfileKind
@@ -98,7 +96,7 @@ def inspection_rec(address="a", classification=Classification.STABLE_NO_FS_SUPPO
 
 def test_scan_record_round_trip():
     for rec in (scan_rec(), scan_rec(responded=False)):
-        data = scan_record_to_dict(rec, campaign="c1")
+        data = json.loads(record_line(rec, campaign="c1"))
         assert data["kind"] == "scan" and data["v"] == 1 and data["campaign"] == "c1"
         clone = scan_record_from_dict(json.loads(json.dumps(data)))
         assert clone == rec
@@ -120,9 +118,7 @@ def test_inspection_record_round_trip_with_alert():
         scanned_at=None,
         inspected_at=3.25,
     )
-    clone = inspection_record_from_dict(
-        json.loads(json.dumps(inspection_record_to_dict(rec)))
-    )
+    clone = inspection_record_from_dict(json.loads(record_line(rec)))
     assert clone == rec
 
 
@@ -133,9 +129,8 @@ def test_session_record_round_trip():
             h.addresses[0], PolicyConfig(mode=PolicyMode.BEFS, timeout_s=0.2),
             connector=h.connector(),
         )
-    data = session_record_to_dict(h.addresses[0], outcome, campaign="x")
-    address, clone = session_record_from_dict(json.loads(json.dumps(data)))
-    assert address == h.addresses[0]
+    clone = session_record_from_dict(json.loads(record_line(outcome, campaign="x")))
+    assert clone.address == h.addresses[0]
     assert clone == outcome
     assert clone.status is SessionStatus.CONNECTED
 
@@ -153,6 +148,8 @@ _GOLDEN_SESSION = SessionOutcome(
         AttemptResult(AttemptKind.SELECTED, 0x002F, wire.TLS1_2, elapsed_s=0.125),
     ),
     PolicyMode.BESAFE,
+    "srv-0002:443",
+    FallbackStyle.SIGNALED,
 )
 
 # The exact store line of each record kind. Changing one breaks every
@@ -162,7 +159,7 @@ GOLDEN_LINES = [
         "responded scan",
         ScanRecord("198.51.100.7:443", 1700000000.25, ScanResultKind.RESPONDED, 0x002F,
                    wire.TLS1_2),
-        {"campaign": "c1"},
+        "c1",
         '{"address":"198.51.100.7:443","campaign":"c1","error_detail":null,"kind":"scan",'
         '"negotiated_version":771,"result":"RESPONDED","selected_suite":47,'
         '"timestamp":1700000000.25,"v":1}',
@@ -170,7 +167,7 @@ GOLDEN_LINES = [
     (
         "timed-out scan",
         ScanRecord("srv-0003", 12.5, ScanResultKind.TIMEOUT, None, None, "no answer"),
-        {"campaign": "c1"},
+        "c1",
         '{"address":"srv-0003","campaign":"c1","error_detail":"no answer","kind":"scan",'
         '"negotiated_version":null,"result":"TIMEOUT","selected_suite":null,"timestamp":12.5,'
         '"v":1}',
@@ -188,7 +185,7 @@ GOLDEN_LINES = [
                                      elapsed_s=0.0625)),
             None, Classification.STABLE_NO_FS_SUPPORT, False, False, 1.5, 2.75,
         ),
-        {"campaign": "c1"},
+        "c1",
         '{"address":"srv-0001","campaign":"c1","classification":"STABLE_NO_FS_SUPPORT",'
         '"h1":{"attempt":{"alert":null,"elapsed_s":0.125,"error":null,"kind":"SELECTED",'
         '"suite":53,"version":771},"profile":"DEFAULT"},'
@@ -199,7 +196,7 @@ GOLDEN_LINES = [
     (
         "three-attempt signaled session",
         _GOLDEN_SESSION,
-        {"campaign": "c1", "address": "srv-0002:443", "fallback": FallbackStyle.SIGNALED},
+        "c1",
         '{"address":"srv-0002:443","ae":false,"attempts":[{"alert":[2,40],"elapsed_s":0.5,'
         '"error":null,"kind":"REJECTED","suite":null,"version":null},{"alert":[2,86],'
         '"elapsed_s":0.25,"error":null,"kind":"REJECTED","suite":null,"version":null},'
@@ -211,14 +208,19 @@ GOLDEN_LINES = [
 ]
 
 
-@pytest.mark.parametrize("record, envelope, line", [g[1:] for g in GOLDEN_LINES],
+@pytest.mark.parametrize("record, campaign, line", [g[1:] for g in GOLDEN_LINES],
                          ids=[g[0] for g in GOLDEN_LINES])
-def test_store_line_is_byte_identical(tmp_path, record, envelope, line):
+def test_store_line_is_byte_identical(tmp_path, record, campaign, line):
     path = tmp_path / "log.jsonl"
     with RecordStore(path) as opened:
-        assert opened.append(record, **envelope) == line + "\n"
+        assert opened.append(record, campaign=campaign) == line + "\n"
     assert path.read_bytes() == (line + "\n").encode("utf-8")
-    assert record_line(record, **envelope) == _former_line(record, **envelope) == line + "\n"
+    assert record_line(record, campaign) == _former_line(record, campaign) == line + "\n"
+
+
+def test_every_record_kind_has_a_golden_line():
+    pinned = {json.loads(line)["kind"]: type(record) for _, record, _, line in GOLDEN_LINES}
+    assert pinned == _KINDS
 
 
 # -- the line encoder against the former one -----------------------------------
@@ -238,13 +240,12 @@ def _former_value(value):
     return value
 
 
-_KINDS = {ScanRecord: "scan", InspectionRecord: "inspection", SessionOutcome: "session"}
+_KIND_OF = {tp: kind for kind, tp in _KINDS.items()}
 
 
-def _former_line(record, campaign="", **envelope):
-    """The former store line: the envelope and fields merged into one dict, then json.dumps."""
-    data = {"v": 1, "kind": _KINDS[type(record)], "campaign": campaign,
-            **{key: _former_value(value) for key, value in envelope.items()},
+def _former_line(record, campaign=""):
+    """The former store line: v, kind, campaign and the fields in one dict, then json.dumps."""
+    data = {"v": 1, "kind": _KIND_OF[type(record)], "campaign": campaign,
             **_former_value(record)}
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -281,33 +282,23 @@ _sessions = st.sampled_from(SessionStatus).flatmap(lambda status: st.builds(
     _ints if status is SessionStatus.CONNECTED else _optional(_ints),
     _optional(st.booleans()), _optional(st.booleans()), _ints, _ints,
     st.lists(_floats, max_size=3).map(tuple), st.lists(_attempts, max_size=3).map(tuple),
-    _optional(st.sampled_from(PolicyMode)),
+    _optional(st.sampled_from(PolicyMode)), _texts, _optional(st.sampled_from(FallbackStyle)),
 ))
-_envelopes = st.fixed_dictionaries({"campaign": _texts})
-_session_envelopes = st.fixed_dictionaries(
-    {"campaign": _texts, "address": _texts,
-     "fallback": _optional(st.sampled_from(FallbackStyle))})
+_FROM_DICT = {ScanRecord: scan_record_from_dict, InspectionRecord: inspection_record_from_dict,
+              SessionOutcome: session_record_from_dict}
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.tuples(_scans, _envelopes), st.tuples(_inspections, _envelopes),
-                 st.tuples(_sessions, _session_envelopes)))
-def test_record_line_is_the_former_line_and_decodes_back(drawn):
-    record, envelope = drawn
-    line = record_line(record, **envelope)
-    assert line == _former_line(record, **envelope)
-    data = json.loads(line)
-    if isinstance(record, SessionOutcome):
-        address, decoded = session_record_from_dict(data)
-        assert address == envelope["address"]
-    else:
-        decoded = {ScanRecord: scan_record_from_dict,
-                   InspectionRecord: inspection_record_from_dict}[type(record)](data)
+@given(st.one_of(_scans, _inspections, _sessions), _texts)
+def test_record_line_is_the_former_line_and_decodes_back(record, campaign):
+    line = record_line(record, campaign)
+    assert line == _former_line(record, campaign)
+    decoded = _FROM_DICT[type(record)](json.loads(line))
     assert repr(decoded) == repr(record)  # equal, and NaN reads as NaN
 
 
 def test_schema_guards():
-    data = scan_record_to_dict(scan_rec())
+    data = json.loads(record_line(scan_rec()))
     with pytest.raises(SchemaMismatch):
         scan_record_from_dict({**data, "v": 99})
     with pytest.raises(SchemaMismatch):
@@ -321,7 +312,7 @@ def test_schema_guards():
 
 
 def test_decoding_checks_exact_types():
-    data = scan_record_to_dict(scan_rec())
+    data = json.loads(record_line(scan_rec()))
     assert scan_record_from_dict({**data, "timestamp": 7}).timestamp == 7  # int for float
     for field, value in [("selected_suite", True), ("selected_suite", 47.0),
                          ("timestamp", "1.5"), ("timestamp", False), ("result", "responded"),
@@ -386,7 +377,7 @@ def store(tmp_path):
 
 
 def test_store_append_then_load_identical(store):
-    rec = scan_record_to_dict(scan_rec(), campaign="c")
+    rec = json.loads(record_line(scan_rec(), campaign="c"))
     store.append(scan_rec(), campaign="c")
     loaded = store.load()
     assert loaded.errors == []
@@ -395,7 +386,7 @@ def test_store_append_then_load_identical(store):
 
 
 def test_store_writes_a_group_of_lines_all_at_once_or_not_at_all(store, monkeypatch):
-    a, b = (scan_record_to_dict(scan_rec(name)) for name in "ab")
+    a, b = (json.loads(record_line(scan_rec(name))) for name in "ab")
     store.append(scan_rec("a"))  # opens the handle
     writes = []
     real_write = store._fh.write
@@ -454,7 +445,7 @@ def test_store_requires_the_schema_version(store):
 
 @pytest.mark.parametrize("v", [True, 1.0], ids=["true", "1.0"])
 def test_schema_version_has_an_exact_type(store, v):
-    data = {**scan_record_to_dict(scan_rec()), "v": v}
+    data = {**json.loads(record_line(scan_rec())), "v": v}
     with pytest.raises(SchemaMismatch, match="bad scan record: expected v 1"):
         scan_record_from_dict(data)
     with pytest.raises(SchemaMismatch):
@@ -492,7 +483,7 @@ def test_store_unreadable_line_is_a_parse_failure(store, line, reason):
 def test_store_lines_end_at_newline_only(store):
     # Raw U+2028, U+2029 and U+0085 are legal inside a JSON string, and a
     # \r before the \n is JSON whitespace: none of them ends a line.
-    rec = scan_record_to_dict(scan_rec("a\u2028b\u2029c\x85d"))
+    rec = json.loads(record_line(scan_rec("a\u2028b\u2029c\x85d")))
     with store.path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
         fh.write(json.dumps(rec) + "\r\n")
@@ -604,7 +595,7 @@ def test_store_load_matches_a_line_by_line_parse_across_reads(tmp_path):
 
 
 def test_store_line_is_on_disk_when_append_returns(store):
-    rec = scan_record_to_dict(scan_rec(), campaign="c")
+    rec = json.loads(record_line(scan_rec(), campaign="c"))
     store.append(scan_rec(), campaign="c")
     assert RecordStore(store.path).load().records == [rec]
     store.append(scan_rec(), campaign="c")
