@@ -330,6 +330,9 @@ def _write(path, chunks) -> None:
 
 
 def cmd_fleet(args) -> int:
+    if args.addresses_out and not args.serve:
+        _note("befs fleet: --addresses-out needs --serve: no server has an address until served")
+        return 2
     spec = load_fleet_spec(args.spec)
     fleet = generate_fleet(spec)
     counts = {a.value: n for a, n in archetype_counts(spec).items() if n}

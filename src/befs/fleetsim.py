@@ -33,10 +33,12 @@ from .handshake import ConnectFailed, TcpConnector
 from .inspection import Classification
 from .negotiate import SelectionRule, ServerPolicy, select
 from .suites import (
+    AE_CODEPOINTS,
     DEFAULT,
     DEFAULT_ORDER,
     FALLBACK_SIGNAL,
     FS_AE_ONLY,
+    FS_CODEPOINTS,
     FS_ONLY,
     REGISTRY,
     is_ae,
@@ -184,15 +186,12 @@ class GroundTruth:
     device_type: str = ""
 
 
-_FS_SET = frozenset(FS_ONLY.suites)
-_FS_AE_SET = frozenset(FS_AE_ONLY.suites)
-
-
 def policy_truth(policy: ServerPolicy, device_type: str = "") -> GroundTruth:
     default_pick = select(policy, DEFAULT.suites, wire.TLS1_2)
+    fs = policy.supported & FS_CODEPOINTS
     return GroundTruth(
-        supports_fs=not policy.supported.isdisjoint(_FS_SET),
-        supports_fs_ae=not policy.supported.isdisjoint(_FS_AE_SET),
+        supports_fs=bool(fs),
+        supports_fs_ae=not fs.isdisjoint(AE_CODEPOINTS),
         selects_fs_by_default=default_pick.selected and is_fs(default_pick.suite),
         device_type=device_type,
     )
@@ -259,7 +258,6 @@ def _server_hello(version: int, suite: int) -> wire.ServerHelloSummary:
 
 def answer_offer(
     policy: ServerPolicy,
-    supports_fs: bool,
     honors_signal: bool,
     raw: bytes,
     next_random: Callable[[], bytes],
@@ -269,9 +267,10 @@ def answer_offer(
         version, suites = wire.read_offer(raw)
     except wire.WireError:
         return _DECODE_ERROR_ALERT
-    if honors_signal and supports_fs and FALLBACK_SIGNAL in suites:
+    if (honors_signal and FALLBACK_SIGNAL in suites
+            and not policy.supported.isdisjoint(FS_CODEPOINTS)):
         # The client says this offer is a fallback; a server that could
-        # have answered the stronger first flight refuses it.
+        # have answered the stronger first flight (it supports FS) refuses it.
         return _FALLBACK_ALERT
     res = select(policy, suites, version)
     if not res.selected:
@@ -300,10 +299,7 @@ class SimServer:
         """Reply bytes, or None to stall the connection."""
         if self.archetype is Archetype.UNRESPONSIVE:
             return None
-        return answer_offer(
-            self.policy, self.truth.supports_fs, self.honors_fallback_signal, raw,
-            self.next_random,
-        )
+        return answer_offer(self.policy, self.honors_fallback_signal, raw, self.next_random)
 
 
 FS_SUITES = list(FS_ONLY.suites)
@@ -553,11 +549,7 @@ class DiscriminatoryServer:
         if self.strong and offer_is_all_fs(ch):
             return _HANDSHAKE_FAILURE_ALERT
         return answer_offer(
-            self._steered,
-            supports_fs=self.inner.truth.supports_fs,
-            honors_signal=False,
-            raw=raw,
-            next_random=self.inner.next_random,
+            self._steered, honors_signal=False, raw=raw, next_random=self.inner.next_random
         )
 
 
@@ -613,16 +605,15 @@ class _MemoryConnector:
 
 
 class Harness:
-    """What every running fleet shares: servers, endpoints, latency, gauge.
+    """What every running fleet shares: endpoints, latency, gauge.
 
     Plain instance attributes, since the memory connector reads them on
     every handshake. Subclasses give each server its address through
     _add, then provide connector().
     """
 
-    def __init__(self, servers: Iterable[SimServer], latency: LatencyModel, seed: int) -> None:
-        self.servers = list(servers)
-        self.endpoints: dict[str, Endpoint] = {}
+    def __init__(self, latency: LatencyModel, seed: int) -> None:
+        self.endpoints: dict[str, Endpoint] = {}  # in serve order
         self.latency = latency
         self.latency_rng = random.Random(seed ^ 0x1A7E)
         self.gauge = _Gauge()
@@ -630,7 +621,7 @@ class Harness:
 
     @property
     def addresses(self) -> list[str]:
-        return [s.address for s in self.servers]
+        return list(self.endpoints)
 
     @property
     def max_in_flight(self) -> int:
@@ -664,8 +655,8 @@ class MemoryHarness(Harness):
         latency: LatencyModel = LatencyModel(),
         seed: int = 0,
     ) -> None:
-        super().__init__(servers, latency, seed)
-        for server in self.servers:
+        super().__init__(latency, seed)
+        for server in servers:
             self._add(server, server.server_id, adversary)
 
     def connector(self) -> _MemoryConnector:
@@ -695,7 +686,7 @@ class SocketHarness(Harness):
         latency: LatencyModel = LatencyModel(),
         seed: int = 0,
     ) -> None:
-        super().__init__(servers, latency, seed)
+        super().__init__(latency, seed)
         self._sel = selectors.DefaultSelector()
         self._listeners: list[socket.socket] = []
         self._conns: dict[socket.socket, list] = {}  # conn -> [endpoint, buffer|DONE]
@@ -705,7 +696,7 @@ class SocketHarness(Harness):
         self._wake_r.setblocking(False)
         self._sel.register(self._wake_r, selectors.EVENT_READ, ("wake", None))
         try:
-            for server in self.servers:
+            for server in servers:
                 sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
                 try:
                     sock.bind(("127.0.0.1", 0))

@@ -648,6 +648,15 @@ def test_fleet_output_in_a_missing_directory_fails_cleanly(
     assert err.startswith("befs fleet: cannot write %s: " % target) and err.count("\n") == 1
 
 
+def test_fleet_addresses_out_without_serve_is_a_usage_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, MIXED, size=2, seed=3)
+    addrs_path = tmp_path / "addrs.txt"
+    code, out, err = run_cli(["fleet", "--spec", spec, "--addresses-out", str(addrs_path)], capsys)
+    assert code == 2
+    assert out == "" and not addrs_path.exists()
+    assert "--addresses-out" in err and "--serve" in err and err.count("\n") == 1
+
+
 def test_fleet_serve_then_scan_pipeline(tmp_path):
     """The two-process flow: serve a fleet, scan it over real TCP."""
     spec = write_spec(tmp_path, {"NONFS_ONLY": 0.5, "FS_PREFERRING": 0.5}, size=4, seed=7)

@@ -39,7 +39,7 @@ from befs.fleetsim import (
 )
 from befs.handshake import AttemptKind, ConnectFailed, TcpConnector, handshake_attempt, read_record
 from befs.negotiate import ServerPolicy
-from befs.suites import DEFAULT, FALLBACK_SIGNAL, FS_ONLY, REGISTRY, is_fs
+from befs.suites import DEFAULT, FALLBACK_SIGNAL, FS_ONLY, REGISTRY, is_ae, is_fs
 from befs.wire import TLS1_0, TLS1_1, TLS1_2
 
 
@@ -262,9 +262,7 @@ def test_policy_truth_matches_brute_force(seed):
     policy = ServerPolicy(frozenset(supported), tuple(pref), frozenset({TLS1_2}))
     truth = policy_truth(policy)
     assert truth.supports_fs == any(is_fs(s) for s in supported)
-    assert truth.supports_fs_ae == any(
-        is_fs(s) and REGISTRY[s].ae for s in supported
-    )
+    assert truth.supports_fs_ae == any(is_fs(s) and is_ae(s) for s in supported)
     first_pick = next((s for s in pref if s in set(DEFAULT.suites)), None)
     assert truth.selects_fs_by_default == (first_pick is not None and is_fs(first_pick))
 
@@ -450,6 +448,15 @@ def test_serve_wraps_each_server_in_the_adversary(transport):
         taps = [h.endpoints[a] for a in h.addresses]
         assert all(isinstance(t, PassiveTap) for t in taps)
         assert [t.inner for t in taps] == fleet
+
+
+def test_a_fleet_served_on_both_transports_at_once_keeps_each_harness_addresses():
+    fleet = generate_fleet(spec_with(size=2, FS_PREFERRING=1.0))
+    with serve(fleet, Transport.IN_MEMORY) as memory, serve(fleet, Transport.LOOPBACK_SOCKET) as tcp:
+        assert memory.addresses == [s.server_id for s in fleet]
+        assert all(a.startswith("127.0.0.1:") for a in tcp.addresses)
+        res = handshake_attempt(memory.connector(), memory.addresses[0], DEFAULT.suites, 0.5)
+        assert res.selected and is_fs(res.suite)
 
 
 def _strong_discriminator_outcomes(transport):
