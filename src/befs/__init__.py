@@ -9,7 +9,6 @@ from .client import (
     PolicyMode,
     SessionOutcome,
     SessionStatus,
-    UserDecisionSource,
     connect,
     latency_bench,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ProfileKind",
     "SessionOutcome",
     "SessionStatus",
-    "UserDecisionSource",
     "connect",
     "is_ae",
     "is_fs",

@@ -66,17 +66,15 @@ def _note(text: str) -> None:
     sys.stderr.write(text + "\n")
 
 
-class TerminalDecisions:
-    """Asks fallback questions on the controlling terminal."""
-
-    def approve_fallback(self, description: str) -> bool:
-        sys.stderr.write(description + " [y/N] ")
-        sys.stderr.flush()
-        try:
-            answer = input()
-        except EOFError:
-            return False
-        return answer.strip().lower() in ("y", "yes")
+def _ask_terminal(description: str) -> bool:
+    """Asks a fallback question on the controlling terminal."""
+    sys.stderr.write(description + " [y/N] ")
+    sys.stderr.flush()
+    try:
+        answer = input()
+    except EOFError:
+        return False
+    return answer.strip().lower() in ("y", "yes")
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -102,7 +100,7 @@ def _add_source_options(p: argparse.ArgumentParser) -> None:
     group.add_argument("--fleet-spec", help="serve a simulated fleet in-process and target it")
     p.add_argument(
         "--transport",
-        choices=("memory", "socket"),
+        choices=[t.value for t in Transport],
         default="memory",
         help="fleet transport for --fleet-spec runs; --input always dials real TCP",
     )
@@ -188,10 +186,8 @@ def _targets(args):
     if args.fleet_spec:
         spec = load_fleet_spec(args.fleet_spec)
         fleet = generate_fleet(spec)
-        transport = (
-            Transport.IN_MEMORY if args.transport == "memory" else Transport.LOOPBACK_SOCKET
-        )
-        with serve(fleet, transport, latency=spec.latency, seed=spec.seed) as harness:
+        with serve(fleet, Transport(args.transport), latency=spec.latency,
+                   seed=spec.seed) as harness:
             yield harness.addresses, harness.connector()
     else:
         yield load_addresses(args.input), TcpConnector()
@@ -258,7 +254,7 @@ def cmd_connect(args) -> int:
         fallback=FallbackStyle[args.fallback.upper()],
         timeout_s=args.timeout,
     )
-    user = TerminalDecisions() if cfg.fallback is FallbackStyle.INTERACTIVE else ALWAYS_PROCEED
+    user = _ask_terminal if cfg.fallback is FallbackStyle.INTERACTIVE else ALWAYS_PROCEED
     outcome = connect(
         address, cfg, user, connector=TcpConnector(), sni=args.sni == "on", seed=args.seed
     )

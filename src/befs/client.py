@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Sequence
 
 from .handshake import AttemptResult, Connector, handshake_attempt
 from .suites import ProfileKind, is_ae, is_fs
@@ -78,34 +78,12 @@ class SessionOutcome:
         return self.status is SessionStatus.CONNECTED
 
 
-class UserDecisionSource(Protocol):
-    def approve_fallback(self, description: str) -> bool: ...
+def ALWAYS_PROCEED(description: str) -> bool:
+    return True
 
 
-class _ConstantDecision:
-    def __init__(self, answer: bool) -> None:
-        self._answer = answer
-
-    def approve_fallback(self, description: str) -> bool:
-        return self._answer
-
-
-ALWAYS_PROCEED: UserDecisionSource = _ConstantDecision(True)
-ALWAYS_ABORT: UserDecisionSource = _ConstantDecision(False)
-
-
-class ScriptedDecisions:
-    """Answers fallback prompts from a fixed script; overruns raise."""
-
-    def __init__(self, answers: Iterable[bool]) -> None:
-        self._answers = list(answers)
-        self.prompts: list[str] = []
-
-    def approve_fallback(self, description: str) -> bool:
-        self.prompts.append(description)
-        if not self._answers:
-            raise RuntimeError("decision script exhausted at: %s" % description)
-        return self._answers.pop(0)
+def ALWAYS_ABORT(description: str) -> bool:
+    return False
 
 
 _FALLBACK_COSTS = {
@@ -134,7 +112,7 @@ _RUNG_POOL = ThreadPoolExecutor(
 def connect(
     address: str,
     cfg: PolicyConfig,
-    user: UserDecisionSource = ALWAYS_PROCEED,
+    user: Callable[[str], bool] = ALWAYS_PROCEED,
     *,
     connector: Connector,
     sni: bool = False,
@@ -144,7 +122,9 @@ def connect(
 
     Sequentially, each rung is tried only after the one before it failed,
     silently (SILENT), behind a user decision (INTERACTIVE) or with the
-    fallback signal on the widened offer (SIGNALED). With PARALLEL, every
+    fallback signal on the widened offer (SIGNALED). The user decision is
+    ``user(describe_fallback(address, profile))``: true widens the offer,
+    false ends the ladder as ABORTED_BY_USER. With PARALLEL, every
     rung is sent at once, all answers are awaited, and the strongest
     selecting rung wins. The rungs run on one module-wide pool sized for
     the longest ladder, so concurrent parallel connects share those
@@ -175,7 +155,7 @@ def connect(
         attempts = []
         for depth, profile in enumerate(ladder):
             if depth > 0 and cfg.fallback is FallbackStyle.INTERACTIVE:
-                if not user.approve_fallback(describe_fallback(address, profile)):
+                if not user(describe_fallback(address, profile)):
                     status = SessionStatus.ABORTED_BY_USER
                     break
             result = attempt(depth, profile, cfg.fallback is FallbackStyle.SIGNALED and depth > 0)

@@ -11,7 +11,6 @@ independent oracle.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import heapq
 import itertools
@@ -64,8 +63,8 @@ class Archetype(Enum):
 
 
 class Transport(Enum):
-    IN_MEMORY = "IN_MEMORY"
-    LOOPBACK_SOCKET = "LOOPBACK_SOCKET"
+    IN_MEMORY = "memory"
+    LOOPBACK_SOCKET = "socket"
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def policy_truth(policy: ServerPolicy, device_type: str = "") -> GroundTruth:
     return GroundTruth(
         supports_fs=bool(fs),
         supports_fs_ae=not fs.isdisjoint(AE_CODEPOINTS),
-        selects_fs_by_default=default_pick.selected and is_fs(default_pick.suite),
+        selects_fs_by_default=default_pick is not None and is_fs(default_pick.selected_suite),
         device_type=device_type,
     )
 
@@ -211,19 +210,18 @@ def expected_inspection(policy: ServerPolicy) -> ExpectedInspection:
     inspection path, so it serves as the classification oracle.
     """
     r1 = select(policy, DEFAULT.suites, wire.TLS1_2)
-    if not r1.selected:
+    if r1 is None:
         return ExpectedInspection(Classification.ERROR_H1)
-    if is_fs(r1.suite):
+    if is_fs(r1.selected_suite):
         return ExpectedInspection(Classification.CHANGED_BEHAVIOR)
-    prior_ae = is_ae(r1.suite)
+    prior_ae = is_ae(r1.selected_suite)
     r2 = select(policy, FS_ONLY.suites, wire.TLS1_2)
-    if not r2.selected:
+    if r2 is None:
         return ExpectedInspection(Classification.STABLE_NO_FS_SUPPORT, prior_ae, False)
-    if is_ae(r2.suite):
+    if is_ae(r2.selected_suite):
         return ExpectedInspection(Classification.STABLE_SUPPORTS_FS_AE, prior_ae, False)
     lose_ae = prior_ae
-    r3 = select(policy, FS_AE_ONLY.suites, wire.TLS1_2)
-    if not r3.selected:
+    if select(policy, FS_AE_ONLY.suites, wire.TLS1_2) is None:
         return ExpectedInspection(Classification.STABLE_SUPPORTS_FS_NONAE_ONLY, prior_ae, lose_ae)
     return ExpectedInspection(
         Classification.STABLE_FS_NONAE_BUT_SUPPORTS_FS_AE, prior_ae, lose_ae
@@ -251,11 +249,6 @@ _DECODE_ERROR_ALERT, _FALLBACK_ALERT, _HANDSHAKE_FAILURE_ALERT = (
 )
 
 
-@functools.cache
-def _server_hello(version: int, suite: int) -> wire.ServerHelloSummary:
-    return wire.ServerHelloSummary(version, suite)
-
-
 def answer_offer(
     policy: ServerPolicy,
     honors_signal: bool,
@@ -272,10 +265,10 @@ def answer_offer(
         # The client says this offer is a fallback; a server that could
         # have answered the stronger first flight (it supports FS) refuses it.
         return _FALLBACK_ALERT
-    res = select(policy, suites, version)
-    if not res.selected:
+    hello = select(policy, suites, version)
+    if hello is None:
         return _HANDSHAKE_FAILURE_ALERT
-    return wire.encode_server_hello(_server_hello(res.version, res.suite), random=next_random())
+    return wire.encode_server_hello(hello, random=next_random())
 
 
 @dataclass(eq=False)
@@ -479,12 +472,13 @@ class PassiveTap:
 
     def __init__(self, inner: SimServer):
         self.inner = inner
+        self.address = inner.address  # Harness._add sets it before wrapping
         self.transcript: list[TranscriptEntry] = []
         self._lock = threading.Lock()
 
     def respond(self, raw: bytes) -> Optional[bytes]:
         response = self.inner.respond(raw)
-        entry = TranscriptEntry(self.inner.address, raw, response, time.time())
+        entry = TranscriptEntry(self.address, raw, response, time.time())
         with self._lock:
             self.transcript.append(entry)
         return response

@@ -120,9 +120,9 @@ def test_criterion_1_negotiation_oracle():
         got = select(policy, offer, client_max)
         want = reference_select(policy, offer, client_max)
         if want is None:
-            assert not got.selected, (policy, offer, client_max)
+            assert got is None, (policy, offer, client_max)
         else:
-            assert got.selected and (got.version, got.suite) == want, (
+            assert got is not None and (got.negotiated_version, got.selected_suite) == want, (
                 policy,
                 offer,
                 client_max,
@@ -209,7 +209,7 @@ def test_criterion_3_classification_fidelity():
         else:
             want = select(server.policy, DEFAULT.suites, TLS1_2)
             assert record.result is ScanResultKind.RESPONDED
-            assert record.selected_suite == want.suite
+            assert record.selected_suite == want.selected_suite
 
     mismatches = 0
     for rec in inspections:

@@ -234,7 +234,7 @@ def test_stdout_lines_are_the_stored_lines_and_match_ground_truth(
             continue
         pick = select(server.policy, DEFAULT.suites, TLS1_2)
         assert (scan["result"], scan["selected_suite"], scan["negotiated_version"]) == (
-            "RESPONDED", pick.suite, pick.version)
+            "RESPONDED", pick.selected_suite, pick.negotiated_version)
         inspection = inspections.get(scan["address"])
         if command == "scan" or server.truth.selects_fs_by_default:
             assert inspection is None

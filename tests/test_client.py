@@ -13,7 +13,6 @@ from befs.client import (
     LADDERS,
     PolicyConfig,
     PolicyMode,
-    ScriptedDecisions,
     SessionStatus,
     connect,
     describe_fallback,
@@ -51,6 +50,18 @@ def one_server(supported, preference, *, rule=SelectionRule.SERVER_PREFERENCE,
         seed=7,
     )
     return serve([server], Transport.IN_MEMORY, adversary=adversary)
+
+
+def scripted(*answers):
+    """A fallback decision giving ``answers`` in turn; ``.prompts`` records each question."""
+    script = list(answers)
+
+    def user(description):
+        user.prompts.append(description)
+        return script.pop(0)
+
+    user.prompts = []
+    return user
 
 
 def cfg_for(mode, style=FallbackStyle.SILENT, timeout_s=0.2):
@@ -100,7 +111,7 @@ def test_befs_interactive_abort_stops_before_second_attempt():
 
 
 def test_befs_interactive_consent_proceeds_and_prompt_names_the_cost():
-    user = ScriptedDecisions([True])
+    user = scripted(True)
     with one_server({0x002F}, (0x002F,)) as h:
         out = connect(
             h.addresses[0],
@@ -116,9 +127,27 @@ def test_befs_interactive_consent_proceeds_and_prompt_names_the_cost():
 
 
 def test_scripted_decisions_exhaustion_raises():
-    user = ScriptedDecisions([])
-    with pytest.raises(RuntimeError):
-        user.approve_fallback("x")
+    # a decision that raises ends connect with its error: it is neither
+    # consent nor an abort, and the widened offer is never sent
+    user = scripted()
+    sent = []
+    with one_server({0x002F}, (0x002F,)) as h:
+        inner = h.connector()
+
+        class Counting:
+            def exchange(self, address, raw, timeout_s):
+                sent.append(raw)
+                return inner.exchange(address, raw, timeout_s)
+
+        with pytest.raises(IndexError):
+            connect(
+                h.addresses[0],
+                cfg_for(PolicyMode.BEFS, FallbackStyle.INTERACTIVE),
+                user,
+                connector=Counting(),
+            )
+    assert len(user.prompts) == 1
+    assert len(sent) == 1  # only the FS-only hello
 
 
 def test_describe_fallback_texts():
@@ -186,7 +215,7 @@ def test_besafe_two_attempts_when_only_cbc_fs_available():
 
 
 def test_besafe_three_attempts_on_nonfs_server_with_prompts():
-    user = ScriptedDecisions([True, True])
+    user = scripted(True, True)
     with one_server({0x0035}, (0x0035,)) as h:
         out = connect(
             h.addresses[0],

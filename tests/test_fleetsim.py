@@ -1,6 +1,7 @@
 """Fleet generation, honest serving, adversary wrappers, transports."""
 
 import functools
+import hashlib
 import json
 import random
 import socket
@@ -39,7 +40,7 @@ from befs.fleetsim import (
 )
 from befs.handshake import AttemptKind, ConnectFailed, TcpConnector, handshake_attempt, read_record
 from befs.negotiate import ServerPolicy
-from befs.suites import DEFAULT, FALLBACK_SIGNAL, FS_ONLY, REGISTRY, is_ae, is_fs
+from befs.suites import DEFAULT, FALLBACK_SIGNAL, FS_AE_ONLY, FS_ONLY, REGISTRY, is_ae, is_fs
 from befs.wire import TLS1_0, TLS1_1, TLS1_2
 
 
@@ -181,6 +182,22 @@ def _hellos(fleet, rounds=3):
 def test_server_hello_bytes_repeat_with_the_spec():
     spec = spec_with(size=40, FS_PREFERRING=0.5, NONFS_ONLY=0.5)
     assert _hellos(generate_fleet(spec)) == _hellos(generate_fleet(spec))
+
+
+def test_server_answers_repeat_the_pinned_digest():
+    # Every server of six mixed fleets answers four offers, server by server;
+    # a stall hashes as b"-". Any change to a hello, an alert or a pick shows.
+    hellos = [wire.ClientHelloTemplate(TLS1_2, offer).encode(bytes(32))
+              for offer in (DEFAULT.suites, FS_ONLY.suites, FS_AE_ONLY.suites,
+                            DEFAULT.suites + (FALLBACK_SIGNAL,))]
+    digest = hashlib.sha256()
+    for seed in range(6):
+        fleet = generate_fleet(FleetSpec(size=60, seed=seed, mix={a: 1 / 6 for a in Archetype}))
+        for server in fleet:
+            for hello in hellos:
+                digest.update(server.respond(hello) or b"-")
+    assert digest.hexdigest() == (
+        "573daf528250c9f3062d114898be2634c9c99ce492a676d717cae7b13640e4af")
 
 
 def test_server_randoms_differ_across_servers_and_attempts():
@@ -448,6 +465,16 @@ def test_serve_wraps_each_server_in_the_adversary(transport):
         taps = [h.endpoints[a] for a in h.addresses]
         assert all(isinstance(t, PassiveTap) for t in taps)
         assert [t.inner for t in taps] == fleet
+
+
+def test_a_tap_records_the_address_it_is_served_at():
+    # The socket harness serves the same servers later and readdresses them.
+    fleet = generate_fleet(spec_with(size=2, FS_PREFERRING=1.0))
+    with serve(fleet, Transport.IN_MEMORY, adversary=PassiveTap) as memory, \
+            serve(fleet, Transport.LOOPBACK_SOCKET):
+        handshake_attempt(memory.connector(), "srv-0000", DEFAULT.suites, 0.5)
+        assert [entry.address for entry in memory.endpoints["srv-0000"].transcript] == [
+            "srv-0000"]
 
 
 def test_a_fleet_served_on_both_transports_at_once_keeps_each_harness_addresses():

@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from befs import wire
-from befs.negotiate import (
-    FAILURE,
-    NegotiationResult,
-    Outcome,
-    SelectionRule,
-    ServerPolicy,
-    select,
-)
+from befs.negotiate import SelectionRule, ServerPolicy, select
 from befs.suites import DEFAULT, FS_ONLY, REGISTRY, is_fs
 
 UNIVERSE = sorted(REGISTRY)
@@ -53,9 +46,9 @@ def check_against_reference(policy, offer, client_max):
     got = select(policy, offer, client_max)
     want = reference_select(policy, offer, client_max)
     if want is None:
-        assert got == FAILURE
+        assert got is None
     else:
-        assert got == NegotiationResult(Outcome.SELECTED, version=want[0], suite=want[1])
+        assert (got.negotiated_version, got.selected_suite) == want
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -74,10 +67,10 @@ def test_failure_is_monotone_under_offer_shrinking(seed):
     policy = random_policy(rng)
     offer = random_offer(rng)
     client_max = rng.choice(ALL_VERSIONS)
-    if select(policy, offer, client_max) == FAILURE:
+    if select(policy, offer, client_max) is None:
         sub = tuple(s for s in offer if rng.random() < 0.5)
         if sub:
-            assert select(policy, sub, client_max) == FAILURE
+            assert select(policy, sub, client_max) is None
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -89,8 +82,8 @@ def test_fs_only_offer_forces_fs_selection_when_possible(seed):
         return
     if policy.supported & set(FS_ONLY.suites):
         res = select(policy, FS_ONLY.suites, wire.TLS1_2)
-        assert res.selected
-        assert is_fs(res.suite)
+        assert res is not None
+        assert is_fs(res.selected_suite)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -101,18 +94,18 @@ def test_selected_results_satisfy_invariants(seed):
     offer = random_offer(rng)
     client_max = rng.choice(ALL_VERSIONS)
     res = select(policy, offer, client_max)
-    if res.selected:
-        assert res.suite in policy.supported
-        assert res.suite in offer
-        assert res.version in policy.versions
-        assert res.version <= client_max
+    if res is not None:
+        assert res.selected_suite in policy.supported
+        assert res.selected_suite in offer
+        assert res.negotiated_version in policy.versions
+        assert res.negotiated_version <= client_max
 
 
 def test_non_fs_only_server_fails_fs_offer():
     policy = ServerPolicy(
         frozenset({0x002F}), (0x002F,), frozenset({wire.TLS1_2})
     )
-    assert select(policy, FS_ONLY.suites, wire.TLS1_2) == FAILURE
+    assert select(policy, FS_ONLY.suites, wire.TLS1_2) is None
 
 
 def test_non_fs_preferring_server_picks_non_fs_from_default():
@@ -120,7 +113,7 @@ def test_non_fs_preferring_server_picks_non_fs_from_default():
         frozenset({0xC02F, 0x002F}), (0x002F, 0xC02F), frozenset({wire.TLS1_2})
     )
     res = select(policy, DEFAULT.suites, wire.TLS1_2)
-    assert res.selected and res.suite == 0x002F
+    assert res is not None and res.selected_suite == 0x002F
 
 
 def test_same_server_guided_to_fs_by_narrow_offer():
@@ -128,7 +121,7 @@ def test_same_server_guided_to_fs_by_narrow_offer():
         frozenset({0xC02F, 0x002F}), (0x002F, 0xC02F), frozenset({wire.TLS1_2})
     )
     res = select(policy, FS_ONLY.suites, wire.TLS1_2)
-    assert res.selected and res.suite == 0xC02F
+    assert res is not None and res.selected_suite == 0xC02F
 
 
 def test_client_preference_rule_takes_offer_order():
@@ -139,7 +132,7 @@ def test_client_preference_rule_takes_offer_order():
         SelectionRule.CLIENT_PREFERENCE,
     )
     res = select(policy, (0xC02F, 0x002F), wire.TLS1_2)
-    assert res.suite == 0xC02F
+    assert res.selected_suite == 0xC02F
 
 
 def test_version_is_highest_not_above_client_max():
@@ -147,12 +140,12 @@ def test_version_is_highest_not_above_client_max():
         frozenset({0x002F}), (0x002F,), frozenset({wire.TLS1_0, wire.TLS1_1})
     )
     res = select(policy, (0x002F,), wire.TLS1_2)
-    assert res.version == wire.TLS1_1
+    assert res.negotiated_version == wire.TLS1_1
 
 
 def test_version_mismatch_is_failure():
     policy = ServerPolicy(frozenset({0x002F}), (0x002F,), frozenset({wire.TLS1_2}))
-    assert select(policy, (0x002F,), wire.TLS1_0) == FAILURE
+    assert select(policy, (0x002F,), wire.TLS1_0) is None
 
 
 def test_empty_offer_rejected():
@@ -166,8 +159,3 @@ def test_policy_validation():
         ServerPolicy(frozenset({0x002F}), (0x002F, 0x0035), frozenset({wire.TLS1_2}))
     with pytest.raises(ValueError):
         ServerPolicy(frozenset({0x002F}), (0x002F,), frozenset())
-
-
-def test_selected_result_requires_fields():
-    with pytest.raises(ValueError):
-        NegotiationResult(Outcome.SELECTED, version=wire.TLS1_2, suite=None)
