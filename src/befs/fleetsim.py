@@ -659,6 +659,8 @@ class MemoryHarness(Harness):
 
 # sentinel stored in a connection slot once the server answered or stalled
 _CONN_DONE = object()
+# Linux's option to hold a connection back from accept until data arrives
+_DEFER_ACCEPT = getattr(socket, "TCP_DEFER_ACCEPT", None)
 # Longest select wait: a reply due further ahead (a huge latency) would
 # overflow the platform's timeout, so the loop wakes and waits again.
 _MAX_WAIT_S = 1.0
@@ -670,6 +672,13 @@ class SocketHarness(Harness):
     The loop owns every socket; endpoint.respond runs inline (it is pure
     computation), and latency is applied by scheduling the reply rather
     than sleeping, so one thread serves the whole fleet.
+
+    Where the platform has TCP_DEFER_ACCEPT, a connection is accepted
+    only once its hello is in, and the accept step reads it at once: a
+    reply due now (zero sampled latency) is sent and the connection
+    closed in that step. Only a connection that must wait (an incomplete
+    hello, a stall or a delayed reply) is registered with the selector.
+    The in-flight gauge counts a connection from accept to close.
     """
 
     def __init__(
@@ -683,7 +692,7 @@ class SocketHarness(Harness):
         super().__init__(latency, seed)
         self._sel = selectors.DefaultSelector()
         self._listeners: list[socket.socket] = []
-        self._conns: dict[socket.socket, list] = {}  # conn -> [endpoint, buffer|DONE]
+        self._conns: dict[socket.socket, list] = {}  # conn -> [endpoint, buffer|DONE, registered]
         self._pending: list[tuple[float, int, socket.socket, bytes]] = []
         self._seq = 0
         self._wake_r, self._wake_w = socket.socketpair()
@@ -697,6 +706,8 @@ class SocketHarness(Harness):
                 except OSError as exc:
                     sock.close()
                     raise BindFailure("bind failed after %d listeners: %s" % (len(self._listeners), exc)) from exc
+                if _DEFER_ACCEPT is not None:
+                    sock.setsockopt(socket.IPPROTO_TCP, _DEFER_ACCEPT, 1)
                 sock.listen(128)
                 sock.setblocking(False)
                 endpoint = self._add(server, "%s:%d" % sock.getsockname(), adversary)
@@ -741,17 +752,21 @@ class SocketHarness(Harness):
         self._sel.close()
 
     def _drop_conn(self, conn: socket.socket) -> None:
-        if conn in self._conns:
-            del self._conns[conn]
+        slot = self._conns.pop(conn, None)
+        if slot is not None:
             self.gauge.leave()
-        try:
-            self._sel.unregister(conn)
-        except (KeyError, ValueError):
-            pass
+            if slot[2]:
+                self._sel.unregister(conn)
         try:
             conn.close()
         except OSError:
             pass
+
+    def _watch(self, conn: socket.socket, slot: list) -> None:
+        """Register a connection that has to wait, once."""
+        if not slot[2]:
+            slot[2] = True
+            self._sel.register(conn, selectors.EVENT_READ, ("conn", None))
 
     def _run(self) -> None:
         while not self.stopped:
@@ -772,11 +787,7 @@ class SocketHarness(Harness):
             now = time.perf_counter()
             while self._pending and self._pending[0][0] <= now:
                 _, _, conn, payload = heapq.heappop(self._pending)
-                try:
-                    conn.sendall(payload)
-                except OSError:
-                    pass
-                self._drop_conn(conn)
+                self._reply(conn, payload)
 
     def _accept(self, listener: socket.socket, endpoint) -> None:
         try:
@@ -784,9 +795,16 @@ class SocketHarness(Harness):
         except OSError:
             return
         conn.setblocking(False)
-        self._conns[conn] = [endpoint, bytearray()]
+        self._conns[conn] = [endpoint, bytearray(), False]
         self.gauge.enter()
-        self._sel.register(conn, selectors.EVENT_READ, ("conn", None))
+        self._readable(conn)
+
+    def _reply(self, conn: socket.socket, payload: bytes) -> None:
+        try:
+            conn.sendall(payload)
+        except OSError:
+            pass
+        self._drop_conn(conn)
 
     def _readable(self, conn: socket.socket) -> None:
         slot = self._conns.get(conn)
@@ -795,6 +813,7 @@ class SocketHarness(Harness):
         try:
             chunk = conn.recv(4096)
         except BlockingIOError:
+            self._watch(conn, slot)
             return
         except OSError:
             chunk = b""
@@ -805,21 +824,22 @@ class SocketHarness(Harness):
             return
         if slot[1] is _CONN_DONE:
             return  # request already answered or deliberately stalled
-        slot[1].extend(chunk)
         buf = slot[1]
-        if len(buf) < 5:
-            return
+        buf.extend(chunk)
         total = 5 + int.from_bytes(buf[3:5], "big")
         if len(buf) < total:
+            self._watch(conn, slot)
             return
-        raw = bytes(buf[:total])
-        reply = slot[0].respond(raw)
+        reply = slot[0].respond(bytes(buf[:total]))
         slot[1] = _CONN_DONE
-        if reply is None:
-            return  # stall: hold the connection open, client times out
-        due = time.perf_counter() + self.latency.sample_s(self.latency_rng)
-        self._seq += 1
-        heapq.heappush(self._pending, (due, self._seq, conn, reply))
+        if reply is not None:
+            delay_s = self.latency.sample_s(self.latency_rng)
+            if delay_s <= 0:
+                self._reply(conn, reply)
+                return
+            self._seq += 1
+            heapq.heappush(self._pending, (time.perf_counter() + delay_s, self._seq, conn, reply))
+        self._watch(conn, slot)  # a stall or a later reply: notice the client leaving
 
 
 def serve(

@@ -144,15 +144,29 @@ def read_record(sock: socket.socket, deadline: float) -> bytes:
 
 
 class TcpConnector:
-    """Connector over real TCP; one connection per exchange."""
+    """Connector over real TCP; one connection per exchange.
+
+    An IPv4 literal (a host split_address gives no SNI name) is dialled
+    without a resolver call; a host name goes through
+    socket.create_connection, which resolves it and tries each address.
+    """
 
     def exchange(self, address: str, raw: bytes, timeout_s: float) -> bytes:
-        host, port, _ = split_address(address)
+        host, port, name = split_address(address)
         if port is None:
             port = 443
         deadline = time.perf_counter() + timeout_s
         try:
-            sock = socket.create_connection((host, port), timeout=timeout_s)
+            if host and name is None:  # an IPv4 literal: no resolver call
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                try:
+                    sock.settimeout(timeout_s)
+                    sock.connect((host, port))
+                except BaseException:
+                    sock.close()
+                    raise
+            else:
+                sock = socket.create_connection((host, port), timeout=timeout_s)
         except TimeoutError:
             raise
         except OSError as exc:

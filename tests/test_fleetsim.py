@@ -588,6 +588,112 @@ def test_socket_loop_forgets_the_reply_of_a_client_that_left():
         assert len(h._pending) == 0
 
 
+def _count_registers(h, monkeypatch):
+    """The connections the harness's loop registers with its selector from now on."""
+    registered = []
+    register = h._sel.register
+
+    def counting(fileobj, events, data=None):
+        registered.append(fileobj)
+        return register(fileobj, events, data)
+
+    monkeypatch.setattr(h._sel, "register", counting)
+    return registered
+
+
+def _wait_until(predicate, timeout_s=5.0):
+    deadline = time.perf_counter() + timeout_s
+    while not predicate() and time.perf_counter() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+def _dial(address):
+    host, port = address.rsplit(":", 1)
+    return socket.create_connection((host, int(port)), timeout=5.0)
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_DEFER_ACCEPT"), reason="no TCP_DEFER_ACCEPT here")
+def test_a_zero_latency_reply_leaves_in_the_accept_step(monkeypatch):
+    fleet = generate_fleet(spec_with(size=2, FS_PREFERRING=0.5, NONFS_ONLY=0.5))
+    with serve(fleet, Transport.LOOPBACK_SOCKET) as h:
+        registered = _count_registers(h, monkeypatch)
+        for i in range(20):
+            res = handshake_attempt(h.connector(), h.addresses[i % 2], DEFAULT.suites, 2.0)
+            assert res.selected
+        assert registered == []
+        assert h.max_in_flight == 1
+        assert _wait_until(lambda: not h._conns)
+
+
+def test_a_stalled_connection_waits_registered_until_the_client_leaves(monkeypatch):
+    fleet = generate_fleet(spec_with(size=1, UNRESPONSIVE=1.0))
+    with serve(fleet, Transport.LOOPBACK_SOCKET) as h:
+        registered = _count_registers(h, monkeypatch)
+        with _dial(h.addresses[0]) as client:
+            client.sendall(make_ch_bytes(DEFAULT.suites))
+            assert _wait_until(lambda: len(registered) == 1)
+            assert list(h._conns) == registered
+            assert h.max_in_flight == 1
+        assert _wait_until(lambda: not h._conns)
+
+
+def test_a_hello_written_in_two_pieces_is_answered(monkeypatch):
+    fleet = generate_fleet(spec_with(size=1, FS_PREFERRING=1.0))
+    raw = make_ch_bytes(DEFAULT.suites)
+    with serve(fleet, Transport.LOOPBACK_SOCKET) as h:
+        registered = _count_registers(h, monkeypatch)
+        with _dial(h.addresses[0]) as client:
+            client.sendall(raw[:3])
+            time.sleep(0.05)
+            client.sendall(raw[3:])
+            sh = wire.decode_server_hello(read_record(client, time.perf_counter() + 5.0))
+        assert is_fs(sh.selected_suite)
+        assert len(registered) == 1  # the first piece alone is not a record: the connection waits
+
+
+def test_socket_latency_delays_the_reply_and_the_reply_arrives():
+    fleet = generate_fleet(spec_with(size=1, FS_PREFERRING=1.0))
+    with serve(fleet, Transport.LOOPBACK_SOCKET, latency=LatencyModel(base_ms=30)) as h:
+        for _ in range(3):
+            res = handshake_attempt(h.connector(), h.addresses[0], DEFAULT.suites, 2.0)
+            assert res.selected and is_fs(res.suite)
+            assert res.elapsed_s >= 0.030
+        assert _wait_until(lambda: not h._conns and not h._pending)
+
+
+def test_tcp_connector_dials_an_ipv4_literal_without_the_resolver(monkeypatch):
+    fleet = generate_fleet(spec_with(size=1, FS_PREFERRING=1.0))
+    with serve(fleet, Transport.LOOPBACK_SOCKET) as h:
+        port = h.addresses[0].rsplit(":", 1)[1]
+
+        def no_resolver(*args, **kwargs):
+            raise OSError("resolver called")
+
+        monkeypatch.setattr(socket, "getaddrinfo", no_resolver)
+        assert handshake_attempt(TcpConnector(), "127.0.0.1:" + port, DEFAULT.suites, 2.0).selected
+        res = handshake_attempt(TcpConnector(), "localhost:" + port, DEFAULT.suites, 2.0)
+        assert res.kind is AttemptKind.CONNECT_ERROR and "resolver called" in res.error
+        monkeypatch.undo()
+        assert handshake_attempt(TcpConnector(), "localhost:" + port, DEFAULT.suites, 2.0).selected
+
+
+def test_a_refused_literal_connect_fails_and_closes_its_socket(monkeypatch):
+    with socket.create_server(("127.0.0.1", 0)) as free:
+        port = free.getsockname()[1]
+    made = []
+
+    class Tracked(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(socket, "socket", Tracked)
+    with pytest.raises(ConnectFailed, match="refused"):
+        TcpConnector().exchange("127.0.0.1:%d" % port, b"x", 2.0)
+    assert len(made) == 1 and made[0].fileno() == -1
+
+
 def test_a_peer_that_closes_inside_a_record_is_a_connect_error():
     with socket.create_server(("127.0.0.1", 0)) as listener:
         listener.settimeout(5.0)
