@@ -330,19 +330,20 @@ def cmd_fleet(args) -> int:
         _note("befs fleet: --addresses-out needs --serve: no server has an address until served")
         return 2
     spec = load_fleet_spec(args.spec)
-    fleet = generate_fleet(spec)
-    counts = {a.value: n for a, n in archetype_counts(spec).items() if n}
 
-    def write_truth() -> None:
+    def write_truth(fleet) -> None:
         if args.truth_out:
             _write(args.truth_out, map(json_line, truth_records(fleet, campaign=args.campaign)))
 
     if not args.serve:
-        write_truth()
+        if args.truth_out:  # the summary alone needs no fleet drawn
+            write_truth(generate_fleet(spec))
+        counts = {a.value: n for a, n in archetype_counts(spec).items() if n}
         _emit({"size": spec.size, "seed": spec.seed, "archetypes": counts})
         return 0
+    fleet = generate_fleet(spec)
     with serve(fleet, Transport.LOOPBACK_SOCKET, latency=spec.latency, seed=spec.seed) as harness:
-        write_truth()  # serve has given each server its address
+        write_truth(fleet)  # serve has given each server its address
         lines = "\n".join(harness.addresses) + "\n"
         if args.addresses_out:
             _write(args.addresses_out, [lines])

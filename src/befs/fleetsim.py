@@ -23,7 +23,7 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Protocol
 
@@ -97,6 +97,9 @@ class FleetSpec:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise InvalidSpec("size must be >= 1")
+        if self.seed < 0:
+            # random.Random(-n) seeds as random.Random(n) does: the two fleets would alias.
+            raise InvalidSpec("seed must be >= 0")
         if not self.mix:
             raise InvalidSpec("mix must name at least one archetype")
         for arch, p in self.mix.items():
@@ -128,7 +131,7 @@ def _json(value, kind, what: str):
 def fleet_spec_from_dict(data: dict) -> FleetSpec:
     """Build a spec from the documented config keys.
 
-    Keys: size (int), seed (int), mix (archetype name -> proportion),
+    Keys: size (int), seed (non-negative int), mix (archetype name -> proportion),
     network_device_fraction (number, optional), latency
     ({base_ms, jitter_ms}, optional). FleetSpec and LatencyModel check
     the ranges.
@@ -313,89 +316,150 @@ DEVICE_LABELS = (
 )
 
 
-def _versions(rng: random.Random) -> frozenset[int]:
+class _Draw:
+    """The builders' draws, each the one random.Random makes, call for call.
+
+    random.Random's randint, choice, sample and shuffle are Python layers
+    over getrandbits; these make the same getrandbits calls without them,
+    so a seed gives the fleet it gave through the stdlib methods. A policy
+    therefore depends on getrandbits and random() only.
+    """
+
+    __slots__ = ("bits", "random")
+
+    def __init__(self, rng: random.Random) -> None:
+        self.bits = rng.getrandbits
+        self.random = rng.random
+
+    def below(self, n: int) -> int:
+        """rng._randbelow(n): a uniform int in [0, n), by rejection."""
+        k = n.bit_length()
+        r = self.bits(k)
+        while r >= n:
+            r = self.bits(k)
+        return r
+
+    def choice(self, seq):
+        return seq[self.below(len(seq))]
+
+    def some(self, pop: list[int], low: int) -> list[int]:
+        """rng.sample(pop, rng.randint(low, len(pop))), as a fresh list.
+
+        Sample's pool branch, which the stdlib takes for any population of
+        at most 21 items; every builder population is that small. Here and
+        in shuffle the loop inlines below: a method call per item would cost
+        more than the getrandbits call it wraps.
+        """
+        bits = self.bits
+        n = len(pop)
+        k = low + self.below(n - low + 1)
+        pool = pop[:]
+        out = []
+        for m in range(n, n - k, -1):  # m items not yet chosen
+            width = m.bit_length()
+            j = bits(width)
+            while j >= m:
+                j = bits(width)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+        return out
+
+    def shuffle(self, items: list) -> None:
+        """rng.shuffle(items): in place, swapping from the top index down."""
+        bits = self.bits
+        for i in range(len(items) - 1, 0, -1):
+            m = i + 1
+            width = m.bit_length()
+            j = bits(width)
+            while j >= m:
+                j = bits(width)
+            items[i], items[j] = items[j], items[i]
+
+
+_LEGACY_VERSIONS = (
+    frozenset({wire.TLS1_0}), frozenset({wire.TLS1_1}), frozenset({wire.TLS1_0, wire.TLS1_1})
+)
+
+
+def _versions(draw: _Draw) -> frozenset[int]:
     vs = {wire.TLS1_2}
-    if rng.random() < 0.4:
+    if draw.random() < 0.4:
         vs.add(wire.TLS1_1)
-    if rng.random() < 0.3:
+    if draw.random() < 0.3:
         vs.add(wire.TLS1_0)
     return frozenset(vs)
 
 
-def _maybe_dhe(rng: random.Random) -> list[int]:
-    if rng.random() < 0.25:
-        return rng.sample(DHE_SUITES, rng.randint(1, len(DHE_SUITES)))
+def _maybe_dhe(draw: _Draw) -> list[int]:
+    if draw.random() < 0.25:
+        return draw.some(DHE_SUITES, 1)
     return []
 
 
-def _rule(rng: random.Random, allow_client_pref: bool) -> SelectionRule:
-    if allow_client_pref and rng.random() < 0.2:
+def _rule(draw: _Draw, allow_client_pref: bool) -> SelectionRule:
+    if allow_client_pref and draw.random() < 0.2:
         return SelectionRule.CLIENT_PREFERENCE
     return SelectionRule.SERVER_PREFERENCE
 
 
-def _shuffled(rng: random.Random, items: list[int]) -> list[int]:
-    out = items[:]
-    rng.shuffle(out)
-    return out
-
-
-def _fs_preferring(rng: random.Random) -> ServerPolicy:
-    fs_part = rng.sample(FS_SUITES, rng.randint(1, len(FS_SUITES)))
-    rest = rng.sample(NONFS_SUITES, rng.randint(0, len(NONFS_SUITES))) + _maybe_dhe(rng)
-    pref = _shuffled(rng, fs_part) + _shuffled(rng, rest)
+def _fs_preferring(draw: _Draw) -> ServerPolicy:
+    fs_part = draw.some(FS_SUITES, 1)
+    rest = draw.some(NONFS_SUITES, 0) + _maybe_dhe(draw)
+    draw.shuffle(fs_part)
+    draw.shuffle(rest)
+    pref = fs_part + rest
     return ServerPolicy(
-        frozenset(pref), tuple(pref), _versions(rng), _rule(rng, allow_client_pref=True)
+        frozenset(pref), tuple(pref), _versions(draw), _rule(draw, allow_client_pref=True)
     )
 
 
-def _fs_supporting_nonfs_preferring(rng: random.Random) -> ServerPolicy:
-    fs_part = rng.sample(FS_SUITES, rng.randint(1, len(FS_SUITES)))
-    nonfs_part = rng.sample(NONFS_SUITES, rng.randint(1, len(NONFS_SUITES)))
-    front = _shuffled(rng, nonfs_part + _maybe_dhe(rng))
-    pref = front + _shuffled(rng, fs_part)
-    return ServerPolicy(frozenset(pref), tuple(pref), _versions(rng))
+def _fs_supporting_nonfs_preferring(draw: _Draw) -> ServerPolicy:
+    fs_part = draw.some(FS_SUITES, 1)
+    front = draw.some(NONFS_SUITES, 1) + _maybe_dhe(draw)
+    draw.shuffle(front)
+    draw.shuffle(fs_part)
+    pref = front + fs_part
+    return ServerPolicy(frozenset(pref), tuple(pref), _versions(draw))
 
 
-def _nonfs_only(rng: random.Random) -> ServerPolicy:
-    pool = rng.sample(NONFS_SUITES, rng.randint(1, len(NONFS_SUITES))) + _maybe_dhe(rng)
-    pref = _shuffled(rng, pool)
+def _nonfs_only(draw: _Draw) -> ServerPolicy:
+    pref = draw.some(NONFS_SUITES, 1) + _maybe_dhe(draw)
+    draw.shuffle(pref)
     return ServerPolicy(
-        frozenset(pref), tuple(pref), _versions(rng), _rule(rng, allow_client_pref=True)
+        frozenset(pref), tuple(pref), _versions(draw), _rule(draw, allow_client_pref=True)
     )
 
 
-def _fs_nonae_only(rng: random.Random) -> ServerPolicy:
-    fs_cbc = rng.sample(FS_NONAE_SUITES, rng.randint(1, len(FS_NONAE_SUITES)))
-    if rng.random() < 0.5:
+def _fs_nonae_only(draw: _Draw) -> ServerPolicy:
+    fs_cbc = draw.some(FS_NONAE_SUITES, 1)
+    if draw.random() < 0.5:
         # AE suite preferred first: guiding this server to FS costs AE.
-        head = rng.choice(NONFS_AE_SUITES)
+        head = draw.choice(NONFS_AE_SUITES)
     else:
-        head = rng.choice(NONFS_NONAE_SUITES)
-    rest = [cp for cp in NONFS_SUITES if cp != head]
-    tail = rng.sample(rest, rng.randint(0, len(rest)))
-    pref = [head] + _shuffled(rng, tail + _maybe_dhe(rng)) + _shuffled(rng, fs_cbc)
-    return ServerPolicy(frozenset(pref), tuple(pref), _versions(rng))
+        head = draw.choice(NONFS_NONAE_SUITES)
+    tail = draw.some([cp for cp in NONFS_SUITES if cp != head], 0) + _maybe_dhe(draw)
+    draw.shuffle(tail)
+    draw.shuffle(fs_cbc)
+    pref = [head] + tail + fs_cbc
+    return ServerPolicy(frozenset(pref), tuple(pref), _versions(draw))
 
 
-def _legacy(rng: random.Random) -> ServerPolicy:
-    pool = rng.sample(LEGACY_POOL, rng.randint(1, len(LEGACY_POOL)))
-    if rng.random() < 0.25:
-        pool += [0x0033]  # DHE CBC suite, plausible on old stacks
-    pref = _shuffled(rng, pool)
-    vs = rng.choice(
-        [frozenset({wire.TLS1_0}), frozenset({wire.TLS1_1}), frozenset({wire.TLS1_0, wire.TLS1_1})]
-    )
-    return ServerPolicy(frozenset(pref), tuple(pref), vs, _rule(rng, allow_client_pref=True))
+def _legacy(draw: _Draw) -> ServerPolicy:
+    pool = draw.some(LEGACY_POOL, 1)
+    if draw.random() < 0.25:
+        pool.append(0x0033)  # DHE CBC suite, plausible on old stacks
+    draw.shuffle(pool)
+    vs = draw.choice(_LEGACY_VERSIONS)
+    return ServerPolicy(frozenset(pool), tuple(pool), vs, _rule(draw, allow_client_pref=True))
 
 
-def _unresponsive(rng: random.Random) -> ServerPolicy:
+def _unresponsive(draw: _Draw) -> ServerPolicy:
     return ServerPolicy(frozenset({0x002F}), (0x002F,), frozenset({wire.TLS1_2}))
 
 
 # Each builder meets its archetype's ground truth by construction, as
 # test_every_archetype_realizes_its_constraints checks.
-_BUILDERS: dict[Archetype, Callable[[random.Random], ServerPolicy]] = {
+_BUILDERS: dict[Archetype, Callable[[_Draw], ServerPolicy]] = {
     Archetype.FS_PREFERRING: _fs_preferring,
     Archetype.FS_SUPPORTING_NONFS_PREFERRING: _fs_supporting_nonfs_preferring,
     Archetype.NONFS_ONLY: _nonfs_only,
@@ -417,11 +481,13 @@ def archetype_counts(spec: FleetSpec) -> dict[Archetype, int]:
 
 def generate_fleet(spec: FleetSpec) -> list[SimServer]:
     rng = random.Random(spec.seed)
+    draw = _Draw(rng)
     counts = archetype_counts(spec)
     servers: list[SimServer] = []
     for arch in Archetype:  # fixed iteration order keeps generation deterministic
+        build = _BUILDERS[arch]
         for _ in range(counts.get(arch, 0)):
-            policy = _BUILDERS[arch](rng)
+            policy = build(draw)
             index = len(servers)
             servers.append(
                 SimServer(
@@ -433,9 +499,13 @@ def generate_fleet(spec: FleetSpec) -> list[SimServer]:
                     index=index,
                 )
             )
+    # The whole fleet is the population here, so it may take sample's set branch.
     device_count = round(spec.network_device_fraction * len(servers))
     for server in rng.sample(servers, device_count):
-        server.truth = replace(server.truth, device_type=rng.choice(DEVICE_LABELS))
+        t = server.truth
+        server.truth = GroundTruth(
+            t.supports_fs, t.supports_fs_ae, t.selects_fs_by_default, rng.choice(DEVICE_LABELS)
+        )
     return servers
 
 

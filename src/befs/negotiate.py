@@ -28,9 +28,13 @@ class ServerPolicy:
     selection_rule: SelectionRule = SelectionRule.SERVER_PREFERENCE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "supported", frozenset(self.supported))
-        object.__setattr__(self, "preference", tuple(self.preference))
-        object.__setattr__(self, "versions", frozenset(self.versions))
+        # The fleet builders pass frozensets and tuples: wrap only what is not one.
+        if type(self.supported) is not frozenset:
+            object.__setattr__(self, "supported", frozenset(self.supported))
+        if type(self.preference) is not tuple:
+            object.__setattr__(self, "preference", tuple(self.preference))
+        if type(self.versions) is not frozenset:
+            object.__setattr__(self, "versions", frozenset(self.versions))
         if len(self.preference) != len(self.supported) or set(self.preference) != self.supported:
             raise ValueError("preference must be a permutation of supported")
         if not self.versions:

@@ -300,6 +300,7 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, command, option
         ('{"size": "abc", "seed": 1, "mix": {"NONFS_ONLY": 1}}', "size"),
         ('{"size": true, "seed": 1, "mix": {"NONFS_ONLY": 1}}', "size"),
         ('{"size": 5, "seed": 1.5, "mix": {"NONFS_ONLY": 1}}', "seed"),
+        ('{"size": 5, "seed": -5, "mix": {"NONFS_ONLY": 1}}', "seed"),
         ('{"size": 5, "seed": 1, "mix": [1]}', "mix"),
         ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": "x"}}', "mix proportion for NONFS_ONLY"),
         ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": true}}', "mix proportion for NONFS_ONLY"),
@@ -615,6 +616,16 @@ def test_fleet_describe_and_truth_out(tmp_path, capsys):
     assert all(r["campaign"] == "t" for r in rows)
     # Written as the store writes its lines: sorted keys, no spaces.
     assert truth_path.read_text() == "".join(map(json_line, rows))
+
+
+def test_fleet_summary_draws_no_fleet(tmp_path, capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("the summary drew a fleet")
+
+    monkeypatch.setattr(cli, "generate_fleet", refuse)
+    code, out, _ = run_cli(["fleet", "--spec", write_spec(tmp_path, MIXED, size=8)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"size": 8, "seed": 3, "archetypes": {a: 2 for a in MIXED}}
 
 
 def test_fleet_serve_truth_out_names_the_served_addresses(tmp_path, capsys, monkeypatch):

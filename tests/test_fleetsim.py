@@ -1,5 +1,6 @@
 """Fleet generation, honest serving, adversary wrappers, transports."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from befs import wire
+from befs import fleetsim, wire
 from befs.client import FallbackStyle, PolicyConfig, PolicyMode, connect
 from befs.fleetsim import (
     ActiveDropper,
@@ -83,6 +84,15 @@ def test_spec_rejects_bad_size_and_mix():
         FleetSpec(size=5, seed=1, mix={Archetype.NONFS_ONLY: 1.0}, network_device_fraction=1.5)
     with pytest.raises(InvalidSpec, match="mix must name at least one archetype"):
         FleetSpec(size=5, seed=1, mix={})
+
+
+def test_a_negative_seed_is_refused():
+    # random.Random(-5) seeds as random.Random(5): the two fleets would alias.
+    with pytest.raises(InvalidSpec, match="seed"):
+        FleetSpec(size=5, seed=-5, mix={Archetype.NONFS_ONLY: 1.0})
+    with pytest.raises(InvalidSpec, match="seed"):
+        fleet_spec_from_dict({"size": 5, "seed": -1, "mix": {"NONFS_ONLY": 1.0}})
+    assert FleetSpec(size=5, seed=0, mix={Archetype.NONFS_ONLY: 1.0}).seed == 0
 
 
 def test_spec_from_dict_and_file(tmp_path):
@@ -198,6 +208,52 @@ def test_server_answers_repeat_the_pinned_digest():
                 digest.update(server.respond(hello) or b"-")
     assert digest.hexdigest() == (
         "573daf528250c9f3062d114898be2634c9c99ce492a676d717cae7b13640e4af")
+
+
+def test_fleets_repeat_the_pinned_digest():
+    # Every server's policy and ground truth, device label included, for six
+    # mixed fleets. 240 servers take both of random.sample's branches in the
+    # device draw: the set branch for 2 labels, the pool branch for 60.
+    digest = hashlib.sha256()
+    archetypes = list(Archetype)
+    for seed in range(6):
+        weights = [1 + (i + seed) % len(archetypes) for i in range(len(archetypes))]
+        mix = {a: w / sum(weights) for a, w in zip(archetypes, weights)}
+        for fraction in (0.01, 0.25):
+            spec = FleetSpec(size=240, seed=seed, mix=mix, network_device_fraction=fraction)
+            for s in generate_fleet(spec):
+                p = s.policy
+                row = (s.server_id, s.archetype.value, sorted(p.supported), p.preference,
+                       sorted(p.versions), p.selection_rule.value, dataclasses.astuple(s.truth))
+                digest.update(repr(row).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "80ed5e8984d00970a103e5a957a1370035989089d4045d59ae611512c27927aa")
+
+
+# Every population a builder draws from; NONFS_SUITES[1:] stands for
+# FS_NONAE_ONLY's tail, the non-FS suites less the head.
+_POPULATIONS = [fleetsim.FS_SUITES, fleetsim.FS_NONAE_SUITES, fleetsim.NONFS_SUITES,
+                fleetsim.NONFS_AE_SUITES, fleetsim.NONFS_NONAE_SUITES, fleetsim.DHE_SUITES,
+                fleetsim.LEGACY_POOL, fleetsim.NONFS_SUITES[1:]]
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**64), pop=st.sampled_from(_POPULATIONS), low=st.sampled_from([0, 1]))
+def test_draw_matches_random_random_call_for_call(seed, pop, low):
+    # _Draw makes the getrandbits calls random.Random's methods make, so a
+    # seed's fleet is the one the stdlib methods drew.
+    assert len(pop) <= 21  # sample's pool branch, the one some follows
+    mine, theirs = random.Random(seed), random.Random(seed)
+    draw = fleetsim._Draw(mine)
+    got = draw.some(pop, low)
+    assert got == theirs.sample(pop, theirs.randint(low, len(pop)))
+    mixed, expected = got + pop, got + pop
+    draw.shuffle(mixed)
+    theirs.shuffle(expected)
+    assert mixed == expected
+    assert draw.choice(pop) == theirs.choice(pop)
+    assert draw.random() == theirs.random()
+    assert mine.getstate() == theirs.getstate()
 
 
 def test_server_randoms_differ_across_servers_and_attempts():
