@@ -4,9 +4,9 @@ Generates deterministic populations of negotiation policies across six
 archetypes and serves them over an in-memory transport or real loopback
 sockets. An adversary is the endpoint wrapper passed to ``serve``: it sees
 only the ClientHello bytes, and the dropper and the discriminators target
-clients by the hello's JA3 string (wire.fingerprint). Every truth label
-is recomputed from the policy itself, so tests always have an
-independent oracle.
+clients by the hello's JA3 string (wire.fingerprint). A server stores
+only what was drawn for it; every truth label is read off its policy
+(policy_truth), so tests always have an independent oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Protocol
 
@@ -75,9 +75,9 @@ class LatencyModel:
     jitter_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("base_ms", "jitter_ms"):
-            if not 0 <= getattr(self, name) <= sys.float_info.max:  # false for NaN too
-                raise InvalidSpec("latency %s must be finite and non-negative" % name)
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) <= sys.float_info.max:  # false for NaN too
+                raise InvalidSpec("latency %s must be finite and non-negative" % f.name)
 
     def sample_s(self, rng: random.Random) -> float:
         delay = self.base_ms
@@ -114,7 +114,8 @@ class FleetSpec:
             raise InvalidSpec("network_device_fraction must be within [0, 1]")
 
 
-FLEET_SPEC_KEYS = {"size", "seed", "mix", "network_device_fraction", "latency"}
+FLEET_SPEC_KEYS = {f.name for f in fields(FleetSpec)}
+_LATENCY_FIELDS = fields(LatencyModel)
 
 
 _NUMBER = (int, float)
@@ -153,7 +154,7 @@ def fleet_spec_from_dict(data: dict) -> FleetSpec:
             raise InvalidSpec("unknown archetype %r" % name) from None
         mix[arch] = _json(p, _NUMBER, "mix proportion for %s" % name)
     lat = _json(data.get("latency", {}), dict, "latency")
-    extra = set(lat) - {"base_ms", "jitter_ms"}
+    extra = set(lat).difference(f.name for f in _LATENCY_FIELDS)
     if extra:
         raise InvalidSpec("unknown latency keys: %s" % ", ".join(sorted(extra)))
     fraction = data.get("network_device_fraction", 0.0)
@@ -162,18 +163,19 @@ def fleet_spec_from_dict(data: dict) -> FleetSpec:
         seed=seed,
         mix=mix,
         network_device_fraction=_json(fraction, _NUMBER, "network_device_fraction"),
-        latency=LatencyModel(
-            _json(lat.get("base_ms", 0.0), _NUMBER, "latency base_ms"),
-            _json(lat.get("jitter_ms", 0.0), _NUMBER, "latency jitter_ms"),
-        ),
+        latency=LatencyModel(**{
+            f.name: _json(lat.get(f.name, f.default), _NUMBER, "latency " + f.name)
+            for f in _LATENCY_FIELDS
+        }),
     )
 
 
 def load_fleet_spec(path: str) -> FleetSpec:
+    """The spec in the UTF-8 JSON file at ``path``, BOM dropped; InvalidSpec names the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSpec("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise InvalidSpec("%s is not valid JSON: %s" % (path, exc)) from exc
@@ -189,6 +191,10 @@ class GroundTruth:
 
 
 def policy_truth(policy: ServerPolicy, device_type: str = "") -> GroundTruth:
+    """Ground truth read off ``policy`` alone; the drawn device label is passed through.
+
+    FS support is in its suites, FS by default in its pick from a DEFAULT offer at TLS 1.2.
+    """
     default_pick = select(policy, DEFAULT.suites, wire.TLS1_2)
     fs = policy.supported & FS_CODEPOINTS
     return GroundTruth(
@@ -279,14 +285,23 @@ class SimServer:
     server_id: str
     archetype: Archetype
     policy: ServerPolicy
-    truth: GroundTruth
     honors_fallback_signal: bool = True
+    device_type: str = ""  # the drawn network-device label; "" for none
     address: str = ""  # assigned when served
     # Fleet seed and position: with a count of hellos sent, they name
     # each ServerHello random (see server_random).
     seed: int = 0
     index: int = 0
     _hellos: Iterator[int] = field(default_factory=itertools.count, init=False, repr=False)
+    # A declared field, not a cached_property: the instance dict keeps its shared keys.
+    _truth: Optional[GroundTruth] = field(default=None, init=False, repr=False)
+
+    @property
+    def truth(self) -> GroundTruth:
+        """policy_truth of its policy and device label, computed on first read, then kept."""
+        if self._truth is None:
+            self._truth = policy_truth(self.policy, self.device_type)
+        return self._truth
 
     def next_random(self) -> bytes:
         return server_random(self.seed, self.index, next(self._hellos))
@@ -407,10 +422,7 @@ def _fs_preferring(draw: _Draw) -> ServerPolicy:
     rest = draw.some(NONFS_SUITES, 0) + _maybe_dhe(draw)
     draw.shuffle(fs_part)
     draw.shuffle(rest)
-    pref = fs_part + rest
-    return ServerPolicy(
-        frozenset(pref), tuple(pref), _versions(draw), _rule(draw, allow_client_pref=True)
-    )
+    return ServerPolicy(fs_part + rest, _versions(draw), _rule(draw, allow_client_pref=True))
 
 
 def _fs_supporting_nonfs_preferring(draw: _Draw) -> ServerPolicy:
@@ -418,16 +430,13 @@ def _fs_supporting_nonfs_preferring(draw: _Draw) -> ServerPolicy:
     front = draw.some(NONFS_SUITES, 1) + _maybe_dhe(draw)
     draw.shuffle(front)
     draw.shuffle(fs_part)
-    pref = front + fs_part
-    return ServerPolicy(frozenset(pref), tuple(pref), _versions(draw))
+    return ServerPolicy(front + fs_part, _versions(draw))
 
 
 def _nonfs_only(draw: _Draw) -> ServerPolicy:
     pref = draw.some(NONFS_SUITES, 1) + _maybe_dhe(draw)
     draw.shuffle(pref)
-    return ServerPolicy(
-        frozenset(pref), tuple(pref), _versions(draw), _rule(draw, allow_client_pref=True)
-    )
+    return ServerPolicy(pref, _versions(draw), _rule(draw, allow_client_pref=True))
 
 
 def _fs_nonae_only(draw: _Draw) -> ServerPolicy:
@@ -440,8 +449,7 @@ def _fs_nonae_only(draw: _Draw) -> ServerPolicy:
     tail = draw.some([cp for cp in NONFS_SUITES if cp != head], 0) + _maybe_dhe(draw)
     draw.shuffle(tail)
     draw.shuffle(fs_cbc)
-    pref = [head] + tail + fs_cbc
-    return ServerPolicy(frozenset(pref), tuple(pref), _versions(draw))
+    return ServerPolicy([head] + tail + fs_cbc, _versions(draw))
 
 
 def _legacy(draw: _Draw) -> ServerPolicy:
@@ -450,11 +458,11 @@ def _legacy(draw: _Draw) -> ServerPolicy:
         pool.append(0x0033)  # DHE CBC suite, plausible on old stacks
     draw.shuffle(pool)
     vs = draw.choice(_LEGACY_VERSIONS)
-    return ServerPolicy(frozenset(pool), tuple(pool), vs, _rule(draw, allow_client_pref=True))
+    return ServerPolicy(pool, vs, _rule(draw, allow_client_pref=True))
 
 
 def _unresponsive(draw: _Draw) -> ServerPolicy:
-    return ServerPolicy(frozenset({0x002F}), (0x002F,), frozenset({wire.TLS1_2}))
+    return ServerPolicy((0x002F,), frozenset({wire.TLS1_2}))
 
 
 # Each builder meets its archetype's ground truth by construction, as
@@ -487,25 +495,14 @@ def generate_fleet(spec: FleetSpec) -> list[SimServer]:
     for arch in Archetype:  # fixed iteration order keeps generation deterministic
         build = _BUILDERS[arch]
         for _ in range(counts.get(arch, 0)):
-            policy = build(draw)
             index = len(servers)
-            servers.append(
-                SimServer(
-                    server_id="srv-%04d" % index,
-                    archetype=arch,
-                    policy=policy,
-                    truth=policy_truth(policy),
-                    seed=spec.seed,
-                    index=index,
-                )
-            )
+            servers.append(SimServer(
+                "srv-%04d" % index, arch, build(draw), seed=spec.seed, index=index
+            ))
     # The whole fleet is the population here, so it may take sample's set branch.
     device_count = round(spec.network_device_fraction * len(servers))
     for server in rng.sample(servers, device_count):
-        t = server.truth
-        server.truth = GroundTruth(
-            t.supports_fs, t.supports_fs_ae, t.selects_fs_by_default, rng.choice(DEVICE_LABELS)
-        )
+        server.device_type = rng.choice(DEVICE_LABELS)
     return servers
 
 
@@ -576,12 +573,7 @@ class ActiveDropper:
 def _non_fs_first(policy: ServerPolicy) -> ServerPolicy:
     front = [s for s in policy.preference if not is_fs(s)]
     back = [s for s in policy.preference if is_fs(s)]
-    return ServerPolicy(
-        policy.supported,
-        tuple(front + back),
-        policy.versions,
-        SelectionRule.SERVER_PREFERENCE,
-    )
+    return ServerPolicy(front + back, policy.versions, SelectionRule.SERVER_PREFERENCE)
 
 
 class DiscriminatoryServer:

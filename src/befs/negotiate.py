@@ -8,7 +8,7 @@ a live server sends.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -22,21 +22,25 @@ class SelectionRule(Enum):
 
 @dataclass(frozen=True)
 class ServerPolicy:
-    supported: frozenset[int]
+    """One server's suites in preference order, its versions and its selection rule.
+
+    ``supported`` is derived from ``preference`` at construction; a repeated suite is refused.
+    """
+
     preference: tuple[int, ...]
     versions: frozenset[int]
     selection_rule: SelectionRule = SelectionRule.SERVER_PREFERENCE
+    supported: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # The fleet builders pass frozensets and tuples: wrap only what is not one.
-        if type(self.supported) is not frozenset:
-            object.__setattr__(self, "supported", frozenset(self.supported))
         if type(self.preference) is not tuple:
             object.__setattr__(self, "preference", tuple(self.preference))
         if type(self.versions) is not frozenset:
             object.__setattr__(self, "versions", frozenset(self.versions))
-        if len(self.preference) != len(self.supported) or set(self.preference) != self.supported:
-            raise ValueError("preference must be a permutation of supported")
+        supported = frozenset(self.preference)
+        if len(supported) != len(self.preference):
+            raise ValueError("preference must not repeat a suite")
+        object.__setattr__(self, "supported", supported)
         if not self.versions:
             raise ValueError("versions must be non-empty")
 

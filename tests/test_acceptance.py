@@ -34,7 +34,6 @@ from befs.fleetsim import (
     Transport,
     expected_for_server,
     generate_fleet,
-    policy_truth,
     serve,
 )
 from befs.handshake import AttemptKind, handshake_attempt
@@ -74,7 +73,6 @@ def one_policy_server(policy: ServerPolicy) -> SimServer:
         server_id="srv-0",
         archetype=Archetype.FS_SUPPORTING_NONFS_PREFERRING,
         policy=policy,
-        truth=policy_truth(policy),
         seed=1,
     )
 
@@ -86,7 +84,7 @@ def random_policy(rng: random.Random, force_fs: bool = False) -> ServerPolicy:
     preference = tuple(rng.sample(sorted(supported), len(supported)))
     versions = frozenset(rng.sample(VERSIONS, rng.randint(1, 3)))
     rule = rng.choice((SelectionRule.SERVER_PREFERENCE, SelectionRule.CLIENT_PREFERENCE))
-    return ServerPolicy(frozenset(supported), preference, versions, rule)
+    return ServerPolicy(preference, versions, rule)
 
 
 # -- 1: negotiation oracle equivalence ------------------------------------------
@@ -169,9 +167,7 @@ def test_criterion_2_befs_best_effort():
         for subset in itertools.combinations(reduced, size):
             for preference in (subset, tuple(reversed(subset))):
                 for rule in SelectionRule:
-                    policy = ServerPolicy(
-                        frozenset(subset), preference, frozenset({TLS1_2}), rule
-                    )
+                    policy = ServerPolicy(preference, frozenset({TLS1_2}), rule)
                     flags = _befs_under_every_style(policy)
                     expects_fs = any(is_fs(s) for s in subset)
                     assert flags == [expects_fs] * len(ALL_STYLES), policy

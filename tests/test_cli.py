@@ -314,12 +314,16 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, command, option
         ('{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": 1}, "network_device_fraction": false}',
          "network_device_fraction"),
         ("[1]", "fleet spec"),
+        # A BOM is dropped, so the spec is read and its bad key named.
+        ('\ufeff{"size": 5, "seed": -5, "mix": {"NONFS_ONLY": 1}}', "seed"),
+        # Bytes that are not UTF-8: the file is named.
+        (b'{"size": 5, "seed": 1, "mix": {"NONFS_ONLY": 1}}\xff', "fleet.json"),
     ],
 )
 @pytest.mark.parametrize("command", ["fleet", "scan"])
 def test_bad_fleet_spec_is_one_line_naming_the_key(tmp_path, capsys, command, spec, key):
     path = tmp_path / "fleet.json"
-    path.write_text(spec, encoding="utf-8")
+    path.write_bytes(spec if isinstance(spec, bytes) else spec.encode("utf-8"))
     argv = ["fleet", "--spec", str(path)] if command == "fleet" else ["scan", "--fleet-spec", str(path)]
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""

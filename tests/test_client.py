@@ -26,7 +26,6 @@ from befs.fleetsim import (
     SimServer,
     Transport,
     generate_fleet,
-    policy_truth,
     serve,
 )
 from befs.handshake import AttemptKind
@@ -36,16 +35,12 @@ from befs.suites import DEFAULT_ORDER, FALLBACK_SIGNAL, ProfileKind
 SEQUENTIAL_STYLES = (FallbackStyle.SILENT, FallbackStyle.INTERACTIVE, FallbackStyle.SIGNALED)
 
 
-def one_server(supported, preference, *, rule=SelectionRule.SERVER_PREFERENCE,
+def one_server(preference, *, rule=SelectionRule.SERVER_PREFERENCE,
                honors_signal=True, adversary=None):
-    policy = ServerPolicy(
-        frozenset(supported), tuple(preference), frozenset({wire.TLS1_2}), rule
-    )
     server = SimServer(
         server_id="srv-0",
         archetype=Archetype.FS_SUPPORTING_NONFS_PREFERRING,
-        policy=policy,
-        truth=policy_truth(policy),
+        policy=ServerPolicy(preference, frozenset({wire.TLS1_2}), rule),
         honors_fallback_signal=honors_signal,
         seed=7,
     )
@@ -74,7 +69,7 @@ def cfg_for(mode, style=FallbackStyle.SILENT, timeout_s=0.2):
 @pytest.mark.parametrize("style", SEQUENTIAL_STYLES)
 def test_befs_first_rung_wins_when_fs_supported(style):
     # server prefers plain RSA but the FS-only offer leaves it no choice
-    with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F)) as h:
+    with one_server((0x009C, 0xC02F)) as h:
         out = connect(h.addresses[0], cfg_for(PolicyMode.BEFS, style),
                       connector=h.connector())
     assert out.status is SessionStatus.CONNECTED
@@ -85,7 +80,7 @@ def test_befs_first_rung_wins_when_fs_supported(style):
 
 
 def test_befs_silent_fallback_on_nonfs_server():
-    with one_server({0x002F, 0x0035}, (0x0035, 0x002F)) as h:
+    with one_server((0x0035, 0x002F)) as h:
         out = connect(h.addresses[0], cfg_for(PolicyMode.BEFS),
                       connector=h.connector())
     assert out.connected and out.fs is False
@@ -97,7 +92,7 @@ def test_befs_silent_fallback_on_nonfs_server():
 
 
 def test_befs_interactive_abort_stops_before_second_attempt():
-    with one_server({0x002F}, (0x002F,)) as h:
+    with one_server((0x002F,)) as h:
         out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.INTERACTIVE),
@@ -112,7 +107,7 @@ def test_befs_interactive_abort_stops_before_second_attempt():
 
 def test_befs_interactive_consent_proceeds_and_prompt_names_the_cost():
     user = scripted(True)
-    with one_server({0x002F}, (0x002F,)) as h:
+    with one_server((0x002F,)) as h:
         out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.INTERACTIVE),
@@ -131,7 +126,7 @@ def test_scripted_decisions_exhaustion_raises():
     # consent nor an abort, and the widened offer is never sent
     user = scripted()
     sent = []
-    with one_server({0x002F}, (0x002F,)) as h:
+    with one_server((0x002F,)) as h:
         inner = h.connector()
 
         class Counting:
@@ -158,7 +153,7 @@ def test_describe_fallback_texts():
 def test_befs_signaled_fallback_connects_against_nonfs_server():
     # a server with no FS support cannot be downgraded, so the honest
     # signal check does not fire and the widened offer succeeds
-    with one_server({0x002F, 0x009C}, (0x009C, 0x002F)) as h:
+    with one_server((0x009C, 0x002F)) as h:
         out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.SIGNALED),
@@ -171,7 +166,7 @@ def test_befs_signaled_fallback_connects_against_nonfs_server():
 def test_signaled_fallback_is_refused_by_fs_capable_server_under_dropper():
     # the dropper suppresses the FS-only offer; the signaled retry then
     # reaches an FS-capable server, which refuses the marked downgrade
-    with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F), adversary=ActiveDropper) as h:
+    with one_server((0x009C, 0xC02F), adversary=ActiveDropper) as h:
         out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.SIGNALED, timeout_s=0.05),
@@ -184,7 +179,7 @@ def test_signaled_fallback_is_refused_by_fs_capable_server_under_dropper():
 
 def test_silent_fallback_is_downgraded_by_dropper_unnoticed():
     # same attack without the signal: the retry quietly lands on non-FS
-    with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F), adversary=ActiveDropper) as h:
+    with one_server((0x009C, 0xC02F), adversary=ActiveDropper) as h:
         out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BEFS, FallbackStyle.SILENT, timeout_s=0.05),
@@ -198,7 +193,7 @@ def test_silent_fallback_is_downgraded_by_dropper_unnoticed():
 
 
 def test_besafe_one_attempt_when_fs_ae_supported():
-    with one_server({0xC02B, 0x009D}, (0x009D, 0xC02B)) as h:
+    with one_server((0x009D, 0xC02B)) as h:
         out = connect(h.addresses[0], cfg_for(PolicyMode.BESAFE),
                       connector=h.connector())
     assert out.connected and out.fs is True and out.ae is True
@@ -206,7 +201,7 @@ def test_besafe_one_attempt_when_fs_ae_supported():
 
 
 def test_besafe_two_attempts_when_only_cbc_fs_available():
-    with one_server({0xC013, 0x002F}, (0x002F, 0xC013)) as h:
+    with one_server((0x002F, 0xC013)) as h:
         out = connect(h.addresses[0], cfg_for(PolicyMode.BESAFE),
                       connector=h.connector())
     assert out.connected and out.fs is True and out.ae is False
@@ -216,7 +211,7 @@ def test_besafe_two_attempts_when_only_cbc_fs_available():
 
 def test_besafe_three_attempts_on_nonfs_server_with_prompts():
     user = scripted(True, True)
-    with one_server({0x0035}, (0x0035,)) as h:
+    with one_server((0x0035,)) as h:
         out = connect(
             h.addresses[0],
             cfg_for(PolicyMode.BESAFE, FallbackStyle.INTERACTIVE),
@@ -231,7 +226,7 @@ def test_besafe_three_attempts_on_nonfs_server_with_prompts():
 
 
 def test_default_mode_single_attempt():
-    with one_server({0x002F}, (0x002F,)) as h:
+    with one_server((0x002F,)) as h:
         out = connect(h.addresses[0], cfg_for(PolicyMode.DEFAULT),
                       connector=h.connector())
     assert out.connected and out.handshake_attempts == 1 and out.fallback_depth == 0
@@ -240,14 +235,10 @@ def test_default_mode_single_attempt():
 def test_failed_when_nothing_overlaps():
     # TLS 1.0-only server rejects every offer at max version 1.2? No:
     # version negotiation still finds 1.0. Use an empty-overlap suite set.
-    policy = ServerPolicy(
-        frozenset({0x0033}), (0x0033,), frozenset({wire.TLS1_2})
-    )
     server = SimServer(
         server_id="srv-0",
         archetype=Archetype.NONFS_ONLY,
-        policy=policy,
-        truth=policy_truth(policy),
+        policy=ServerPolicy((0x0033,), frozenset({wire.TLS1_2})),
         seed=3,
     )
     with serve([server], Transport.IN_MEMORY) as h:
@@ -266,20 +257,19 @@ def server_policies(draw):
     supported = draw(st.sets(st.sampled_from(DEFAULT_ORDER), min_size=1, max_size=6))
     preference = tuple(draw(st.permutations(sorted(supported))))
     rule = draw(st.sampled_from(list(SelectionRule)))
-    return ServerPolicy(frozenset(supported), preference, frozenset({wire.TLS1_2}), rule)
+    return ServerPolicy(preference, frozenset({wire.TLS1_2}), rule)
 
 
 @settings(max_examples=60, deadline=None)
 @given(policy=server_policies(), style=st.sampled_from(SEQUENTIAL_STYLES))
 def test_policies_best_effort_and_never_worse(policy, style):
-    truth = policy_truth(policy)
     server = SimServer(
         server_id="srv-0",
         archetype=Archetype.FS_SUPPORTING_NONFS_PREFERRING,
         policy=policy,
-        truth=truth,
         seed=11,
     )
+    truth = server.truth
     with serve([server], Transport.IN_MEMORY) as h:
         conn = h.connector()
         base = connect(h.addresses[0], cfg_for(PolicyMode.DEFAULT), connector=conn)
@@ -310,7 +300,7 @@ def test_policies_best_effort_and_never_worse(policy, style):
 
 
 def test_parallel_befs_prefers_strongest_rung():
-    with one_server({0xC02F, 0x009C}, (0x009C, 0xC02F)) as h:
+    with one_server((0x009C, 0xC02F)) as h:
         out = connect(
             h.addresses[0], cfg_for(PolicyMode.BEFS, FallbackStyle.PARALLEL),
             connector=h.connector(),
@@ -324,7 +314,7 @@ def test_parallel_befs_prefers_strongest_rung():
 
 
 def test_parallel_befs_on_nonfs_server():
-    with one_server({0x002F}, (0x002F,)) as h:
+    with one_server((0x002F,)) as h:
         out = connect(
             h.addresses[0], cfg_for(PolicyMode.BEFS, FallbackStyle.PARALLEL),
             connector=h.connector(),
@@ -334,7 +324,7 @@ def test_parallel_befs_on_nonfs_server():
 
 
 def test_parallel_besafe_runs_three_rungs():
-    with one_server({0xC013, 0x002F}, (0x002F, 0xC013)) as h:
+    with one_server((0x002F, 0xC013)) as h:
         out = connect(
             h.addresses[0], cfg_for(PolicyMode.BESAFE, FallbackStyle.PARALLEL),
             connector=h.connector(),
@@ -356,7 +346,7 @@ def test_parallel_unresponsive_fails_with_all_rungs_accounted():
 
 
 def test_parallel_requires_flag_and_dispatch_honors_it():
-    with one_server({0x002F}, (0x002F,)) as h:
+    with one_server((0x002F,)) as h:
         out = connect(h.addresses[0], cfg_for(PolicyMode.BEFS, FallbackStyle.PARALLEL),
                       connector=h.connector())
     assert out.connected and out.handshake_attempts == 2
@@ -381,13 +371,13 @@ def test_nonfs_fleet_walks_the_whole_ladder(mode, style):
 
 def test_sequential_attempt_accounting():
     cases = [
-        ({0xC02B}, (0xC02B,), PolicyMode.BESAFE, 1),
-        ({0xC013}, (0xC013,), PolicyMode.BESAFE, 2),
-        ({0x009C}, (0x009C,), PolicyMode.BESAFE, 3),
-        ({0x009C}, (0x009C,), PolicyMode.BEFS, 2),
+        ((0xC02B,), PolicyMode.BESAFE, 1),
+        ((0xC013,), PolicyMode.BESAFE, 2),
+        ((0x009C,), PolicyMode.BESAFE, 3),
+        ((0x009C,), PolicyMode.BEFS, 2),
     ]
-    for supported, pref, mode, expect in cases:
-        with one_server(supported, pref) as h:
+    for pref, mode, expect in cases:
+        with one_server(pref) as h:
             out = connect(h.addresses[0], cfg_for(mode), connector=h.connector())
         assert out.connected
         assert out.handshake_attempts == expect
@@ -468,7 +458,7 @@ def test_bench_attempt_scaling_on_nonfs_fleet():
 
 
 def test_bench_single_sample_stats_degenerate():
-    with one_server({0xC02B}, (0xC02B,)) as h:
+    with one_server((0xC02B,)) as h:
         report = latency_bench(h.addresses, connector=h.connector(), timeout_s=0.5)
     for mode, stats in report.per_mode.items():
         assert stats.samples == 1

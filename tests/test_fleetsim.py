@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from befs import fleetsim, wire
+from befs import fleetsim, negotiate, wire
 from befs.client import FallbackStyle, PolicyConfig, PolicyMode, connect
 from befs.fleetsim import (
     ActiveDropper,
@@ -52,14 +52,12 @@ def make_ch_bytes(suites, version=TLS1_2):
     return wire.encode_client_hello(msg)
 
 
-def make_server(supported, preference, versions=frozenset({TLS1_2}), **kw):
-    policy = ServerPolicy(frozenset(supported), tuple(preference), versions)
+def make_server(preference, versions=frozenset({TLS1_2}), **kw):
     arch = kw.pop("archetype", Archetype.FS_SUPPORTING_NONFS_PREFERRING)
     return SimServer(
         server_id=kw.pop("server_id", "srv-test"),
         archetype=arch,
-        policy=policy,
-        truth=policy_truth(policy),
+        policy=ServerPolicy(preference, versions),
         seed=1,
         **kw,
     )
@@ -142,7 +140,7 @@ def _spec_dicts(draw):
     weights = draw(st.dictionaries(_ARCHETYPE_NAMES, st.floats(0, 1), min_size=1))
     total = sum(weights.values())
     mix = {name: usually(st.just(w / total if total else w)) for name, w in weights.items()}
-    data = {"size": usually(st.integers(-1, 40)), "seed": usually(st.integers()),
+    data = {"size": usually(st.integers(-1, 40)), "seed": usually(st.integers(min_value=0)),
             "mix": usually(st.just(mix))}
     if draw(st.booleans()):
         data["network_device_fraction"] = usually(st.floats(0, 1))
@@ -293,11 +291,21 @@ FULL_MIX = dict(
 )
 
 
+def test_generating_a_fleet_negotiates_nothing(monkeypatch):
+    # Ground truth is read off a policy when asked for, not during the draw.
+    def refuse(*args):
+        raise AssertionError("generate_fleet called negotiate.select")
+
+    monkeypatch.setattr(fleetsim, "select", refuse)
+    monkeypatch.setattr(negotiate, "select", refuse)
+    mix = {a: 1 / 6 for a in Archetype}
+    spec = FleetSpec(size=60, seed=3, mix=mix, network_device_fraction=0.5)
+    assert len(generate_fleet(spec)) == 60
+
+
 def test_every_archetype_realizes_its_constraints():
     fleet = generate_fleet(spec_with(size=180, **FULL_MIX))
     for s in fleet:
-        # stored truth is never stale
-        assert s.truth == policy_truth(s.policy, s.truth.device_type)
         t = s.truth
         if s.archetype is Archetype.FS_PREFERRING:
             assert t.supports_fs and t.selects_fs_by_default
@@ -332,8 +340,7 @@ def test_policy_truth_matches_brute_force(seed):
     supported = rng.sample(universe, rng.randint(1, len(universe)))
     pref = supported[:]
     rng.shuffle(pref)
-    policy = ServerPolicy(frozenset(supported), tuple(pref), frozenset({TLS1_2}))
-    truth = policy_truth(policy)
+    truth = policy_truth(ServerPolicy(pref, frozenset({TLS1_2})))
     assert truth.supports_fs == any(is_fs(s) for s in supported)
     assert truth.supports_fs_ae == any(is_fs(s) and is_ae(s) for s in supported)
     first_pick = next((s for s in pref if s in set(DEFAULT.suites)), None)
@@ -351,7 +358,7 @@ def test_default_offer_to_fs_preferring_yields_fs_suite():
 
 
 def test_fs_offer_to_nonfs_server_yields_alert_40():
-    server = make_server({0x002F}, (0x002F,), archetype=Archetype.NONFS_ONLY)
+    server = make_server((0x002F,), archetype=Archetype.NONFS_ONLY)
     reply = server.respond(make_ch_bytes(FS_ONLY.suites))
     alert = wire.decode_alert(reply)
     assert alert.level is wire.AlertLevel.FATAL
@@ -359,18 +366,18 @@ def test_fs_offer_to_nonfs_server_yields_alert_40():
 
 
 def test_malformed_ch_yields_decode_error_alert():
-    server = make_server({0x002F}, (0x002F,))
+    server = make_server((0x002F,))
     alert = wire.decode_alert(server.respond(b"\x16\x03\x03\x00\x02\x01\x00"))
     assert alert.description == wire.DECODE_ERROR
 
 
 def test_unresponsive_server_stalls():
-    server = make_server({0x002F}, (0x002F,), archetype=Archetype.UNRESPONSIVE)
+    server = make_server((0x002F,), archetype=Archetype.UNRESPONSIVE)
     assert server.respond(make_ch_bytes(DEFAULT.suites)) is None
 
 
 def test_signal_honoring_fs_server_rejects_signaled_offer():
-    server = make_server({0xC02F, 0x002F}, (0x002F, 0xC02F))
+    server = make_server((0x002F, 0xC02F))
     signaled = make_ch_bytes(DEFAULT.suites + (FALLBACK_SIGNAL,))
     alert = wire.decode_alert(server.respond(signaled))
     assert alert.description == wire.INAPPROPRIATE_FALLBACK
@@ -380,15 +387,15 @@ def test_signal_honoring_fs_server_rejects_signaled_offer():
 
 
 def test_signal_ignored_when_server_lacks_fs_or_honor_flag():
-    nonfs = make_server({0x002F}, (0x002F,), archetype=Archetype.NONFS_ONLY)
+    nonfs = make_server((0x002F,), archetype=Archetype.NONFS_ONLY)
     signaled = make_ch_bytes(DEFAULT.suites + (FALLBACK_SIGNAL,))
     assert wire.decode_server_hello(nonfs.respond(signaled)).selected_suite == 0x002F
-    dishonoring = make_server({0xC02F, 0x002F}, (0x002F, 0xC02F), honors_fallback_signal=False)
+    dishonoring = make_server((0x002F, 0xC02F), honors_fallback_signal=False)
     assert wire.decode_server_hello(dishonoring.respond(signaled)).selected_suite == 0x002F
 
 
 def test_version_negotiation_respects_client_max():
-    server = make_server({0x002F}, (0x002F,), versions=frozenset({TLS1_0, TLS1_2}))
+    server = make_server((0x002F,), versions=frozenset({TLS1_0, TLS1_2}))
     sh = wire.decode_server_hello(server.respond(make_ch_bytes((0x002F,), version=TLS1_1)))
     assert sh.negotiated_version == TLS1_0
 
@@ -397,9 +404,7 @@ def test_version_negotiation_respects_client_max():
 
 
 def twin_servers(**kw):
-    return make_server({0xC02F, 0x002F}, (0x002F, 0xC02F), **kw), make_server(
-        {0xC02F, 0x002F}, (0x002F, 0xC02F), **kw
-    )
+    return make_server((0x002F, 0xC02F), **kw), make_server((0x002F, 0xC02F), **kw)
 
 
 def test_passive_tap_forwards_unchanged_and_logs():
@@ -457,7 +462,7 @@ def test_weak_discriminator_submits_to_fs_only_offer():
 
 def test_weak_discriminator_steers_default_offer_to_non_fs():
     # inner twin prefers non-FS already; use an FS-preferring inner instead
-    inner = make_server({0xC02F, 0x002F}, (0xC02F, 0x002F))
+    inner = make_server((0xC02F, 0x002F))
     weak = DiscriminatoryServer(inner, targets=frozenset({fingerprint_of(DEFAULT.suites)}))
     victim = make_ch_bytes(DEFAULT.suites)
     other = make_ch_bytes(DEFAULT.suites[::-1])  # the same suites in another order
@@ -505,7 +510,7 @@ def test_discriminators_answer_undecodable_hellos_with_decode_error():
 
 
 def test_discriminators_ignore_fallback_signal():
-    inner = make_server({0xC02F, 0x002F}, (0xC02F, 0x002F))
+    inner = make_server((0xC02F, 0x002F))
     strong = DiscriminatoryServer(inner, strong=True)
     signaled = make_ch_bytes(DEFAULT.suites + (FALLBACK_SIGNAL,))
     sh = wire.decode_server_hello(strong.respond(signaled))

@@ -15,7 +15,6 @@ from befs.fleetsim import (
     Transport,
     expected_for_server,
     generate_fleet,
-    policy_truth,
     serve,
     LatencyModel,
 )
@@ -48,13 +47,11 @@ FULL_MIX = {
 }
 
 
-def harness_for(supported, preference, versions=frozenset({wire.TLS1_2})):
-    policy = ServerPolicy(frozenset(supported), tuple(preference), versions)
+def harness_for(preference, versions=frozenset({wire.TLS1_2})):
     server = SimServer(
         server_id="srv-x",
         archetype=Archetype.FS_SUPPORTING_NONFS_PREFERRING,
-        policy=policy,
-        truth=policy_truth(policy),
+        policy=ServerPolicy(preference, versions),
         seed=0,
     )
     return serve([server], Transport.IN_MEMORY)
@@ -175,7 +172,7 @@ def test_scan_marks_unresponsive_as_timeout():
 
 def test_scan_marks_a_rejecting_server_and_an_empty_address_as_failed():
     # DHE only: the server shares no suite with the DEFAULT offer.
-    with harness_for({0x0033}, [0x0033]) as h:
+    with harness_for([0x0033]) as h:
         records = []
         scan([*h.addresses, "no-server"], records.append, 0.5, 1, connector=h.connector())
     assert [r.result for r in records] == [ScanResultKind.FAILED] * 2
@@ -386,7 +383,7 @@ def test_concurrency_one_runs_every_exchange_on_the_calling_thread():
 
 def test_inspect_one_fs_cbc_only_server():
     # supports one ECDHE CBC suite behind a preferred plain-RSA suite
-    with harness_for({0xC013, 0x002F}, (0x002F, 0xC013)) as h:
+    with harness_for((0x002F, 0xC013)) as h:
         rec = inspect_one(h.addresses[0], 0.5, connector=h.connector())
     assert rec.classification is Classification.STABLE_SUPPORTS_FS_NONAE_ONLY
     assert not rec.prior_suite_ae and not rec.lose_ae
@@ -396,7 +393,7 @@ def test_inspect_one_fs_cbc_only_server():
 
 
 def test_inspect_one_fs_ae_supporter_behind_rsa_gcm():
-    with harness_for({0xC02F, 0x009C}, (0x009C, 0xC02F)) as h:
+    with harness_for((0x009C, 0xC02F)) as h:
         rec = inspect_one(h.addresses[0], 0.5, connector=h.connector())
     assert rec.classification is Classification.STABLE_SUPPORTS_FS_AE
     assert rec.prior_suite_ae and not rec.lose_ae
@@ -404,7 +401,7 @@ def test_inspect_one_fs_ae_supporter_behind_rsa_gcm():
 
 
 def test_inspect_one_lose_ae_without_fs_ae_support():
-    with harness_for({0x009D, 0xC014}, (0x009D, 0xC014)) as h:
+    with harness_for((0x009D, 0xC014)) as h:
         rec = inspect_one(h.addresses[0], 0.5, connector=h.connector())
     assert rec.classification is Classification.STABLE_SUPPORTS_FS_NONAE_ONLY
     assert rec.prior_suite_ae and rec.lose_ae
@@ -413,14 +410,14 @@ def test_inspect_one_lose_ae_without_fs_ae_support():
 def test_inspect_one_nonae_pick_with_ae_available():
     # FS preference lists CBC before GCM, so guiding to FS picks non-AE
     # even though an FS+AE suite exists.
-    with harness_for({0x0035, 0xC014, 0xC030}, (0x0035, 0xC014, 0xC030)) as h:
+    with harness_for((0x0035, 0xC014, 0xC030)) as h:
         rec = inspect_one(h.addresses[0], 0.5, connector=h.connector())
     assert rec.classification is Classification.STABLE_FS_NONAE_BUT_SUPPORTS_FS_AE
     assert rec.h3.attempt.suite == 0xC030
 
 
 def test_inspect_one_no_fs_support():
-    with harness_for({0x002F, 0x0035}, (0x0035, 0x002F)) as h:
+    with harness_for((0x0035, 0x002F)) as h:
         rec = inspect_one(h.addresses[0], 0.5, connector=h.connector())
     assert rec.classification is Classification.STABLE_NO_FS_SUPPORT
     assert rec.h2.attempt.kind is AttemptKind.REJECTED
@@ -451,7 +448,7 @@ def test_inspect_one_timeout_classification():
 
 
 def test_inspection_record_recomputable_and_timestamped():
-    with harness_for({0xC013, 0x002F}, (0x002F, 0xC013)) as h:
+    with harness_for((0x002F, 0xC013)) as h:
         rec = inspect_one(h.addresses[0], 0.5, connector=h.connector(), scanned_at=123.0)
     assert classify_steps(rec.h1, rec.h2, rec.h3) == (
         rec.classification,

@@ -30,12 +30,11 @@ def reference_select(policy, offer, client_max):
 
 def random_policy(rng):
     size = rng.randint(1, len(UNIVERSE))
-    supported = rng.sample(UNIVERSE, size)
-    pref = supported[:]
+    pref = rng.sample(UNIVERSE, size)
     rng.shuffle(pref)
     versions = rng.sample(ALL_VERSIONS, rng.randint(1, 3))
     rule = rng.choice(list(SelectionRule))
-    return ServerPolicy(frozenset(supported), tuple(pref), frozenset(versions), rule)
+    return ServerPolicy(pref, frozenset(versions), rule)
 
 
 def random_offer(rng):
@@ -102,60 +101,49 @@ def test_selected_results_satisfy_invariants(seed):
 
 
 def test_non_fs_only_server_fails_fs_offer():
-    policy = ServerPolicy(
-        frozenset({0x002F}), (0x002F,), frozenset({wire.TLS1_2})
-    )
+    policy = ServerPolicy((0x002F,), frozenset({wire.TLS1_2}))
     assert select(policy, FS_ONLY.suites, wire.TLS1_2) is None
 
 
 def test_non_fs_preferring_server_picks_non_fs_from_default():
-    policy = ServerPolicy(
-        frozenset({0xC02F, 0x002F}), (0x002F, 0xC02F), frozenset({wire.TLS1_2})
-    )
+    policy = ServerPolicy((0x002F, 0xC02F), frozenset({wire.TLS1_2}))
     res = select(policy, DEFAULT.suites, wire.TLS1_2)
     assert res is not None and res.selected_suite == 0x002F
 
 
 def test_same_server_guided_to_fs_by_narrow_offer():
-    policy = ServerPolicy(
-        frozenset({0xC02F, 0x002F}), (0x002F, 0xC02F), frozenset({wire.TLS1_2})
-    )
+    policy = ServerPolicy((0x002F, 0xC02F), frozenset({wire.TLS1_2}))
     res = select(policy, FS_ONLY.suites, wire.TLS1_2)
     assert res is not None and res.selected_suite == 0xC02F
 
 
 def test_client_preference_rule_takes_offer_order():
     policy = ServerPolicy(
-        frozenset({0xC02F, 0x002F}),
-        (0x002F, 0xC02F),
-        frozenset({wire.TLS1_2}),
-        SelectionRule.CLIENT_PREFERENCE,
+        (0x002F, 0xC02F), frozenset({wire.TLS1_2}), SelectionRule.CLIENT_PREFERENCE
     )
     res = select(policy, (0xC02F, 0x002F), wire.TLS1_2)
     assert res.selected_suite == 0xC02F
 
 
 def test_version_is_highest_not_above_client_max():
-    policy = ServerPolicy(
-        frozenset({0x002F}), (0x002F,), frozenset({wire.TLS1_0, wire.TLS1_1})
-    )
+    policy = ServerPolicy((0x002F,), frozenset({wire.TLS1_0, wire.TLS1_1}))
     res = select(policy, (0x002F,), wire.TLS1_2)
     assert res.negotiated_version == wire.TLS1_1
 
 
 def test_version_mismatch_is_failure():
-    policy = ServerPolicy(frozenset({0x002F}), (0x002F,), frozenset({wire.TLS1_2}))
+    policy = ServerPolicy((0x002F,), frozenset({wire.TLS1_2}))
     assert select(policy, (0x002F,), wire.TLS1_0) is None
 
 
 def test_empty_offer_rejected():
-    policy = ServerPolicy(frozenset({0x002F}), (0x002F,), frozenset({wire.TLS1_2}))
+    policy = ServerPolicy((0x002F,), frozenset({wire.TLS1_2}))
     with pytest.raises(ValueError):
         select(policy, (), wire.TLS1_2)
 
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        ServerPolicy(frozenset({0x002F}), (0x002F, 0x0035), frozenset({wire.TLS1_2}))
+        ServerPolicy((0x002F, 0x0035, 0x002F), frozenset({wire.TLS1_2}))
     with pytest.raises(ValueError):
-        ServerPolicy(frozenset({0x002F}), (0x002F,), frozenset())
+        ServerPolicy((0x002F,), frozenset())
