@@ -182,7 +182,7 @@ def load_fleet_spec(path: str) -> FleetSpec:
     return fleet_spec_from_dict(data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     supports_fs: bool
     supports_fs_ae: bool
@@ -205,7 +205,7 @@ def policy_truth(policy: ServerPolicy, device_type: str = "") -> GroundTruth:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpectedInspection:
     classification: Classification
     prior_suite_ae: bool = False

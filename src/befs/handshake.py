@@ -90,38 +90,37 @@ def handshake_attempt(
     raw = _hello_template(suites).encode(
         _client_random(seed, address, label or repr(suites)), server_name
     )
+    version = suite = alert = error = None
     start = time.perf_counter()
-
-    def done(**kw) -> AttemptResult:
-        return AttemptResult(elapsed_s=time.perf_counter() - start, **kw)
-
     try:
         reply = connector.exchange(address, raw, timeout_s)
     except TimeoutError:
-        return done(kind=AttemptKind.TIMEOUT, error="timed out after %gs" % timeout_s)
+        kind, error = AttemptKind.TIMEOUT, "timed out after %gs" % timeout_s
     except ConnectFailed as exc:
-        return done(kind=AttemptKind.CONNECT_ERROR, error=str(exc))
-    try:
-        sh = wire.decode_server_hello(reply)
-    except wire.NotServerHello:
-        pass
-    except wire.WireError as exc:
-        return done(kind=AttemptKind.PROTOCOL_ERROR, error=str(exc))
+        kind, error = AttemptKind.CONNECT_ERROR, str(exc)
     else:
-        # A real client answers these with an illegal_parameter alert.
-        if sh.selected_suite not in offered or sh.selected_suite == FALLBACK_SIGNAL:
-            return done(kind=AttemptKind.PROTOCOL_ERROR,
-                        error="server selected unoffered suite 0x%04X" % sh.selected_suite)
-        if sh.negotiated_version > wire.TLS1_2:
-            return done(kind=AttemptKind.PROTOCOL_ERROR,
-                        error="server selected version 0x%04X above 0x%04X"
-                        % (sh.negotiated_version, wire.TLS1_2))
-        return done(kind=AttemptKind.SELECTED, suite=sh.selected_suite, version=sh.negotiated_version)
-    try:
-        alert = wire.decode_alert(reply)
-        return done(kind=AttemptKind.REJECTED, alert=alert, error=alert.description_name)
-    except wire.WireError as exc:
-        return done(kind=AttemptKind.PROTOCOL_ERROR, error=str(exc))
+        try:
+            version, suite = wire.read_server_hello(reply)
+        except wire.NotServerHello:
+            try:
+                alert = wire.decode_alert(reply)
+            except wire.WireError as exc:
+                kind, error = AttemptKind.PROTOCOL_ERROR, str(exc)
+            else:
+                kind, error = AttemptKind.REJECTED, alert.description_name
+        except wire.WireError as exc:
+            kind, error = AttemptKind.PROTOCOL_ERROR, str(exc)
+        else:
+            # A real client answers these with an illegal_parameter alert.
+            if suite not in offered or suite == FALLBACK_SIGNAL:
+                error = "server selected unoffered suite 0x%04X" % suite
+            elif version > wire.TLS1_2:
+                error = "server selected version 0x%04X above 0x%04X" % (version, wire.TLS1_2)
+            if error is None:
+                kind = AttemptKind.SELECTED
+            else:
+                kind, version, suite = AttemptKind.PROTOCOL_ERROR, None, None
+    return AttemptResult(kind, suite, version, alert, error, time.perf_counter() - start)
 
 
 def read_record(sock: socket.socket, deadline: float) -> bytes:

@@ -227,10 +227,10 @@ def _attempt_profile(
     sni: bool,
     seed: int,
     limiter: Optional[RateLimiter],
-) -> StepResult:
+) -> AttemptResult:
     if limiter is not None:
         limiter.acquire()
-    attempt = handshake_attempt(
+    return handshake_attempt(
         connector,
         address,
         profile.suites,
@@ -239,7 +239,6 @@ def _attempt_profile(
         seed=seed,
         label=profile.value,
     )
-    return StepResult(profile, attempt)
 
 
 def scan_one(
@@ -251,9 +250,8 @@ def scan_one(
     seed: int = 0,
     limiter: Optional[RateLimiter] = None,
 ) -> ScanRecord:
-    step = _attempt_profile(connector, address, DEFAULT, timeout_s, sni, seed, limiter)
+    a = _attempt_profile(connector, address, DEFAULT, timeout_s, sni, seed, limiter)
     now = time.time()
-    a = step.attempt
     if a.selected:
         return ScanRecord(address, now, ScanResultKind.RESPONDED, a.suite, a.version)
     if a.kind is AttemptKind.TIMEOUT:
@@ -292,7 +290,8 @@ def inspect_one(
     """Run the three-step heuristic; each step is a fresh connection."""
 
     def run(profile: ProfileKind) -> StepResult:
-        return _attempt_profile(connector, address, profile, timeout_s, sni, seed, limiter)
+        return StepResult(
+            profile, _attempt_profile(connector, address, profile, timeout_s, sni, seed, limiter))
 
     h2: Optional[StepResult] = None
     h3: Optional[StepResult] = None

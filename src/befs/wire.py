@@ -386,7 +386,8 @@ def read_offer(data: bytes) -> tuple[int, tuple[int, ...]]:
     return data[9] << 8 | data[10], struct.unpack_from(">%dH" % n_suites, data, suites_at)
 
 
-def decode_server_hello(data: bytes) -> ServerHelloSummary:
+def _server_hello_fields(data: bytes) -> tuple[int, int]:
+    """Check a ServerHello record; return where its suite sits and where its body ends."""
     end = _handshake_end(data, HS_SERVER_HELLO, NotServerHello, "server_hello")
     # server_version(2) random(32) session_id length(1) sit at 9..44; the
     # random and the session id are unused.
@@ -395,17 +396,27 @@ def decode_server_hello(data: bytes) -> ServerHelloSummary:
     pos = 44 + data[43]
     if pos + 3 > end:
         raise _truncated("session_id, cipher_suite and compression")
+    return pos, end
+
+
+def decode_server_hello(data: bytes) -> ServerHelloSummary:
+    suite_at, end = _server_hello_fields(data)
     # Anything after the compression method is the extensions block, kept
     # verbatim.  Trailing handshake messages after the ServerHello lie
-    # past `end` and are ignored by construction.
-    try:
-        return ServerHelloSummary(
-            negotiated_version=data[9] << 8 | data[10],
-            selected_suite=data[pos] << 8 | data[pos + 1],
-            raw_extensions=data[pos + 3 : end],
-        )
-    except ValueError as exc:
-        raise MalformedRecord(str(exc)) from exc
+    # past `end` and are ignored by construction.  Two-byte fields always
+    # fit ServerHelloSummary's ranges.
+    return ServerHelloSummary(data[9] << 8 | data[10], data[suite_at] << 8 | data[suite_at + 1],
+                              data[suite_at + 3 : end])
+
+
+def read_server_hello(data: bytes) -> tuple[int, int]:
+    """``(negotiated_version, selected_suite)`` of a ServerHello, for a client to classify.
+
+    Accepts and rejects exactly what decode_server_hello does, raising the
+    same errors, but builds no ServerHelloSummary.
+    """
+    suite_at, _ = _server_hello_fields(data)
+    return data[9] << 8 | data[10], data[suite_at] << 8 | data[suite_at + 1]
 
 
 def decode_alert(data: bytes) -> AlertMsg:

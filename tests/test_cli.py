@@ -1,7 +1,9 @@
 """End-to-end command-line behavior, including the served-fleet pipeline."""
 
+import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -242,6 +244,45 @@ def test_stdout_lines_are_the_stored_lines_and_match_ground_truth(
             assert (inspection["classification"], inspection["prior_suite_ae"],
                     inspection["lose_ae"]) == (
                 want.classification.name, want.prior_suite_ae, want.lose_ae)
+
+
+_CLOCK_READING = re.compile(rb'"(timestamp|scanned_at|inspected_at|elapsed_s)":[-+.0-9eE]+')
+_ADDRESS = re.compile(rb'"address":"([^"]*)"')
+
+
+def _masked_store_digest(store_path, server_ids=None):
+    """sha256 of the store with every clock reading set to 0 and, if
+    ``server_ids`` is given, each address replaced by the id of the server
+    it belongs to, taken in order of first appearance."""
+    data = _CLOCK_READING.sub(rb'"\1":0', store_path.read_bytes())
+    if server_ids is not None:
+        named = dict(zip(dict.fromkeys(_ADDRESS.findall(data)), server_ids))
+        data = _ADDRESS.sub(lambda m: b'"address":"%s"' % named[m.group(1)].encode(), data)
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("transport, mix, size, extra, digest", [
+    ("memory", SIX_ARCHETYPES, 160, {"network_device_fraction": 0.25},
+     "f4f980420c93b03b9e85e6e7eff17f56930af2e69861f9d04269bdf88ffee309"),
+    ("socket", {name: 0.2 for name in SIX_ARCHETYPES if name != "UNRESPONSIVE"}, 40, {},
+     "1724e675542d9fed4dd290f2f01e6ed750c7ce0318eeb0f79b266290f963e368"),
+])
+def test_inspect_store_repeats_the_pinned_digest(tmp_path, capsys, transport, mix, size, extra,
+                                                 digest):
+    # Every kind, suite, version, alert, error string and classification a
+    # campaign stores; a loopback address becomes its server's id, since the
+    # ports change from run to run.
+    spec = write_spec(tmp_path, mix, size=size, seed=5, **extra)
+    store_path = tmp_path / "records.jsonl"
+    timeout = "0.01" if transport == "memory" else "5"
+    code, _, _ = run_cli(["inspect", "--fleet-spec", spec, "--transport", transport,
+                          "--timeout", timeout, "--concurrency", "4",
+                          "--store", str(store_path)], capsys)
+    assert code == 0
+    ids = None
+    if transport == "socket":
+        ids = [server.server_id for server in generate_fleet(load_fleet_spec(spec))]
+    assert _masked_store_digest(store_path, ids) == digest
 
 
 def test_scan_missing_input_file_fails_cleanly(tmp_path, capsys):

@@ -132,21 +132,36 @@ _JSON_JUNK = (st.none() | st.booleans() | st.text(max_size=3) | st.integers(-3, 
 _ARCHETYPE_NAMES = st.sampled_from([a.value for a in Archetype])
 
 
+# The parts of a spec that _spec_dicts may make junk, one at most per spec.
+_SPEC_PARTS = ["size", "seed", "mix", "proportion", "network_device_fraction", "latency",
+               "base_ms", "jitter_ms"]
+
+
 @st.composite
 def _spec_dicts(draw):
-    def usually(valid):  # one value in five is junk
-        return draw(_JSON_JUNK if draw(st.integers(0, 4)) == 0 else valid)
+    # Half the specs hold no junk, so about half the examples reach generate_fleet;
+    # the rest put junk in one part each, so every refusal stays covered.
+    junk = draw(st.none() | st.sampled_from(_SPEC_PARTS))
+
+    def value(part, valid):
+        return draw(_JSON_JUNK if part == junk else valid)
 
     weights = draw(st.dictionaries(_ARCHETYPE_NAMES, st.floats(0, 1), min_size=1))
     total = sum(weights.values())
-    mix = {name: usually(st.just(w / total if total else w)) for name, w in weights.items()}
-    data = {"size": usually(st.integers(-1, 40)), "seed": usually(st.integers(min_value=0)),
-            "mix": usually(st.just(mix))}
-    if draw(st.booleans()):
-        data["network_device_fraction"] = usually(st.floats(0, 1))
-    if draw(st.booleans()):
-        data["latency"] = usually(st.dictionaries(
-            st.sampled_from(["base_ms", "jitter_ms"]), st.floats(-1, 5) | _JSON_JUNK))
+    mix = {name: w / total if total else w for name, w in weights.items()}
+    if junk == "proportion":
+        mix[draw(st.sampled_from(sorted(mix)))] = draw(_JSON_JUNK)
+    # Sizes below 1, negative seeds and negative latencies are junk's to draw.
+    data = {"size": value("size", st.integers(1, 40)), "seed": value("seed", st.integers(min_value=0)),
+            "mix": value("mix", st.just(mix))}
+    if junk == "network_device_fraction" or draw(st.booleans()):
+        data["network_device_fraction"] = value("network_device_fraction", st.floats(0, 1))
+    if junk in ("latency", "base_ms", "jitter_ms") or draw(st.booleans()):
+        keys = draw(st.sets(st.sampled_from(["base_ms", "jitter_ms"])))
+        if junk in ("base_ms", "jitter_ms"):
+            keys.add(junk)
+        data["latency"] = value("latency", st.just({key: value(key, st.floats(0, 5))
+                                                    for key in keys}))
     return data
 
 

@@ -35,6 +35,7 @@ from befs.wire import (
     encode_client_hello,
     encode_server_hello,
     read_offer,
+    read_server_hello,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -488,6 +489,49 @@ def test_offer_read_rejects_each_field_rule_as_decode_client_hello_does():
         with pytest.raises(MalformedRecord, match=message):
             decode_client_hello(raw)
         assert_offer_read_agrees(raw)
+
+
+def assert_server_hello_read_agrees(raw):
+    """read_server_hello accepts what decode_server_hello accepts, with its
+    version and suite, and raises the same error, type and message, for
+    everything else, on ``raw`` as bytes and as a bytearray alike. Returns
+    whether the hello was accepted."""
+    outcomes = []
+    for data in (bytes(raw), bytearray(raw)):
+        try:
+            summary = decode_server_hello(data)
+        except wire.WireError as exc:
+            with pytest.raises(wire.WireError) as got:
+                read_server_hello(data)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            outcomes.append((type(exc), str(exc)))
+            continue
+        got = read_server_hello(data)
+        assert got == (summary.negotiated_version, summary.selected_suite)
+        outcomes.append(got)
+    assert outcomes[0] == outcomes[1]
+    return isinstance(outcomes[0][0], int)
+
+
+@given(st.binary(max_size=300) | st.binary(max_size=300).map(lambda b: _framed(2, b)))
+def test_server_hello_read_agrees_on_arbitrary_bytes(data):
+    assert_server_hello_read_agrees(data)
+
+
+@given(server_hellos, session_ids, st.integers(0, 200), st.integers(0, 255))
+@settings(max_examples=200)
+def test_server_hello_read_agrees_under_single_byte_mutations(summary, session_id, pos, val):
+    raw = bytearray(encode_server_hello(summary, session_id=session_id))
+    assert assert_server_hello_read_agrees(bytes(raw))
+    raw[pos % len(raw)] = val
+    assert_server_hello_read_agrees(bytes(raw))
+
+
+def test_server_hello_read_agrees_on_every_truncation():
+    raw = next(raw for decode, raw, _ in TRUNCATION_CASES if decode is decode_server_hello)
+    accepted = sum([assert_server_hello_read_agrees(cut) for cut in _every_cut(raw)])
+    # The whole hello, and its body cut anywhere inside the extensions.
+    assert accepted == 6
 
 
 def _reference_server_hello(summary, random, session_id):
