@@ -30,7 +30,7 @@ from befs.fleetsim import (
     serve,
 )
 from befs.handshake import AttemptKind, handshake_attempt
-from befs.suites import DEFAULT
+from befs.suites import DEFAULT, FALLBACK_SIGNAL
 
 
 def fs_capable_fleet(size: int, seed: int):
@@ -107,8 +107,7 @@ def main() -> int:
         refused = 0
         for address in harness.addresses:
             attempt = handshake_attempt(
-                harness.connector(), address, DEFAULT.suites, args.timeout,
-                signal_fallback=True,
+                harness.connector(), address, DEFAULT.suites + (FALLBACK_SIGNAL,), args.timeout
             )
             refused += (
                 attempt.kind is AttemptKind.REJECTED

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .handshake import AttemptResult, Connector, handshake_attempt
-from .suites import ProfileKind, is_ae, is_fs
+from .suites import FALLBACK_SIGNAL, ProfileKind, is_ae, is_fs
 
 
 class PolicyMode(Enum):
@@ -135,16 +135,16 @@ def connect(
     """
     ladder = LADDERS[cfg.mode]
 
-    def attempt(depth: int, profile: ProfileKind, signal: bool = False) -> AttemptResult:
+    def attempt(depth: int, profile: ProfileKind) -> AttemptResult:
+        signal = depth > 0 and cfg.fallback is FallbackStyle.SIGNALED
         return handshake_attempt(
             connector,
             address,
-            profile.suites,
+            profile.suites + (FALLBACK_SIGNAL,) if signal else profile.suites,
             cfg.timeout_s,
             sni=sni,
             seed=seed,
             label="%s/%s/%d" % (cfg.mode.value, profile.value, depth),
-            signal_fallback=signal,
         )
 
     status = SessionStatus.FAILED
@@ -158,7 +158,7 @@ def connect(
                 if not user(describe_fallback(address, profile)):
                     status = SessionStatus.ABORTED_BY_USER
                     break
-            result = attempt(depth, profile, cfg.fallback is FallbackStyle.SIGNALED and depth > 0)
+            result = attempt(depth, profile)
             attempts.append(result)
             if result.selected:
                 break

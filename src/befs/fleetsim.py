@@ -129,6 +129,12 @@ def _json(value, kind, what: str):
     return value
 
 
+def _refuse_unknown_keys(mapping: dict, known: Iterable[str], what: str) -> None:
+    unknown = set(mapping).difference(known)
+    if unknown:  # a key that is not a string is unknown too, named by str()
+        raise InvalidSpec("unknown %s keys: %s" % (what, ", ".join(sorted(map(str, unknown)))))
+
+
 def fleet_spec_from_dict(data: dict) -> FleetSpec:
     """Build a spec from the documented config keys.
 
@@ -137,9 +143,7 @@ def fleet_spec_from_dict(data: dict) -> FleetSpec:
     ({base_ms, jitter_ms}, optional). FleetSpec and LatencyModel check
     the ranges.
     """
-    unknown = set(_json(data, dict, "a fleet spec")) - FLEET_SPEC_KEYS
-    if unknown:
-        raise InvalidSpec("unknown fleet spec keys: %s" % ", ".join(sorted(unknown)))
+    _refuse_unknown_keys(_json(data, dict, "a fleet spec"), FLEET_SPEC_KEYS, "fleet spec")
     try:
         mix_raw = _json(data["mix"], dict, "mix")
         size = _json(data["size"], int, "size")
@@ -154,9 +158,7 @@ def fleet_spec_from_dict(data: dict) -> FleetSpec:
             raise InvalidSpec("unknown archetype %r" % name) from None
         mix[arch] = _json(p, _NUMBER, "mix proportion for %s" % name)
     lat = _json(data.get("latency", {}), dict, "latency")
-    extra = set(lat).difference(f.name for f in _LATENCY_FIELDS)
-    if extra:
-        raise InvalidSpec("unknown latency keys: %s" % ", ".join(sorted(extra)))
+    _refuse_unknown_keys(lat, (f.name for f in _LATENCY_FIELDS), "latency")
     fraction = data.get("network_device_fraction", 0.0)
     return FleetSpec(
         size=size,
@@ -594,14 +596,12 @@ class DiscriminatoryServer:
         self._steered = _non_fs_first(inner.policy)
 
     def respond(self, raw: bytes) -> Optional[bytes]:
-        if self.inner.archetype is Archetype.UNRESPONSIVE:
-            return None
         try:
             ch = wire.decode_client_hello(raw)
         except wire.WireError:
-            return _DECODE_ERROR_ALERT
-        if not _targeted(ch, self.targets):
-            return self.inner.respond(raw)
+            ch = None
+        if ch is None or self.inner.archetype is Archetype.UNRESPONSIVE or not _targeted(ch, self.targets):
+            return self.inner.respond(raw)  # its stall, its decode_error alert or its answer
         if self.strong and offer_is_all_fs(ch):
             return _HANDSHAKE_FAILURE_ALERT
         return answer_offer(
@@ -719,8 +719,6 @@ class MemoryHarness(Harness):
         return _MemoryConnector(self)
 
 
-# sentinel stored in a connection slot once the server answered or stalled
-_CONN_DONE = object()
 # Linux's option to hold a connection back from accept until data arrives
 _DEFER_ACCEPT = getattr(socket, "TCP_DEFER_ACCEPT", None)
 # Longest select wait: a reply due further ahead (a huge latency) would
@@ -734,6 +732,10 @@ class SocketHarness(Harness):
     The loop owns every socket; endpoint.respond runs inline (it is pure
     computation), and latency is applied by scheduling the reply rather
     than sleeping, so one thread serves the whole fleet.
+
+    The selector is the loop's only registry of sockets. A listener's key
+    holds ("listen", endpoint), a waiting connection's key its state:
+    [endpoint, hello buffer], the buffer None once answered or stalled.
 
     Where the platform has TCP_DEFER_ACCEPT, a connection is accepted
     only once its hello is in, and the accept step reads it at once: a
@@ -753,8 +755,6 @@ class SocketHarness(Harness):
     ) -> None:
         super().__init__(latency, seed)
         self._sel = selectors.DefaultSelector()
-        self._listeners: list[socket.socket] = []
-        self._conns: dict[socket.socket, list] = {}  # conn -> [endpoint, buffer|DONE, registered]
         self._pending: list[tuple[float, int, socket.socket, bytes]] = []
         self._seq = 0
         self._wake_r, self._wake_w = socket.socketpair()
@@ -767,13 +767,12 @@ class SocketHarness(Harness):
                     sock.bind(("127.0.0.1", 0))
                 except OSError as exc:
                     sock.close()
-                    raise BindFailure("bind failed after %d listeners: %s" % (len(self._listeners), exc)) from exc
+                    raise BindFailure("bind failed after %d listeners: %s" % (len(self.endpoints), exc)) from exc
                 if _DEFER_ACCEPT is not None:
                     sock.setsockopt(socket.IPPROTO_TCP, _DEFER_ACCEPT, 1)
                 sock.listen(128)
                 sock.setblocking(False)
                 endpoint = self._add(server, "%s:%d" % sock.getsockname(), adversary)
-                self._listeners.append(sock)
                 self._sel.register(sock, selectors.EVENT_READ, ("listen", endpoint))
         except BaseException:
             self._close_all()
@@ -796,39 +795,21 @@ class SocketHarness(Harness):
         self._close_all()
 
     def _close_all(self) -> None:
-        for sock in self._listeners:
-            try:
-                self._sel.unregister(sock)
-            except (KeyError, ValueError):
-                pass
-            sock.close()
-        for conn in list(self._conns):
-            self._drop_conn(conn)
-        self._listeners.clear()
-        try:
-            self._sel.unregister(self._wake_r)
-        except (KeyError, ValueError):
-            pass
-        self._wake_r.close()
+        for key in list(self._sel.get_map().values()):
+            if type(key.data) is list:  # a waiting connection
+                self.gauge.leave()
+            key.fileobj.close()  # the wake pair's read end among them
         self._wake_w.close()
         self._sel.close()
 
-    def _drop_conn(self, conn: socket.socket) -> None:
-        slot = self._conns.pop(conn, None)
-        if slot is not None:
-            self.gauge.leave()
-            if slot[2]:
-                self._sel.unregister(conn)
+    def _close(self, conn: socket.socket, registered: bool) -> None:
+        if registered:
+            self._sel.unregister(conn)
         try:
             conn.close()
         except OSError:
             pass
-
-    def _watch(self, conn: socket.socket, slot: list) -> None:
-        """Register a connection that has to wait, once."""
-        if not slot[2]:
-            slot[2] = True
-            self._sel.register(conn, selectors.EVENT_READ, ("conn", None))
+        self.gauge.leave()
 
     def _run(self) -> None:
         while not self.stopped:
@@ -836,20 +817,20 @@ class SocketHarness(Harness):
             if self._pending:
                 timeout = min(max(0.0, self._pending[0][0] - time.perf_counter()), _MAX_WAIT_S)
             for key, _ in self._sel.select(timeout):
-                kind = key.data[0]
-                if kind == "wake":
+                data = key.data
+                if type(data) is list:
+                    self._readable(key.fileobj, data, True)
+                elif data[0] == "listen":
+                    self._accept(key.fileobj, data[1])
+                else:
                     try:
                         self._wake_r.recv(64)
                     except OSError:
                         pass
-                elif kind == "listen":
-                    self._accept(key.fileobj, key.data[1])
-                else:
-                    self._readable(key.fileobj)
             now = time.perf_counter()
             while self._pending and self._pending[0][0] <= now:
                 _, _, conn, payload = heapq.heappop(self._pending)
-                self._reply(conn, payload)
+                self._reply(conn, payload, True)
 
     def _accept(self, listener: socket.socket, endpoint) -> None:
         try:
@@ -857,51 +838,45 @@ class SocketHarness(Harness):
         except OSError:
             return
         conn.setblocking(False)
-        self._conns[conn] = [endpoint, bytearray(), False]
         self.gauge.enter()
-        self._readable(conn)
+        self._readable(conn, [endpoint, bytearray()], False)
 
-    def _reply(self, conn: socket.socket, payload: bytes) -> None:
+    def _reply(self, conn: socket.socket, payload: bytes, registered: bool) -> None:
         try:
             conn.sendall(payload)
         except OSError:
             pass
-        self._drop_conn(conn)
+        self._close(conn, registered)
 
-    def _readable(self, conn: socket.socket) -> None:
-        slot = self._conns.get(conn)
-        if slot is None:
-            return
+    def _readable(self, conn: socket.socket, state: list, registered: bool) -> None:
+        """Read what the client sent; register the connection, once, if it has to wait."""
         try:
             chunk = conn.recv(4096)
         except BlockingIOError:
-            self._watch(conn, slot)
-            return
+            chunk = None
         except OSError:
             chunk = b""
-        if not chunk:  # the client left: a reply still scheduled for it has no reader
+        if chunk == b"":  # the client left: a reply still scheduled for it has no reader
             self._pending = [entry for entry in self._pending if entry[2] is not conn]
             heapq.heapify(self._pending)
-            self._drop_conn(conn)
+            self._close(conn, registered)
             return
-        if slot[1] is _CONN_DONE:
-            return  # request already answered or deliberately stalled
-        buf = slot[1]
-        buf.extend(chunk)
-        total = 5 + int.from_bytes(buf[3:5], "big")
-        if len(buf) < total:
-            self._watch(conn, slot)
-            return
-        reply = slot[0].respond(bytes(buf[:total]))
-        slot[1] = _CONN_DONE
-        if reply is not None:
-            delay_s = self.latency.sample_s(self.latency_rng)
-            if delay_s <= 0:
-                self._reply(conn, reply)
-                return
-            self._seq += 1
-            heapq.heappush(self._pending, (time.perf_counter() + delay_s, self._seq, conn, reply))
-        self._watch(conn, slot)  # a stall or a later reply: notice the client leaving
+        buf = state[1]
+        if chunk and buf is not None:  # None: the hello was already answered or stalled
+            buf.extend(chunk)
+            total = 5 + int.from_bytes(buf[3:5], "big")
+            if len(buf) >= total:
+                reply = state[0].respond(bytes(buf[:total]))
+                state[1] = None
+                if reply is not None:
+                    delay_s = self.latency.sample_s(self.latency_rng)
+                    if delay_s <= 0:
+                        self._reply(conn, reply, registered)
+                        return
+                    self._seq += 1
+                    heapq.heappush(self._pending, (time.perf_counter() + delay_s, self._seq, conn, reply))
+        if not registered:  # an incomplete hello, a stall or a later reply: notice the client leaving
+            self._sel.register(conn, selectors.EVENT_READ, state)
 
 
 def serve(

@@ -76,19 +76,19 @@ def handshake_attempt(
     sni: bool = False,
     seed: int = 0,
     label: str = "",
-    signal_fallback: bool = False,
 ) -> AttemptResult:
     """Send one TLS 1.2 ClientHello and classify the first server flight.
 
     With ``sni``, the hello carries the address's host name in the
     server_name extension; an IPv4 literal never does (split_address).
+    The fallback signal, FALLBACK_SIGNAL, is a suite of ``offer`` as on
+    the wire; a server that selects it is refused like any unoffered suite.
     """
     offered = tuple(offer)
-    suites = offered + (FALLBACK_SIGNAL,) if signal_fallback else offered
     name = split_address(address)[2] if sni else None
     server_name = name.encode("ascii") if name else b""
-    raw = _hello_template(suites).encode(
-        _client_random(seed, address, label or repr(suites)), server_name
+    raw = _hello_template(offered).encode(
+        _client_random(seed, address, label or repr(offered)), server_name
     )
     version = suite = alert = error = None
     start = time.perf_counter()

@@ -223,11 +223,13 @@ def _attempt_profile(
     connector: Connector,
     address: str,
     profile: ProfileKind,
+    label: str,
     timeout_s: float,
     sni: bool,
     seed: int,
     limiter: Optional[RateLimiter],
 ) -> AttemptResult:
+    """One attempt; ``label`` tells the address's handshakes apart, so each has its own random."""
     if limiter is not None:
         limiter.acquire()
     return handshake_attempt(
@@ -237,7 +239,7 @@ def _attempt_profile(
         timeout_s,
         sni=sni,
         seed=seed,
-        label=profile.value,
+        label=label,
     )
 
 
@@ -250,7 +252,7 @@ def scan_one(
     seed: int = 0,
     limiter: Optional[RateLimiter] = None,
 ) -> ScanRecord:
-    a = _attempt_profile(connector, address, DEFAULT, timeout_s, sni, seed, limiter)
+    a = _attempt_profile(connector, address, DEFAULT, "scan", timeout_s, sni, seed, limiter)
     now = time.time()
     if a.selected:
         return ScanRecord(address, now, ScanResultKind.RESPONDED, a.suite, a.version)
@@ -290,8 +292,8 @@ def inspect_one(
     """Run the three-step heuristic; each step is a fresh connection."""
 
     def run(profile: ProfileKind) -> StepResult:
-        return StepResult(
-            profile, _attempt_profile(connector, address, profile, timeout_s, sni, seed, limiter))
+        return StepResult(profile, _attempt_profile(
+            connector, address, profile, profile.value, timeout_s, sni, seed, limiter))
 
     h2: Optional[StepResult] = None
     h3: Optional[StepResult] = None

@@ -363,17 +363,15 @@ def decode_client_hello(data: bytes) -> ClientHelloMsg:
     extensions: list[tuple[int, bytes]] = []
     suites_at, n_suites = _client_hello_fields(data, extensions)
     compression_at = suites_at + 2 * n_suites + 1
-    try:
-        return ClientHelloMsg(
-            legacy_version=data[9] << 8 | data[10],
-            random=data[11:43],
-            cipher_suites=struct.unpack_from(">%dH" % n_suites, data, suites_at),
-            session_id=data[44 : suites_at - 2],
-            compression=tuple(data[compression_at : compression_at + data[compression_at - 1]]),
-            extensions=tuple(extensions),
-        )
-    except ValueError as exc:
-        raise MalformedRecord(str(exc)) from exc
+    # _client_hello_fields enforced every ClientHelloMsg rule, so this cannot raise.
+    return ClientHelloMsg(
+        legacy_version=data[9] << 8 | data[10],
+        random=data[11:43],
+        cipher_suites=struct.unpack_from(">%dH" % n_suites, data, suites_at),
+        session_id=data[44 : suites_at - 2],
+        compression=tuple(data[compression_at : compression_at + data[compression_at - 1]]),
+        extensions=tuple(extensions),
+    )
 
 
 def read_offer(data: bytes) -> tuple[int, tuple[int, ...]]:
@@ -404,9 +402,10 @@ def decode_server_hello(data: bytes) -> ServerHelloSummary:
     # Anything after the compression method is the extensions block, kept
     # verbatim.  Trailing handshake messages after the ServerHello lie
     # past `end` and are ignored by construction.  Two-byte fields always
-    # fit ServerHelloSummary's ranges.
+    # fit ServerHelloSummary's ranges; the extensions are bytes, as the
+    # summary is hashable, even when ``data`` is a bytearray.
     return ServerHelloSummary(data[9] << 8 | data[10], data[suite_at] << 8 | data[suite_at + 1],
-                              data[suite_at + 3 : end])
+                              bytes(data[suite_at + 3 : end]))
 
 
 def read_server_hello(data: bytes) -> tuple[int, int]:

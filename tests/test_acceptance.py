@@ -45,7 +45,7 @@ from befs.inspection import (
 )
 from befs.negotiate import SelectionRule, ServerPolicy, select
 from befs.report import FS_NONAE_PICK_CLASSES, FS_SUPPORT_CLASSES, aggregate
-from befs.suites import DEFAULT, DEFAULT_ORDER, FS_ONLY, is_fs
+from befs.suites import DEFAULT, DEFAULT_ORDER, FALLBACK_SIGNAL, FS_ONLY, is_fs
 from befs.wire import TLS1_0, TLS1_1, TLS1_2
 
 VERSIONS = (TLS1_0, TLS1_1, TLS1_2)
@@ -327,7 +327,7 @@ def test_criterion_4_adversaries():
         refused = 0
         for address in harness.addresses:
             attempt = handshake_attempt(
-                harness.connector(), address, DEFAULT.suites, 0.5, signal_fallback=True
+                harness.connector(), address, DEFAULT.suites + (FALLBACK_SIGNAL,), 0.5
             )
             assert attempt.kind is AttemptKind.REJECTED
             assert attempt.alert is not None
@@ -338,7 +338,7 @@ def test_criterion_4_adversaries():
     with serve(nonfs, Transport.IN_MEMORY) as harness:
         for address in harness.addresses:
             attempt = handshake_attempt(
-                harness.connector(), address, DEFAULT.suites, 0.5, signal_fallback=True
+                harness.connector(), address, DEFAULT.suites + (FALLBACK_SIGNAL,), 0.5
             )
             assert attempt.kind is AttemptKind.SELECTED
     return "dropper/weak/strong/signal each 100%% over %d-server fleets" % size

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import random
@@ -114,6 +115,11 @@ def test_spec_from_dict_and_file(tmp_path):
         fleet_spec_from_dict({"size": 3, "mix": {"NONFS_ONLY": 1.0}})
     with pytest.raises(InvalidSpec, match="unknown latency keys: delay_ms"):
         fleet_spec_from_dict({**data, "latency": {"base_ms": 1.0, "delay_ms": 2.0}})
+    # keys that are not strings, which no JSON file holds but a caller's dict may
+    with pytest.raises(InvalidSpec, match="^unknown fleet spec keys: 1, bogus$"):
+        fleet_spec_from_dict({1: 2, **data, "bogus": 3})
+    with pytest.raises(InvalidSpec, match="^unknown latency keys: None$"):
+        fleet_spec_from_dict({**data, "latency": {None: None}})
     with pytest.raises(InvalidSpec, match="cannot read"):
         load_fleet_spec(str(tmp_path / "absent.json"))
 
@@ -524,6 +530,15 @@ def test_discriminators_answer_undecodable_hellos_with_decode_error():
         assert alert.description == wire.DECODE_ERROR
 
 
+def test_discriminators_leave_an_unresponsive_server_stalled():
+    inner = make_server((0xC02F, 0x002F), archetype=Archetype.UNRESPONSIVE)
+    for strong in (False, True):
+        wrapped = DiscriminatoryServer(inner, strong=strong)
+        for suites in (DEFAULT.suites, FS_ONLY.suites):
+            assert wrapped.respond(make_ch_bytes(suites)) is None
+        assert wrapped.respond(b"\x16\x03\x03\x00\x02\x01\x00") is None
+
+
 def test_discriminators_ignore_fallback_signal():
     inner = make_server((0xC02F, 0x002F))
     strong = DiscriminatoryServer(inner, strong=True)
@@ -657,9 +672,9 @@ def test_socket_loop_forgets_the_reply_of_a_client_that_left():
             res = handshake_attempt(h.connector(), h.addresses[0], DEFAULT.suites, 0.1)
             assert res.kind is AttemptKind.TIMEOUT
         deadline = time.perf_counter() + 5.0
-        while h._conns and time.perf_counter() < deadline:
+        while h.gauge.current and time.perf_counter() < deadline:
             time.sleep(0.01)
-        assert not h._conns
+        assert h.gauge.current == 0
         h.stop()  # joins the loop thread, so what it left is final
         assert len(h._pending) == 0
 
@@ -670,11 +685,17 @@ def _count_registers(h, monkeypatch):
     register = h._sel.register
 
     def counting(fileobj, events, data=None):
-        registered.append(fileobj)
-        return register(fileobj, events, data)
+        key = register(fileobj, events, data)
+        registered.append(fileobj)  # once the selector holds it
+        return key
 
     monkeypatch.setattr(h._sel, "register", counting)
     return registered
+
+
+def _waiting(h):
+    """The connections the harness's selector holds: every key but the listeners and the wake end."""
+    return [key.fileobj for key in h._sel.get_map().values() if type(key.data) is list]
 
 
 def _wait_until(predicate, timeout_s=5.0):
@@ -699,7 +720,7 @@ def test_a_zero_latency_reply_leaves_in_the_accept_step(monkeypatch):
             assert res.selected
         assert registered == []
         assert h.max_in_flight == 1
-        assert _wait_until(lambda: not h._conns)
+        assert _wait_until(lambda: h.gauge.current == 0)
 
 
 def test_a_stalled_connection_waits_registered_until_the_client_leaves(monkeypatch):
@@ -709,9 +730,52 @@ def test_a_stalled_connection_waits_registered_until_the_client_leaves(monkeypat
         with _dial(h.addresses[0]) as client:
             client.sendall(make_ch_bytes(DEFAULT.suites))
             assert _wait_until(lambda: len(registered) == 1)
-            assert list(h._conns) == registered
+            assert _waiting(h) == registered
             assert h.max_in_flight == 1
-        assert _wait_until(lambda: not h._conns)
+        assert _wait_until(lambda: h.gauge.current == 0)
+
+
+def test_stop_closes_the_connections_still_waiting(monkeypatch):
+    # one server stalls, the other's reply is due long after the test ends
+    fleet = generate_fleet(spec_with(size=2, UNRESPONSIVE=0.5, FS_PREFERRING=0.5))
+    assert {s.archetype for s in fleet} == {Archetype.UNRESPONSIVE, Archetype.FS_PREFERRING}
+    with serve(fleet, Transport.LOOPBACK_SOCKET, latency=LatencyModel(base_ms=1e9)) as h:
+        registered = _count_registers(h, monkeypatch)
+        clients = [_dial(address) for address in h.addresses]
+        try:
+            for client in clients:
+                client.sendall(make_ch_bytes(DEFAULT.suites))
+            assert _wait_until(lambda: len(registered) == 2)
+            waiting = _waiting(h)
+            assert set(waiting) == set(registered)
+            assert h.gauge.current == 2 and len(h._pending) == 1
+            h.stop()
+            assert all(conn.fileno() == -1 for conn in waiting)
+            assert h.gauge.current == 0
+            for client in clients:
+                assert client.recv(1) == b""  # EOF, not a reply and not a timeout
+        finally:
+            for client in clients:
+                client.close()
+    del waiting
+    gc.collect()  # a socket the loop left open would warn here, and the warning is an error
+
+
+def test_a_failed_bind_closes_every_socket_opened_so_far(monkeypatch):
+    bind = socket.socket.bind
+    calls = []
+
+    def third_fails(sock, address):
+        calls.append(address)
+        if len(calls) == 3:
+            raise OSError("no port left")
+        return bind(sock, address)
+
+    monkeypatch.setattr(socket.socket, "bind", third_fails)
+    fleet = generate_fleet(spec_with(size=4, FS_PREFERRING=1.0))
+    with pytest.raises(BindFailure, match="^bind failed after 2 listeners: no port left$"):
+        serve(fleet, Transport.LOOPBACK_SOCKET)
+    gc.collect()  # a listener or wake socket left open would warn here, and the warning is an error
 
 
 def test_a_hello_written_in_two_pieces_is_answered(monkeypatch):
@@ -735,7 +799,7 @@ def test_socket_latency_delays_the_reply_and_the_reply_arrives():
             res = handshake_attempt(h.connector(), h.addresses[0], DEFAULT.suites, 2.0)
             assert res.selected and is_fs(res.suite)
             assert res.elapsed_s >= 0.030
-        assert _wait_until(lambda: not h._conns and not h._pending)
+        assert _wait_until(lambda: h.gauge.current == 0 and not h._pending)
 
 
 def test_tcp_connector_dials_an_ipv4_literal_without_the_resolver(monkeypatch):

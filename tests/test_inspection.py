@@ -533,3 +533,31 @@ def test_scan_sends_the_host_as_sni_only_when_asked():
                          ("example.com:443", False)):
         scan_one(address, 0.1, connector=recorder, sni=sni)
     assert recorder.seen == [wire.sni_extension("example.com")[1], None, None]
+
+
+class HelloRecorder:
+    """Wraps a connector; records the hello bytes of each exchange, per address."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.hellos = collections.defaultdict(list)
+
+    def exchange(self, address, raw, timeout_s):
+        self.hellos[address].append(raw)
+        return self.inner.exchange(address, raw, timeout_s)
+
+
+def test_every_handshake_of_an_inspected_address_has_its_own_hello():
+    # a replayed hello (the scan's, sent again as h1) would tell the inspection apart
+    fleet = generate_fleet(FleetSpec(size=30, seed=4, mix=FULL_MIX))
+    with serve(fleet, Transport.IN_MEMORY) as h:
+        recorder = HelloRecorder(h.connector())
+        pairs = []
+        inspect_all(h.addresses, pairs.append, timeout_s=0.01, concurrency=1, connector=recorder)
+    inspected = [scanned.address for scanned, record in pairs if record is not None]
+    assert inspected
+    for address in inspected:
+        hellos = recorder.hellos[address]
+        assert len(hellos) >= 3  # the scan, then h1 and h2 at least
+        assert len(set(hellos)) == len(hellos)
+        assert len({wire.decode_client_hello(raw).random for raw in hellos}) == len(hellos)

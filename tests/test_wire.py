@@ -270,13 +270,13 @@ def _sent_hello(version, offer, sni, signal):
     """The hello handshake_attempt sends, which is TLS 1.2; at another version,
     the ClientHelloTemplate encoding of the same offer, random and name."""
     address = _address(sni)
+    suites = offer + (FALLBACK_SIGNAL,) if signal else offer
     if version != TLS1_2:
-        suites = offer + (FALLBACK_SIGNAL,) if signal else offer
         name = split_address(address)[2] if sni is not None else None
         return wire.ClientHelloTemplate(version, suites).encode(
             _client_random(0, address, repr(suites)), name.encode("ascii") if name else b"")
     conn = RecordingConnector()
-    res = handshake_attempt(conn, address, offer, 1.0, sni=sni is not None, signal_fallback=signal)
+    res = handshake_attempt(conn, address, suites, 1.0, sni=sni is not None)
     assert res.kind is AttemptKind.CONNECT_ERROR
     (raw,) = conn.sent
     return raw
@@ -494,9 +494,9 @@ def test_offer_read_rejects_each_field_rule_as_decode_client_hello_does():
 def assert_server_hello_read_agrees(raw):
     """read_server_hello accepts what decode_server_hello accepts, with its
     version and suite, and raises the same error, type and message, for
-    everything else, on ``raw`` as bytes and as a bytearray alike. Returns
-    whether the hello was accepted."""
-    outcomes = []
+    everything else, on ``raw`` as bytes and as a bytearray alike; the two
+    summaries are equal and hashable. Returns whether the hello was accepted."""
+    outcomes, summaries = [], []
     for data in (bytes(raw), bytearray(raw)):
         try:
             summary = decode_server_hello(data)
@@ -509,7 +509,11 @@ def assert_server_hello_read_agrees(raw):
         got = read_server_hello(data)
         assert got == (summary.negotiated_version, summary.selected_suite)
         outcomes.append(got)
+        summaries.append(summary)
     assert outcomes[0] == outcomes[1]
+    if summaries:
+        from_bytes, from_bytearray = summaries
+        assert hash(from_bytearray) == hash(from_bytes) and from_bytearray == from_bytes
     return isinstance(outcomes[0][0], int)
 
 
