@@ -12,6 +12,7 @@ the strongest.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -117,6 +118,7 @@ def connect(
     connector: Connector,
     sni: bool = False,
     seed: int = 0,
+    label: str = "",
 ) -> SessionOutcome:
     """Walk LADDERS[cfg.mode] from the strongest offer to the widest.
 
@@ -130,10 +132,13 @@ def connect(
     the longest ladder, so concurrent parallel connects share those
     workers and their rungs queue for a free one. DEFAULT has a single
     rung, so it ignores the style. With ``sni``, the hello names the
-    address's host (see handshake_attempt). The outcome carries
-    ``address`` and ``cfg.fallback``, so a stored session says how it ran.
+    address's host (see handshake_attempt). A ``label`` tells repeated
+    connects to one address apart: each gets its own hello randoms. The
+    outcome carries ``address`` and ``cfg.fallback``, so a stored session
+    says how it ran.
     """
     ladder = LADDERS[cfg.mode]
+    suffix = "/" + label if label else ""
 
     def attempt(depth: int, profile: ProfileKind) -> AttemptResult:
         signal = depth > 0 and cfg.fallback is FallbackStyle.SIGNALED
@@ -144,7 +149,7 @@ def connect(
             cfg.timeout_s,
             sni=sni,
             seed=seed,
-            label="%s/%s/%d" % (cfg.mode.value, profile.value, depth),
+            label="%s/%s/%d%s" % (cfg.mode.value, profile.value, depth, suffix),
         )
 
     status = SessionStatus.FAILED
@@ -217,7 +222,8 @@ def latency_bench(
     Wall time wraps the full attempt ladder, connection setup included.
     Addresses that fail any mode are excluded from the aggregates and
     reported separately. With ``sni``, each address sends its own host
-    name, as in ``scan``.
+    name, as in ``scan``. Each repetition after the first is a labelled
+    connect, so no hello is sent twice.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
@@ -225,10 +231,12 @@ def latency_bench(
     excluded: list[str] = []
     for address in addresses:
         samples = []  # (mode, wall, attempts) of this address
-        for mode in BENCH_MODES * repetitions:
+        for repetition, mode in itertools.product(range(repetitions), BENCH_MODES):
             cfg = PolicyConfig(mode=mode, timeout_s=timeout_s)
+            label = "%d" % repetition if repetition else ""
             start = time.perf_counter()
-            outcome = connect(address, cfg, connector=connector, sni=sni, seed=seed)
+            outcome = connect(address, cfg, connector=connector, sni=sni, seed=seed,
+                              label=label)
             wall = time.perf_counter() - start
             if not outcome.connected:
                 excluded.append(address)

@@ -25,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional, Protocol
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence
 
 from . import wire
 from .handshake import ConnectFailed, TcpConnector
@@ -254,6 +254,9 @@ def server_random(seed: int, index: int, counter: int) -> bytes:
     return hashlib.sha256(b"server|%d|%d|%d" % (seed, index, counter)).digest()
 
 
+# (legacy_version, cipher_suites) of a ClientHello, as wire.read_offer gives it.
+Offer = tuple[int, tuple[int, ...]]
+
 _DECODE_ERROR_ALERT, _FALLBACK_ALERT, _HANDSHAKE_FAILURE_ALERT = (
     wire.encode_alert(wire.AlertMsg(wire.AlertLevel.FATAL, description))
     for description in (wire.DECODE_ERROR, wire.INAPPROPRIATE_FALLBACK, wire.HANDSHAKE_FAILURE)
@@ -265,12 +268,19 @@ def answer_offer(
     honors_signal: bool,
     raw: bytes,
     next_random: Callable[[], bytes],
+    offer: Optional[Offer] = None,
 ) -> bytes:
-    """Honest server behavior for one ClientHello, as wire bytes."""
-    try:
-        version, suites = wire.read_offer(raw)
-    except wire.WireError:
-        return _DECODE_ERROR_ALERT
+    """Honest server behavior for one ClientHello, as wire bytes.
+
+    ``offer`` is ``wire.read_offer(raw)`` when the caller has parsed the
+    hello already; otherwise it is parsed here.
+    """
+    if offer is None:
+        try:
+            offer = wire.read_offer(raw)
+        except wire.WireError:
+            return _DECODE_ERROR_ALERT
+    version, suites = offer
     if (honors_signal and FALLBACK_SIGNAL in suites
             and not policy.supported.isdisjoint(FS_CODEPOINTS)):
         # The client says this offer is a fallback; a server that could
@@ -308,11 +318,11 @@ class SimServer:
     def next_random(self) -> bytes:
         return server_random(self.seed, self.index, next(self._hellos))
 
-    def respond(self, raw: bytes) -> Optional[bytes]:
-        """Reply bytes, or None to stall the connection."""
+    def respond(self, raw: bytes, offer: Optional[Offer] = None) -> Optional[bytes]:
+        """Reply bytes, or None to stall the connection; ``offer`` as in answer_offer."""
         if self.archetype is Archetype.UNRESPONSIVE:
             return None
-        return answer_offer(self.policy, self.honors_fallback_signal, raw, self.next_random)
+        return answer_offer(self.policy, self.honors_fallback_signal, raw, self.next_random, offer)
 
 
 FS_SUITES = list(FS_ONLY.suites)
@@ -518,14 +528,22 @@ class Endpoint(Protocol):
     def respond(self, raw: bytes) -> Optional[bytes]: ...
 
 
-def offer_is_all_fs(ch: wire.ClientHelloMsg) -> bool:
-    real = [s for s in ch.cipher_suites if s != FALLBACK_SIGNAL]
+def offer_is_all_fs(suites: Sequence[int]) -> bool:
+    real = [s for s in suites if s != FALLBACK_SIGNAL]
     return bool(real) and all(is_fs(s) for s in real)
 
 
-def _targeted(ch: wire.ClientHelloMsg, targets: Optional[frozenset[str]]) -> bool:
-    """Whether the hello's fingerprint (wire.fingerprint) is a target; None targets all."""
-    return targets is None or wire.fingerprint(ch) in targets
+def _read_hello(raw: bytes, targets: Optional[frozenset[str]]) -> Optional[tuple[Offer, bool]]:
+    """``(offer, targeted)`` of one ClientHello from one parse, or None if it
+    does not parse: its ``wire.read_offer`` pair, and whether its fingerprint
+    (wire.fingerprint) is a target. None targets all, so no fingerprint is taken."""
+    try:
+        if targets is None:
+            return wire.read_offer(raw), True
+        ch = wire.decode_client_hello(raw)
+    except wire.WireError:
+        return None
+    return (ch.legacy_version, ch.cipher_suites), wire.fingerprint(ch) in targets
 
 
 @dataclass(frozen=True)
@@ -554,7 +572,7 @@ class PassiveTap:
 
 
 class ActiveDropper:
-    """Drops targeted offers of only FS suites (see _targeted); forwards the rest untouched."""
+    """Drops targeted offers of only FS suites (see _read_hello); forwards the rest untouched."""
 
     def __init__(self, inner: SimServer, targets: Optional[frozenset[str]] = None):
         self.inner = inner
@@ -562,14 +580,14 @@ class ActiveDropper:
         self.dropped = 0
 
     def respond(self, raw: bytes) -> Optional[bytes]:
-        try:
-            ch = wire.decode_client_hello(raw)
-        except wire.WireError:
-            ch = None
-        if ch is not None and offer_is_all_fs(ch) and _targeted(ch, self.targets):
+        hello = _read_hello(raw, self.targets)
+        if hello is None:
+            return self.inner.respond(raw)  # its stall or its decode_error alert
+        offer, targeted = hello
+        if targeted and offer_is_all_fs(offer[1]):
             self.dropped += 1
             return None
-        return self.inner.respond(raw)
+        return self.inner.respond(raw, offer)
 
 
 def _non_fs_first(policy: ServerPolicy) -> ServerPolicy:
@@ -581,7 +599,7 @@ def _non_fs_first(policy: ServerPolicy) -> ServerPolicy:
 class DiscriminatoryServer:
     """Semi-trusted server that steers targeted clients toward non-FS.
 
-    A client is targeted by its hello's fingerprint (see _targeted); the
+    A client is targeted by its hello's fingerprint (see _read_hello); the
     rest get the honest server. Weak form answers a targeted offer
     honestly out of a non-FS-first preference; strong form additionally
     refuses targeted offers of only FS suites. Either form ignores the
@@ -596,17 +614,15 @@ class DiscriminatoryServer:
         self._steered = _non_fs_first(inner.policy)
 
     def respond(self, raw: bytes) -> Optional[bytes]:
-        try:
-            ch = wire.decode_client_hello(raw)
-        except wire.WireError:
-            ch = None
-        if ch is None or self.inner.archetype is Archetype.UNRESPONSIVE or not _targeted(ch, self.targets):
-            return self.inner.respond(raw)  # its stall, its decode_error alert or its answer
-        if self.strong and offer_is_all_fs(ch):
+        hello = _read_hello(raw, self.targets)
+        if hello is None or self.inner.archetype is Archetype.UNRESPONSIVE:
+            return self.inner.respond(raw)  # its decode_error alert or its stall
+        offer, targeted = hello
+        if not targeted:
+            return self.inner.respond(raw, offer)  # its answer
+        if self.strong and offer_is_all_fs(offer[1]):
             return _HANDSHAKE_FAILURE_ALERT
-        return answer_offer(
-            self._steered, honors_signal=False, raw=raw, next_random=self.inner.next_random
-        )
+        return answer_offer(self._steered, False, raw, self.inner.next_random, offer)
 
 
 Adversary = Callable[[SimServer], Endpoint]

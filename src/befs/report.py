@@ -91,9 +91,15 @@ def _nonfinite(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
+def _bad(text: str, value) -> NoReturn:
+    """Refuse a decoded value: ``text`` says where and what was expected."""
+    raise SchemaMismatch("%s, got %.40r" % (text, value))
+
+
 # The globals of the generated functions: the helpers they call, the
-# name -> JSON text table of each enum, and the functions themselves.
-_NS: dict = {"_str": _json_str, "_nonfinite": _nonfinite}
+# tables of each enum, and the functions themselves.
+_NS: dict = {"__name__": __name__, "_str": _json_str, "_nonfinite": _nonfinite, "_bad": _bad,
+             "SchemaMismatch": SchemaMismatch}
 
 
 def _global(value) -> str:
@@ -102,13 +108,17 @@ def _global(value) -> str:
     return name
 
 
-def _define(name: str, params: Sequence[str], body: list[str], template: str, args: str) -> str:
-    """Generate ``def name(params): body; return template % (args,)``; its global name."""
-    source = "def %s(%s):\n%s    return %r %% (%s,)\n" % (
-        name, ", ".join(params), "".join("    %s\n" % s for s in body), template, args)
+def _define(name: str, params: Sequence[str], body: list[str]) -> str:
+    """Generate ``def name(params): body``; its global name."""
+    source = "def %s(%s):\n%s" % (name, ", ".join(params), "".join("    %s\n" % s for s in body))
     scope: dict = {}
     exec(source, _NS, scope)
     return _global(scope[name])
+
+
+def _fill(template: str, args: str) -> str:
+    """The statement returning ``template`` filled with ``args``."""
+    return "return %r %% (%s,)" % (template, args)
 
 
 def _template(tp, var: str, body: list[str]) -> tuple[str, str]:
@@ -173,7 +183,8 @@ def _names(enum: type[Enum]) -> str:
 def _function(tp) -> str:
     """The global name of a generated function giving a ``tp`` value's JSON text."""
     body: list[str] = []
-    return _define(tp.__name__ + "_json", ["o"], body, *_template(tp, "o", body))
+    template, args = _template(tp, "o", body)
+    return _define(tp.__name__ + "_json", ["o"], body + [_fill(template, args)])
 
 
 def _line_function(kind: str, tp) -> Callable[[object, str], str]:
@@ -183,75 +194,117 @@ def _line_function(kind: str, tp) -> Callable[[object, str], str]:
                "campaign": _template(str, "campaign", body)}
     members.update(_fields(tp, "rec", body))
     template, args = _object(members)
-    return _NS[_define(kind + "_line", ["rec", "campaign"], body, template + "\n", args)]
+    return _NS[_define(kind + "_line", ["rec", "campaign"], body + [_fill(template + "\n", args)])]
 
 
-_SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+# Decoding is generated the same way: one function per dataclass, AlertMsg
+# and tuple annotation, reading each field once, in field order, and testing
+# its exact type inline. The first wrong value raises SchemaMismatch,
+# "<field>: missing" or "<field>: expected <type>, got <value>", each nested
+# field adding its name in front; a record's own refusal (__post_init__'s
+# ValueError) reads as its text.
 
-
-def _wrong(expected: str, value) -> NoReturn:
-    raise SchemaMismatch("expected %s, got %.40r" % (expected, value))
-
-
-def _check(types: tuple, expected: str) -> Callable:
-    return lambda v: v if type(v) in types else _wrong(expected, v)
+# The test that a value in local {0} is not of a scalar type; an int passes for a float.
+_NOT_SCALAR = {
+    int: "type({0}) is not int",
+    float: "type({0}) is not float and type({0}) is not int",
+    str: "type({0}) is not str",
+    bool: "type({0}) is not bool",
+}
 
 
 @functools.cache
-def _decoder(tp) -> Callable:
-    """The decoder of one annotation, built once per type."""
-    if get_origin(tp) is Union:  # Optional[X]
-        inner = get_args(tp)[0]
-        if inner in _SCALARS:
-            return _check(_SCALARS[inner] + (type(None),), inner.__name__ + " or null")
-        dec = _decoder(inner)
-        return lambda v: None if v is None else dec(v)
-    if get_origin(tp) is tuple:  # tuple[X, ...]
-        dec, is_list = _decoder(get_args(tp)[0]), _check((list,), "list")
-        return lambda v: tuple(dec(x) for x in is_list(v))
-    if tp is wire.AlertMsg:
-        is_pair, is_int = _check((list,), "[level, description]"), _check((int,), "int")
+def _members(enum: type[Enum]) -> str:
+    """The global name of the member name -> member table of ``enum``."""
+    return _global(dict(enum.__members__))
 
-        def decode_alert(v) -> wire.AlertMsg:
-            level, description = is_pair(v)
-            return wire.AlertMsg(wire.AlertLevel(is_int(level)), is_int(description))
 
-        return decode_alert
+def _checks(tp, var: str, where: str) -> list[str]:
+    """Statements that check local ``var`` against annotation ``tp`` and
+    rebind it to the value it stands for; an error's text starts with ``where``."""
+    inner = get_args(tp)[0] if get_origin(tp) is Union else None  # Optional[inner]
+    if inner in _NOT_SCALAR:
+        test = _NOT_SCALAR[inner].format(var)
+        return ["if %s is not None and %s: _bad(%r, %s)"
+                % (var, test, "%sexpected %s or null" % (where, inner.__name__), var)]
+    if inner is not None:
+        return ["if %s is not None:" % var] + ["    " + s for s in _checks(inner, var, where)]
+    if tp in _NOT_SCALAR:
+        test = _NOT_SCALAR[tp].format(var)
+        return ["if %s: _bad(%r, %s)" % (test, "%sexpected %s" % (where, tp.__name__), var)]
     if isinstance(tp, type) and issubclass(tp, Enum):
-        names = tp.__members__
-        return lambda v: names[v] if type(v) is str and v in names else _wrong(tp.__name__, v)
-    if tp in _SCALARS:
-        return _check(_SCALARS[tp], tp.__name__)
-    hints = get_type_hints(tp)
-    decoders = [(f.name, _decoder(hints[f.name])) for f in dataclasses.fields(tp)]
+        table = _members(tp)
+        return ["if type({0}) is not str or {0} not in {1}: _bad({2!r}, {0})".format(
+                    var, table, "%sexpected %s" % (where, tp.__name__)),
+                "%s = %s[%s]" % (var, table, var)]
+    call = "%s = %s(%s)" % (var, _decoder(tp), var)
+    if not where:
+        return [call]
+    return ["try:", "    " + call,
+            "except (ValueError, SchemaMismatch) as e:",
+            "    raise SchemaMismatch(%r + str(e)) from None" % where]
 
-    def decode(data):
-        if not isinstance(data, dict):
-            _wrong("object", data)
-        kwargs = {}
-        for name, dec in decoders:
-            try:
-                kwargs[name] = dec(data[name])
-            except KeyError:
-                raise SchemaMismatch("%s: missing" % name) from None
-            except (ValueError, SchemaMismatch) as exc:
-                raise SchemaMismatch("%s: %s" % (name, exc)) from None
-        try:
-            return tp(**kwargs)
-        except ValueError as exc:
-            raise SchemaMismatch(str(exc)) from None
 
-    return decode
+def _object_decoder(tp, name: str, where: str = "", head: Sequence[str] = ()) -> str:
+    """The global name of a generated ``(json value) -> tp`` for a dataclass ``tp``.
+
+    ``head`` holds statements run on the object before its fields.
+    """
+    hints, body, names = get_type_hints(tp), [], []
+    body.append("if not isinstance(d, dict): _bad(%r, d)" % (where + "expected object"))
+    body.extend(head)
+    for f in dataclasses.fields(tp):
+        var = "v%d" % len(names)
+        names.append(var)
+        body += ["try:", "    %s = d[%r]" % (var, f.name),
+                 "except KeyError:",
+                 "    raise SchemaMismatch(%r) from None" % (where + f.name + ": missing")]
+        body += _checks(hints[f.name], var, "%s%s: " % (where, f.name))
+    body += ["try:", "    return %s(%s)" % (_global(tp), ", ".join(names)),
+             "except ValueError as e:",
+             "    raise SchemaMismatch(%r + str(e)) from None" % where]
+    return _define(name, ["d"], body)
+
+
+@functools.cache
+def _decoder(tp) -> str:
+    """The global name of a generated ``(json value) -> value`` for a tuple,
+    an AlertMsg or a dataclass annotation ``tp``."""
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        item = get_args(tp)[0]
+        body = ["if type(v) is not list: _bad('expected list', v)", "items = []", "for x in v:"]
+        body += ["    " + s for s in _checks(item, "x", "") + ["items.append(x)"]]
+        return _define(item.__name__ + "_tuple_from_json", ["v"], body + ["return tuple(items)"])
+    if tp is wire.AlertMsg:
+        return _define("AlertMsg_from_json", ["v"], [
+            "if type(v) is not list: _bad('expected [level, description]', v)",
+            "level, description = v",
+            *_checks(int, "level", ""),
+            "level = %s(level)" % _global(wire.AlertLevel),
+            *_checks(int, "description", ""),
+            "return %s(level, description)" % _global(wire.AlertMsg),
+        ])
+    return _object_decoder(tp, tp.__name__ + "_from_json")
+
+
+def _record_decoder(kind: str, tp) -> Callable[[object], object]:
+    """``(store object) -> record`` for the records of one kind: the object
+    must carry ``"v": SCHEMA_VERSION`` (an int, not true or 1.0) and ``kind``."""
+    where = "bad %s record: " % kind
+    head = ["version, kind = d.get('v'), d.get('kind')",
+            "if type(version) is not int or version != %d or kind != %r: _bad(%r, (version, kind))"
+            % (SCHEMA_VERSION, kind, "%sexpected v %d, kind %r" % (where, SCHEMA_VERSION, kind))]
+    return _NS[_object_decoder(tp, kind + "_record_from_dict", where, head)]
 
 
 _KINDS = {"scan": ScanRecord, "inspection": InspectionRecord, "session": SessionOutcome}
 _LINES = {tp: _line_function(kind, tp) for kind, tp in _KINDS.items()}
-_DECODERS = {kind: _decoder(tp) for kind, tp in _KINDS.items()}
 
-
-def _is_schema_version(v) -> bool:
-    # Exact type, as for every field: JSON's true and 1.0 are not version 1.
-    return type(v) is int and v == SCHEMA_VERSION
+scan_record_from_dict: Callable[[dict], ScanRecord] = _record_decoder("scan", ScanRecord)
+inspection_record_from_dict: Callable[[dict], InspectionRecord] = _record_decoder(
+    "inspection", InspectionRecord)
+session_record_from_dict: Callable[[dict], SessionOutcome] = _record_decoder(
+    "session", SessionOutcome)
 
 
 def record_line(record, campaign: str = "") -> str:
@@ -265,35 +318,18 @@ def record_line(record, campaign: str = "") -> str:
     return line(record, campaign)
 
 
-def _from_dict(kind: str, data):
-    try:
-        if not isinstance(data, dict):
-            _wrong("object", data)
-        if not _is_schema_version(data.get("v")) or data.get("kind") != kind:
-            _wrong("v %d, kind %r" % (SCHEMA_VERSION, kind), (data.get("v"), data.get("kind")))
-        return _DECODERS[kind](data)
-    except SchemaMismatch as exc:
-        raise SchemaMismatch("bad %s record: %s" % (kind, exc)) from None
-
-
-def scan_record_from_dict(data: dict) -> ScanRecord:
-    return _from_dict("scan", data)
-
-
-def inspection_record_from_dict(data: dict) -> InspectionRecord:
-    return _from_dict("inspection", data)
-
-
-def session_record_from_dict(data: dict) -> SessionOutcome:
-    return _from_dict("session", data)
-
-
-def scans_and_inspections(records: Sequence[dict]) -> tuple[list[ScanRecord], list[InspectionRecord]]:
-    """Decode the scan and inspection records among loaded store lines; skip other kinds."""
-    return (
-        [scan_record_from_dict(r) for r in records if r.get("kind") == "scan"],
-        [inspection_record_from_dict(r) for r in records if r.get("kind") == "inspection"],
-    )
+def scans_and_inspections(records: Iterable[dict]) -> tuple[list[ScanRecord], list[InspectionRecord]]:
+    """Decode the scan and inspection records among loaded store lines, in
+    one pass; skip other kinds."""
+    scans: list[ScanRecord] = []
+    inspections: list[InspectionRecord] = []
+    for r in records:
+        kind = r.get("kind")
+        if kind == "scan":
+            scans.append(scan_record_from_dict(r))
+        elif kind == "inspection":
+            inspections.append(inspection_record_from_dict(r))
+    return scans, inspections
 
 
 # -- store ---------------------------------------------------------------------

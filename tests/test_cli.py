@@ -406,6 +406,38 @@ def test_report_over_inspect_store(tmp_path, capsys):
     assert json.loads(out)["dataset_size"] == 0
 
 
+def test_report_repeats_the_pinned_digest(tmp_path, capsys):
+    # Three campaigns of TIMEOUT scans with an error_detail, h3 steps,
+    # alerts of refused FS offers and device labels, each reported with
+    # device metadata, then the whole store: every row and note is pinned.
+    store_path = tmp_path / "records.jsonl"
+    campaigns = [
+        ("c0", SIX_ARCHETYPES, 48, 5),
+        ("c1", {"NONFS_ONLY": 0.5, "FS_NONAE_ONLY": 0.3, "UNRESPONSIVE": 0.2}, 30, 7),
+        ("c2", {"FS_SUPPORTING_NONFS_PREFERRING": 0.4, "FS_NONAE_ONLY": 0.3,
+                "NONFS_ONLY": 0.3}, 30, 9),
+    ]
+    metas = []
+    for campaign, mix, size, seed in campaigns:
+        spec = write_spec(tmp_path, mix, size=size, seed=seed, name=campaign + ".json",
+                          network_device_fraction=0.25)
+        code, _, _ = run_cli(["inspect", "--fleet-spec", spec, "--timeout", "0.01",
+                              "--concurrency", "4", "--store", str(store_path),
+                              "--campaign", campaign], capsys)
+        assert code == 0
+        meta = tmp_path / (campaign + ".tsv")
+        fleet = generate_fleet(load_fleet_spec(spec))
+        meta.write_text("".join("%s\t%s\n" % (s.server_id, s.truth.device_type)
+                                for s in fleet[::2]), encoding="utf-8")
+        metas.append(["--campaign", campaign, "--device-meta", str(meta)])
+    digest = hashlib.sha256()
+    for options in metas + [[]]:
+        code, out, err = run_cli(["report", "--store", str(store_path)] + options, capsys)
+        assert code == 0
+        digest.update((out + err).encode("utf-8"))
+    assert digest.hexdigest() == "c5dda916c8f664c02fa46cb1c8b549972a216892ce9b99f4a06999be60237658"
+
+
 def test_report_skips_an_inspection_whose_scan_line_was_cut(tmp_path, capsys):
     spec = write_spec(tmp_path, {"NONFS_ONLY": 1.0}, size=4, seed=2)
     store_path = tmp_path / "records.jsonl"

@@ -519,6 +519,34 @@ def test_connect_sends_the_host_as_sni_only_when_asked(style):
         assert recorder.seen == sni_bodies(addresses, names)
 
 
+class HelloRecorder:
+    """Forwards each exchange to a connector and records the ClientHello bytes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.hellos = []
+
+    def exchange(self, address, raw, timeout_s):
+        self.hellos.append(bytes(raw))
+        return self.inner.exchange(address, raw, timeout_s)
+
+
+def test_bench_repetitions_send_no_hello_twice():
+    fleet = generate_fleet(FleetSpec(size=2, seed=1, mix={Archetype.FS_PREFERRING: 1.0}))
+    with serve(fleet, Transport.IN_MEMORY) as h:
+        runs = {}
+        for repetitions in (1, 3):
+            runs[repetitions] = HelloRecorder(h.connector())
+            report = latency_bench(h.addresses, repetitions=repetitions,
+                                   connector=runs[repetitions], timeout_s=0.5)
+            assert report.responders == 2
+    once, thrice = runs[1].hellos, runs[3].hellos
+    assert len(thrice) == 3 * len(once) == 21
+    assert len(set(thrice)) == 21
+    # The first repetition sends the very hellos of a single-repetition bench.
+    assert set(once) < set(thrice)
+
+
 def test_bench_refuses_zero_repetitions():
     recorder = SniRecorder(server_hello(0xC02F))
     with pytest.raises(ValueError):

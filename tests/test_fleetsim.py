@@ -460,10 +460,9 @@ def test_targeted_dropper_forwards_other_clients_fs_offers():
 
 
 def test_offer_is_all_fs_ignores_signal_marker():
-    ch = wire.decode_client_hello(make_ch_bytes(FS_ONLY.suites + (FALLBACK_SIGNAL,)))
-    assert offer_is_all_fs(ch)
-    ch = wire.decode_client_hello(make_ch_bytes(DEFAULT.suites + (FALLBACK_SIGNAL,)))
-    assert not offer_is_all_fs(ch)
+    assert offer_is_all_fs(FS_ONLY.suites + (FALLBACK_SIGNAL,))
+    assert not offer_is_all_fs(DEFAULT.suites + (FALLBACK_SIGNAL,))
+    assert not offer_is_all_fs((FALLBACK_SIGNAL,))
 
 
 def fingerprint_of(suites):
@@ -537,6 +536,26 @@ def test_discriminators_leave_an_unresponsive_server_stalled():
         for suites in (DEFAULT.suites, FS_ONLY.suites):
             assert wrapped.respond(make_ch_bytes(suites)) is None
         assert wrapped.respond(b"\x16\x03\x03\x00\x02\x01\x00") is None
+
+
+@pytest.mark.parametrize("targets", [None, frozenset({"771,47,,,"})], ids=["all", "targeted"])
+@pytest.mark.parametrize("wrap", [
+    ActiveDropper,
+    DiscriminatoryServer,
+    lambda inner, targets: DiscriminatoryServer(inner, strong=True, targets=targets),
+], ids=["dropper", "weak", "strong"])
+def test_adversaries_parse_each_hello_once(monkeypatch, wrap, targets):
+    parses = []
+    for name in ("read_offer", "decode_client_hello"):
+        parse = getattr(wire, name)
+        monkeypatch.setattr(wire, name, lambda raw, parse=parse: parses.append(raw) or parse(raw))
+    inner = make_server((0xC02F, 0x002F))
+    adversary = wrap(inner, targets=targets)
+    hellos = [make_ch_bytes(suites) for suites in (
+        DEFAULT.suites, FS_ONLY.suites, (0x002F,), DEFAULT.suites + (FALLBACK_SIGNAL,))]
+    for raw in hellos:
+        adversary.respond(raw)
+    assert parses == hellos
 
 
 def test_discriminators_ignore_fallback_signal():

@@ -1,10 +1,12 @@
 """Record log round-trips and the nested aggregation table."""
 
 import dataclasses
+import functools
 import json
 import math
 import random
 from enum import Enum
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,13 +325,6 @@ def test_decoding_checks_exact_types():
         scan_record_from_dict({**data, "selected_suite": None})  # __post_init__ refuses it
 
 
-VALID = {
-    "scan": (scan_record_from_dict, json.loads(GOLDEN_LINES[0][3])),
-    "inspection": (inspection_record_from_dict, json.loads(GOLDEN_LINES[2][3])),
-    "session": (session_record_from_dict, json.loads(GOLDEN_LINES[3][3])),
-}
-
-
 def _paths(value, prefix=()):
     """Every key or index path inside a JSON value."""
     if isinstance(value, dict):
@@ -351,20 +346,152 @@ json_values = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["scan", "inspection", "session"]), st.data(), json_values)
-def test_decoding_any_one_replaced_field_is_total(kind, data, value):
-    decode, valid = VALID[kind]
-    mutated = json.loads(json.dumps(valid))
-    path = data.draw(st.sampled_from(sorted(_paths(mutated), key=repr)))
-    parent = mutated
+# -- the decoder against the former one ----------------------------------------
+
+
+_FORMER_SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
+def _former_wrong(expected, value):
+    raise SchemaMismatch("expected %s, got %.40r" % (expected, value))
+
+
+def _former_check(types, expected):
+    return lambda v: v if type(v) in types else _former_wrong(expected, v)
+
+
+@functools.cache
+def _former_decoder(tp):
+    """The former decoder of one annotation: a tree of closures, one per field."""
+    if get_origin(tp) is Union:  # Optional[X]
+        inner = get_args(tp)[0]
+        if inner in _FORMER_SCALARS:
+            return _former_check(_FORMER_SCALARS[inner] + (type(None),), inner.__name__ + " or null")
+        dec = _former_decoder(inner)
+        return lambda v: None if v is None else dec(v)
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        dec, is_list = _former_decoder(get_args(tp)[0]), _former_check((list,), "list")
+        return lambda v: tuple(dec(x) for x in is_list(v))
+    if tp is wire.AlertMsg:
+        is_pair = _former_check((list,), "[level, description]")
+        is_int = _former_check((int,), "int")
+
+        def decode_alert(v):
+            level, description = is_pair(v)
+            return wire.AlertMsg(wire.AlertLevel(is_int(level)), is_int(description))
+
+        return decode_alert
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        names = tp.__members__
+        return lambda v: names[v] if type(v) is str and v in names else _former_wrong(tp.__name__, v)
+    if tp in _FORMER_SCALARS:
+        return _former_check(_FORMER_SCALARS[tp], tp.__name__)
+    hints = get_type_hints(tp)
+    decoders = [(f.name, _former_decoder(hints[f.name])) for f in dataclasses.fields(tp)]
+
+    def decode(data):
+        if not isinstance(data, dict):
+            _former_wrong("object", data)
+        kwargs = {}
+        for name, dec in decoders:
+            try:
+                kwargs[name] = dec(data[name])
+            except KeyError:
+                raise SchemaMismatch("%s: missing" % name) from None
+            except (ValueError, SchemaMismatch) as exc:
+                raise SchemaMismatch("%s: %s" % (name, exc)) from None
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise SchemaMismatch(str(exc)) from None
+
+    return decode
+
+
+def _former_from_dict(kind, data):
+    try:
+        if not isinstance(data, dict):
+            _former_wrong("object", data)
+        v = data.get("v")
+        if not (type(v) is int and v == 1) or data.get("kind") != kind:
+            _former_wrong("v 1, kind %r" % kind, (data.get("v"), data.get("kind")))
+        return _former_decoder(_KINDS[kind])(data)
+    except SchemaMismatch as exc:
+        raise SchemaMismatch("bad %s record: %s" % (kind, exc)) from None
+
+
+_DECODE = {kind: _FROM_DICT[tp] for kind, tp in _KINDS.items()}
+
+
+def _decoded(decode, data):
+    """The repr of the record ``decode`` makes of ``data``, or its SchemaMismatch text."""
+    try:
+        return repr(decode(data))
+    except SchemaMismatch as exc:
+        return "SchemaMismatch: %s" % exc
+
+
+def assert_decoded_as_formerly(data):
+    """Every kind's decoder gives the former decoder's record or error text."""
+    for kind, decode in _DECODE.items():
+        want = _decoded(functools.partial(_former_from_dict, kind), data)
+        assert _decoded(decode, data) == want
+
+
+_GOLDEN_OBJECTS = [json.loads(line) for _, _, _, line in GOLDEN_LINES]
+_DELETED = object()
+
+
+def _changed(golden, path, value):
+    """A copy of ``golden`` with ``value`` at ``path``, or that key or item deleted."""
+    changed = json.loads(json.dumps(golden))
+    parent = changed
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
-    try:
-        decode(mutated)
-    except SchemaMismatch:
-        pass
+    if value is _DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return changed
+
+
+# Values at the edges of the checks: alert levels and bytes, bools for
+# ints, ints for floats, member names, and pairs of the wrong length.
+_EDGE_VALUES = [
+    _DELETED, None, -1, 0, 1, 2, 3, 255, 256, True, False, 1.0, 0.5, "", "SELECTED", "FATAL",
+    "DEFAULT", "RESPONDED", [], [2], [2, 40, 0], [1.0, 40], [2, True], {},
+]
+
+
+@pytest.mark.parametrize("golden", _GOLDEN_OBJECTS, ids=[g[0] for g in GOLDEN_LINES])
+def test_decoder_matches_the_former_decoder_on_each_path_and_edge_value(golden):
+    for path in _paths(golden):
+        for value in _EDGE_VALUES:
+            assert_decoded_as_formerly(_changed(golden, path, value))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(_GOLDEN_OBJECTS), st.data(), json_values, st.booleans())
+def test_decoding_any_one_replaced_field_is_total(golden, data, value, delete):
+    """A field replaced or deleted gives the former decoder's record or
+    SchemaMismatch text, and no other exception."""
+    path = data.draw(st.sampled_from(sorted(_paths(golden), key=repr)))
+    assert_decoded_as_formerly(_changed(golden, path, _DELETED if delete else value))
+
+
+@pytest.mark.parametrize("change", [
+    {"v": True}, {"v": 1.0}, {"v": "1"}, {"v": 2}, {"v": None}, {"kind": "Scan"},
+    {"kind": None}, {"kind": ["scan"]},
+], ids=repr)
+@pytest.mark.parametrize("golden", _GOLDEN_OBJECTS, ids=[g[0] for g in GOLDEN_LINES])
+def test_decoder_matches_the_former_decoder_on_v_and_kind(golden, change):
+    assert_decoded_as_formerly({**golden, **change})
+
+
+@pytest.mark.parametrize("data", [None, 1, 1.5, "scan", [], [GOLDEN_LINES[0][3]], True],
+                         ids=repr)
+def test_decoder_matches_the_former_decoder_on_a_value_that_is_not_an_object(data):
+    assert_decoded_as_formerly(data)
 
 
 # -- store ---------------------------------------------------------------------
