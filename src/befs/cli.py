@@ -15,6 +15,7 @@ import signal
 import sys
 import threading
 from contextlib import contextmanager, nullcontext
+from typing import Optional
 
 from .client import (
     ALWAYS_PROCEED,
@@ -43,7 +44,6 @@ from .metadata import (
     device_type,
     load_addresses,
     parse_address,
-    split_address,
 )
 from .report import (
     RecordStore,
@@ -127,28 +127,16 @@ def _add_store_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--campaign", default="", help="campaign tag stamped on records")
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="befs",
-        description="Measure whether servers select forward-secure ciphersuites, "
-        "and connect with enforcement-first client policies.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _measure_options(p: argparse.ArgumentParser) -> None:
+    _add_source_options(p)
+    _add_handshake_options(p)
+    _add_store_options(p)
 
-    for name, text in (
-        ("scan", "one default-offer handshake per address"),
-        ("inspect", "scan each address and, if it selected a non-FS suite, run the three-step "
-         "inspection on it at once; records are stored as each address finishes"),
-    ):
-        p_measure = sub.add_parser(name, help=text)
-        _add_source_options(p_measure)
-        _add_handshake_options(p_measure)
-        _add_store_options(p_measure)
 
-    p_connect = sub.add_parser("connect", help="single policy-driven connection over TCP")
-    p_connect.add_argument("address", help="host[:port], port defaults to 443")
-    p_connect.add_argument("--mode", choices=("default", "befs", "besafe"), default="befs")
-    p_connect.add_argument(
+def _connect_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("address", help="host[:port], port defaults to 443")
+    p.add_argument("--mode", choices=("default", "befs", "besafe"), default="befs")
+    p.add_argument(
         "--fallback", choices=("silent", "interactive", "signaled", "parallel"),
         default="silent",
         help="how a failed rung widens the offer: silently, after a terminal prompt, or "
@@ -156,27 +144,51 @@ def _parser() -> argparse.ArgumentParser:
         "refuses every signaled rung, one whose maximum is TLS 1.2 never does. "
         "parallel races every rung at once and keeps the strongest",
     )
-    _add_handshake_options(p_connect, concurrency=False)
-    _add_store_options(p_connect)
+    _add_handshake_options(p, concurrency=False)
+    _add_store_options(p)
 
-    p_bench = sub.add_parser("bench", help="per-mode handshake latency table")
-    _add_source_options(p_bench)
-    p_bench.add_argument("--repetitions", type=_at_least_one, default=1)
-    _add_handshake_options(p_bench, concurrency=False)
 
-    p_fleet = sub.add_parser("fleet", help="validate, describe, or serve a fleet spec")
-    p_fleet.add_argument("--spec", required=True, help="fleet spec JSON file")
-    p_fleet.add_argument("--serve", action="store_true",
-                         help="bind loopback listeners and block until interrupted")
-    p_fleet.add_argument("--addresses-out", help="write served addresses here, one per line")
-    p_fleet.add_argument("--truth-out", help="write ground-truth records here, one JSON per line")
-    p_fleet.add_argument("--campaign", default="", help="campaign tag for truth records")
+def _bench_options(p: argparse.ArgumentParser) -> None:
+    _add_source_options(p)
+    p.add_argument("--repetitions", type=_at_least_one, default=1)
+    _add_handshake_options(p, concurrency=False)
 
-    p_report = sub.add_parser("report", help="aggregate stored records into the nested table")
-    p_report.add_argument("--store", required=True, help="record log to read")
-    p_report.add_argument("--campaign", default=None, help="only records with this tag")
-    p_report.add_argument("--device-meta", help="ip<TAB>label file for device typing")
 
+def _fleet_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--spec", required=True, help="fleet spec JSON file")
+    p.add_argument("--serve", action="store_true",
+                   help="bind loopback listeners and block until interrupted")
+    p.add_argument("--addresses-out", help="write served addresses here, one per line")
+    p.add_argument("--truth-out", help="write ground-truth records here, one JSON per line")
+    p.add_argument("--campaign", default="", help="campaign tag for truth records")
+
+
+def _report_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--store", required=True, help="record log to read")
+    p.add_argument("--campaign", default=None, help="only records with this tag")
+    p.add_argument("--device-meta", help="ip<TAB>label file for device typing")
+
+
+def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The befs parser, with the subparser of ``command`` only, or of every command.
+
+    A parser for one command lists every command in its usage, as the full
+    parser does, so its usage and error texts are the full parser's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="befs",
+        description="Measure whether servers select forward-secure ciphersuites, "
+        "and connect with enforcement-first client policies.",
+    )
+    # The metavar keeps every command in the usage line; the full parser
+    # leaves it unset, so a missing command is still reported by its dest.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS),
+    )
+    for name, (text, add_options, _) in _COMMANDS.items():
+        if command is None or name == command:
+            add_options(sub.add_parser(name, help=text))
     return parser
 
 
@@ -363,13 +375,15 @@ def cmd_report(args) -> int:
     if args.campaign is not None and not loaded.records:
         _note("report: no records of campaign %r" % args.campaign)
     scans, inspections = scans_and_inspections(loaded.records)
-    labels = None
-    if args.device_meta:
-        hosts = {split_address(r.address)[0] for r in scans if r.selected_suite is not None}
+
+    def device_labels(hosts) -> dict[str, str]:
         labels = device_type(hosts, args.device_meta)
         coverage = len(labels) / len(hosts) if hosts else 1.0
         _note("report: device metadata coverage %.2f%%" % (100.0 * coverage))
-    result = aggregate(scans, inspections, labels, campaign=args.campaign or "")
+        return labels
+
+    result = aggregate(scans, inspections, device_labels if args.device_meta else None,
+                       campaign=args.campaign or "")
     if result.unmatched_inspections:
         _note("report: skipped %d inspection records with no non-FS scan of their address"
               % result.unmatched_inspections)
@@ -378,20 +392,26 @@ def cmd_report(args) -> int:
     return 0
 
 
+# Each command: its help line, the function adding its options, and the function running it.
 _COMMANDS = {
-    "scan": cmd_measure,
-    "inspect": cmd_measure,
-    "connect": cmd_connect,
-    "bench": cmd_bench,
-    "fleet": cmd_fleet,
-    "report": cmd_report,
+    "scan": ("one default-offer handshake per address", _measure_options, cmd_measure),
+    "inspect": ("scan each address and, if it selected a non-FS suite, run the three-step "
+                "inspection on it at once; records are stored as each address finishes",
+                _measure_options, cmd_measure),
+    "connect": ("single policy-driven connection over TCP", _connect_options, cmd_connect),
+    "bench": ("per-mode handshake latency table", _bench_options, cmd_bench),
+    "fleet": ("validate, describe, or serve a fleet spec", _fleet_options, cmd_fleet),
+    "report": ("aggregate stored records into the nested table", _report_options, cmd_report),
 }
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the named command's subparser is built; --help or an unknown
+    # command builds them all.
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except _USER_ERRORS as exc:
         _note("befs %s: %s" % (args.command, exc))
         return 1

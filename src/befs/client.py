@@ -15,11 +15,11 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .handshake import AttemptResult, Connector, handshake_attempt
+from .records import record
 from .suites import FALLBACK_SIGNAL, ProfileKind, is_ae, is_fs
 
 
@@ -42,7 +42,7 @@ class SessionStatus(Enum):
     FAILED = "FAILED"
 
 
-@dataclass(frozen=True)
+@record
 class PolicyConfig:
     mode: PolicyMode
     fallback: FallbackStyle = FallbackStyle.SILENT
@@ -56,7 +56,7 @@ LADDERS: dict[PolicyMode, tuple[ProfileKind, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class SessionOutcome:
     status: SessionStatus
     suite: Optional[int]
@@ -188,7 +188,7 @@ def connect(
     )
 
 
-@dataclass(frozen=True)
+@record
 class ModeStats:
     max_s: float
     min_s: float
@@ -197,7 +197,7 @@ class ModeStats:
     samples: int
 
 
-@dataclass(frozen=True)
+@record
 class BenchReport:
     per_mode: dict[PolicyMode, ModeStats]
     repetitions: int

@@ -31,6 +31,7 @@ from . import wire
 from .handshake import ConnectFailed, TcpConnector
 from .inspection import Classification
 from .negotiate import SelectionRule, ServerPolicy, select
+from .records import record
 from .suites import (
     AE_CODEPOINTS,
     DEFAULT,
@@ -67,7 +68,7 @@ class Transport(Enum):
     LOOPBACK_SOCKET = "socket"
 
 
-@dataclass(frozen=True)
+@record
 class LatencyModel:
     """Per-handshake delay: base plus uniform jitter, in milliseconds."""
 
@@ -86,7 +87,7 @@ class LatencyModel:
         return delay / 1000.0
 
 
-@dataclass(frozen=True)
+@record
 class FleetSpec:
     size: int
     seed: int
@@ -184,7 +185,7 @@ def load_fleet_spec(path: str) -> FleetSpec:
     return fleet_spec_from_dict(data)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GroundTruth:
     supports_fs: bool
     supports_fs_ae: bool
@@ -207,7 +208,7 @@ def policy_truth(policy: ServerPolicy, device_type: str = "") -> GroundTruth:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExpectedInspection:
     classification: Classification
     prior_suite_ae: bool = False
@@ -546,7 +547,7 @@ def _read_hello(raw: bytes, targets: Optional[frozenset[str]]) -> Optional[tuple
     return (ch.legacy_version, ch.cipher_suites), wire.fingerprint(ch) in targets
 
 
-@dataclass(frozen=True)
+@record
 class TranscriptEntry:
     address: str
     request: bytes

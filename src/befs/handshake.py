@@ -13,12 +13,12 @@ import functools
 import hashlib
 import socket
 import time
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Protocol, Sequence
 
 from . import wire
 from .metadata import split_address
+from .records import record
 from .suites import FALLBACK_SIGNAL
 
 
@@ -38,7 +38,7 @@ class AttemptKind(Enum):
     PROTOCOL_ERROR = "PROTOCOL_ERROR"
 
 
-@dataclass(frozen=True)
+@record
 class AttemptResult:
     kind: AttemptKind
     suite: Optional[int] = None

@@ -16,11 +16,11 @@ import functools
 import itertools
 import threading
 import time
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .handshake import AttemptKind, AttemptResult, Connector, handshake_attempt
+from .records import record
 from .suites import DEFAULT, FS_AE_ONLY, FS_ONLY, ProfileKind, is_ae, is_fs
 
 
@@ -30,7 +30,7 @@ class ScanResultKind(Enum):
     TIMEOUT = "TIMEOUT"
 
 
-@dataclass(frozen=True)
+@record
 class ScanRecord:
     address: str
     timestamp: float
@@ -64,7 +64,7 @@ STABLE_CLASSES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@record
 class StepResult:
     profile: ProfileKind
     attempt: AttemptResult
@@ -78,7 +78,7 @@ class StepResult:
         return self.selected_fs and is_ae(self.attempt.suite)
 
 
-@dataclass(frozen=True)
+@record
 class InspectionRecord:
     address: str
     h1: StepResult

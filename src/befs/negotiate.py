@@ -8,11 +8,12 @@ a live server sends.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from typing import Optional, Sequence
 
 from . import wire
+from .records import record
 
 
 class SelectionRule(Enum):
@@ -20,7 +21,7 @@ class SelectionRule(Enum):
     CLIENT_PREFERENCE = "CLIENT_PREFERENCE"
 
 
-@dataclass(frozen=True)
+@record
 class ServerPolicy:
     """One server's suites in preference order, its versions and its selection rule.
 

@@ -31,6 +31,7 @@ from .inspection import (
     ScanResultKind,
 )
 from .metadata import IoFailure, split_address
+from .records import record
 from .suites import is_fs
 from . import wire
 
@@ -344,9 +345,11 @@ class LoadResult:
 class RecordStore:
     """Append-only JSON-lines log. Writes are serialized; reads are not.
 
-    Appends go through one handle, opened on the first append and flushed
-    by each flushing append, so a killed process leaves every line flushed
-    so far. close(), or the end of a ``with`` block, releases the handle.
+    Appends go through one unbuffered binary handle, opened on the first
+    append; each flushing append is one write of its lines' bytes (more
+    only if the system takes part of them), so a killed process leaves
+    every line flushed so far. close(), or the end of a ``with`` block,
+    releases the handle.
     """
 
     def __init__(self, path) -> None:
@@ -367,12 +370,12 @@ class RecordStore:
             self._held += line
             if not flush:
                 return line
-            text, self._held = self._held, ""
+            data, self._held = self._held.encode(), ""
             try:
                 if self._fh is None:
-                    self._fh = self.path.open("a", encoding="utf-8")
-                self._fh.write(text)
-                self._fh.flush()
+                    self._fh = self.path.open("ab", buffering=0)
+                while data:  # an unbuffered write may take part of its bytes
+                    data = data[self._fh.write(data):]
             except OSError as exc:
                 raise IoFailure("cannot append to %s: %s" % (self.path, exc)) from exc
         return line
@@ -462,7 +465,7 @@ def _parse_line(line: str, number: int, errors: list[ParseFailure]) -> Optional[
 # -- aggregation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Level:
     """A table row: absolute count plus percent of the level above it."""
 
@@ -483,7 +486,7 @@ def _row(label: str, over: Optional[str] = None, *, shown: bool = True):
     return field(metadata={"label": label, "over": over, "shown": shown})
 
 
-@dataclass(frozen=True)
+@record
 class AggregateReport:
     """Nested selects/supports table over one campaign's records.
 
@@ -560,23 +563,24 @@ def render_text(report: AggregateReport) -> str:
 def aggregate(
     scan_records: Iterable[ScanRecord],
     inspection_records: Iterable[InspectionRecord],
-    device_meta: Optional[Mapping[str, str]] = None,
+    device_meta: Optional[Callable[[set[str]], Mapping[str, str]]] = None,
     *,
     campaign: str = "",
 ) -> AggregateReport:
     """Fold one campaign's decoded records into the nested table, one pass each.
 
-    ``device_meta`` maps an IP to its device label, as
+    ``device_meta`` is asked once, after the scans, with the set of
+    responding IPs, and maps an IP to its device label, as
     ``metadata.device_type`` returns it; an empty label is a covered
     host that is not a network device. An inspection counts only if its
     address has a responding non-FS scan among ``scan_records``; the
     report's ``unmatched_inspections`` says how many did not.
     """
     dataset = responding = select_non_fs = 0
-    # The structures that grow with the input: every host and the
-    # responding hosts with device metadata, both by IP, and the addresses
-    # that selected non-FS.
-    hosts, covered, non_fs = set(), set(), set()
+    # The structures that grow with the input: every host and, for device
+    # typing, the responding hosts, both by IP, and the addresses that
+    # selected non-FS.
+    hosts, responders, non_fs = set(), set(), set()
     for rec in scan_records:
         host = split_address(rec.address)[0]
         hosts.add(host)
@@ -584,11 +588,13 @@ def aggregate(
         if rec.result is not ScanResultKind.RESPONDED:
             continue
         responding += 1
+        if device_meta is not None:
+            responders.add(host)
         if not is_fs(rec.selected_suite):
             select_non_fs += 1
             non_fs.add(rec.address)
-        if device_meta is not None and host in device_meta:
-            covered.add(host)
+    labels = {} if device_meta is None else device_meta(responders)
+    covered = [host for host in responders if host in labels]
     # An unmatched inspection counts under the key None.
     steps = Counter((rec.classification, rec.lose_ae) if rec.address in non_fs else None
                     for rec in inspection_records)
@@ -603,7 +609,7 @@ def aggregate(
         responding=responding,
         distinct_ip=len(hosts),
         metadata_responders=len(covered),
-        network_device=sum(device_meta[host] != "" for host in covered),
+        network_device=sum(labels[host] != "" for host in covered),
         select_non_fs=select_non_fs,
         stable=inspected(STABLE_CLASSES),
         support_fs=inspected(FS_SUPPORT_CLASSES),

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+from .records import record
 
 TLS1_0 = 0x0301
 TLS1_1 = 0x0302
@@ -75,7 +76,7 @@ class AlertLevel(Enum):
     FATAL = 2
 
 
-@dataclass(frozen=True)
+@record
 class AlertMsg:
     level: AlertLevel
     description: int
@@ -91,7 +92,7 @@ class AlertMsg:
         return ALERT_NAMES.get(self.description, "alert_%d" % self.description)
 
 
-@dataclass(frozen=True)
+@record
 class ClientHelloMsg:
     legacy_version: int
     random: bytes
@@ -122,7 +123,7 @@ class ClientHelloMsg:
                 raise ValueError("extension body must be bytes")
 
 
-@dataclass(frozen=True)
+@record
 class ServerHelloSummary:
     negotiated_version: int
     selected_suite: int

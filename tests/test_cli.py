@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from befs import cli
+from befs import cli, metadata, report
 from befs.cli import main
 from befs.client import FallbackStyle, PolicyMode
 from befs.fleetsim import (
@@ -308,6 +308,36 @@ def test_usage_errors_exit_nonzero(capsys):
     assert exc.value.code == 2
 
 
+_COMMAND_NAMES = ["scan", "inspect", "connect", "bench", "fleet", "report"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([name, "--help"] for name in _COMMAND_NAMES), ["no-such-command"], ["scan"],
+    ["report", "--store", "x", "extra"], ["scan", "--bogus"], ["connect"], [],
+], ids=" ".join)
+def test_cli_text_is_the_full_parsers(argv, capsys):
+    """main builds only the named command's subparser; every text and exit
+    code is that of the parser with all six."""
+
+    def run(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    full = run(lambda args: cli._parser().parse_args(args))
+    assert run(main) == full
+    if argv[-1:] == ["extra"]:  # the usage line still lists every command
+        assert "befs [-h] {%s} ...\n" % ",".join(_COMMAND_NAMES) in full[2]
+
+
+def test_a_command_builds_only_its_own_subparser():
+    assert list(cli._COMMANDS) == _COMMAND_NAMES
+    text = cli._parser("report").format_help()
+    assert "aggregate stored records" in text and "fleet spec" not in text
+    assert "fleet spec" in cli._parser().format_help()
+
+
 @pytest.mark.parametrize(
     "command, option, value",
     [
@@ -455,13 +485,17 @@ def test_report_skips_an_inspection_whose_scan_line_was_cut(tmp_path, capsys):
     assert shares and max(shares) <= 100.0
 
 
-def test_report_with_device_metadata(tmp_path, capsys):
+def test_report_with_device_metadata(tmp_path, capsys, monkeypatch):
     spec = write_spec(tmp_path, {"NONFS_ONLY": 1.0}, size=4, seed=2)
     store_path = tmp_path / "records.jsonl"
     run_cli(
         ["inspect", "--fleet-spec", spec, "--store", str(store_path), "--timeout", "0.5"],
         capsys,
     )
+    split = []  # one split_address per scan, wherever it is looked up
+    counting = lambda address: split.append(address) or metadata.split_address(address)
+    for module in (cli, report):
+        monkeypatch.setattr(module, "split_address", counting, raising=False)
     meta = tmp_path / "meta.tsv"
     meta.write_text(
         "srv-0000\tbroadband router\nsrv-0001\t\nsrv-0002\tIP camera\n", encoding="utf-8"
@@ -474,6 +508,7 @@ def test_report_with_device_metadata(tmp_path, capsys):
     assert data["metadata_responders"] == 3
     assert data["network_device"] == {"count": 2, "pct": round(100 * 2 / 3, 2)}
     assert "coverage 75.00%" in err
+    assert len(split) == 4
 
 
 def test_report_with_an_unreadable_device_meta_file_fails_cleanly(tmp_path, capsys):

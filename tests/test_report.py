@@ -1,10 +1,13 @@
 """Record log round-trips and the nested aggregation table."""
 
 import dataclasses
+import errno
 import functools
 import json
 import math
+import os
 import random
+import types
 from enum import Enum
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -729,6 +732,31 @@ def test_store_line_is_on_disk_when_append_returns(store):
     assert RecordStore(store.path).load().records == [rec, rec]
 
 
+def test_store_finishes_a_short_write_and_names_a_failed_one(store):
+    store.append(scan_rec("a"))  # opens the handle
+    real = store._fh
+    sizes = []
+
+    def take_seven(data):  # as a write(2) that takes only part of its bytes
+        sizes.append(len(data))
+        return real.write(bytes(data[:7]))
+
+    store._fh = types.SimpleNamespace(write=take_seven, close=real.close)
+    line = store.append(scan_rec("b"), campaign="c")
+    assert line == record_line(scan_rec("b"), "c")
+    assert sizes == list(range(len(line), 0, -7))
+    assert [r["address"] for r in store.load().records] == ["a", "b"]
+
+    def full(data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    store._fh = types.SimpleNamespace(write=full, close=real.close)
+    with pytest.raises(IoFailure) as failed:
+        store.append(scan_rec("c"))
+    assert str(failed.value) == "cannot append to %s: [Errno %d] %s" % (
+        store.path, errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 def test_store_that_cannot_be_written_or_read_raises_io_failure(tmp_path):
     with RecordStore(tmp_path) as directory:  # a directory is no log file
         with pytest.raises(IoFailure, match="cannot append"):
@@ -846,7 +874,9 @@ def test_aggregate_device_share_over_metadata_responders():
         "192.0.2.3": "printer",
         "192.0.2.9": "NAS",
     }
-    report = aggregate(scans, [], device_meta=meta)
+    asked = []
+    report = aggregate(scans, [], device_meta=lambda hosts: asked.append(set(hosts)) or meta)
+    assert asked == [{"192.0.2.%d" % i for i in range(1, 5)}]  # once, the responding IPs
     assert report.metadata_responders == 3
     assert report.network_device.count == 2
     assert report.network_device.pct == pytest.approx(100 * 2 / 3)
@@ -949,7 +979,7 @@ GOLDEN_SPARSE_DICT = {
 
 def test_report_table_and_dict_are_pinned():
     scans, inspections = _golden_records()
-    full = aggregate(scans, inspections, _GOLDEN_META, campaign="golden")
+    full = aggregate(scans, inspections, lambda hosts: _GOLDEN_META, campaign="golden")
     assert render_text(full) == GOLDEN_FULL_TEXT
     assert full.to_dict() == GOLDEN_FULL_DICT
     sparse = aggregate(
@@ -962,9 +992,9 @@ def test_report_table_and_dict_are_pinned():
 
 def test_aggregate_folds_one_shot_generators():
     scans, inspections = _golden_records()
-    from_lists = aggregate(scans, inspections, _GOLDEN_META, campaign="golden")
+    from_lists = aggregate(scans, inspections, lambda hosts: _GOLDEN_META, campaign="golden")
     from_generators = aggregate(
-        (s for s in scans), (i for i in inspections), _GOLDEN_META, campaign="golden"
+        (s for s in scans), (i for i in inspections), lambda hosts: _GOLDEN_META, campaign="golden"
     )
     assert from_generators == from_lists
 
