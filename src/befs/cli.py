@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import signal
 import sys
@@ -169,11 +170,17 @@ def _report_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--device-meta", help="ip<TAB>label file for device typing")
 
 
+@functools.cache
 def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The befs parser, with the subparser of ``command`` only, or of every command.
 
     A parser for one command lists every command in its usage, as the full
     parser does, so its usage and error texts are the full parser's.
+
+    Each parser is built once per process and shared by every later call,
+    so callers must not change it. An argparse parser is a web of reference
+    cycles; built anew on each call, it would be garbage that only the
+    cyclic collector frees, at a point that shifts from call to call.
     """
     parser = argparse.ArgumentParser(
         prog="befs",
@@ -407,8 +414,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Only the named command's subparser is built; --help or an unknown
-    # command builds them all.
+    # Only the named command's subparser is built, once; --help or an
+    # unknown command builds them all.
     args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args)

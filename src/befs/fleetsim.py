@@ -203,7 +203,7 @@ def policy_truth(policy: ServerPolicy, device_type: str = "") -> GroundTruth:
     return GroundTruth(
         supports_fs=bool(fs),
         supports_fs_ae=not fs.isdisjoint(AE_CODEPOINTS),
-        selects_fs_by_default=default_pick is not None and is_fs(default_pick.selected_suite),
+        selects_fs_by_default=default_pick is not None and is_fs(default_pick[1]),
         device_type=device_type,
     )
 
@@ -224,13 +224,13 @@ def expected_inspection(policy: ServerPolicy) -> ExpectedInspection:
     r1 = select(policy, DEFAULT.suites, wire.TLS1_2)
     if r1 is None:
         return ExpectedInspection(Classification.ERROR_H1)
-    if is_fs(r1.selected_suite):
+    if is_fs(r1[1]):
         return ExpectedInspection(Classification.CHANGED_BEHAVIOR)
-    prior_ae = is_ae(r1.selected_suite)
+    prior_ae = is_ae(r1[1])
     r2 = select(policy, FS_ONLY.suites, wire.TLS1_2)
     if r2 is None:
         return ExpectedInspection(Classification.STABLE_NO_FS_SUPPORT, prior_ae, False)
-    if is_ae(r2.selected_suite):
+    if is_ae(r2[1]):
         return ExpectedInspection(Classification.STABLE_SUPPORTS_FS_AE, prior_ae, False)
     lose_ae = prior_ae
     if select(policy, FS_AE_ONLY.suites, wire.TLS1_2) is None:
@@ -255,7 +255,7 @@ def server_random(seed: int, index: int, counter: int) -> bytes:
     return hashlib.sha256(b"server|%d|%d|%d" % (seed, index, counter)).digest()
 
 
-# (legacy_version, cipher_suites) of a ClientHello, as wire.read_offer gives it.
+# (legacy_version, cipher_suites) of a ClientHello, as wire.decode_client_hello reads it.
 Offer = tuple[int, tuple[int, ...]]
 
 _DECODE_ERROR_ALERT, _FALLBACK_ALERT, _HANDSHAKE_FAILURE_ALERT = (
@@ -273,12 +273,12 @@ def answer_offer(
 ) -> bytes:
     """Honest server behavior for one ClientHello, as wire bytes.
 
-    ``offer`` is ``wire.read_offer(raw)`` when the caller has parsed the
-    hello already; otherwise it is parsed here.
+    ``offer`` is ``wire.decode_client_hello(raw)`` when the caller has
+    parsed the hello already; otherwise it is parsed here.
     """
     if offer is None:
         try:
-            offer = wire.read_offer(raw)
+            offer = wire.decode_client_hello(raw)
         except wire.WireError:
             return _DECODE_ERROR_ALERT
     version, suites = offer
@@ -287,10 +287,10 @@ def answer_offer(
         # The client says this offer is a fallback; a server that could
         # have answered the stronger first flight (it supports FS) refuses it.
         return _FALLBACK_ALERT
-    hello = select(policy, suites, version)
-    if hello is None:
+    picked = select(policy, suites, version)
+    if picked is None:
         return _HANDSHAKE_FAILURE_ALERT
-    return wire.encode_server_hello(hello, random=next_random())
+    return wire.encode_server_hello(*picked, next_random())
 
 
 @dataclass(eq=False)
@@ -536,15 +536,15 @@ def offer_is_all_fs(suites: Sequence[int]) -> bool:
 
 def _read_hello(raw: bytes, targets: Optional[frozenset[str]]) -> Optional[tuple[Offer, bool]]:
     """``(offer, targeted)`` of one ClientHello from one parse, or None if it
-    does not parse: its ``wire.read_offer`` pair, and whether its fingerprint
-    (wire.fingerprint) is a target. None targets all, so no fingerprint is taken."""
+    does not parse: its ``wire.decode_client_hello`` pair, and whether its
+    fingerprint (wire.fingerprint) is a target. None targets all, so no
+    extensions are collected and no fingerprint is taken."""
+    extensions = None if targets is None else []
     try:
-        if targets is None:
-            return wire.read_offer(raw), True
-        ch = wire.decode_client_hello(raw)
+        offer = wire.decode_client_hello(raw, extensions)
     except wire.WireError:
         return None
-    return (ch.legacy_version, ch.cipher_suites), wire.fingerprint(ch) in targets
+    return offer, extensions is None or wire.fingerprint(*offer, extensions) in targets
 
 
 @record
@@ -672,6 +672,8 @@ class _MemoryConnector:
                 raise TimeoutError("no response from %s within %gs" % (address, timeout_s))
             if delay_s > 0:
                 time.sleep(delay_s)
+            if not reply:  # a close before any byte, as a socket reads it
+                raise ConnectFailed("connection closed before a full record")
             return reply
         finally:
             h.gauge.leave()

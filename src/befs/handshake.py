@@ -9,7 +9,6 @@ for negotiation observation.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import socket
 import time
@@ -23,7 +22,7 @@ from .suites import FALLBACK_SIGNAL
 
 
 class ConnectFailed(Exception):
-    """TCP connect refused/reset, or unknown in-memory address."""
+    """TCP connect refused/reset, a close before any reply byte, or unknown in-memory address."""
 
 
 class Connector(Protocol):
@@ -59,14 +58,6 @@ def _client_random(seed: int, address: str, label: str) -> bytes:
     return hashlib.sha256(material.encode()).digest()
 
 
-@functools.lru_cache(maxsize=64)
-def _hello_template(offer: tuple[int, ...]) -> wire.ClientHelloTemplate:
-    """The checked TLS 1.2 ClientHello of one offer. Scans send a handful of
-    offers to every address, so the cache never holds an address or SNI and
-    stays small at any campaign size."""
-    return wire.ClientHelloTemplate(wire.TLS1_2, offer)
-
-
 def handshake_attempt(
     connector: Connector,
     address: str,
@@ -87,8 +78,8 @@ def handshake_attempt(
     offered = tuple(offer)
     name = split_address(address)[2] if sni else None
     server_name = name.encode("ascii") if name else b""
-    raw = _hello_template(offered).encode(
-        _client_random(seed, address, label or repr(offered)), server_name
+    raw = wire.encode_client_hello(
+        wire.TLS1_2, offered, _client_random(seed, address, label or repr(offered)), server_name
     )
     version = suite = alert = error = None
     start = time.perf_counter()
@@ -100,7 +91,7 @@ def handshake_attempt(
         kind, error = AttemptKind.CONNECT_ERROR, str(exc)
     else:
         try:
-            version, suite = wire.read_server_hello(reply)
+            version, suite = wire.decode_server_hello(reply)
         except wire.NotServerHello:
             try:
                 alert = wire.decode_alert(reply)
@@ -124,7 +115,13 @@ def handshake_attempt(
 
 
 def read_record(sock: socket.socket, deadline: float) -> bytes:
-    """Read exactly one TLS record off a socket before the deadline."""
+    """Read one TLS record off a socket before the deadline.
+
+    A peer that closes after part of a record leaves those bytes, which
+    the record's reader then refuses as truncated, as it refuses the same
+    cut reply over the memory transport. A close before any byte is a
+    ConnectFailed.
+    """
     buf = b""
     want = 5
     while True:
@@ -134,6 +131,8 @@ def read_record(sock: socket.socket, deadline: float) -> bytes:
         sock.settimeout(remaining)
         chunk = sock.recv(4096)
         if not chunk:
+            if buf:
+                return buf
             raise ConnectFailed("connection closed before a full record")
         buf += chunk
         if len(buf) >= 5:

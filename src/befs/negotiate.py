@@ -1,18 +1,16 @@
 """Server-side negotiation as a pure decision function.
 
 Given a server policy and a client offer, compute what the server picks:
-the ServerHello it answers with, or None.  None is the handshake_failure
-a live server sends.
+the (version, suite) of the ServerHello it answers with, or None.  None
+is the handshake_failure a live server sends.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import field
 from enum import Enum
 from typing import Optional, Sequence
 
-from . import wire
 from .records import record
 
 
@@ -46,14 +44,10 @@ class ServerPolicy:
             raise ValueError("versions must be non-empty")
 
 
-# One summary per (version, suite): summaries are frozen, so shared.
-_hello = functools.cache(wire.ServerHelloSummary)
-
-
 def select(
     policy: ServerPolicy, offer: Sequence[int], client_max_version: int
-) -> Optional[wire.ServerHelloSummary]:
-    """The ServerHello one negotiation round answers with.
+) -> Optional[tuple[int, int]]:
+    """The ``(version, suite)`` one negotiation round answers with.
 
     Version: highest server version not above the client's maximum.
     Suite: by the policy's selection rule, first preferred suite present
@@ -73,10 +67,10 @@ def select(
         offered = set(offer)
         for suite in policy.preference:
             if suite in offered:
-                return _hello(version, suite)
+                return version, suite
     else:
         supported = policy.supported
         for suite in offer:
             if suite in supported:
-                return _hello(version, suite)
+                return version, suite
     return None

@@ -13,6 +13,8 @@ import threading
 import time
 from pathlib import Path
 
+import wire_reference as ref
+
 from befs import wire
 from befs.client import (
     ALWAYS_ABORT,
@@ -121,7 +123,7 @@ def test_criterion_1_negotiation_oracle():
         if want is None:
             assert got is None, (policy, offer, client_max)
         else:
-            assert got is not None and (got.negotiated_version, got.selected_suite) == want, (
+            assert got == want, (
                 policy,
                 offer,
                 client_max,
@@ -206,7 +208,7 @@ def test_criterion_3_classification_fidelity():
         else:
             want = select(server.policy, DEFAULT.suites, TLS1_2)
             assert record.result is ScanResultKind.RESPONDED
-            assert record.selected_suite == want.selected_suite
+            assert (record.negotiated_version, record.selected_suite) == want
 
     mismatches = 0
     for rec in inspections:
@@ -402,11 +404,12 @@ def test_criterion_5_latency_structure():
 # -- 6: wire robustness -----------------------------------------------------------
 
 
-def _random_client_hello(rng: random.Random) -> wire.ClientHelloMsg:
+def _random_client_hello(rng: random.Random) -> ref.ClientHelloMsg:
+    """A hello of the reference codec, with any session id and extensions."""
     extensions = []
     for _ in range(rng.randint(0, 3)):
         extensions.append((rng.randrange(0x10000), rng.randbytes(rng.randint(0, 40))))
-    return wire.ClientHelloMsg(
+    return ref.ClientHelloMsg(
         legacy_version=rng.choice(VERSIONS),
         random=rng.randbytes(32),
         cipher_suites=tuple(rng.randrange(0x10000) for _ in range(rng.randint(1, 24))),
@@ -422,18 +425,29 @@ def test_criterion_6_wire_robustness():
 
     for _ in range(per_kind):
         msg = _random_client_hello(rng)
-        assert wire.decode_client_hello(wire.encode_client_hello(msg)) == msg
+        name = rng.randbytes(rng.randint(0, 20)).hex().encode("ascii")
+        raw = wire.encode_client_hello(msg.legacy_version, msg.cipher_suites, msg.random, name)
+        extensions = []
+        assert wire.decode_client_hello(raw, extensions) == (msg.legacy_version, msg.cipher_suites)
+        assert extensions == ([ref.sni_extension(name.decode("ascii"))] if name else [])
+        extensions = []
+        assert wire.decode_client_hello(ref.encode_client_hello(msg), extensions) == (
+            msg.legacy_version, msg.cipher_suites)
+        assert tuple(extensions) == msg.extensions
 
     for _ in range(per_kind):
-        summary = wire.ServerHelloSummary(
+        summary = ref.ServerHelloSummary(
             negotiated_version=rng.choice(VERSIONS),
             selected_suite=rng.randrange(0x10000),
             raw_extensions=rng.randbytes(rng.randint(0, 40)),
         )
-        raw = wire.encode_server_hello(
+        picked = (summary.negotiated_version, summary.selected_suite)
+        raw = wire.encode_server_hello(*picked, rng.randbytes(32))
+        assert wire.decode_server_hello(raw) == picked
+        raw = ref.encode_server_hello(
             summary, random=rng.randbytes(32), session_id=rng.randbytes(rng.randint(0, 32))
         )
-        assert wire.decode_server_hello(raw) == summary
+        assert wire.decode_server_hello(raw) == picked
 
     for _ in range(per_kind):
         alert = wire.AlertMsg(
@@ -459,10 +473,11 @@ def test_criterion_6_wire_robustness():
     # golden vector: a captured reference ClientHello
     with open("tests/fixtures/clienthello_openssl_tls12.hex", encoding="utf-8") as fh:
         blob = bytes.fromhex("".join(fh.read().split()))
-    msg = wire.decode_client_hello(blob)
-    assert msg.legacy_version == TLS1_2
-    assert len(msg.cipher_suites) == 15 and msg.cipher_suites[0] == 0xC02C
-    assert wire.sni_extension("example.com") in msg.extensions
+    extensions = []
+    version, suites = wire.decode_client_hello(blob, extensions)
+    assert version == TLS1_2
+    assert len(suites) == 15 and suites[0] == 0xC02C
+    assert ref.sni_extension("example.com") in extensions
     return "%d round-trips, %d fuzz inputs, 0 failures, golden vector ok" % (
         3 * per_kind,
         fuzz_inputs,

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including the served-fleet pipeline."""
 
+import gc
 import hashlib
 import json
 import os
@@ -235,8 +236,8 @@ def test_stdout_lines_are_the_stored_lines_and_match_ground_truth(
             assert scan["address"] not in inspections
             continue
         pick = select(server.policy, DEFAULT.suites, TLS1_2)
-        assert (scan["result"], scan["selected_suite"], scan["negotiated_version"]) == (
-            "RESPONDED", pick.selected_suite, pick.negotiated_version)
+        assert (scan["result"], scan["negotiated_version"], scan["selected_suite"]) == (
+            "RESPONDED", *pick)
         inspection = inspections.get(scan["address"])
         if command == "scan" or server.truth.selects_fs_by_default:
             assert inspection is None
@@ -336,6 +337,23 @@ def test_a_command_builds_only_its_own_subparser():
     text = cli._parser("report").format_help()
     assert "aggregate stored records" in text and "fleet spec" not in text
     assert "fleet spec" in cli._parser().format_help()
+
+
+def test_a_repeated_call_leaves_nothing_for_the_cyclic_collector(tmp_path, capsys):
+    """Each parser is built once per process, so a repeated call frees all
+    it made by reference counting: how much memory a long run holds does
+    not depend on when the cyclic collector happens to run."""
+    argv = ["inspect", "--fleet-spec", write_spec(tmp_path, MIXED), "--transport", "memory",
+            "--concurrency", "1", "--store", str(tmp_path / "store.jsonl")]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert cli._parser("inspect") is cli._parser("inspect")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 
 import pytest
+import wire_reference as ref
 from hypothesis import given, settings, strategies as st
 
 from befs import wire
@@ -399,7 +400,7 @@ class FixedReply:
 
 
 def server_hello(suite, version=wire.TLS1_2):
-    return wire.encode_server_hello(wire.ServerHelloSummary(version, suite))
+    return wire.encode_server_hello(version, suite, bytes(32))
 
 
 @pytest.mark.parametrize("mode", list(PolicyMode))
@@ -483,7 +484,7 @@ def test_bench_excludes_failing_addresses():
 
 def sni_bodies(addresses, names):
     """(address, server_name extension body) for each address's name, None for no name."""
-    return {(a, wire.sni_extension(n)[1] if n else None) for a, n in zip(addresses, names)}
+    return {(a, ref.sni_extension(n)[1] if n else None) for a, n in zip(addresses, names)}
 
 
 class SniRecorder(FixedReply):
@@ -494,8 +495,9 @@ class SniRecorder(FixedReply):
         self.seen = set()
 
     def exchange(self, address, raw, timeout_s):
-        extensions = dict(wire.decode_client_hello(raw).extensions)
-        self.seen.add((address, extensions.get(wire.SNI_EXTENSION_TYPE)))
+        extensions = []
+        wire.decode_client_hello(raw, extensions)
+        self.seen.add((address, dict(extensions).get(wire.SNI_EXTENSION_TYPE)))
         return self.reply
 
 

@@ -47,10 +47,7 @@ from befs.wire import TLS1_0, TLS1_1, TLS1_2
 
 
 def make_ch_bytes(suites, version=TLS1_2):
-    msg = wire.ClientHelloMsg(
-        legacy_version=version, random=bytes(32), cipher_suites=tuple(suites)
-    )
-    return wire.encode_client_hello(msg)
+    return wire.encode_client_hello(version, suites, bytes(32))
 
 
 def make_server(preference, versions=frozenset({TLS1_2}), **kw):
@@ -216,7 +213,7 @@ def test_server_hello_bytes_repeat_with_the_spec():
 def test_server_answers_repeat_the_pinned_digest():
     # Every server of six mixed fleets answers four offers, server by server;
     # a stall hashes as b"-". Any change to a hello, an alert or a pick shows.
-    hellos = [wire.ClientHelloTemplate(TLS1_2, offer).encode(bytes(32))
+    hellos = [wire.encode_client_hello(TLS1_2, offer, bytes(32))
               for offer in (DEFAULT.suites, FS_ONLY.suites, FS_AE_ONLY.suites,
                             DEFAULT.suites + (FALLBACK_SIGNAL,))]
     digest = hashlib.sha256()
@@ -374,8 +371,8 @@ def test_policy_truth_matches_brute_force(seed):
 def test_default_offer_to_fs_preferring_yields_fs_suite():
     fleet = generate_fleet(spec_with(size=3, FS_PREFERRING=1.0))
     reply = fleet[0].respond(make_ch_bytes(DEFAULT.suites))
-    sh = wire.decode_server_hello(reply)
-    assert is_fs(sh.selected_suite)
+    _, suite = wire.decode_server_hello(reply)
+    assert is_fs(suite)
 
 
 def test_fs_offer_to_nonfs_server_yields_alert_40():
@@ -403,22 +400,22 @@ def test_signal_honoring_fs_server_rejects_signaled_offer():
     alert = wire.decode_alert(server.respond(signaled))
     assert alert.description == wire.INAPPROPRIATE_FALLBACK
     # same offer without the signal is answered
-    sh = wire.decode_server_hello(server.respond(make_ch_bytes(DEFAULT.suites)))
-    assert sh.selected_suite == 0x002F
+    _, suite = wire.decode_server_hello(server.respond(make_ch_bytes(DEFAULT.suites)))
+    assert suite == 0x002F
 
 
 def test_signal_ignored_when_server_lacks_fs_or_honor_flag():
     nonfs = make_server((0x002F,), archetype=Archetype.NONFS_ONLY)
     signaled = make_ch_bytes(DEFAULT.suites + (FALLBACK_SIGNAL,))
-    assert wire.decode_server_hello(nonfs.respond(signaled)).selected_suite == 0x002F
+    assert wire.decode_server_hello(nonfs.respond(signaled))[1] == 0x002F
     dishonoring = make_server((0x002F, 0xC02F), honors_fallback_signal=False)
-    assert wire.decode_server_hello(dishonoring.respond(signaled)).selected_suite == 0x002F
+    assert wire.decode_server_hello(dishonoring.respond(signaled))[1] == 0x002F
 
 
 def test_version_negotiation_respects_client_max():
     server = make_server((0x002F,), versions=frozenset({TLS1_0, TLS1_2}))
-    sh = wire.decode_server_hello(server.respond(make_ch_bytes((0x002F,), version=TLS1_1)))
-    assert sh.negotiated_version == TLS1_0
+    version, _ = wire.decode_server_hello(server.respond(make_ch_bytes((0x002F,), version=TLS1_1)))
+    assert version == TLS1_0
 
 
 # -- adversaries -------------------------------------------------------------
@@ -466,7 +463,9 @@ def test_offer_is_all_fs_ignores_signal_marker():
 
 
 def fingerprint_of(suites):
-    return wire.fingerprint(wire.decode_client_hello(make_ch_bytes(suites)))
+    extensions = []
+    offer = wire.decode_client_hello(make_ch_bytes(suites), extensions)
+    return wire.fingerprint(*offer, extensions)
 
 
 def weak_wrapped(targets=None):
@@ -476,8 +475,8 @@ def weak_wrapped(targets=None):
 
 def test_weak_discriminator_submits_to_fs_only_offer():
     weak = weak_wrapped(targets=frozenset({fingerprint_of(FS_ONLY.suites)}))
-    sh = wire.decode_server_hello(weak.respond(make_ch_bytes(FS_ONLY.suites)))
-    assert is_fs(sh.selected_suite)
+    _, suite = wire.decode_server_hello(weak.respond(make_ch_bytes(FS_ONLY.suites)))
+    assert is_fs(suite)
 
 
 def test_weak_discriminator_steers_default_offer_to_non_fs():
@@ -486,8 +485,8 @@ def test_weak_discriminator_steers_default_offer_to_non_fs():
     weak = DiscriminatoryServer(inner, targets=frozenset({fingerprint_of(DEFAULT.suites)}))
     victim = make_ch_bytes(DEFAULT.suites)
     other = make_ch_bytes(DEFAULT.suites[::-1])  # the same suites in another order
-    assert wire.decode_server_hello(weak.respond(victim)).selected_suite == 0x002F
-    assert wire.decode_server_hello(weak.respond(other)).selected_suite == 0xC02F
+    assert wire.decode_server_hello(weak.respond(victim))[1] == 0x002F
+    assert wire.decode_server_hello(weak.respond(other))[1] == 0xC02F
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -498,11 +497,11 @@ def test_weak_discriminator_is_observationally_honest(seed):
     offer = tuple(rng.sample(sorted(REGISTRY), rng.randint(1, len(REGISTRY))))
     reply = weak.respond(make_ch_bytes(offer))
     try:
-        sh = wire.decode_server_hello(reply)
+        _, suite = wire.decode_server_hello(reply)
     except wire.NotServerHello:
         assert not (set(offer) & weak.inner.policy.supported)
         return
-    assert sh.selected_suite in set(offer) & weak.inner.policy.supported
+    assert suite in set(offer) & weak.inner.policy.supported
 
 
 def test_strong_discriminator_rejects_all_fs_offers():
@@ -510,8 +509,8 @@ def test_strong_discriminator_rejects_all_fs_offers():
     strong = DiscriminatoryServer(inner, strong=True)
     alert = wire.decode_alert(strong.respond(make_ch_bytes(FS_ONLY.suites)))
     assert alert.description == wire.HANDSHAKE_FAILURE
-    sh = wire.decode_server_hello(strong.respond(make_ch_bytes(DEFAULT.suites)))
-    assert not is_fs(sh.selected_suite)
+    _, suite = wire.decode_server_hello(strong.respond(make_ch_bytes(DEFAULT.suites)))
+    assert not is_fs(suite)
 
 
 def test_strong_discriminator_answers_untargeted_fs_offers_honestly():
@@ -546,9 +545,9 @@ def test_discriminators_leave_an_unresponsive_server_stalled():
 ], ids=["dropper", "weak", "strong"])
 def test_adversaries_parse_each_hello_once(monkeypatch, wrap, targets):
     parses = []
-    for name in ("read_offer", "decode_client_hello"):
-        parse = getattr(wire, name)
-        monkeypatch.setattr(wire, name, lambda raw, parse=parse: parses.append(raw) or parse(raw))
+    parse = wire.decode_client_hello
+    monkeypatch.setattr(wire, "decode_client_hello",
+                        lambda raw, *rest: parses.append(raw) or parse(raw, *rest))
     inner = make_server((0xC02F, 0x002F))
     adversary = wrap(inner, targets=targets)
     hellos = [make_ch_bytes(suites) for suites in (
@@ -562,8 +561,8 @@ def test_discriminators_ignore_fallback_signal():
     inner = make_server((0xC02F, 0x002F))
     strong = DiscriminatoryServer(inner, strong=True)
     signaled = make_ch_bytes(DEFAULT.suites + (FALLBACK_SIGNAL,))
-    sh = wire.decode_server_hello(strong.respond(signaled))
-    assert not is_fs(sh.selected_suite)
+    _, suite = wire.decode_server_hello(strong.respond(signaled))
+    assert not is_fs(suite)
 
 
 @pytest.mark.parametrize("transport", list(Transport))
@@ -806,8 +805,8 @@ def test_a_hello_written_in_two_pieces_is_answered(monkeypatch):
             client.sendall(raw[:3])
             time.sleep(0.05)
             client.sendall(raw[3:])
-            sh = wire.decode_server_hello(read_record(client, time.perf_counter() + 5.0))
-        assert is_fs(sh.selected_suite)
+            _, suite = wire.decode_server_hello(read_record(client, time.perf_counter() + 5.0))
+        assert is_fs(suite)
         assert len(registered) == 1  # the first piece alone is not a record: the connection waits
 
 
@@ -853,24 +852,55 @@ def test_a_refused_literal_connect_fails_and_closes_its_socket(monkeypatch):
     assert len(made) == 1 and made[0].fileno() == -1
 
 
-def test_a_peer_that_closes_inside_a_record_is_a_connect_error():
+@pytest.mark.parametrize("sent, kind, error", [
+    (b"\x16\x03\x03", AttemptKind.PROTOCOL_ERROR, "truncated record header"),
+    (b"", AttemptKind.CONNECT_ERROR, "connection closed before a full record"),
+], ids=["inside-a-record", "before-any-byte"])
+def test_a_peer_that_closes_early(sent, kind, error):
     with socket.create_server(("127.0.0.1", 0)) as listener:
         listener.settimeout(5.0)
 
-        def send_three_bytes_and_close():
+        def send_and_close():
             conn, _ = listener.accept()
             with conn:
                 read_record(conn, time.perf_counter() + 5.0)  # all of the hello, so the close is clean
-                conn.sendall(b"\x16\x03\x03")
+                conn.sendall(sent)
 
-        peer = threading.Thread(target=send_three_bytes_and_close)
+        peer = threading.Thread(target=send_and_close)
         peer.start()
         address = "127.0.0.1:%d" % listener.getsockname()[1]
         res = handshake_attempt(TcpConnector(), address, DEFAULT.suites, 5.0)
         peer.join(5.0)
         assert not peer.is_alive()
-    assert res.kind is AttemptKind.CONNECT_ERROR
-    assert res.error == "connection closed before a full record"
+    assert (res.kind, res.error) == (kind, error)
+
+
+class CutReply:
+    """Sends the first ``k`` bytes of the wrapped server's reply, then closes."""
+
+    def __init__(self, inner, k):
+        self.inner = inner
+        self.k = k
+
+    def respond(self, raw):
+        return self.inner.respond(raw)[: self.k]
+
+
+def test_the_two_transports_agree_on_a_cut_reply():
+    fleet = generate_fleet(spec_with(size=1, FS_PREFERRING=1.0))
+    got = {}
+    for k in (0, 1, 3, 20):
+        for transport in Transport:
+            adversary = functools.partial(CutReply, k=k)
+            with serve(fleet, transport, adversary=adversary) as h:
+                res = handshake_attempt(h.connector(), h.addresses[0], DEFAULT.suites, 5.0)
+            got[k, transport] = (res.kind, res.error)
+    protocol_error = AttemptKind.PROTOCOL_ERROR
+    for transport in Transport:
+        assert got[0, transport] == (AttemptKind.CONNECT_ERROR,
+                                     "connection closed before a full record")
+        assert got[1, transport] == got[3, transport] == (protocol_error, "truncated record header")
+        assert got[20, transport] == (protocol_error, "truncated record")
 
 
 def test_truth_records_shape():

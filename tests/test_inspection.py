@@ -6,6 +6,7 @@ import threading
 import time
 
 import pytest
+import wire_reference as ref
 
 from befs import inspection, wire
 from befs.fleetsim import (
@@ -428,7 +429,7 @@ class OfferIgnoringServer:
     """Answers every ClientHello with a ServerHello for 0x002F, whatever it offered."""
 
     def exchange(self, address, raw, timeout_s):
-        return wire.encode_server_hello(wire.ServerHelloSummary(wire.TLS1_2, 0x002F))
+        return wire.encode_server_hello(wire.TLS1_2, 0x002F, bytes(32))
 
 
 def test_inspect_one_offer_ignoring_server_fails_h2_as_a_protocol_error():
@@ -522,8 +523,9 @@ class SniRecorder:
         self.seen = []
 
     def exchange(self, address, raw, timeout_s):
-        extensions = dict(wire.decode_client_hello(raw).extensions)
-        self.seen.append(extensions.get(wire.SNI_EXTENSION_TYPE))
+        extensions = []
+        wire.decode_client_hello(raw, extensions)
+        self.seen.append(dict(extensions).get(wire.SNI_EXTENSION_TYPE))
         raise TimeoutError("recorded")
 
 
@@ -532,7 +534,7 @@ def test_scan_sends_the_host_as_sni_only_when_asked():
     for address, sni in (("example.com:443", True), ("192.0.2.1:443", True),
                          ("example.com:443", False)):
         scan_one(address, 0.1, connector=recorder, sni=sni)
-    assert recorder.seen == [wire.sni_extension("example.com")[1], None, None]
+    assert recorder.seen == [ref.sni_extension("example.com")[1], None, None]
 
 
 class HelloRecorder:
@@ -560,4 +562,4 @@ def test_every_handshake_of_an_inspected_address_has_its_own_hello():
         hellos = recorder.hellos[address]
         assert len(hellos) >= 3  # the scan, then h1 and h2 at least
         assert len(set(hellos)) == len(hellos)
-        assert len({wire.decode_client_hello(raw).random for raw in hellos}) == len(hellos)
+        assert len({ref.decode_client_hello(raw).random for raw in hellos}) == len(hellos)

@@ -44,10 +44,7 @@ def random_offer(rng):
 def check_against_reference(policy, offer, client_max):
     got = select(policy, offer, client_max)
     want = reference_select(policy, offer, client_max)
-    if want is None:
-        assert got is None
-    else:
-        assert (got.negotiated_version, got.selected_suite) == want
+    assert got == want
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -82,7 +79,7 @@ def test_fs_only_offer_forces_fs_selection_when_possible(seed):
     if policy.supported & set(FS_ONLY.suites):
         res = select(policy, FS_ONLY.suites, wire.TLS1_2)
         assert res is not None
-        assert is_fs(res.selected_suite)
+        assert is_fs(res[1])
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -94,10 +91,11 @@ def test_selected_results_satisfy_invariants(seed):
     client_max = rng.choice(ALL_VERSIONS)
     res = select(policy, offer, client_max)
     if res is not None:
-        assert res.selected_suite in policy.supported
-        assert res.selected_suite in offer
-        assert res.negotiated_version in policy.versions
-        assert res.negotiated_version <= client_max
+        version, suite = res
+        assert suite in policy.supported
+        assert suite in offer
+        assert version in policy.versions
+        assert version <= client_max
 
 
 def test_non_fs_only_server_fails_fs_offer():
@@ -108,27 +106,25 @@ def test_non_fs_only_server_fails_fs_offer():
 def test_non_fs_preferring_server_picks_non_fs_from_default():
     policy = ServerPolicy((0x002F, 0xC02F), frozenset({wire.TLS1_2}))
     res = select(policy, DEFAULT.suites, wire.TLS1_2)
-    assert res is not None and res.selected_suite == 0x002F
+    assert res == (wire.TLS1_2, 0x002F)
 
 
 def test_same_server_guided_to_fs_by_narrow_offer():
     policy = ServerPolicy((0x002F, 0xC02F), frozenset({wire.TLS1_2}))
     res = select(policy, FS_ONLY.suites, wire.TLS1_2)
-    assert res is not None and res.selected_suite == 0xC02F
+    assert res == (wire.TLS1_2, 0xC02F)
 
 
 def test_client_preference_rule_takes_offer_order():
     policy = ServerPolicy(
         (0x002F, 0xC02F), frozenset({wire.TLS1_2}), SelectionRule.CLIENT_PREFERENCE
     )
-    res = select(policy, (0xC02F, 0x002F), wire.TLS1_2)
-    assert res.selected_suite == 0xC02F
+    assert select(policy, (0xC02F, 0x002F), wire.TLS1_2) == (wire.TLS1_2, 0xC02F)
 
 
 def test_version_is_highest_not_above_client_max():
     policy = ServerPolicy((0x002F,), frozenset({wire.TLS1_0, wire.TLS1_1}))
-    res = select(policy, (0x002F,), wire.TLS1_2)
-    assert res.negotiated_version == wire.TLS1_1
+    assert select(policy, (0x002F,), wire.TLS1_2) == (wire.TLS1_1, 0x002F)
 
 
 def test_version_mismatch_is_failure():

@@ -42,15 +42,6 @@ _STATS = ModeStats(0.5, 0.25, 0.375, 1.5, 4)
 # Two unequal instances of every record type in befs.
 EXAMPLES = {
     wire.AlertMsg: (_ALERT, wire.AlertMsg(wire.AlertLevel.WARNING, 0)),
-    wire.ClientHelloMsg: (
-        wire.ClientHelloMsg(wire.TLS1_2, bytes(32), (0x002F,)),
-        wire.ClientHelloMsg(wire.TLS1_0, b"\x01" * 32, (0xC02F, 0x002F), b"id", (0,),
-                            ((0, b"\x00"),)),
-    ),
-    wire.ServerHelloSummary: (
-        wire.ServerHelloSummary(wire.TLS1_2, 0x002F),
-        wire.ServerHelloSummary(wire.TLS1_0, 0xC02F, b"\x00\x01"),
-    ),
     ServerPolicy: (
         ServerPolicy((0x002F,), frozenset({wire.TLS1_2})),
         ServerPolicy((0xC02F, 0x002F), frozenset({wire.TLS1_0, wire.TLS1_2}),
@@ -141,7 +132,7 @@ def _hash(obj):
 
 def test_every_record_type_has_examples():
     assert _record_types() == set(EXAMPLES)
-    assert len(EXAMPLES) == 19
+    assert len(EXAMPLES) == 17
 
 
 @pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__qualname__)

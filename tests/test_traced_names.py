@@ -92,6 +92,12 @@ def test_traced_inspect_gives_the_campaign_metrics(tmp_path, capsys):
     assert metrics["inspection.inspect_all.s"][0] > 0
     assert metrics["inspection.dispatch_us_per_item"][0] >= 0
     assert 1 <= metrics["inspection.handshakes_per_address"][0] <= 4
+    # The campaign path runs the traced codec: one writer call per attempt,
+    # the server's reader on each hello, the client's on each reply.
+    assert (metrics["wire.encode_client_hello.calls"][0]
+            == metrics["handshake.handshake_attempt.calls"][0])
+    assert metrics["wire.decode_client_hello.calls"][0] > 0
+    assert metrics["wire.decode_server_hello.us_per_call"][0] > 0
     with open(store_path, encoding="utf-8") as fh:
         assert metrics["report.append.calls"][0] == sum(1 for _ in fh)
     # Every stored line went through the traced RecordStore.append.

@@ -1,13 +1,20 @@
 """Codec round-trips, framing arithmetic, and the captured golden vector.
 
+Each hello has one writer and one reader in befs.wire. They are checked
+against tests/wire_reference.py, the former message-object codec, which
+reads and writes any session id, compression list and extension block:
+the writer must give its bytes, and the reader must give its fields or
+raise its error, type and message alike.
+
 tests/fixtures/clienthello_openssl_tls12.hex is a ClientHello emitted by
 an unmodified OpenSSL-backed client connecting to example.com; it anchors
-the decoder and the SNI encoding to an independent implementation.
+the reader and the SNI encoding to an independent implementation.
 """
 
 import pathlib
 
 import pytest
+import wire_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,21 +28,17 @@ from befs.wire import (
     TLS1_2,
     AlertLevel,
     AlertMsg,
-    ClientHelloMsg,
     MalformedRecord,
     NotAlert,
     NotClientHello,
     NotServerHello,
     OversizeMessage,
-    ServerHelloSummary,
     decode_alert,
     decode_client_hello,
     decode_server_hello,
     encode_alert,
     encode_client_hello,
     encode_server_hello,
-    read_offer,
-    read_server_hello,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -48,9 +51,10 @@ compressions = st.lists(st.integers(0, 255), min_size=1, max_size=4).map(tuple)
 extension_lists = st.lists(
     st.tuples(st.integers(0, 0xFFFF), st.binary(max_size=64)), max_size=5
 ).map(tuple)
+server_names = st.text(st.characters(max_codepoint=127), max_size=64).map(str.encode)
 
 client_hellos = st.builds(
-    ClientHelloMsg,
+    ref.ClientHelloMsg,
     legacy_version=versions,
     random=randoms,
     cipher_suites=suite_lists,
@@ -60,7 +64,7 @@ client_hellos = st.builds(
 )
 
 server_hellos = st.builds(
-    ServerHelloSummary,
+    ref.ServerHelloSummary,
     negotiated_version=st.integers(0, 0xFFFF),
     selected_suite=st.integers(0, 0xFFFF),
     raw_extensions=st.binary(max_size=64),
@@ -74,19 +78,48 @@ alerts = st.builds(
 
 
 def make_ch(suites=(0xC02B,), **kw):
+    """A reference ClientHelloMsg."""
     kw.setdefault("legacy_version", TLS1_2)
     kw.setdefault("random", bytes(range(32)))
-    return ClientHelloMsg(cipher_suites=tuple(suites), **kw)
+    return ref.ClientHelloMsg(cipher_suites=tuple(suites), **kw)
+
+
+def read_client_hello(raw):
+    """The one reader's ``(version, suites, extensions)`` of ``raw``."""
+    extensions = []
+    version, suites = decode_client_hello(raw, extensions)
+    return version, suites, tuple(extensions)
+
+
+@given(versions, suite_lists, randoms, server_names)
+def test_client_hello_round_trip(version, suites, random, name):
+    raw = encode_client_hello(version, suites, random, name)
+    sni = (ref.sni_extension(name.decode("ascii")),) if name else ()
+    assert read_client_hello(raw) == (version, suites, sni)
+    assert decode_client_hello(raw) == (version, suites)
+    assert raw == ref.encode_client_hello(ref.ClientHelloMsg(version, random, suites,
+                                                             extensions=sni))
 
 
 @given(client_hellos)
-def test_client_hello_round_trip(msg):
-    assert decode_client_hello(encode_client_hello(msg)) == msg
+def test_the_reader_reads_each_reference_hello(msg):
+    raw = ref.encode_client_hello(msg)
+    assert read_client_hello(raw) == (msg.legacy_version, msg.cipher_suites, msg.extensions)
+    assert ref.decode_client_hello(raw) == msg
 
 
-@given(server_hellos)
-def test_server_hello_round_trip(summary):
-    assert decode_server_hello(encode_server_hello(summary)) == summary
+@given(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF), randoms)
+def test_server_hello_round_trip(version, suite, random):
+    raw = encode_server_hello(version, suite, random)
+    assert decode_server_hello(raw) == (version, suite)
+    assert raw == ref.encode_server_hello(ref.ServerHelloSummary(version, suite), random)
+
+
+@given(server_hellos, randoms, session_ids)
+def test_the_reader_reads_each_reference_server_hello(summary, random, session_id):
+    raw = ref.encode_server_hello(summary, random, session_id)
+    assert decode_server_hello(raw) == (summary.negotiated_version, summary.selected_suite)
+    assert ref.decode_server_hello(raw) == summary
 
 
 @given(alerts)
@@ -95,7 +128,7 @@ def test_alert_round_trip(alert):
 
 
 def test_minimal_ch_record_length_is_handshake_length_plus_4():
-    raw = encode_client_hello(make_ch())
+    raw = encode_client_hello(TLS1_2, (0xC02B,), bytes(range(32)))
     record_len = int.from_bytes(raw[3:5], "big")
     handshake_len = int.from_bytes(raw[6:9], "big")
     assert record_len == handshake_len + 4
@@ -103,36 +136,47 @@ def test_minimal_ch_record_length_is_handshake_length_plus_4():
 
 
 def test_fourteen_suite_ch_has_length_field_28():
-    raw = encode_client_hello(make_ch(suites=DEFAULT.suites))
+    raw = encode_client_hello(TLS1_2, DEFAULT.suites, bytes(range(32)))
     # cipher_suites length sits right after version+random+empty session id.
     offset = 5 + 4 + 2 + 32 + 1
     assert int.from_bytes(raw[offset : offset + 2], "big") == 28
 
 
+def _golden():
+    return bytes.fromhex((FIXTURES / "clienthello_openssl_tls12.hex").read_text().strip())
+
+
 def test_golden_openssl_client_hello_decodes():
-    raw = bytes.fromhex((FIXTURES / "clienthello_openssl_tls12.hex").read_text().strip())
-    msg = decode_client_hello(raw)
-    assert msg.legacy_version == TLS1_2
+    raw = _golden()
+    version, suites, extensions = read_client_hello(raw)
+    assert version == TLS1_2
+    assert len(suites) == 15
+    assert suites[0] == 0xC02C
+    assert 0xC02F in suites
+    assert ref.sni_extension("example.com") in extensions
+    msg = ref.decode_client_hello(raw)
+    assert (msg.legacy_version, msg.cipher_suites, msg.extensions) == (version, suites, extensions)
     assert msg.session_id == b""
     assert msg.compression == (0,)
-    assert len(msg.cipher_suites) == 15
-    assert msg.cipher_suites[0] == 0xC02C
-    assert 0xC02F in msg.cipher_suites
-    assert wire.sni_extension("example.com") in msg.extensions
 
 
 def test_sni_encoding_matches_golden_capture():
-    raw = bytes.fromhex((FIXTURES / "clienthello_openssl_tls12.hex").read_text().strip())
-    golden = decode_client_hello(raw)
-    golden_sni = next(body for etype, body in golden.extensions if etype == 0x0000)
-    assert wire.sni_extension("example.com") == (0x0000, golden_sni)
+    golden_sni = next(body for etype, body in read_client_hello(_golden())[2] if etype == 0x0000)
+    named = encode_client_hello(TLS1_2, (0xC02F,), bytes(32), b"example.com")
+    assert read_client_hello(named)[2] == ((0x0000, golden_sni),)
+    assert ref.sni_extension("example.com") == (0x0000, golden_sni)
 
 
 def test_fingerprint_is_the_unhashed_ja3_string():
     suites = (0xC02F, 0x002F)
-    assert wire.fingerprint(ClientHelloMsg(TLS1_2, bytes(32), suites)) == "771,49199-47,,,"
-    named = wire.ClientHelloTemplate(TLS1_1, suites).encode(bytes(32), b"a.example")
-    assert wire.fingerprint(decode_client_hello(named)) == "770,49199-47,0,,"
+    assert wire.fingerprint(TLS1_2, suites, ()) == "771,49199-47,,,"
+    named = encode_client_hello(TLS1_1, suites, bytes(32), b"a.example")
+    version, suites, extensions = read_client_hello(named)
+    assert wire.fingerprint(version, suites, extensions) == "770,49199-47,0,,"
+    for raw in (named, _golden()):
+        version, suites, extensions = read_client_hello(raw)
+        assert wire.fingerprint(version, suites, extensions) == ref.fingerprint(
+            ref.decode_client_hello(raw))
 
 
 def test_alert_framing_is_seven_fixed_bytes():
@@ -145,13 +189,13 @@ def test_alert_framing_is_seven_fixed_bytes():
 
 
 def test_decode_server_hello_ignores_trailing_messages():
-    sh = ServerHelloSummary(TLS1_2, 0xC02F)
     trailing = b"\x0b\x00\x00\x01\x00"  # bogus Certificate fragment
-    raw = encode_server_hello(sh)
+    raw = encode_server_hello(TLS1_2, 0xC02F, bytes(32))
     padded = raw[0:3] + (len(raw[5:]) + len(trailing)).to_bytes(2, "big") + raw[5:] + trailing
-    assert decode_server_hello(padded) == sh
+    assert decode_server_hello(padded) == (TLS1_2, 0xC02F)
     # a second full record after the first is ignored too
-    assert decode_server_hello(raw + encode_alert(AlertMsg(AlertLevel.WARNING, 0))) == sh
+    assert decode_server_hello(raw + encode_alert(AlertMsg(AlertLevel.WARNING, 0))) == (
+        TLS1_2, 0xC02F)
 
 
 def test_decode_server_hello_on_alert_raises_not_server_hello():
@@ -161,20 +205,20 @@ def test_decode_server_hello_on_alert_raises_not_server_hello():
 
 
 def test_decode_server_hello_truncated_raises_malformed():
-    raw = encode_server_hello(ServerHelloSummary(TLS1_2, 0xC02F))
+    raw = encode_server_hello(TLS1_2, 0xC02F, bytes(32))
     with pytest.raises(MalformedRecord):
         decode_server_hello(raw[:-3])
 
 
 def test_decode_client_hello_on_server_hello_raises():
-    raw = encode_server_hello(ServerHelloSummary(TLS1_2, 0xC02F))
+    raw = encode_server_hello(TLS1_2, 0xC02F, bytes(32))
     with pytest.raises(NotClientHello):
         decode_client_hello(raw)
 
 
 def test_decode_alert_on_handshake_raises():
     with pytest.raises(NotAlert):
-        decode_alert(encode_client_hello(make_ch()))
+        decode_alert(encode_client_hello(TLS1_2, (0xC02B,), bytes(32)))
 
 
 def test_decode_alert_of_an_unknown_level_is_malformed():
@@ -184,38 +228,36 @@ def test_decode_alert_of_an_unknown_level_is_malformed():
 
 
 def test_nonzero_compression_is_preserved_not_policed():
-    msg = make_ch(compression=(1, 0))
-    assert decode_client_hello(encode_client_hello(msg)).compression == (1, 0)
+    raw = ref.encode_client_hello(make_ch(compression=(1, 0)))
+    assert decode_client_hello(raw) == (TLS1_2, (0xC02B,))
+    assert ref.decode_client_hello(raw).compression == (1, 0)
 
 
 def test_unknown_suite_is_flagged_not_an_error():
-    sh = decode_server_hello(encode_server_hello(ServerHelloSummary(TLS1_2, 0x4242)))
-    assert sh.selected_suite == 0x4242
-    assert sh.selected_suite not in REGISTRY
-    assert decode_server_hello(
-        encode_server_hello(ServerHelloSummary(TLS1_2, 0xC02F))
-    ).selected_suite in REGISTRY
+    suite = decode_server_hello(encode_server_hello(TLS1_2, 0x4242, bytes(32)))[1]
+    assert suite == 0x4242
+    assert suite not in REGISTRY
+    assert decode_server_hello(encode_server_hello(TLS1_2, 0xC02F, bytes(32)))[1] in REGISTRY
 
 
 def test_oversize_extension_body_raises():
-    msg = make_ch(extensions=((0x0010, b"\x00" * 70000),))
     with pytest.raises(OversizeMessage):
-        encode_client_hello(msg)
+        encode_client_hello(TLS1_2, (0xC02B,), bytes(32), b"a" * 70000)
+    with pytest.raises(OversizeMessage):
+        ref.encode_client_hello(make_ch(extensions=((0x0010, b"\x00" * 70000),)))
 
 
-def test_invariants_rejected_at_construction():
-    with pytest.raises(ValueError):
-        make_ch(suites=())
-    with pytest.raises(ValueError):
-        ClientHelloMsg(legacy_version=0x0304, random=bytes(32), cipher_suites=(1,))
-    with pytest.raises(ValueError):
-        ClientHelloMsg(legacy_version=TLS1_2, random=bytes(31), cipher_suites=(1,))
-    with pytest.raises(ValueError):
-        make_ch(session_id=bytes(33))
+def test_the_writer_refuses_what_the_reference_message_refuses():
+    for version, suites, random in ((TLS1_2, (), bytes(32)), (0x0304, (1,), bytes(32)),
+                                    (TLS1_2, (1,), bytes(31))):
+        with pytest.raises(ValueError) as reference:
+            ref.ClientHelloMsg(version, random, suites)
+        with pytest.raises(ValueError, match=str(reference.value)):
+            encode_client_hello(version, suites, random)
 
 
 def test_decoded_invariant_violation_is_malformed_record():
-    raw = bytearray(encode_client_hello(make_ch()))
+    raw = bytearray(encode_client_hello(TLS1_2, (0xC02B,), bytes(32)))
     body_version_off = 5 + 4
     raw[body_version_off : body_version_off + 2] = b"\x03\x04"  # 1.3 code inside CH
     with pytest.raises(MalformedRecord):
@@ -224,7 +266,7 @@ def test_decoded_invariant_violation_is_malformed_record():
 
 @given(st.binary(max_size=300))
 def test_decoders_total_over_arbitrary_bytes(data):
-    for dec in (decode_client_hello, decode_server_hello, decode_alert):
+    for dec in (decode_client_hello, read_client_hello, decode_server_hello, decode_alert):
         try:
             dec(data)
         except wire.WireError:
@@ -234,15 +276,15 @@ def test_decoders_total_over_arbitrary_bytes(data):
 @given(client_hellos, st.integers(0, 200), st.integers(0, 255))
 @settings(max_examples=200)
 def test_single_byte_mutations_never_crash_decoder(msg, pos, val):
-    raw = bytearray(encode_client_hello(msg))
+    raw = bytearray(ref.encode_client_hello(msg))
     raw[pos % len(raw)] = val
     try:
-        decode_client_hello(bytes(raw))
+        read_client_hello(bytes(raw))
     except wire.WireError:
         pass
 
 
-# -- the client's ClientHello template against the general encoder ---------
+# -- the hello handshake_attempt sends against the reference encoder ------
 
 
 class RecordingConnector:
@@ -257,8 +299,9 @@ class RecordingConnector:
 
 
 def _reference_hello(version, suites, sni, random):
-    extensions = (wire.sni_extension(sni),) if sni else ()
-    return encode_client_hello(ClientHelloMsg(version, random, suites, extensions=extensions))
+    extensions = (ref.sni_extension(sni),) if sni else ()
+    return ref.encode_client_hello(ref.ClientHelloMsg(version, random, suites,
+                                                      extensions=extensions))
 
 
 def _address(sni):
@@ -268,13 +311,13 @@ def _address(sni):
 
 def _sent_hello(version, offer, sni, signal):
     """The hello handshake_attempt sends, which is TLS 1.2; at another version,
-    the ClientHelloTemplate encoding of the same offer, random and name."""
+    encode_client_hello of the same offer, random and name."""
     address = _address(sni)
     suites = offer + (FALLBACK_SIGNAL,) if signal else offer
     if version != TLS1_2:
         name = split_address(address)[2] if sni is not None else None
-        return wire.ClientHelloTemplate(version, suites).encode(
-            _client_random(0, address, repr(suites)), name.encode("ascii") if name else b"")
+        return encode_client_hello(version, suites, _client_random(0, address, repr(suites)),
+                                   name.encode("ascii") if name else b"")
     conn = RecordingConnector()
     res = handshake_attempt(conn, address, suites, 1.0, sni=sni is not None)
     assert res.kind is AttemptKind.CONNECT_ERROR
@@ -332,14 +375,15 @@ def _framed(msg_type, body):
 _CH_FIXED = 2 + 32 + 1 + 2 + 2 * len(DEFAULT.suites) + 2  # up to the end of compression
 TRUNCATION_CASES = [
     # (decoder, whole record, body lengths that are complete messages)
-    (decode_client_hello, encode_client_hello(make_ch(suites=DEFAULT.suites)), {_CH_FIXED}),
+    (decode_client_hello, encode_client_hello(TLS1_2, DEFAULT.suites, bytes(range(32))),
+     {_CH_FIXED}),
     (decode_client_hello,
-     encode_client_hello(make_ch(suites=DEFAULT.suites,
-                                 extensions=(wire.sni_extension("example.com"), (0x0017, b"")))),
+     ref.encode_client_hello(make_ch(suites=DEFAULT.suites,
+                                     extensions=(ref.sni_extension("example.com"), (0x0017, b"")))),
      {_CH_FIXED}),
     (decode_server_hello,
-     encode_server_hello(ServerHelloSummary(TLS1_2, 0xC02F, b"\xff\x01\x00\x01\x00"),
-                         session_id=bytes(8)),
+     ref.encode_server_hello(ref.ServerHelloSummary(TLS1_2, 0xC02F, b"\xff\x01\x00\x01\x00"),
+                             session_id=bytes(8)),
      set(range(2 + 32 + 1 + 8 + 3, 200))),
 ]
 
@@ -363,26 +407,34 @@ def test_every_truncation_is_a_malformed_record(decode, raw, complete):
                 decode(_framed(raw[5], body[:n]))
 
 
-def test_every_cut_of_the_extension_block_is_a_malformed_record():
-    extensions = (wire.sni_extension("example.com"), (0x0017, b""), (0x000B, b"\x01\x00"))
-    raw = encode_client_hello(make_ch(suites=DEFAULT.suites, extensions=extensions))
+_BLOCK_EXTENSIONS = (ref.sni_extension("example.com"), (0x0017, b""), (0x000B, b"\x01\x00"))
+
+
+def _extension_block_cuts():
+    """A hello whose extension block is cut at each length short of the
+    whole, its own length field saying where it ends: ``(n, record)``."""
+    raw = ref.encode_client_hello(make_ch(suites=DEFAULT.suites, extensions=_BLOCK_EXTENSIONS))
     fixed, block = raw[9 : 9 + _CH_FIXED], raw[9 + _CH_FIXED + 2 :]
-    whole, at = set(), 0
-    for _, ext_body in extensions:
+    for n in range(len(block)):
+        yield n, _framed(wire.HS_CLIENT_HELLO, fixed + n.to_bytes(2, "big") + block[:n])
+
+
+def test_every_cut_of_the_extension_block_is_a_malformed_record():
+    whole, at = {0}, 0
+    for _, ext_body in _BLOCK_EXTENSIONS:
         at += 4 + len(ext_body)
         whole.add(at)
-    for n in range(len(block)):  # the block's own length says where it ends
-        cut = _framed(wire.HS_CLIENT_HELLO, fixed + n.to_bytes(2, "big") + block[:n])
-        if n in whole or n == 0:
-            decode_client_hello(cut)
+    for n, cut in _extension_block_cuts():
+        if n in whole:
+            read_client_hello(cut)
         else:
             with pytest.raises(MalformedRecord):
-                decode_client_hello(cut)
+                read_client_hello(cut)
 
 
 def test_trailing_bytes_inside_a_hello_are_malformed():
-    for extensions in ((), (wire.sni_extension("example.com"),)):
-        raw = encode_client_hello(make_ch(extensions=extensions))
+    for name in (b"", b"example.com"):
+        raw = encode_client_hello(TLS1_2, (0xC02B,), bytes(32), name)
         for extra in (b"\x00", b"\x00\x00\x00"):
             with pytest.raises(MalformedRecord):
                 decode_client_hello(_framed(wire.HS_CLIENT_HELLO, raw[9:] + extra))
@@ -398,7 +450,7 @@ def test_alert_payload_must_be_two_bytes():
 def test_inner_lengths_that_disagree_are_malformed():
     head = TLS1_2.to_bytes(2, "big") + bytes(32) + b"\x00"
     odd_suites = head + b"\x00\x03\xc0\x2f\x00" + b"\x01\x00"
-    sni = encode_client_hello(make_ch(extensions=(wire.sni_extension("example.com"),)))[9:]
+    sni = encode_client_hello(TLS1_2, (0xC02B,), bytes(32), b"example.com")[9:]
     block_at = len(head) + 2 + 2 + 2
     short_block = sni[:block_at] + (len(sni) - block_at - 3).to_bytes(2, "big") + sni[block_at + 2 :]
     for body in (odd_suites, short_block):
@@ -406,44 +458,50 @@ def test_inner_lengths_that_disagree_are_malformed():
             decode_client_hello(_framed(wire.HS_CLIENT_HELLO, body))
 
 
-# -- the server's offer read and ServerHello encoder against the general codec --
+# -- the one reader of each hello against the reference decoder ----------------
 
 
-def assert_offer_read_agrees(raw):
-    """read_offer accepts what decode_client_hello accepts, with its fields,
-    and raises the same error, type and message, for everything else. Both
-    hold for ``raw`` as bytes and as a bytearray, which read the same.
+def _outcome(decode, data):
+    """What ``decode(data)`` gives: its value, or its error's type and message."""
+    try:
+        return decode(data)
+    except wire.WireError as exc:
+        return type(exc), str(exc)
+
+
+def assert_client_hello_read_agrees(raw):
+    """decode_client_hello accepts what the reference decoder accepts, with
+    its version, suites and extensions (bodies as bytes), and raises the same
+    error, type and message, for everything else; with or without collecting
+    the extensions, and on ``raw`` as bytes and as a bytearray alike.
     Returns whether the hello was accepted."""
     outcomes = []
     for data in (bytes(raw), bytearray(raw)):
-        try:
-            msg = decode_client_hello(data)
-        except wire.WireError as exc:
-            with pytest.raises(wire.WireError) as got:
-                read_offer(data)
-            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
-            outcomes.append((type(exc), str(exc)))
-            continue
-        assert read_offer(data) == (msg.legacy_version, msg.cipher_suites)
-        fields = (msg.random, msg.session_id, *(body for _, body in msg.extensions))
-        assert {type(f) for f in fields} == {bytes}
-        outcomes.append(msg)
+        want = _outcome(ref.decode_client_hello, data)
+        if isinstance(want, ref.ClientHelloMsg):
+            want = (want.legacy_version, want.cipher_suites, want.extensions)
+        got = _outcome(read_client_hello, data)
+        assert got == want
+        assert _outcome(decode_client_hello, data) == want[:2]
+        if isinstance(got[0], int):
+            assert {type(body) for _, body in got[2]} <= {bytes}
+        outcomes.append(got)
     assert outcomes[0] == outcomes[1]
-    return isinstance(outcomes[0], ClientHelloMsg)
+    return isinstance(outcomes[0][0], int)
 
 
 @given(st.binary(max_size=300) | st.binary(max_size=300).map(lambda b: _framed(1, b)))
-def test_offer_read_agrees_on_arbitrary_bytes(data):
-    assert_offer_read_agrees(data)
+def test_client_hello_read_agrees_on_arbitrary_bytes(data):
+    assert_client_hello_read_agrees(data)
 
 
 @given(client_hellos, st.integers(0, 200), st.integers(0, 255))
 @settings(max_examples=200)
-def test_offer_read_agrees_under_single_byte_mutations(msg, pos, val):
-    raw = bytearray(encode_client_hello(msg))
-    assert_offer_read_agrees(bytes(raw))
+def test_client_hello_read_agrees_under_single_byte_mutations(msg, pos, val):
+    raw = bytearray(ref.encode_client_hello(msg))
+    assert assert_client_hello_read_agrees(bytes(raw))
     raw[pos % len(raw)] = val
-    assert_offer_read_agrees(bytes(raw))
+    assert_client_hello_read_agrees(bytes(raw))
 
 
 def _every_cut(raw):
@@ -456,26 +514,18 @@ def _every_cut(raw):
     yield from (_framed(raw[5], body[:n]) for n in range(len(body)))
 
 
-def _extension_block_cuts():
-    """Each cut of test_every_cut_of_the_extension_block_is_a_malformed_record."""
-    extensions = (wire.sni_extension("example.com"), (0x0017, b""), (0x000B, b"\x01\x00"))
-    raw = encode_client_hello(make_ch(suites=DEFAULT.suites, extensions=extensions))
-    fixed, block = raw[9 : 9 + _CH_FIXED], raw[9 + _CH_FIXED + 2 :]
-    for n in range(len(block)):
-        yield _framed(wire.HS_CLIENT_HELLO, fixed + n.to_bytes(2, "big") + block[:n])
-
-
-def test_offer_read_agrees_on_every_truncation_and_extension_block_cut():
+def test_client_hello_read_agrees_on_every_truncation_and_extension_block_cut():
     hellos = [raw for decode, raw, _ in TRUNCATION_CASES if decode is decode_client_hello]
-    cuts = [cut for raw in hellos for cut in _every_cut(raw)] + list(_extension_block_cuts())
-    accepted = sum([assert_offer_read_agrees(cut) for cut in cuts])
+    cuts = [cut for raw in hellos for cut in _every_cut(raw)]
+    cuts += [cut for _, cut in _extension_block_cuts()]
+    accepted = sum([assert_client_hello_read_agrees(cut) for cut in cuts])
     # The two whole hellos, the SNI hello's body cut after compression, and
     # the extension block cut at 0 and after its first and second extension.
     assert accepted == 6
 
 
-def test_offer_read_rejects_each_field_rule_as_decode_client_hello_does():
-    body = encode_client_hello(make_ch(suites=(0xC02F, 0x002F), session_id=bytes(4)))[9:]
+def test_client_hello_read_rejects_each_field_rule_as_the_reference_does():
+    body = ref.encode_client_hello(make_ch(suites=(0xC02F, 0x002F), session_id=bytes(4)))[9:]
     # version 0..2, random 2..34, session id 34..39, suites 39..45, compression 45..47
     variants = [
         (b"\x03\x04" + body[2:], "legacy_version must be a TLS 1.0-1.2 code"),
@@ -488,32 +538,23 @@ def test_offer_read_rejects_each_field_rule_as_decode_client_hello_does():
         raw = _framed(wire.HS_CLIENT_HELLO, variant)
         with pytest.raises(MalformedRecord, match=message):
             decode_client_hello(raw)
-        assert_offer_read_agrees(raw)
+        assert_client_hello_read_agrees(raw)
 
 
 def assert_server_hello_read_agrees(raw):
-    """read_server_hello accepts what decode_server_hello accepts, with its
-    version and suite, and raises the same error, type and message, for
-    everything else, on ``raw`` as bytes and as a bytearray alike; the two
-    summaries are equal and hashable. Returns whether the hello was accepted."""
-    outcomes, summaries = [], []
+    """decode_server_hello accepts what the reference decoder accepts, with
+    its version and suite, and raises the same error, type and message, for
+    everything else, on ``raw`` as bytes and as a bytearray alike. Returns
+    whether the hello was accepted."""
+    outcomes = []
     for data in (bytes(raw), bytearray(raw)):
-        try:
-            summary = decode_server_hello(data)
-        except wire.WireError as exc:
-            with pytest.raises(wire.WireError) as got:
-                read_server_hello(data)
-            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
-            outcomes.append((type(exc), str(exc)))
-            continue
-        got = read_server_hello(data)
-        assert got == (summary.negotiated_version, summary.selected_suite)
+        want = _outcome(ref.decode_server_hello, data)
+        if isinstance(want, ref.ServerHelloSummary):
+            want = (want.negotiated_version, want.selected_suite)
+        got = _outcome(decode_server_hello, data)
+        assert got == want
         outcomes.append(got)
-        summaries.append(summary)
     assert outcomes[0] == outcomes[1]
-    if summaries:
-        from_bytes, from_bytearray = summaries
-        assert hash(from_bytearray) == hash(from_bytes) and from_bytearray == from_bytes
     return isinstance(outcomes[0][0], int)
 
 
@@ -525,7 +566,7 @@ def test_server_hello_read_agrees_on_arbitrary_bytes(data):
 @given(server_hellos, session_ids, st.integers(0, 200), st.integers(0, 255))
 @settings(max_examples=200)
 def test_server_hello_read_agrees_under_single_byte_mutations(summary, session_id, pos, val):
-    raw = bytearray(encode_server_hello(summary, session_id=session_id))
+    raw = bytearray(ref.encode_server_hello(summary, session_id=session_id))
     assert assert_server_hello_read_agrees(bytes(raw))
     raw[pos % len(raw)] = val
     assert_server_hello_read_agrees(bytes(raw))
@@ -538,43 +579,15 @@ def test_server_hello_read_agrees_on_every_truncation():
     assert accepted == 6
 
 
-def _reference_server_hello(summary, random, session_id):
-    """encode_server_hello as plain concatenation of its fields."""
-    body = (summary.negotiated_version.to_bytes(2, "big") + random
-            + bytes([len(session_id)]) + session_id
-            + summary.selected_suite.to_bytes(2, "big") + b"\x00" + summary.raw_extensions)
-    hs = bytes([wire.HS_SERVER_HELLO]) + len(body).to_bytes(3, "big") + body
-    return (bytes([wire.CONTENT_HANDSHAKE]) + summary.negotiated_version.to_bytes(2, "big")
-            + len(hs).to_bytes(2, "big") + hs)
-
-
-@given(server_hellos, randoms, session_ids)
-def test_encode_server_hello_is_the_plain_concatenation(summary, random, session_id):
-    got = encode_server_hello(summary, random=random, session_id=session_id)
-    assert got == _reference_server_hello(summary, random, session_id)
-
-
-def test_encode_server_hello_for_every_version_and_session_id_length():
+def test_encode_server_hello_for_every_version():
     random = bytes(range(32))
     for version in (0, TLS1_0, TLS1_1, TLS1_2, 0x0304, 0xFFFF):
-        for n in range(33):
-            for extensions in (b"", b"\xff\x01\x00\x01\x00"):
-                summary = ServerHelloSummary(version, 0xC02F, extensions)
-                session_id = bytes(range(n))
-                assert encode_server_hello(summary, random, session_id) == _reference_server_hello(
-                    summary, random, session_id)
+        for suite in (0, 0x002F, 0xC02F, 0xFFFF):
+            assert encode_server_hello(version, suite, random) == ref.encode_server_hello(
+                ref.ServerHelloSummary(version, suite), random)
 
 
-def test_encode_server_hello_raises_oversize_past_the_record_limit():
-    for n in (0, 32):
-        fits = ServerHelloSummary(TLS1_2, 0xC02F, bytes(0xFFFF - 4 - 38 - n))
-        raw = encode_server_hello(fits, session_id=bytes(n))
-        assert len(raw) == 5 + 0xFFFF
-        assert raw == _reference_server_hello(fits, bytes(32), bytes(n))
-        over = ServerHelloSummary(TLS1_2, 0xC02F, fits.raw_extensions + b"\x00")
-        with pytest.raises(OversizeMessage, match="record length 65536 overflows 2 bytes"):
-            encode_server_hello(over, session_id=bytes(n))
-    with pytest.raises(ValueError):
-        encode_server_hello(ServerHelloSummary(TLS1_2, 0xC02F), random=bytes(31))
-    with pytest.raises(ValueError):
-        encode_server_hello(ServerHelloSummary(TLS1_2, 0xC02F), session_id=bytes(33))
+def test_encode_server_hello_refuses_a_random_of_another_length():
+    for n in (0, 31, 33):
+        with pytest.raises(ValueError, match="random must be exactly 32 bytes"):
+            encode_server_hello(TLS1_2, 0xC02F, bytes(n))
