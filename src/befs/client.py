@@ -101,11 +101,13 @@ def describe_fallback(address: str, next_profile: ProfileKind) -> str:
     )
 
 
-# One pool for the parallel rungs of every connect: a pool per connect paid
-# for starting its threads on each call, which alone could push a parallel
-# connect past 1.5x a DEFAULT one. Threads start on first use.
+# One pool for the parallel rungs after the first of every connect: a pool
+# per connect paid for starting its threads on each call, which alone could
+# push a parallel connect past 1.5x a DEFAULT one. The first rung runs on
+# the calling thread, so the pool needs one worker fewer than the longest
+# ladder has rungs. Threads start on first use.
 _RUNG_POOL = ThreadPoolExecutor(
-    max_workers=max(len(ladder) for ladder in LADDERS.values()),
+    max_workers=max(len(ladder) for ladder in LADDERS.values()) - 1,
     thread_name_prefix="befs-rung",
 )
 
@@ -128,14 +130,14 @@ def connect(
     ``user(describe_fallback(address, profile))``: true widens the offer,
     false ends the ladder as ABORTED_BY_USER. With PARALLEL, every
     rung is sent at once, all answers are awaited, and the strongest
-    selecting rung wins. The rungs run on one module-wide pool sized for
-    the longest ladder, so concurrent parallel connects share those
-    workers and their rungs queue for a free one. DEFAULT has a single
-    rung, so it ignores the style. With ``sni``, the hello names the
-    address's host (see handshake_attempt). A ``label`` tells repeated
-    connects to one address apart: each gets its own hello randoms. The
-    outcome carries ``address`` and ``cfg.fallback``, so a stored session
-    says how it ran.
+    selecting rung wins. The first rung runs on the calling thread and
+    the others on one module-wide pool, so concurrent parallel connects
+    share its workers and their later rungs queue for a free one. DEFAULT
+    has a single rung, so it ignores the style. With ``sni``, the hello
+    names the address's host (see handshake_attempt). A ``label`` tells
+    repeated connects to one address apart: each gets its own hello
+    randoms. The outcome carries ``address`` and ``cfg.fallback``, so a
+    stored session says how it ran.
     """
     ladder = LADDERS[cfg.mode]
     suffix = "/" + label if label else ""
@@ -154,8 +156,9 @@ def connect(
 
     status = SessionStatus.FAILED
     if cfg.fallback is FallbackStyle.PARALLEL and len(ladder) > 1:
-        futures = [_RUNG_POOL.submit(attempt, d, p) for d, p in enumerate(ladder)]
-        attempts = [f.result() for f in futures]  # join-all barrier
+        futures = [_RUNG_POOL.submit(attempt, d, p) for d, p in enumerate(ladder) if d]
+        attempts = [attempt(0, ladder[0])]
+        attempts += [f.result() for f in futures]  # join-all barrier
     else:
         attempts = []
         for depth, profile in enumerate(ladder):

@@ -672,8 +672,6 @@ class _MemoryConnector:
                 raise TimeoutError("no response from %s within %gs" % (address, timeout_s))
             if delay_s > 0:
                 time.sleep(delay_s)
-            if not reply:  # a close before any byte, as a socket reads it
-                raise ConnectFailed("connection closed before a full record")
             return reply
         finally:
             h.gauge.leave()

