@@ -143,7 +143,7 @@ def _connect_options(p: argparse.ArgumentParser) -> None:
         help="how a failed rung widens the offer: silently, after a terminal prompt, or "
         "with TLS_FALLBACK_SCSV (RFC 7507) appended; a real server that speaks TLS 1.3 "
         "refuses every signaled rung, one whose maximum is TLS 1.2 never does. "
-        "parallel races every rung at once and keeps the strongest",
+        "parallel sends every rung at once and keeps the strongest",
     )
     _add_handshake_options(p, concurrency=False)
     _add_store_options(p)

@@ -6,19 +6,20 @@ and widen only on failure: FS-only then default, or FS+AE-only then
 FS-only then default.  Fallback can happen silently, behind a user
 decision, or accompanied by a wire signal that lets honest capable
 servers reject a downgrade they should never have seen.  The parallel
-style instead sends every rung at once, waits for all answers, and keeps
-the strongest.
+style instead sends every rung's hello before it reads any reply, all on
+the calling thread, and keeps the strongest answer.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .handshake import AttemptResult, Connector, handshake_attempt
+from .handshake import (
+    AttemptResult, ConnectFailed, Connector, client_hello, handshake_attempt, read_reply,
+)
 from .records import record
 from .suites import FALLBACK_SIGNAL, ProfileKind, is_ae, is_fs
 
@@ -101,15 +102,12 @@ def describe_fallback(address: str, next_profile: ProfileKind) -> str:
     )
 
 
-# One pool for the parallel rungs after the first of every connect: a pool
-# per connect paid for starting its threads on each call, which alone could
-# push a parallel connect past 1.5x a DEFAULT one. The first rung runs on
-# the calling thread, so the pool needs one worker fewer than the longest
-# ladder has rungs. Threads start on first use.
-_RUNG_POOL = ThreadPoolExecutor(
-    max_workers=max(len(ladder) for ladder in LADDERS.values()) - 1,
-    thread_name_prefix="befs-rung",
-)
+def _returned_or_raised(call: Callable, *args):
+    """What ``call(*args)`` returns, or the TimeoutError or ConnectFailed it raises."""
+    try:
+        return call(*args)
+    except (TimeoutError, ConnectFailed) as exc:
+        return exc
 
 
 def connect(
@@ -129,46 +127,45 @@ def connect(
     fallback signal on the widened offer (SIGNALED). The user decision is
     ``user(describe_fallback(address, profile))``: true widens the offer,
     false ends the ladder as ABORTED_BY_USER. With PARALLEL, every
-    rung is sent at once, all answers are awaited, and the strongest
-    selecting rung wins. The first rung runs on the calling thread and
-    the others on one module-wide pool, so concurrent parallel connects
-    share its workers and their later rungs queue for a free one. DEFAULT
-    has a single rung, so it ignores the style. With ``sni``, the hello
-    names the address's host (see handshake_attempt). A ``label`` tells
-    repeated connects to one address apart: each gets its own hello
-    randoms. The outcome carries ``address`` and ``cfg.fallback``, so a
-    stored session says how it ran.
+    rung's hello is sent (connector.send) before any reply is received
+    (connector.receive), both in rung order on the calling thread, and
+    the strongest selecting rung wins; a rung's ``elapsed_s`` runs from
+    its send to its verdict. DEFAULT has a single rung, so it ignores the
+    style. With ``sni``, the hello names the address's host (see
+    client_hello). A ``label`` tells repeated connects to one address
+    apart: each gets its own hello randoms. The outcome carries
+    ``address`` and ``cfg.fallback``, so a stored session says how it ran.
     """
     ladder = LADDERS[cfg.mode]
     suffix = "/" + label if label else ""
 
-    def attempt(depth: int, profile: ProfileKind) -> AttemptResult:
+    def rung(depth: int, profile: ProfileKind) -> tuple[tuple[int, ...], str]:  # offer, label
         signal = depth > 0 and cfg.fallback is FallbackStyle.SIGNALED
-        return handshake_attempt(
-            connector,
-            address,
-            profile.suites + (FALLBACK_SIGNAL,) if signal else profile.suites,
-            cfg.timeout_s,
-            sni=sni,
-            seed=seed,
-            label="%s/%s/%d%s" % (cfg.mode.value, profile.value, depth, suffix),
-        )
+        return (profile.suites + (FALLBACK_SIGNAL,) if signal else profile.suites,
+                "%s/%s/%d%s" % (cfg.mode.value, profile.value, depth, suffix))
 
-    status = SessionStatus.FAILED
+    status, attempts = SessionStatus.FAILED, []
     if cfg.fallback is FallbackStyle.PARALLEL and len(ladder) > 1:
-        futures = [_RUNG_POOL.submit(attempt, d, p) for d, p in enumerate(ladder) if d]
-        attempts = [attempt(0, ladder[0])]
-        attempts += [f.result() for f in futures]  # join-all barrier
+        pending = []  # (offer, start, what send returned or raised) of each rung
+        for depth, profile in enumerate(ladder):
+            offer, rung_label = rung(depth, profile)
+            raw = client_hello(address, offer, sni=sni, seed=seed, label=rung_label)
+            pending.append((offer, time.perf_counter(),
+                            _returned_or_raised(connector.send, address, raw, cfg.timeout_s)))
+        for offer, start, sent in pending:
+            if not isinstance(sent, Exception):  # else the send failed
+                sent = _returned_or_raised(connector.receive, sent)
+            attempts.append(read_reply(sent, offer, cfg.timeout_s, start))
     else:
-        attempts = []
         for depth, profile in enumerate(ladder):
             if depth > 0 and cfg.fallback is FallbackStyle.INTERACTIVE:
                 if not user(describe_fallback(address, profile)):
                     status = SessionStatus.ABORTED_BY_USER
                     break
-            result = attempt(depth, profile)
-            attempts.append(result)
-            if result.selected:
+            offer, rung_label = rung(depth, profile)
+            attempts.append(handshake_attempt(connector, address, offer, cfg.timeout_s, sni=sni,
+                                              seed=seed, label=rung_label))
+            if attempts[-1].selected:
                 break
     # the strongest selecting rung wins; without one, report the last reached
     depth = next((d for d, a in enumerate(attempts) if a.selected), None)

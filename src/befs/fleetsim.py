@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence
 
 from . import wire
-from .handshake import ConnectFailed, TcpConnector
+from .handshake import ConnectFailed, Connector, TcpConnector
 from .inspection import Classification
 from .negotiate import SelectionRule, ServerPolicy, select
 from .records import record
@@ -652,29 +652,37 @@ class _Gauge:
             self.current -= 1
 
 
-class _MemoryConnector:
+class _MemoryConnector(Connector):
+    """Answers at send; a reply is due its sampled delay later, a stall its timeout later."""
+
     def __init__(self, harness: "MemoryHarness") -> None:
         self._h = harness
 
-    def exchange(self, address: str, raw: bytes, timeout_s: float) -> bytes:
+    def send(self, address: str, raw: bytes, timeout_s: float) -> tuple:
         h = self._h
         if h.stopped:
             raise ConnectFailed("harness stopped")
         endpoint = h.endpoints.get(address)
         if endpoint is None:
             raise ConnectFailed("no server at %s" % address)
+        reply = endpoint.respond(raw)
+        delay_s = h.latency.sample_s(h.latency_rng)
+        if reply is None or delay_s >= timeout_s:
+            reply, delay_s = None, timeout_s
         h.gauge.enter()
+        return address, reply, timeout_s, time.perf_counter() + delay_s if delay_s else 0.0
+
+    def receive(self, sent: tuple) -> bytes:
+        address, reply, timeout_s, due = sent
         try:
-            reply = endpoint.respond(raw)
-            delay_s = h.latency.sample_s(h.latency_rng)
-            if reply is None or delay_s >= timeout_s:
-                time.sleep(timeout_s)
+            wait = due - time.perf_counter() if due else 0.0
+            if wait > 0:
+                time.sleep(wait)
+            if reply is None:
                 raise TimeoutError("no response from %s within %gs" % (address, timeout_s))
-            if delay_s > 0:
-                time.sleep(delay_s)
             return reply
         finally:
-            h.gauge.leave()
+            self._h.gauge.leave()
 
 
 class Harness:

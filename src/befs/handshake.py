@@ -2,9 +2,9 @@
 
 A Connector abstracts the byte transport (in-memory fleet or TCP), so the
 scanning, inspection, and policy engines share one attempt primitive.
-Connections are one-shot: the exchange ends at the ServerHello or alert
-and the transport closes; nothing past the first server flight matters
-for negotiation observation.
+Connections are one-shot: an exchange, a send then a receive, ends at the
+ServerHello or alert, and a caller may send several hellos before it
+receives any reply. Nothing past the first server flight matters.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import hashlib
 import socket
 import time
 from enum import Enum
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
 from . import wire
 from .metadata import split_address
@@ -25,8 +25,17 @@ class ConnectFailed(Exception):
     """TCP connect refused or reset, or an unknown in-memory address or stopped harness."""
 
 
+@runtime_checkable
 class Connector(Protocol):
-    def exchange(self, address: str, raw: bytes, timeout_s: float) -> bytes: ...
+    """``send`` writes a hello now; ``receive`` of what it returned waits for
+    the reply. Either may raise TimeoutError or ConnectFailed."""
+
+    def send(self, address: str, raw: bytes, timeout_s: float) -> tuple: ...
+
+    def receive(self, sent: tuple) -> bytes: ...
+
+    def exchange(self, address: str, raw: bytes, timeout_s: float) -> bytes:
+        return self.receive(self.send(address, raw, timeout_s))
 
 
 class AttemptKind(Enum):
@@ -58,42 +67,29 @@ def _client_random(seed: int, address: str, label: str) -> bytes:
     return hashlib.sha256(material.encode()).digest()
 
 
-def handshake_attempt(
-    connector: Connector,
-    address: str,
-    offer: Sequence[int],
-    timeout_s: float,
-    *,
-    sni: bool = False,
-    seed: int = 0,
-    label: str = "",
-) -> AttemptResult:
-    """Send one TLS 1.2 ClientHello and classify the first server flight.
-
-    With ``sni``, the hello carries the address's host name in the
-    server_name extension; an IPv4 literal never does (split_address).
-    The fallback signal, FALLBACK_SIGNAL, is a suite of ``offer`` as on
-    the wire; a server that selects it is refused like any unoffered suite.
-
-    The reply is read here, for every connector, by its first record's
-    content type: no bytes at all is CONNECT_ERROR, an alert record is
-    REJECTED (decode_alert), and any other record must be a ServerHello
-    (decode_server_hello). A reply either reader refuses is PROTOCOL_ERROR.
-    """
-    offered = tuple(offer)
+def client_hello(address: str, offer: tuple[int, ...], *, sni: bool = False, seed: int = 0,
+                 label: str = "") -> bytes:
+    """The TLS 1.2 ClientHello of one attempt. With ``sni`` it names the
+    address's host, which an IPv4 literal never does (split_address).
+    FALLBACK_SIGNAL is offered as a suite, and refused if selected."""
     name = split_address(address)[2] if sni else None
-    server_name = name.encode("ascii") if name else b""
-    raw = wire.encode_client_hello(
-        wire.TLS1_2, offered, _client_random(seed, address, label or repr(offered)), server_name
-    )
+    hello_random = _client_random(seed, address, label or repr(offer))
+    return wire.encode_client_hello(wire.TLS1_2, offer, hello_random,
+                                    name.encode("ascii") if name else b"")
+
+
+def read_reply(reply: Union[bytes, TimeoutError, ConnectFailed], offer: tuple[int, ...],
+               timeout_s: float, start: float) -> AttemptResult:
+    """The attempt an exchange begun at ``start`` gave, from ``reply``: the
+    TimeoutError or ConnectFailed raised for it, or its bytes, read by
+    their first record's content type. None at all is CONNECT_ERROR, an
+    alert is REJECTED (decode_alert), and any other record must be a
+    ServerHello (decode_server_hello); what either refuses is PROTOCOL_ERROR."""
     version = suite = alert = error = None
-    start = time.perf_counter()
-    try:
-        reply = connector.exchange(address, raw, timeout_s)
-    except TimeoutError:
+    if isinstance(reply, TimeoutError):
         kind, error = AttemptKind.TIMEOUT, "timed out after %gs" % timeout_s
-    except ConnectFailed as exc:
-        kind, error = AttemptKind.CONNECT_ERROR, str(exc)
+    elif isinstance(reply, ConnectFailed):
+        kind, error = AttemptKind.CONNECT_ERROR, str(reply)
     else:
         try:
             if not reply:
@@ -104,7 +100,7 @@ def handshake_attempt(
             else:
                 version, suite = wire.decode_server_hello(reply)
                 # A real client answers these with an illegal_parameter alert.
-                if suite not in offered or suite == FALLBACK_SIGNAL:
+                if suite not in offer or suite == FALLBACK_SIGNAL:
                     error = "server selected unoffered suite 0x%04X" % suite
                 elif version > wire.TLS1_2:
                     error = "server selected version 0x%04X above 0x%04X" % (version, wire.TLS1_2)
@@ -117,21 +113,35 @@ def handshake_attempt(
     return AttemptResult(kind, suite, version, alert, error, time.perf_counter() - start)
 
 
+def handshake_attempt(connector: Connector, address: str, offer: Sequence[int], timeout_s: float,
+                      *, sni: bool = False, seed: int = 0, label: str = "") -> AttemptResult:
+    """One ``connector.exchange`` of client_hello's bytes, read by read_reply."""
+    offered = tuple(offer)
+    raw = client_hello(address, offered, sni=sni, seed=seed, label=label)
+    start = time.perf_counter()
+    try:
+        reply = connector.exchange(address, raw, timeout_s)
+    except (TimeoutError, ConnectFailed) as exc:
+        reply = exc
+    return read_reply(reply, offered, timeout_s, start)
+
+
 def read_record(sock: socket.socket, deadline: float) -> bytes:
     """Read one TLS record off a socket before the deadline.
 
     A peer that closes first leaves what arrived, which may be nothing:
     handshake_attempt reads a cut reply, or an empty one, as it reads the
-    same reply over the memory transport.
+    same reply over the memory transport. Past the deadline (a ladder's
+    later rungs), only bytes that have already arrived are read.
     """
     buf = b""
     want = 5
     while True:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            raise TimeoutError("record read deadline exceeded")
-        sock.settimeout(remaining)
-        chunk = sock.recv(4096)
+        sock.settimeout(max(deadline - time.perf_counter(), 0.0))  # 0: do not block
+        try:
+            chunk = sock.recv(4096)
+        except BlockingIOError:
+            raise TimeoutError("record read deadline exceeded") from None
         if not chunk:
             return buf
         buf += chunk
@@ -141,7 +151,7 @@ def read_record(sock: socket.socket, deadline: float) -> bytes:
             return buf[:want]
 
 
-class TcpConnector:
+class TcpConnector(Connector):
     """Connector over real TCP; one connection per exchange.
 
     An IPv4 literal (a host split_address gives no SNI name) is dialled
@@ -149,28 +159,31 @@ class TcpConnector:
     socket.create_connection, which resolves it and tries each address.
     """
 
-    def exchange(self, address: str, raw: bytes, timeout_s: float) -> bytes:
+    def send(self, address: str, raw: bytes, timeout_s: float) -> tuple:
         host, port, name = split_address(address)
-        if port is None:
-            port = 443
+        port = 443 if port is None else port
         deadline = time.perf_counter() + timeout_s
+        failed, sock = "connect %s failed: %s", None
         try:
             if host and name is None:  # an IPv4 literal: no resolver call
                 sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                try:
-                    sock.settimeout(timeout_s)
-                    sock.connect((host, port))
-                except BaseException:
-                    sock.close()
-                    raise
+                sock.settimeout(timeout_s)
+                sock.connect((host, port))
             else:
                 sock = socket.create_connection((host, port), timeout=timeout_s)
-        except TimeoutError:
-            raise
-        except OSError as exc:
-            raise ConnectFailed("connect %s failed: %s" % (address, exc)) from exc
-        try:
+            failed = "exchange with %s failed: %s"
             sock.sendall(raw)
+        except BaseException as exc:
+            if sock is not None:
+                sock.close()
+            if isinstance(exc, TimeoutError) or not isinstance(exc, OSError):
+                raise
+            raise ConnectFailed(failed % (address, exc)) from exc
+        return sock, address, deadline
+
+    def receive(self, sent: tuple) -> bytes:
+        sock, address, deadline = sent
+        try:
             return read_record(sock, deadline)
         except TimeoutError:
             raise

@@ -277,11 +277,13 @@ def _decoder(tp) -> str:
         body += ["    " + s for s in _checks(item, "x", "") + ["items.append(x)"]]
         return _define(item.__name__ + "_tuple_from_json", ["v"], body + ["return tuple(items)"])
     if tp is wire.AlertMsg:
+        levels = _global({level.value: level for level in wire.AlertLevel})
         return _define("AlertMsg_from_json", ["v"], [
             "if type(v) is not list: _bad('expected [level, description]', v)",
             "level, description = v",
             *_checks(int, "level", ""),
-            "level = %s(level)" % _global(wire.AlertLevel),
+            "if level not in %s: raise ValueError(f'{level} is not a valid AlertLevel')" % levels,
+            "level = %s[level]" % levels,
             *_checks(int, "description", ""),
             "return %s(level, description)" % _global(wire.AlertMsg),
         ])

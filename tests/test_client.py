@@ -2,6 +2,7 @@
 
 import operator
 import threading
+import time
 
 import pytest
 import wire_reference as ref
@@ -26,12 +27,13 @@ from befs.fleetsim import (
     Archetype,
     FleetSpec,
     LatencyModel,
+    PassiveTap,
     SimServer,
     Transport,
     generate_fleet,
     serve,
 )
-from befs.handshake import AttemptKind, handshake_attempt
+from befs.handshake import AttemptKind, Connector, TcpConnector, handshake_attempt
 from befs.negotiate import SelectionRule, ServerPolicy
 from befs.suites import DEFAULT_ORDER, FALLBACK_SIGNAL, ProfileKind
 
@@ -39,7 +41,8 @@ SEQUENTIAL_STYLES = (FallbackStyle.SILENT, FallbackStyle.INTERACTIVE, FallbackSt
 
 
 def one_server(preference, *, rule=SelectionRule.SERVER_PREFERENCE,
-               honors_signal=True, adversary=None):
+               honors_signal=True, adversary=None, transport=Transport.IN_MEMORY,
+               latency=LatencyModel()):
     server = SimServer(
         server_id="srv-0",
         archetype=Archetype.FS_SUPPORTING_NONFS_PREFERRING,
@@ -47,7 +50,7 @@ def one_server(preference, *, rule=SelectionRule.SERVER_PREFERENCE,
         honors_fallback_signal=honors_signal,
         seed=7,
     )
-    return serve([server], Transport.IN_MEMORY, adversary=adversary)
+    return serve([server], transport, adversary=adversary, latency=latency)
 
 
 def scripted(*answers):
@@ -390,26 +393,109 @@ def test_sequential_attempt_accounting():
 
 class ThreadRecorder:
     """Answers every hello with a static-RSA ServerHello and records the
-    thread that exchanged each offer."""
+    threads that sent and received each offer."""
 
     def __init__(self):
         self.threads = {}
 
-    def exchange(self, address, raw, timeout_s):
-        self.threads[wire.decode_client_hello(raw)[1]] = threading.get_ident()
+    def send(self, address, raw, timeout_s):
+        offer = wire.decode_client_hello(raw)[1]
+        self.threads[offer] = [threading.get_ident()]
+        return offer
+
+    def receive(self, offer):
+        self.threads[offer].append(threading.get_ident())
         return wire.encode_server_hello(wire.TLS1_2, 0x002F, bytes(32))
 
 
 @pytest.mark.parametrize("mode", [PolicyMode.BEFS, PolicyMode.BESAFE])
-def test_parallel_connect_runs_its_first_rung_on_the_calling_thread(mode):
+def test_parallel_connect_runs_every_rung_on_the_calling_thread(mode):
     recorder = ThreadRecorder()
+    threads = threading.active_count()
     out = connect("srv-0", cfg_for(mode, FallbackStyle.PARALLEL), connector=recorder)
+    assert threading.active_count() == threads
     ladder = LADDERS[mode]
     assert out.connected and out.handshake_attempts == len(ladder)
     assert out.fallback_depth == len(ladder) - 1  # only the default offer holds 0x002F
     caller = threading.get_ident()
-    assert recorder.threads[ladder[0].suites] == caller
-    assert all(recorder.threads[profile.suites] != caller for profile in ladder[1:])
+    assert recorder.threads == {profile.suites: [caller, caller] for profile in ladder}
+
+
+BOTH_TRANSPORTS = pytest.mark.parametrize("transport", list(Transport), ids=lambda t: t.value)
+
+
+@BOTH_TRANSPORTS
+def test_parallel_besafe_waits_for_one_rungs_delay_not_the_sum(transport):
+    with one_server((0x002F,), transport=transport, latency=LatencyModel(base_ms=50)) as h:
+        start = time.perf_counter()
+        out = connect(h.addresses[0], cfg_for(PolicyMode.BESAFE, FallbackStyle.PARALLEL),
+                      connector=h.connector())
+        wall = time.perf_counter() - start
+    assert out.connected and out.handshake_attempts == 3
+    assert all(a.elapsed_s >= 0.05 for a in out.attempts)
+    assert wall < 0.1  # one rung after another would take 0.15 s
+
+
+@BOTH_TRANSPORTS
+def test_parallel_befs_behind_a_dropper_loses_only_the_dropped_rung(transport):
+    # rung 0 waits out its timeout, so rung 1's reply, long arrived, is
+    # received past its own deadline and must still be read
+    with one_server((0x009C, 0xC02F), adversary=ActiveDropper, transport=transport) as h:
+        out = connect(h.addresses[0],
+                      cfg_for(PolicyMode.BEFS, FallbackStyle.PARALLEL, timeout_s=0.1),
+                      connector=h.connector())
+    assert [a.kind for a in out.attempts] == [AttemptKind.TIMEOUT, AttemptKind.SELECTED]
+    assert out.connected and out.suite == 0x009C and out.fallback_depth == 1
+
+
+@BOTH_TRANSPORTS
+def test_parallel_hellos_arrive_in_rung_order(transport):
+    with one_server((0x002F,), adversary=PassiveTap, transport=transport) as h:
+        out = connect(h.addresses[0], cfg_for(PolicyMode.BESAFE, FallbackStyle.PARALLEL),
+                      connector=h.connector())
+        tap = h.endpoints[h.addresses[0]]
+    assert out.connected
+    offers = [wire.decode_client_hello(entry.request)[1] for entry in tap.transcript]
+    assert offers == [profile.suites for profile in LADDERS[PolicyMode.BESAFE]]
+
+
+class SocketRecorder(TcpConnector):
+    """A TcpConnector that keeps each socket it opens."""
+
+    def __init__(self):
+        self.sockets = []
+
+    def send(self, address, raw, timeout_s):
+        sent = super().send(address, raw, timeout_s)
+        self.sockets.append(sent[0])
+        return sent
+
+
+def test_parallel_ladder_closes_every_socket_it_opens():
+    recorder = SocketRecorder()
+    with one_server((0x009C, 0xC02F), adversary=ActiveDropper,
+                    transport=Transport.LOOPBACK_SOCKET) as h:
+        out = connect(h.addresses[0],
+                      cfg_for(PolicyMode.BESAFE, FallbackStyle.PARALLEL, timeout_s=0.05),
+                      connector=recorder)
+    assert [a.kind for a in out.attempts][:2] == [AttemptKind.TIMEOUT] * 2  # receive raised
+    assert len(recorder.sockets) == 3
+    assert all(sock.fileno() == -1 for sock in recorder.sockets)
+
+
+class HalfBuilt:
+    def exchange(self, address, raw, timeout_s):
+        return b""
+
+    def send(self, address, raw, timeout_s):
+        return b""
+
+
+def test_both_transports_give_whole_connectors():
+    with one_server((0x002F,)) as h:
+        assert isinstance(h.connector(), Connector)
+    assert isinstance(TcpConnector(), Connector)
+    assert not isinstance(HalfBuilt(), Connector)  # no receive: no PARALLEL ladder
 
 
 # -- servers that ignore the offer --------------------------------------------
@@ -423,6 +509,12 @@ class FixedReply:
 
     def exchange(self, address, raw, timeout_s):
         return self.reply
+
+    def send(self, address, raw, timeout_s):
+        return self.exchange(address, raw, timeout_s)
+
+    def receive(self, sent):
+        return sent
 
 
 def server_hello(suite, version=wire.TLS1_2):
