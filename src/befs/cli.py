@@ -50,6 +50,7 @@ from .report import (
     RecordStore,
     SchemaMismatch,
     aggregate,
+    decode_record,
     json_line,
     record_line,
     render_text,
@@ -376,7 +377,7 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_report(args) -> int:
-    loaded = RecordStore(args.store).load(campaign=args.campaign)
+    loaded = RecordStore(args.store).load(campaign=args.campaign, decode=decode_record)
     for err in loaded.errors:
         _note("report: skipped corrupt %s" % err)
     if args.campaign is not None and not loaded.records:

@@ -102,14 +102,6 @@ def describe_fallback(address: str, next_profile: ProfileKind) -> str:
     )
 
 
-def _returned_or_raised(call: Callable, *args):
-    """What ``call(*args)`` returns, or the TimeoutError or ConnectFailed it raises."""
-    try:
-        return call(*args)
-    except (TimeoutError, ConnectFailed) as exc:
-        return exc
-
-
 def connect(
     address: str,
     cfg: PolicyConfig,
@@ -146,16 +138,25 @@ def connect(
 
     status, attempts = SessionStatus.FAILED, []
     if cfg.fallback is FallbackStyle.PARALLEL and len(ladder) > 1:
-        pending = []  # (offer, start, what send returned or raised) of each rung
+        # A failure is read in its handler: an exception kept past it holds
+        # this frame in a cycle via its traceback (see handshake_attempt).
+        pending = []  # (offer, start, what send returned or the attempt it failed) of each rung
         for depth, profile in enumerate(ladder):
             offer, rung_label = rung(depth, profile)
             raw = client_hello(address, offer, sni=sni, seed=seed, label=rung_label)
-            pending.append((offer, time.perf_counter(),
-                            _returned_or_raised(connector.send, address, raw, cfg.timeout_s)))
+            start = time.perf_counter()
+            try:
+                sent = connector.send(address, raw, cfg.timeout_s)
+            except (TimeoutError, ConnectFailed) as exc:
+                sent = read_reply(exc, offer, cfg.timeout_s, start)
+            pending.append((offer, start, sent))
         for offer, start, sent in pending:
-            if not isinstance(sent, Exception):  # else the send failed
-                sent = _returned_or_raised(connector.receive, sent)
-            attempts.append(read_reply(sent, offer, cfg.timeout_s, start))
+            if not isinstance(sent, AttemptResult):  # else the send failed
+                try:
+                    sent = read_reply(connector.receive(sent), offer, cfg.timeout_s, start)
+                except (TimeoutError, ConnectFailed) as exc:
+                    sent = read_reply(exc, offer, cfg.timeout_s, start)
+            attempts.append(sent)
     else:
         for depth, profile in enumerate(ladder):
             if depth > 0 and cfg.fallback is FallbackStyle.INTERACTIVE:

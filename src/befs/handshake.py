@@ -122,7 +122,8 @@ def handshake_attempt(connector: Connector, address: str, offer: Sequence[int], 
     try:
         reply = connector.exchange(address, raw, timeout_s)
     except (TimeoutError, ConnectFailed) as exc:
-        reply = exc
+        # Read in the handler: kept, exc holds this frame in a cycle via its traceback.
+        return read_reply(exc, offered, timeout_s, start)
     return read_reply(reply, offered, timeout_s, start)
 
 

@@ -321,17 +321,25 @@ def record_line(record, campaign: str = "") -> str:
     return line(record, campaign)
 
 
-def scans_and_inspections(records: Iterable[dict]) -> tuple[list[ScanRecord], list[InspectionRecord]]:
-    """Decode the scan and inspection records among loaded store lines, in
-    one pass; skip other kinds."""
+def decode_record(data: dict):
+    """A scan or inspection object of the store as its record; any other as it is."""
+    kind = data.get("kind")
+    if kind == "scan":
+        return scan_record_from_dict(data)
+    return inspection_record_from_dict(data) if kind == "inspection" else data
+
+
+def scans_and_inspections(records: Iterable) -> tuple[list[ScanRecord], list[InspectionRecord]]:
+    """The scan and inspection records among store objects, decoded by
+    decode_record or not, in one pass; skip other kinds."""
     scans: list[ScanRecord] = []
     inspections: list[InspectionRecord] = []
     for r in records:
-        kind = r.get("kind")
-        if kind == "scan":
-            scans.append(scan_record_from_dict(r))
-        elif kind == "inspection":
-            inspections.append(inspection_record_from_dict(r))
+        r = decode_record(r) if type(r) is dict else r
+        if type(r) is ScanRecord:
+            scans.append(r)
+        elif type(r) is InspectionRecord:
+            inspections.append(r)
     return scans, inspections
 
 
@@ -340,7 +348,7 @@ def scans_and_inspections(records: Iterable[dict]) -> tuple[list[ScanRecord], li
 
 @dataclass
 class LoadResult:
-    records: list[dict]
+    records: list  # the kept objects, or what load's ``decode`` made of them
     errors: list[ParseFailure] = field(default_factory=list)
 
 
@@ -395,13 +403,15 @@ class RecordStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def load(self, *, campaign: Optional[str] = None) -> LoadResult:
+    def load(self, *, campaign: Optional[str] = None,
+             decode: Optional[Callable[[dict], object]] = None) -> LoadResult:
         """Read every line, or one campaign's. Corrupt lines become errors, not silent drops.
 
         Lines end at ``\\n`` only. They are read through one buffered text
         handle, so memory holds its buffer (or one line, if longer) plus
         the kept records. Every line is parsed, whatever its campaign, so a
-        corrupt line of any campaign is reported.
+        corrupt line of any campaign is reported. With ``decode``, each kept
+        object is replaced by ``decode(object)`` as it is read, not held.
         """
         result = LoadResult(records=[])
         records, errors = result.records, result.errors
@@ -423,7 +433,7 @@ class RecordStore:
                     else:
                         data = _parse_line(line, number, errors)
                     if data is not None and (campaign is None or data.get("campaign") == campaign):
-                        records.append(data)
+                        records.append(data if decode is None else decode(data))
         except OSError as exc:
             raise IoFailure("cannot read %s: %s" % (self.path, exc)) from exc
         return result

@@ -1,5 +1,6 @@
 """Client policy ladders: sequential fallback, parallel race, bench."""
 
+import gc
 import operator
 import threading
 import time
@@ -33,7 +34,9 @@ from befs.fleetsim import (
     generate_fleet,
     serve,
 )
-from befs.handshake import AttemptKind, Connector, TcpConnector, handshake_attempt
+from befs.handshake import (
+    AttemptKind, ConnectFailed, Connector, TcpConnector, handshake_attempt,
+)
 from befs.negotiate import SelectionRule, ServerPolicy
 from befs.suites import DEFAULT_ORDER, FALLBACK_SIGNAL, ProfileKind
 
@@ -349,6 +352,37 @@ def test_parallel_unresponsive_fails_with_all_rungs_accounted():
     assert out.status is SessionStatus.FAILED
     assert out.handshake_attempts == 2
     assert all(a.kind is AttemptKind.TIMEOUT for a in out.attempts)
+
+
+class Refusing(Connector):
+    """Fails every rung: ``step`` is "send" or "receive", and it raises a new ``error``."""
+
+    def __init__(self, step, error):
+        self.step, self.error = step, error
+
+    def send(self, address, raw, timeout_s):
+        if self.step == "send":
+            raise self.error("no server at %s" % address)
+        return ()
+
+    def receive(self, sent):
+        raise self.error("no reply")
+
+
+@pytest.mark.parametrize("step", ["send", "receive"])
+@pytest.mark.parametrize("error", [TimeoutError, ConnectFailed])
+@pytest.mark.parametrize("fallback", [FallbackStyle.SILENT, FallbackStyle.PARALLEL])
+def test_a_failed_rung_leaves_no_garbage_cycle(step, error, fallback):
+    connector = Refusing(step, error)
+    gc.collect()
+    gc.disable()
+    try:
+        out = connect("a", cfg_for(PolicyMode.BESAFE, fallback), connector=connector)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert out.status is SessionStatus.FAILED and out.handshake_attempts == 3
+    assert unreachable == 0
 
 
 def test_parallel_requires_flag_and_dispatch_honors_it():

@@ -51,6 +51,7 @@ from befs.report import (
     RecordStore,
     SchemaMismatch,
     aggregate,
+    decode_record,
     inspection_record_from_dict,
     record_line,
     render_text,
@@ -1010,6 +1011,33 @@ def test_render_text_deterministic_and_two_decimal():
     data = report.to_dict()
     assert data["select_non_fs"] == {"count": 2, "pct": 66.67}
     assert json.dumps(data)  # machine form is JSON-clean
+
+
+def test_load_decodes_each_kept_object_as_it_reads(store):
+    scans = [scan_rec("a"), scan_rec("b", 0xC02F)]
+    inspections = [inspection_rec("a")]
+    for rec in scans + inspections:
+        store.append(rec, campaign="c")
+    store.append(scan_rec("z"), campaign="other")
+    store.append(_GOLDEN_SESSION, campaign="c")
+    with open(store.path, "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    raw = store.load(campaign="c")
+    decoded = store.load(campaign="c", decode=decode_record)
+    assert decoded.records == scans + inspections + [raw.records[-1]]  # a session stays a dict
+    assert [str(e) for e in decoded.errors] == [str(e) for e in raw.errors]
+    assert len(decoded.errors) == 1
+    assert scans_and_inspections(decoded.records) == scans_and_inspections(raw.records)
+    assert scans_and_inspections(decoded.records) == (scans, inspections)
+
+
+def test_load_stops_at_the_first_object_decode_refuses(store):
+    store.append(scan_rec("a"), campaign="c")
+    with open(store.path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "scan", "address": 7}\n')
+    with pytest.raises(SchemaMismatch):
+        store.load(decode=decode_record)
+    assert len(store.load().records) == 2
 
 
 def test_aggregate_accepts_store_dicts_round_trip(store):
