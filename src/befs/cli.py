@@ -16,7 +16,6 @@ import signal
 import sys
 import threading
 from contextlib import contextmanager, nullcontext
-from typing import Optional
 
 from .client import (
     ALWAYS_PROCEED,
@@ -96,6 +95,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _timeout(text: str) -> float:
+    value = _positive(text)
+    if value > threading.TIMEOUT_MAX:  # the longest wait a socket or a lock takes
+        raise argparse.ArgumentTypeError("must be at most %.0f s, got %s" % (threading.TIMEOUT_MAX, text))
+    return value
+
+
 def _add_source_options(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="address file, one host[:port] or IPv4[:port] per line")
@@ -109,7 +115,7 @@ def _add_source_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_handshake_options(p: argparse.ArgumentParser, concurrency: bool = True) -> None:
-    p.add_argument("--timeout", type=_positive, default=5.0, help="per-connection timeout, seconds")
+    p.add_argument("--timeout", type=_timeout, default=5.0, help="per-connection timeout, seconds")
     if concurrency:
         p.add_argument(
             "--concurrency", type=_at_least_one, default=50,
@@ -172,14 +178,11 @@ def _report_options(p: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The befs parser, with the subparser of ``command`` only, or of every command.
+def _parser() -> argparse.ArgumentParser:
+    """The befs parser, with the subparser of every command.
 
-    A parser for one command lists every command in its usage, as the full
-    parser does, so its usage and error texts are the full parser's.
-
-    Each parser is built once per process and shared by every later call,
-    so callers must not change it. An argparse parser is a web of reference
+    It is built once per process and shared by every later call, so
+    callers must not change it. An argparse parser is a web of reference
     cycles; built anew on each call, it would be garbage that only the
     cyclic collector frees, at a point that shifts from call to call.
     """
@@ -188,15 +191,9 @@ def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Measure whether servers select forward-secure ciphersuites, "
         "and connect with enforcement-first client policies.",
     )
-    # The metavar keeps every command in the usage line; the full parser
-    # leaves it unset, so a missing command is still reported by its dest.
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS),
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_options, _) in _COMMANDS.items():
-        if command is None or name == command:
-            add_options(sub.add_parser(name, help=text))
+        add_options(sub.add_parser(name, help=text))
     return parser
 
 
@@ -414,10 +411,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # Only the named command's subparser is built, once; --help or an
-    # unknown command builds them all.
-    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args)
     except _USER_ERRORS as exc:

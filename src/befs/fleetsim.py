@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence
 
 from . import wire
-from .handshake import ConnectFailed, Connector, TcpConnector
+from .handshake import ConnectFailed, Connector, TcpConnector, sleep_until
 from .inspection import Classification
 from .negotiate import SelectionRule, ServerPolicy, select
 from .records import record
@@ -675,9 +675,8 @@ class _MemoryConnector(Connector):
     def receive(self, sent: tuple) -> bytes:
         address, reply, timeout_s, due = sent
         try:
-            wait = due - time.perf_counter() if due else 0.0
-            if wait > 0:
-                time.sleep(wait)
+            if due:
+                sleep_until(due)
             if reply is None:
                 raise TimeoutError("no response from %s within %gs" % (address, timeout_s))
             return reply

@@ -127,6 +127,12 @@ def handshake_attempt(connector: Connector, address: str, offer: Sequence[int], 
     return read_reply(reply, offered, timeout_s, start)
 
 
+def sleep_until(due: float) -> None:
+    """Sleep until perf_counter() reaches ``due``; time.sleep refuses a wait near TIMEOUT_MAX."""
+    while (wait := due - time.perf_counter()) > 0:
+        time.sleep(min(wait, 1.0))
+
+
 def read_record(sock: socket.socket, deadline: float) -> bytes:
     """Read one TLS record off a socket before the deadline.
 

@@ -19,7 +19,7 @@ import time
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
-from .handshake import AttemptKind, AttemptResult, Connector, handshake_attempt
+from .handshake import AttemptKind, AttemptResult, Connector, handshake_attempt, sleep_until
 from .records import record
 from .suites import DEFAULT, FS_AE_ONLY, FS_ONLY, ProfileKind, is_ae, is_fs
 
@@ -132,11 +132,9 @@ class RateLimiter:
 
     def acquire(self) -> None:
         with self._lock:
-            now = time.perf_counter()
-            wait = self._next_free - now
-            self._next_free = max(self._next_free, now) + self._interval
-        if wait > 0:
-            time.sleep(wait)
+            due = self._next_free
+            self._next_free = max(due, time.perf_counter()) + self._interval
+        sleep_until(due)  # a tiny rate, or a long queue, can ask for centuries
 
 
 # Finished results held per worker while a silent server holds the head for

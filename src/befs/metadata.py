@@ -9,12 +9,9 @@ byte-order mark, and a row ends at `\\n` only.
 from __future__ import annotations
 
 import ipaddress
-import logging
 import re
 from pathlib import Path
 from typing import Iterable, Optional
-
-log = logging.getLogger(__name__)
 
 
 class IoFailure(Exception):
@@ -101,7 +98,10 @@ def load_addresses(path) -> list[str]:
         try:
             seen[parse_address(line)] = None
         except ValueError as exc:
-            log.warning("%s:%d: skipped %r (%s)", path, number, line.strip(), exc)
+            import logging  # here, not at the top: logging costs every befs process 0.4 MB
+
+            logging.getLogger(__name__).warning(
+                "%s:%d: skipped %r (%s)", path, number, line.strip(), exc)
     if not seen:
         raise EmptyDataset("no usable addresses in %s" % path)
     return list(seen)

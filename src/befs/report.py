@@ -330,12 +330,11 @@ def decode_record(data: dict):
 
 
 def scans_and_inspections(records: Iterable) -> tuple[list[ScanRecord], list[InspectionRecord]]:
-    """The scan and inspection records among store objects, decoded by
-    decode_record or not, in one pass; skip other kinds."""
+    """The scan and inspection records among store objects decoded by
+    decode_record, in one pass; skip other kinds."""
     scans: list[ScanRecord] = []
     inspections: list[InspectionRecord] = []
     for r in records:
-        r = decode_record(r) if type(r) is dict else r
         if type(r) is ScanRecord:
             scans.append(r)
         elif type(r) is InspectionRecord:

@@ -637,6 +637,24 @@ def test_memory_transport_times_out_on_stall():
         assert res.kind.value == "TIMEOUT"
 
 
+def test_memory_transport_waits_a_long_stall_in_parts(monkeypatch):
+    # time.sleep refuses a wait near threading.TIMEOUT_MAX, a timeout the
+    # CLI accepts; here nothing really sleeps.
+    asked = []
+
+    def sleep(seconds):
+        asked.append(seconds)
+        raise InterruptedError
+
+    fleet = generate_fleet(spec_with(size=1, UNRESPONSIVE=1.0))
+    with serve(fleet, Transport.IN_MEMORY) as h:
+        sent = h.connector().send(h.addresses[0], b"", threading.TIMEOUT_MAX)
+        monkeypatch.setattr(time, "sleep", sleep)
+        with pytest.raises(InterruptedError):
+            h.connector().receive(sent)
+    assert asked == [1.0]
+
+
 def test_memory_latency_slower_than_timeout_is_a_timeout():
     fleet = generate_fleet(spec_with(size=1, FS_PREFERRING=1.0))
     with serve(fleet, Transport.IN_MEMORY, latency=LatencyModel(base_ms=100)) as h:

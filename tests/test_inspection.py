@@ -538,6 +538,25 @@ def test_the_rate_limit_is_asked_once_per_handshake(entry, monkeypatch):
         assert any(inspected is not None for _, inspected in pairs)
 
 
+@pytest.mark.parametrize("per_second", [1e-300, 1e-9])
+def test_the_rate_limiter_never_asks_sleep_for_more_than_it_takes(per_second, monkeypatch):
+    # The tenth of ten workers queued at 1e-9/s waits 1e10 s, past what
+    # one time.sleep takes; here nothing really sleeps.
+    asked = []
+
+    def sleep(seconds):
+        asked.append(seconds)
+        raise InterruptedError
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    limiter = RateLimiter(per_second)
+    limiter.acquire()  # the first start waits for nothing
+    for _ in range(10):
+        with pytest.raises(InterruptedError):
+            limiter.acquire()
+    assert len(asked) == 10 and 0 < max(asked) <= threading.TIMEOUT_MAX
+
+
 def test_rate_limiter_rejects_nonpositive():
     with pytest.raises(ValueError):
         RateLimiter(0)

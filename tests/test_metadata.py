@@ -1,6 +1,9 @@
 """Address ingestion and device labels."""
 
 import logging
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -101,6 +104,15 @@ def test_a_non_ascii_port_is_skipped_in_files_and_refused_by_connect(tmp_path, c
     assert cli.main(["connect", "127.0.0.1:\u0664\u0664\u0663", "--timeout", "0.5"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "bad address" in err
+
+
+def test_befs_imports_logging_only_to_report_a_skipped_line():
+    # logging and what it imports hold about 0.4 MB in every befs process.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, befs.cli; print('logging' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout == "False\n"
 
 
 def test_parse_is_idempotent_on_normalized_form():
