@@ -81,15 +81,25 @@ def _ask_terminal(description: str) -> bool:
 # -- argument plumbing ---------------------------------------------------------
 
 
+# Each type function raises ArgumentTypeError, whose text argparse prints
+# as it is; for a ValueError it would print the function's own name.
+
+
 def _at_least_one(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a whole number, got %r" % text) from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
     return value
 
 
 def _positive(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a number, got %r" % text) from None
     if not 0 < value < math.inf:  # false for NaN too
         raise argparse.ArgumentTypeError("must be positive and finite, got %s" % text)
     return value

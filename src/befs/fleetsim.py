@@ -560,7 +560,7 @@ class PassiveTap:
 
     def __init__(self, inner: SimServer):
         self.inner = inner
-        self.address = inner.address  # Harness._add sets it before wrapping
+        self.address = inner.address  # Harness sets it before wrapping
         self.transcript: list[TranscriptEntry] = []
         self._lock = threading.Lock()
 
@@ -633,29 +633,10 @@ Adversary = Callable[[SimServer], Endpoint]
 # Transports
 
 
-class _Gauge:
-    """Lock-protected in-flight connection counter with high-water mark."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.current = 0
-        self.max_seen = 0
-
-    def enter(self) -> None:
-        with self._lock:
-            self.current += 1
-            if self.current > self.max_seen:
-                self.max_seen = self.current
-
-    def leave(self) -> None:
-        with self._lock:
-            self.current -= 1
-
-
 class _MemoryConnector(Connector):
     """Answers at send; a reply is due its sampled delay later, a stall its timeout later."""
 
-    def __init__(self, harness: "MemoryHarness") -> None:
+    def __init__(self, harness: "Harness") -> None:
         self._h = harness
 
     def send(self, address: str, raw: bytes, timeout_s: float) -> tuple:
@@ -665,11 +646,10 @@ class _MemoryConnector(Connector):
         endpoint = h.endpoints.get(address)
         if endpoint is None:
             raise ConnectFailed("no server at %s" % address)
-        reply = endpoint.respond(raw)
-        delay_s = h.latency.sample_s(h.latency_rng)
+        reply, delay_s = h.answer(endpoint, raw)
         if reply is None or delay_s >= timeout_s:
             reply, delay_s = None, timeout_s
-        h.gauge.enter()
+        h.enter()
         return address, reply, timeout_s, time.perf_counter() + delay_s if delay_s else 0.0
 
     def receive(self, sent: tuple) -> bytes:
@@ -681,51 +661,18 @@ class _MemoryConnector(Connector):
                 raise TimeoutError("no response from %s within %gs" % (address, timeout_s))
             return reply
         finally:
-            self._h.gauge.leave()
+            self._h.leave()
 
 
 class Harness:
-    """What every running fleet shares: endpoints, latency, gauge.
+    """A running fleet, in memory: an address is a server id, a handshake a call.
 
     Plain instance attributes, since the memory connector reads them on
-    every handshake. Subclasses give each server its address through
-    _add, then provide connector().
+    every handshake. Each server gets its address from _listen before the
+    adversary, if any, wraps it. answer is the one place where either
+    transport asks an endpoint for its reply and draws that reply's delay.
+    in_flight counts the exchanges under way, max_in_flight its high-water mark.
     """
-
-    def __init__(self, latency: LatencyModel, seed: int) -> None:
-        self.endpoints: dict[str, Endpoint] = {}  # in serve order
-        self.latency = latency
-        self.latency_rng = random.Random(seed ^ 0x1A7E)
-        self.gauge = _Gauge()
-        self.stopped = False
-
-    @property
-    def addresses(self) -> list[str]:
-        return list(self.endpoints)
-
-    @property
-    def max_in_flight(self) -> int:
-        return self.gauge.max_seen
-
-    def _add(self, server: SimServer, address: str, adversary: Optional[Adversary]) -> Endpoint:
-        """Serve ``server`` at ``address``, wrapped in the adversary if there is one."""
-        server.address = address
-        endpoint = adversary(server) if adversary else server
-        self.endpoints[address] = endpoint
-        return endpoint
-
-    def stop(self) -> None:
-        self.stopped = True
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-class MemoryHarness(Harness):
-    """Synchronous in-process fleet; addresses are the server ids."""
 
     def __init__(
         self,
@@ -735,12 +682,54 @@ class MemoryHarness(Harness):
         latency: LatencyModel = LatencyModel(),
         seed: int = 0,
     ) -> None:
-        super().__init__(latency, seed)
+        self.endpoints: dict[str, Endpoint] = {}  # in serve order
+        self.latency = latency
+        self.latency_rng = random.Random(seed ^ 0x1A7E)
+        self._lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self.stopped = False
         for server in servers:
-            self._add(server, server.server_id, adversary)
+            server.address = address = self._listen(server)
+            self.endpoints[address] = adversary(server) if adversary else server
 
-    def connector(self) -> _MemoryConnector:
+    @property
+    def addresses(self) -> list[str]:
+        return list(self.endpoints)
+
+    def _listen(self, server: SimServer) -> str:
+        """The address ``server`` is served at."""
+        return server.server_id
+
+    def connector(self) -> Connector:
         return _MemoryConnector(self)
+
+    def answer(self, endpoint: Endpoint, raw: bytes) -> tuple[Optional[bytes], float]:
+        """``endpoint``'s reply to the hello ``raw`` and the delay it is due
+        after, in seconds; a stall is (None, 0.0) and draws no delay."""
+        reply = endpoint.respond(raw)
+        if reply is None:
+            return None, 0.0
+        return reply, self.latency.sample_s(self.latency_rng)
+
+    def enter(self) -> None:
+        with self._lock:
+            self.in_flight += 1
+            if self.in_flight > self.max_in_flight:
+                self.max_in_flight = self.in_flight
+
+    def leave(self) -> None:
+        with self._lock:
+            self.in_flight -= 1
+
+    def stop(self) -> None:
+        self.stopped = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
 
 
 # Linux's option to hold a connection back from accept until data arrives
@@ -753,12 +742,12 @@ _MAX_WAIT_S = 1.0
 class SocketHarness(Harness):
     """Loopback TCP fleet: one listener per server, one event-loop thread.
 
-    The loop owns every socket; endpoint.respond runs inline (it is pure
+    The loop owns every socket; Harness.answer runs inline (it is pure
     computation), and latency is applied by scheduling the reply rather
     than sleeping, so one thread serves the whole fleet.
 
     The selector is the loop's only registry of sockets. A listener's key
-    holds ("listen", endpoint), a waiting connection's key its state:
+    holds ("listen", address), a waiting connection's key its state:
     [endpoint, hello buffer], the buffer None once answered or stalled.
 
     Where the platform has TCP_DEFER_ACCEPT, a connection is accepted
@@ -766,18 +755,11 @@ class SocketHarness(Harness):
     reply due now (zero sampled latency) is sent and the connection
     closed in that step. Only a connection that must wait (an incomplete
     hello, a stall or a delayed reply) is registered with the selector.
-    The in-flight gauge counts a connection from accept to close.
+    in_flight counts a connection from accept to close.
     """
 
-    def __init__(
-        self,
-        servers: Iterable[SimServer],
-        *,
-        adversary: Optional[Adversary] = None,
-        latency: LatencyModel = LatencyModel(),
-        seed: int = 0,
-    ) -> None:
-        super().__init__(latency, seed)
+    def __init__(self, servers: Iterable[SimServer], **options) -> None:
+        """``options`` as Harness takes them; the loop starts once every server listens."""
         self._sel = selectors.DefaultSelector()
         self._pending: list[tuple[float, int, socket.socket, bytes]] = []
         self._seq = 0
@@ -785,24 +767,28 @@ class SocketHarness(Harness):
         self._wake_r.setblocking(False)
         self._sel.register(self._wake_r, selectors.EVENT_READ, ("wake", None))
         try:
-            for server in servers:
-                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                try:
-                    sock.bind(("127.0.0.1", 0))
-                except OSError as exc:
-                    sock.close()
-                    raise BindFailure("bind failed after %d listeners: %s" % (len(self.endpoints), exc)) from exc
-                if _DEFER_ACCEPT is not None:
-                    sock.setsockopt(socket.IPPROTO_TCP, _DEFER_ACCEPT, 1)
-                sock.listen(128)
-                sock.setblocking(False)
-                endpoint = self._add(server, "%s:%d" % sock.getsockname(), adversary)
-                self._sel.register(sock, selectors.EVENT_READ, ("listen", endpoint))
+            super().__init__(servers, **options)
         except BaseException:
             self._close_all()
             raise
         self._thread = threading.Thread(target=self._run, name="fleet-loop", daemon=True)
         self._thread.start()
+
+    def _listen(self, server: SimServer) -> str:
+        """Bind a loopback listener for ``server`` and register it; its address."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            sock.bind(("127.0.0.1", 0))
+        except OSError as exc:
+            sock.close()
+            raise BindFailure("bind failed after %d listeners: %s" % (len(self.endpoints), exc)) from exc
+        if _DEFER_ACCEPT is not None:
+            sock.setsockopt(socket.IPPROTO_TCP, _DEFER_ACCEPT, 1)
+        sock.listen(128)
+        sock.setblocking(False)
+        address = "%s:%d" % sock.getsockname()
+        self._sel.register(sock, selectors.EVENT_READ, ("listen", address))
+        return address
 
     def connector(self) -> TcpConnector:
         return TcpConnector()
@@ -821,7 +807,7 @@ class SocketHarness(Harness):
     def _close_all(self) -> None:
         for key in list(self._sel.get_map().values()):
             if type(key.data) is list:  # a waiting connection
-                self.gauge.leave()
+                self.leave()
             key.fileobj.close()  # the wake pair's read end among them
         self._wake_w.close()
         self._sel.close()
@@ -833,7 +819,7 @@ class SocketHarness(Harness):
             conn.close()
         except OSError:
             pass
-        self.gauge.leave()
+        self.leave()
 
     def _run(self) -> None:
         while not self.stopped:
@@ -856,14 +842,14 @@ class SocketHarness(Harness):
                 _, _, conn, payload = heapq.heappop(self._pending)
                 self._reply(conn, payload, True)
 
-    def _accept(self, listener: socket.socket, endpoint) -> None:
+    def _accept(self, listener: socket.socket, address: str) -> None:
         try:
             conn, _peer = listener.accept()
         except OSError:
             return
         conn.setblocking(False)
-        self.gauge.enter()
-        self._readable(conn, [endpoint, bytearray()], False)
+        self.enter()
+        self._readable(conn, [self.endpoints[address], bytearray()], False)
 
     def _reply(self, conn: socket.socket, payload: bytes, registered: bool) -> None:
         try:
@@ -890,10 +876,9 @@ class SocketHarness(Harness):
             buf.extend(chunk)
             total = 5 + int.from_bytes(buf[3:5], "big")
             if len(buf) >= total:
-                reply = state[0].respond(bytes(buf[:total]))
+                reply, delay_s = self.answer(state[0], bytes(buf[:total]))
                 state[1] = None
                 if reply is not None:
-                    delay_s = self.latency.sample_s(self.latency_rng)
                     if delay_s <= 0:
                         self._reply(conn, reply, registered)
                         return
@@ -917,7 +902,7 @@ def serve(
     or functools.partial(DiscriminatoryServer, strong=True).
     """
     if transport is Transport.IN_MEMORY:
-        return MemoryHarness(fleet, adversary=adversary, latency=latency, seed=seed)
+        return Harness(fleet, adversary=adversary, latency=latency, seed=seed)
     if transport is Transport.LOOPBACK_SOCKET:
         return SocketHarness(fleet, adversary=adversary, latency=latency, seed=seed)
     raise ValueError("unknown transport %r" % transport)

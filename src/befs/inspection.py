@@ -222,7 +222,7 @@ def scan_one(
     timeout_s: float,
     *,
     connector: Connector,
-    sni: bool = True,
+    sni: bool,
     seed: int = 0,
     limiter: Optional[RateLimiter] = None,
 ) -> ScanRecord:
@@ -261,7 +261,7 @@ def inspect_one(
     timeout_s: float = 5.0,
     *,
     connector: Connector,
-    sni: bool = True,
+    sni: bool,
     seed: int = 0,
     limiter: Optional[RateLimiter] = None,
     scanned_at: Optional[float] = None,

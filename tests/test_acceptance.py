@@ -524,7 +524,7 @@ def _run_1000(seed: int):
         pairs = []
         counted = _InFlight(harness.connector())
         inspect_all(harness.addresses, pairs.append, 5.0, 50, connector=counted)
-        # The scanner's own count: the server's gauge holds a connection only
+        # The scanner's own count: the harness's in_flight holds a connection only
         # from accept to close, which a zero-latency reply makes one step.
         peak = max(counted.peak, harness.max_in_flight)
     records = [scanned for scanned, _ in pairs]

@@ -317,8 +317,8 @@ _COMMAND_NAMES = ["scan", "inspect", "connect", "bench", "fleet", "report"]
     ["report", "--store", "x", "extra"], ["scan", "--bogus"], ["connect"], [],
 ], ids=" ".join)
 def test_cli_text_is_the_full_parsers(argv, capsys):
-    """main builds only the named command's subparser; every text and exit
-    code is that of the parser with all six."""
+    """main parses with the one parser of all six commands that _parser
+    builds per process; every text and exit code is that parser's."""
 
     def run(parse):
         with pytest.raises(SystemExit) as exc:
@@ -358,10 +358,11 @@ def test_a_repeated_call_leaves_nothing_for_the_cyclic_collector(tmp_path, capsy
     [
         (command, option, value)
         for option, values, commands in (
-            ("--concurrency", ("0", "-2"), ("scan", "inspect")),
-            ("--rate-limit", ("-1", "0", "nan", "inf"), ("scan", "inspect")),
-            ("--timeout", ("-1", "0", "nan", "inf", "1e300"),
+            ("--concurrency", ("0", "-2", "abc", "1.5"), ("scan", "inspect")),
+            ("--rate-limit", ("-1", "0", "nan", "inf", "abc"), ("scan", "inspect")),
+            ("--timeout", ("-1", "0", "nan", "inf", "1e300", "abc"),
              ("scan", "inspect", "bench", "connect")),
+            ("--repetitions", ("0", "abc"), ("bench",)),
         )
         for value in values
         for command in commands
@@ -375,6 +376,8 @@ def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, command, option
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and option in err
+    # a value that is not a number is refused in the type function's own words
+    assert not any(name in err for name in ("_timeout", "_positive", "_at_least_one"))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import random
 import socket
@@ -23,11 +24,12 @@ from befs.fleetsim import (
     DiscriminatoryServer,
     FleetSpec,
     GroundTruth,
+    Harness,
     InvalidSpec,
     LatencyModel,
-    MemoryHarness,
     PassiveTap,
     SimServer,
+    SocketHarness,
     Transport,
     archetype_counts,
     expected_for_server,
@@ -616,6 +618,31 @@ def test_targeted_discriminator_acts_alike_on_both_transports():
                for _, _, fs, _, kinds in memory)
 
 
+def test_both_transports_draw_the_same_delays_for_the_same_hellos(monkeypatch):
+    """Harness.answer is the one rule: a reply draws its delay, a stall draws none."""
+    draws = []
+    sample = LatencyModel.sample_s
+    monkeypatch.setattr(LatencyModel, "sample_s",
+                        lambda model, rng: draws.append(sample(model, rng)) or draws[-1])
+    fleet = generate_fleet(spec_with(size=20, FS_PREFERRING=0.7, UNRESPONSIVE=0.3))
+    silent = [s for s in fleet if s.archetype is Archetype.UNRESPONSIVE]
+    answering = [s for s in fleet if s not in silent]
+    order = [s for pair in itertools.zip_longest(answering, silent) for s in pair if s]
+
+    def served_draws(transport):
+        draws.clear()
+        with serve(fleet, transport, latency=LatencyModel(jitter_ms=2.0), seed=3) as h:
+            assert type(h) is (Harness if transport is Transport.IN_MEMORY else SocketHarness)
+            connector = h.connector()
+            for server in order:  # one hello at a time
+                handshake_attempt(connector, server.address, DEFAULT.suites, 0.1)
+        return list(draws)
+
+    memory = served_draws(Transport.IN_MEMORY)
+    assert served_draws(Transport.LOOPBACK_SOCKET) == memory
+    assert len(memory) == len(answering) == 14 and len(set(memory)) == 14
+
+
 # -- transports --------------------------------------------------------------
 
 
@@ -708,9 +735,9 @@ def test_socket_loop_forgets_the_reply_of_a_client_that_left():
             res = handshake_attempt(h.connector(), h.addresses[0], DEFAULT.suites, 0.1)
             assert res.kind is AttemptKind.TIMEOUT
         deadline = time.perf_counter() + 5.0
-        while h.gauge.current and time.perf_counter() < deadline:
+        while h.in_flight and time.perf_counter() < deadline:
             time.sleep(0.01)
-        assert h.gauge.current == 0
+        assert h.in_flight == 0
         h.stop()  # joins the loop thread, so what it left is final
         assert len(h._pending) == 0
 
@@ -756,7 +783,7 @@ def test_a_zero_latency_reply_leaves_in_the_accept_step(monkeypatch):
             assert res.selected
         assert registered == []
         assert h.max_in_flight == 1
-        assert _wait_until(lambda: h.gauge.current == 0)
+        assert _wait_until(lambda: h.in_flight == 0)
 
 
 def test_a_stalled_connection_waits_registered_until_the_client_leaves(monkeypatch):
@@ -768,7 +795,7 @@ def test_a_stalled_connection_waits_registered_until_the_client_leaves(monkeypat
             assert _wait_until(lambda: len(registered) == 1)
             assert _waiting(h) == registered
             assert h.max_in_flight == 1
-        assert _wait_until(lambda: h.gauge.current == 0)
+        assert _wait_until(lambda: h.in_flight == 0)
 
 
 def test_stop_closes_the_connections_still_waiting(monkeypatch):
@@ -784,10 +811,10 @@ def test_stop_closes_the_connections_still_waiting(monkeypatch):
             assert _wait_until(lambda: len(registered) == 2)
             waiting = _waiting(h)
             assert set(waiting) == set(registered)
-            assert h.gauge.current == 2 and len(h._pending) == 1
+            assert h.in_flight == 2 and len(h._pending) == 1
             h.stop()
             assert all(conn.fileno() == -1 for conn in waiting)
-            assert h.gauge.current == 0
+            assert h.in_flight == 0
             for client in clients:
                 assert client.recv(1) == b""  # EOF, not a reply and not a timeout
         finally:
@@ -835,7 +862,7 @@ def test_socket_latency_delays_the_reply_and_the_reply_arrives():
             res = handshake_attempt(h.connector(), h.addresses[0], DEFAULT.suites, 2.0)
             assert res.selected and is_fs(res.suite)
             assert res.elapsed_s >= 0.030
-        assert _wait_until(lambda: h.gauge.current == 0 and not h._pending)
+        assert _wait_until(lambda: h.in_flight == 0 and not h._pending)
 
 
 def test_tcp_connector_dials_an_ipv4_literal_without_the_resolver(monkeypatch):

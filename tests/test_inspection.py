@@ -67,9 +67,10 @@ def step(kind_name, suite=None, profile=ProfileKind.DEFAULT):
 
 
 def test_classifier_timeout_and_error_h1():
-    assert classify_steps(step("TIMEOUT"), None, None)[0] is Classification.TIMEOUT
-    assert classify_steps(step("REJECTED"), None, None)[0] is Classification.ERROR_H1
-    assert classify_steps(step("CONNECT_ERROR"), None, None)[0] is Classification.ERROR_H1
+    assert classify_steps(step("TIMEOUT"), None, None) == (Classification.TIMEOUT, False, False)
+    assert classify_steps(step("REJECTED"), None, None) == (Classification.ERROR_H1, False, False)
+    assert classify_steps(step("CONNECT_ERROR"), None, None) == (
+        Classification.ERROR_H1, False, False)
 
 
 def test_classifier_changed_behavior():
@@ -166,7 +167,7 @@ def test_scan_counts_over_known_fleet():
 def test_scan_marks_unresponsive_as_timeout():
     fleet = generate_fleet(FleetSpec(size=1, seed=1, mix={Archetype.UNRESPONSIVE: 1.0}))
     with serve(fleet, Transport.IN_MEMORY) as h:
-        rec = scan_one(h.addresses[0], 0.05, connector=h.connector())
+        rec = scan_one(h.addresses[0], 0.05, connector=h.connector(), sni=True)
     assert rec.result is ScanResultKind.TIMEOUT
     assert rec.selected_suite is None
 
@@ -385,7 +386,7 @@ def test_concurrency_one_runs_every_exchange_on_the_calling_thread():
 def test_inspect_one_fs_cbc_only_server():
     # supports one ECDHE CBC suite behind a preferred plain-RSA suite
     with harness_for((0x002F, 0xC013)) as h:
-        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector())
+        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector(), sni=True)
     assert rec.classification is Classification.STABLE_SUPPORTS_FS_NONAE_ONLY
     assert not rec.prior_suite_ae and not rec.lose_ae
     assert rec.h1.attempt.suite == 0x002F
@@ -395,7 +396,7 @@ def test_inspect_one_fs_cbc_only_server():
 
 def test_inspect_one_fs_ae_supporter_behind_rsa_gcm():
     with harness_for((0x009C, 0xC02F)) as h:
-        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector())
+        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector(), sni=True)
     assert rec.classification is Classification.STABLE_SUPPORTS_FS_AE
     assert rec.prior_suite_ae and not rec.lose_ae
     assert rec.h3 is None
@@ -403,7 +404,7 @@ def test_inspect_one_fs_ae_supporter_behind_rsa_gcm():
 
 def test_inspect_one_lose_ae_without_fs_ae_support():
     with harness_for((0x009D, 0xC014)) as h:
-        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector())
+        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector(), sni=True)
     assert rec.classification is Classification.STABLE_SUPPORTS_FS_NONAE_ONLY
     assert rec.prior_suite_ae and rec.lose_ae
 
@@ -412,14 +413,14 @@ def test_inspect_one_nonae_pick_with_ae_available():
     # FS preference lists CBC before GCM, so guiding to FS picks non-AE
     # even though an FS+AE suite exists.
     with harness_for((0x0035, 0xC014, 0xC030)) as h:
-        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector())
+        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector(), sni=True)
     assert rec.classification is Classification.STABLE_FS_NONAE_BUT_SUPPORTS_FS_AE
     assert rec.h3.attempt.suite == 0xC030
 
 
 def test_inspect_one_no_fs_support():
     with harness_for((0x0035, 0x002F)) as h:
-        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector())
+        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector(), sni=True)
     assert rec.classification is Classification.STABLE_NO_FS_SUPPORT
     assert rec.h2.attempt.kind is AttemptKind.REJECTED
     assert rec.h3 is None
@@ -433,7 +434,7 @@ class OfferIgnoringServer:
 
 
 def test_inspect_one_offer_ignoring_server_fails_h2_as_a_protocol_error():
-    rec = inspect_one("srv-0", 0.5, connector=OfferIgnoringServer())
+    rec = inspect_one("srv-0", 0.5, connector=OfferIgnoringServer(), sni=True)
     assert rec.h1.attempt.kind is AttemptKind.SELECTED
     assert rec.h2.attempt.kind is AttemptKind.PROTOCOL_ERROR
     assert rec.h3 is None
@@ -443,14 +444,14 @@ def test_inspect_one_offer_ignoring_server_fails_h2_as_a_protocol_error():
 def test_inspect_one_timeout_classification():
     fleet = generate_fleet(FleetSpec(size=1, seed=1, mix={Archetype.UNRESPONSIVE: 1.0}))
     with serve(fleet, Transport.IN_MEMORY) as h:
-        rec = inspect_one(h.addresses[0], 0.05, connector=h.connector())
+        rec = inspect_one(h.addresses[0], 0.05, connector=h.connector(), sni=True)
     assert rec.classification is Classification.TIMEOUT
     assert rec.h2 is None and rec.h3 is None
 
 
 def test_inspection_record_recomputable_and_timestamped():
     with harness_for((0x002F, 0xC013)) as h:
-        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector(), scanned_at=123.0)
+        rec = inspect_one(h.addresses[0], 0.5, connector=h.connector(), scanned_at=123.0, sni=True)
     assert classify_steps(rec.h1, rec.h2, rec.h3) == (
         rec.classification,
         rec.prior_suite_ae,
