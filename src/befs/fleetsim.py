@@ -11,7 +11,6 @@ only what was drawn for it; every truth label is read off its policy
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import json
@@ -28,7 +27,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence
 
 from . import wire
-from .handshake import ConnectFailed, Connector, TcpConnector, sleep_until
+from .handshake import ConnectFailed, Connector, TcpConnector, sha256, sleep_until
 from .inspection import Classification
 from .negotiate import SelectionRule, ServerPolicy, select
 from .records import record
@@ -252,7 +251,7 @@ def server_random(seed: int, index: int, counter: int) -> bytes:
     A hash, as the client's random is, so a server holds no RNG state and
     no two (seed, index, counter) triples share an input.
     """
-    return hashlib.sha256(b"server|%d|%d|%d" % (seed, index, counter)).digest()
+    return sha256(b"server|%d|%d|%d" % (seed, index, counter)).digest()
 
 
 # (legacy_version, cipher_suites) of a ClientHello, as wire.decode_client_hello reads it.

@@ -9,7 +9,6 @@ receives any reply. Nothing past the first server flight matters.
 
 from __future__ import annotations
 
-import hashlib
 import socket
 import time
 from enum import Enum
@@ -19,6 +18,16 @@ from . import wire
 from .metadata import split_address
 from .records import record
 from .suites import FALLBACK_SIGNAL
+
+# CPython's built-in SHA-256, as random.py takes its sha512: hashlib would
+# map OpenSSL's libcrypto, about 3.8 MB resident, into every befs process.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256  # no built-in SHA-2 in this build
 
 
 class ConnectFailed(Exception):
@@ -62,9 +71,9 @@ class AttemptResult:
 
 def _client_random(seed: int, address: str, label: str) -> bytes:
     # Deterministic 32-byte random: reproducible runs without locking a
-    # shared RNG across scanner threads.
+    # shared RNG across scanner threads, hashed by the built-in sha256 above.
     material = "%d|%s|%s" % (seed, address, label)
-    return hashlib.sha256(material.encode()).digest()
+    return sha256(material.encode()).digest()
 
 
 def client_hello(address: str, offer: tuple[int, ...], *, sni: bool = False, seed: int = 0,

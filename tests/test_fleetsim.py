@@ -12,7 +12,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from befs import fleetsim, negotiate, wire
@@ -42,7 +42,9 @@ from befs.fleetsim import (
     server_random,
     truth_records,
 )
-from befs.handshake import AttemptKind, ConnectFailed, TcpConnector, handshake_attempt, read_record
+from befs.handshake import (
+    AttemptKind, ConnectFailed, TcpConnector, _client_random, handshake_attempt, read_record,
+)
 from befs.negotiate import ServerPolicy
 from befs.suites import DEFAULT, FALLBACK_SIGNAL, FS_AE_ONLY, FS_ONLY, REGISTRY, is_ae, is_fs
 from befs.wire import TLS1_0, TLS1_1, TLS1_2
@@ -287,6 +289,18 @@ def test_server_random_derivation_does_not_alias_across_seeds():
     assert server_random(0, 1 << 20, 0) != server_random(1, 0, 0)
     assert len({server_random(s, i, c) for s in (0, 1) for i in (0, 1) for c in (0, 1)}) == 8
     assert len(server_random(0, 0, 0)) == 32
+
+
+@given(st.integers(min_value=0, max_value=1 << 200), st.integers(min_value=0, max_value=1 << 64),
+       st.integers(min_value=0, max_value=1 << 64), st.text(), st.text())
+@example(1 << 200, 1 << 64, 0, "b\u00fccher.example:443", "\u65e5\u672c\U0001f510")
+def test_hello_randoms_are_sha256_of_their_documented_inputs(seed, index, n, address, label):
+    # hashlib is the oracle: the README gives both formulas, and befs hashes
+    # with CPython's built-in SHA-256 (handshake.sha256) instead.
+    assert server_random(seed, index, n) == hashlib.sha256(
+        b"server|%d|%d|%d" % (seed, index, n)).digest()
+    assert _client_random(seed, address, label) == hashlib.sha256(
+        ("%d|%s|%s" % (seed, address, label)).encode()).digest()
 
 
 def test_all_nonfs_fleet_has_no_fs_support():

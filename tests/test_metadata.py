@@ -1,5 +1,6 @@
 """Address ingestion and device labels."""
 
+import json
 import logging
 import os
 import subprocess
@@ -113,6 +114,55 @@ def test_befs_imports_logging_only_to_report_a_skipped_line():
         [sys.executable, "-c", "import sys, befs.cli; print('logging' in sys.modules)"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
     assert done.stdout == "False\n"
+
+
+# One memory campaign and its report, in the process that ran them: inspect
+# writes the store, report reads it back. argv is [spec, store].
+_CAMPAIGN = """
+import sys
+from befs import cli
+spec, store = sys.argv[1:]
+assert cli.main(["inspect", "--fleet-spec", spec, "--transport", "memory",
+                 "--concurrency", "1", "--store", store]) == 0
+assert cli.main(["report", "--store", store]) == 0
+"""
+
+
+def _run_campaign(tmp_path, prelude="", coda=""):
+    spec = tmp_path / "fleet.json"
+    spec.write_text(json.dumps({"size": 12, "seed": 5, "mix": {
+        "NONFS_ONLY": 0.25, "FS_PREFERRING": 0.25,
+        "FS_SUPPORTING_NONFS_PREFERRING": 0.25, "FS_NONAE_ONLY": 0.25}}), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", prelude + _CAMPAIGN + coda, str(spec), str(tmp_path / "store.jsonl")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+
+
+def test_a_memory_campaign_and_its_report_load_no_openssl(tmp_path):
+    # hashlib maps OpenSSL's libcrypto, about 3.8 MB resident, so the hello
+    # randoms hash with CPython's built-in SHA-256 (handshake.sha256). An
+    # OpenSSL endpoint (ssl.MemoryBIO, ROADMAP item 7) must therefore import
+    # ssl where that endpoint is built, not at the top of its module.
+    done = _run_campaign(tmp_path, coda="print(sorted(set(sys.modules) & "
+                         "{'hashlib', '_hashlib', 'ssl', '_ssl'}))\n")
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_hello_randoms_fall_back_to_hashlib_without_a_built_in_sha256(tmp_path):
+    # A None entry in sys.modules makes its import raise ImportError, as in
+    # an interpreter built without the built-in SHA-2 module.
+    done = _run_campaign(tmp_path, prelude="""
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+import befs.cli
+from befs import fleetsim, handshake
+assert handshake.sha256 is hashlib.sha256
+assert fleetsim.server_random(7, 3, 1) == hashlib.sha256(b"server|7|3|1").digest()
+assert handshake._client_random(7, "srv-3", "scan") == hashlib.sha256(b"7|srv-3|scan").digest()
+""", coda="print('fallback ok')\n")
+    assert done.stdout.splitlines()[-1] == "fallback ok"
 
 
 def test_parse_is_idempotent_on_normalized_form():
