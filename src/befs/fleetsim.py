@@ -198,7 +198,7 @@ def policy_truth(policy: ServerPolicy, device_type: str = "") -> GroundTruth:
     FS support is in its suites, FS by default in its pick from a DEFAULT offer at TLS 1.2.
     """
     default_pick = select(policy, DEFAULT.suites, wire.TLS1_2)
-    fs = policy.supported & FS_CODEPOINTS
+    fs = FS_CODEPOINTS.intersection(policy.preference)
     return GroundTruth(
         supports_fs=bool(fs),
         supports_fs_ae=not fs.isdisjoint(AE_CODEPOINTS),
@@ -264,25 +264,15 @@ _DECODE_ERROR_ALERT, _FALLBACK_ALERT, _HANDSHAKE_FAILURE_ALERT = (
 
 
 def answer_offer(
-    policy: ServerPolicy,
-    honors_signal: bool,
-    raw: bytes,
-    next_random: Callable[[], bytes],
-    offer: Optional[Offer] = None,
+    policy: ServerPolicy, honors_signal: bool, raw: bytes, next_random: Callable[[], bytes]
 ) -> bytes:
-    """Honest server behavior for one ClientHello, as wire bytes.
-
-    ``offer`` is ``wire.decode_client_hello(raw)`` when the caller has
-    parsed the hello already; otherwise it is parsed here.
-    """
-    if offer is None:
-        try:
-            offer = wire.decode_client_hello(raw)
-        except wire.WireError:
-            return _DECODE_ERROR_ALERT
-    version, suites = offer
+    """Honest server behavior for one ClientHello, as wire bytes."""
+    try:
+        version, suites = wire.decode_client_hello(raw)
+    except wire.WireError:
+        return _DECODE_ERROR_ALERT
     if (honors_signal and FALLBACK_SIGNAL in suites
-            and not policy.supported.isdisjoint(FS_CODEPOINTS)):
+            and not FS_CODEPOINTS.isdisjoint(policy.preference)):
         # The client says this offer is a fallback; a server that could
         # have answered the stronger first flight (it supports FS) refuses it.
         return _FALLBACK_ALERT
@@ -318,11 +308,11 @@ class SimServer:
     def next_random(self) -> bytes:
         return server_random(self.seed, self.index, next(self._hellos))
 
-    def respond(self, raw: bytes, offer: Optional[Offer] = None) -> Optional[bytes]:
-        """Reply bytes, or None to stall the connection; ``offer`` as in answer_offer."""
+    def respond(self, raw: bytes) -> Optional[bytes]:
+        """Reply bytes, or None to stall the connection."""
         if self.archetype is Archetype.UNRESPONSIVE:
             return None
-        return answer_offer(self.policy, self.honors_fallback_signal, raw, self.next_random, offer)
+        return answer_offer(self.policy, self.honors_fallback_signal, raw, self.next_random)
 
 
 FS_SUITES = list(FS_ONLY.suites)
@@ -403,18 +393,21 @@ class _Draw:
             items[i], items[j] = items[j], items[i]
 
 
+# A policy's versions are one of these sets, shared by every server that draws it.
 _LEGACY_VERSIONS = (
     frozenset({wire.TLS1_0}), frozenset({wire.TLS1_1}), frozenset({wire.TLS1_0, wire.TLS1_1})
 )
+_VERSIONS = {  # keyed by (adds TLS 1.1, adds TLS 1.0)
+    (False, False): frozenset({wire.TLS1_2}),
+    (True, False): frozenset({wire.TLS1_2, wire.TLS1_1}),
+    (False, True): frozenset({wire.TLS1_2, wire.TLS1_0}),
+    (True, True): frozenset({wire.TLS1_2, wire.TLS1_1, wire.TLS1_0}),
+}
 
 
 def _versions(draw: _Draw) -> frozenset[int]:
-    vs = {wire.TLS1_2}
-    if draw.random() < 0.4:
-        vs.add(wire.TLS1_1)
-    if draw.random() < 0.3:
-        vs.add(wire.TLS1_0)
-    return frozenset(vs)
+    adds_1_1 = draw.random() < 0.4  # drawn first: a seed's fleet depends on the order
+    return _VERSIONS[adds_1_1, draw.random() < 0.3]
 
 
 def _maybe_dhe(draw: _Draw) -> list[int]:
@@ -473,8 +466,11 @@ def _legacy(draw: _Draw) -> ServerPolicy:
     return ServerPolicy(pool, vs, _rule(draw, allow_client_pref=True))
 
 
+_UNRESPONSIVE_POLICY = ServerPolicy((0x002F,), _VERSIONS[False, False])
+
+
 def _unresponsive(draw: _Draw) -> ServerPolicy:
-    return ServerPolicy((0x002F,), frozenset({wire.TLS1_2}))
+    return _UNRESPONSIVE_POLICY
 
 
 # Each builder meets its archetype's ground truth by construction, as
@@ -587,7 +583,7 @@ class ActiveDropper:
         if targeted and offer_is_all_fs(offer[1]):
             self.dropped += 1
             return None
-        return self.inner.respond(raw, offer)
+        return self.inner.respond(raw)
 
 
 def _non_fs_first(policy: ServerPolicy) -> ServerPolicy:
@@ -619,10 +615,10 @@ class DiscriminatoryServer:
             return self.inner.respond(raw)  # its decode_error alert or its stall
         offer, targeted = hello
         if not targeted:
-            return self.inner.respond(raw, offer)  # its answer
+            return self.inner.respond(raw)  # its answer
         if self.strong and offer_is_all_fs(offer[1]):
             return _HANDSHAKE_FAILURE_ALERT
-        return answer_offer(self._steered, False, raw, self.inner.next_random, offer)
+        return answer_offer(self._steered, False, raw, self.inner.next_random)
 
 
 Adversary = Callable[[SimServer], Endpoint]
@@ -873,8 +869,8 @@ class SocketHarness(Harness):
         buf = state[1]
         if chunk and buf is not None:  # None: the hello was already answered or stalled
             buf.extend(chunk)
-            total = 5 + int.from_bytes(buf[3:5], "big")
-            if len(buf) >= total:
+            total = wire.record_size(buf)
+            if total is not None and len(buf) >= total:
                 reply, delay_s = self.answer(state[0], bytes(buf[:total]))
                 state[1] = None
                 if reply is not None:

@@ -151,7 +151,6 @@ def read_record(sock: socket.socket, deadline: float) -> bytes:
     later rungs), only bytes that have already arrived are read.
     """
     buf = b""
-    want = 5
     while True:
         sock.settimeout(max(deadline - time.perf_counter(), 0.0))  # 0: do not block
         try:
@@ -161,9 +160,8 @@ def read_record(sock: socket.socket, deadline: float) -> bytes:
         if not chunk:
             return buf
         buf += chunk
-        if len(buf) >= 5:
-            want = 5 + int.from_bytes(buf[3:5], "big")
-        if len(buf) >= want:
+        want = wire.record_size(buf)
+        if want is not None and len(buf) >= want:
             return buf[:want]
 
 

@@ -7,7 +7,6 @@ is the handshake_failure a live server sends.
 
 from __future__ import annotations
 
-from dataclasses import field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -23,23 +22,20 @@ class SelectionRule(Enum):
 class ServerPolicy:
     """One server's suites in preference order, its versions and its selection rule.
 
-    ``supported`` is derived from ``preference`` at construction; a repeated suite is refused.
+    A repeated suite is refused.
     """
 
     preference: tuple[int, ...]
     versions: frozenset[int]
     selection_rule: SelectionRule = SelectionRule.SERVER_PREFERENCE
-    supported: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.preference) is not tuple:
             object.__setattr__(self, "preference", tuple(self.preference))
         if type(self.versions) is not frozenset:
             object.__setattr__(self, "versions", frozenset(self.versions))
-        supported = frozenset(self.preference)
-        if len(supported) != len(self.preference):
+        if len(set(self.preference)) != len(self.preference):
             raise ValueError("preference must not repeat a suite")
-        object.__setattr__(self, "supported", supported)
         if not self.versions:
             raise ValueError("versions must be non-empty")
 
@@ -69,8 +65,7 @@ def select(
             if suite in offered:
                 return version, suite
     else:
-        supported = policy.supported
         for suite in offer:
-            if suite in supported:
+            if suite in policy.preference:
                 return version, suite
     return None

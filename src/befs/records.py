@@ -32,7 +32,8 @@ def record(cls):
     The generated ``__init__`` takes the dataclass's parameters, with the
     same defaults and annotations, stores each field through its slot and
     then runs ``__post_init__``, if the class has one. A field with a
-    ``default_factory`` and a keyword-only field are refused.
+    ``default_factory``, a keyword-only field and an ``init=False`` field
+    are refused.
     """
     cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
     generated = cls.__init__
@@ -40,19 +41,16 @@ def record(cls):
     params: list[str] = []
     body: list[str] = []
     for f in dataclasses.fields(cls):
-        if f.default_factory is not _MISSING or f.kw_only:
-            raise TypeError("record %s: field %s: default_factory and kw_only are not supported"
-                            % (cls.__qualname__, f.name))
+        if f.default_factory is not _MISSING or f.kw_only or not f.init:
+            raise TypeError("record %s: field %s: default_factory, kw_only and init=False are"
+                            " not supported" % (cls.__qualname__, f.name))
         setter = "_set_" + f.name
         scope[setter] = cls.__dict__[f.name].__set__
         default = "_default_" + f.name
         if f.default is not _MISSING:
             scope[default] = f.default
-        if f.init:
-            params.append(f.name if f.default is _MISSING else "%s=%s" % (f.name, default))
-            body.append("%s(self, %s)" % (setter, f.name))
-        elif f.default is not _MISSING:  # otherwise __post_init__ sets it
-            body.append("%s(self, %s)" % (setter, default))
+        params.append(f.name if f.default is _MISSING else "%s=%s" % (f.name, default))
+        body.append("%s(self, %s)" % (setter, f.name))
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     exec("def __init__(self, %s):\n    %s\n" % (", ".join(params), "\n    ".join(body)), scope)

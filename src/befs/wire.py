@@ -195,11 +195,19 @@ def _truncated(what: str) -> MalformedRecord:
     return MalformedRecord("truncated " + what)
 
 
+def record_size(data: bytes) -> Optional[int]:
+    """Size of the record that starts ``data``, its 5-byte header included,
+    read off that header; None while fewer than 5 bytes are in."""
+    if len(data) < 5:
+        return None
+    return 5 + (data[3] << 8 | data[4])
+
+
 def _record_end(data: bytes) -> int:
     """End of the first record, which starts at 0; trailing records are ignored."""
-    if len(data) < 5:
+    end = record_size(data)
+    if end is None:
         raise _truncated("record header")
-    end = 5 + (data[3] << 8 | data[4])
     if end > len(data):
         raise _truncated("record")
     return end

@@ -104,7 +104,7 @@ def reference_select(policy: ServerPolicy, offer, client_max):
                 return version, suite
     else:
         for suite in offer:
-            if suite in policy.supported:
+            if suite in set(policy.preference):
                 return version, suite
     return None
 

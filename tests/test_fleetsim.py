@@ -10,6 +10,7 @@ import random
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -243,11 +244,27 @@ def test_fleets_repeat_the_pinned_digest():
             spec = FleetSpec(size=240, seed=seed, mix=mix, network_device_fraction=fraction)
             for s in generate_fleet(spec):
                 p = s.policy
-                row = (s.server_id, s.archetype.value, sorted(p.supported), p.preference,
+                row = (s.server_id, s.archetype.value, sorted(p.preference), p.preference,
                        sorted(p.versions), p.selection_rule.value, dataclasses.astuple(s.truth))
                 digest.update(repr(row).encode() + b"\n")
     assert digest.hexdigest() == (
         "80ed5e8984d00970a103e5a957a1370035989089d4045d59ae611512c27927aa")
+
+
+def test_a_drawn_server_holds_only_its_draw():
+    # Paper scale is 10^7 servers, so a server keeps what was drawn for it
+    # and shares every fleet-wide value: nothing derived, no per-server copy
+    # of a version set that one of seven shared sets already holds.
+    spec = FleetSpec(size=2000, seed=0, mix={a: 1 / 6 for a in Archetype},
+                     network_device_fraction=0.25)
+    tracemalloc.start()
+    try:
+        fleet = generate_fleet(spec)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced / len(fleet) < 600  # bytes per server
+    assert len({id(s.policy.versions) for s in fleet}) <= 7
 
 
 # Every population a builder draws from; NONFS_SUITES[1:] stands for
@@ -515,9 +532,9 @@ def test_weak_discriminator_is_observationally_honest(seed):
     try:
         _, suite = wire.decode_server_hello(reply)
     except wire.NotServerHello:
-        assert not (set(offer) & weak.inner.policy.supported)
+        assert not (set(offer) & set(weak.inner.policy.preference))
         return
-    assert suite in set(offer) & weak.inner.policy.supported
+    assert suite in set(offer) & set(weak.inner.policy.preference)
 
 
 def test_strong_discriminator_rejects_all_fs_offers():
@@ -560,17 +577,23 @@ def test_discriminators_leave_an_unresponsive_server_stalled():
     lambda inner, targets: DiscriminatoryServer(inner, strong=True, targets=targets),
 ], ids=["dropper", "weak", "strong"])
 def test_adversaries_parse_each_hello_once(monkeypatch, wrap, targets):
-    parses = []
-    parse = wire.decode_client_hello
+    # The adversary parses a hello once to target it; it hands on only the
+    # bytes, so the server that answers it, if one does, parses it once more.
+    parses, answered = [], []
+    parse, answer = wire.decode_client_hello, fleetsim.answer_offer
     monkeypatch.setattr(wire, "decode_client_hello",
                         lambda raw, *rest: parses.append(raw) or parse(raw, *rest))
+    monkeypatch.setattr(fleetsim, "answer_offer",
+                        lambda policy, honors, raw, *rest: answered.append(raw)
+                        or answer(policy, honors, raw, *rest))
     inner = make_server((0xC02F, 0x002F))
     adversary = wrap(inner, targets=targets)
     hellos = [make_ch_bytes(suites) for suites in (
         DEFAULT.suites, FS_ONLY.suites, (0x002F,), DEFAULT.suites + (FALLBACK_SIGNAL,))]
     for raw in hellos:
         adversary.respond(raw)
-    assert parses == hellos
+    assert answered and len(set(answered)) == len(answered)
+    assert parses == [copy for raw in hellos for copy in [raw] * (1 + answered.count(raw))]
 
 
 def test_discriminators_ignore_fallback_signal():
@@ -858,15 +881,16 @@ def test_a_failed_bind_closes_every_socket_opened_so_far(monkeypatch):
 def test_a_hello_written_in_two_pieces_is_answered(monkeypatch):
     fleet = generate_fleet(spec_with(size=1, FS_PREFERRING=1.0))
     raw = make_ch_bytes(DEFAULT.suites)
-    with serve(fleet, Transport.LOOPBACK_SOCKET) as h:
-        registered = _count_registers(h, monkeypatch)
-        with _dial(h.addresses[0]) as client:
-            client.sendall(raw[:3])
-            time.sleep(0.05)
-            client.sendall(raw[3:])
-            _, suite = wire.decode_server_hello(read_record(client, time.perf_counter() + 5.0))
-        assert is_fs(suite)
-        assert len(registered) == 1  # the first piece alone is not a record: the connection waits
+    for split in (3, 5):  # inside the record header, and right after it
+        with serve(fleet, Transport.LOOPBACK_SOCKET) as h:
+            registered = _count_registers(h, monkeypatch)
+            with _dial(h.addresses[0]) as client:
+                client.sendall(raw[:split])
+                time.sleep(0.05)
+                client.sendall(raw[split:])
+                _, suite = wire.decode_server_hello(read_record(client, time.perf_counter() + 5.0))
+            assert is_fs(suite)
+            assert len(registered) == 1  # the first piece alone is not a record: the connection waits
 
 
 def test_socket_latency_delays_the_reply_and_the_reply_arrives():

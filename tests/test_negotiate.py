@@ -22,7 +22,7 @@ def reference_select(policy, offer, client_max):
     if policy.selection_rule is SelectionRule.SERVER_PREFERENCE:
         picks = [s for s in policy.preference if list(offer).count(s) > 0]
     else:
-        picks = [s for s in offer if s in policy.supported]
+        picks = [s for s in offer if s in set(policy.preference)]
     if not picks:
         return None
     return (ok_versions[-1], picks[0])
@@ -76,7 +76,7 @@ def test_fs_only_offer_forces_fs_selection_when_possible(seed):
     policy = random_policy(rng)
     if wire.TLS1_2 not in policy.versions:
         return
-    if policy.supported & set(FS_ONLY.suites):
+    if set(policy.preference) & set(FS_ONLY.suites):
         res = select(policy, FS_ONLY.suites, wire.TLS1_2)
         assert res is not None
         assert is_fs(res[1])
@@ -92,7 +92,7 @@ def test_selected_results_satisfy_invariants(seed):
     res = select(policy, offer, client_max)
     if res is not None:
         version, suite = res
-        assert suite in policy.supported
+        assert suite in set(policy.preference)
         assert suite in offer
         assert version in policy.versions
         assert version <= client_max
