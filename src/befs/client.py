@@ -18,7 +18,8 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .handshake import (
-    AttemptResult, ConnectFailed, Connector, client_hello, handshake_attempt, read_reply,
+    AttemptKind, AttemptResult, ConnectFailed, Connector, client_hello, handshake_attempt,
+    read_reply,
 )
 from .records import record
 from .suites import FALLBACK_SIGNAL, ProfileKind, is_ae, is_fs
@@ -41,6 +42,14 @@ class SessionStatus(Enum):
     CONNECTED = "CONNECTED"
     ABORTED_BY_USER = "ABORTED_BY_USER"
     FAILED = "FAILED"
+
+
+# Enum members as module names: a lookup on the class costs about 0.1 us (CPython 3.11).
+_INTERACTIVE, _SIGNALED, _PARALLEL = (
+    FallbackStyle.INTERACTIVE, FallbackStyle.SIGNALED, FallbackStyle.PARALLEL)
+_CONNECTED, _ABORTED_BY_USER, _FAILED = (
+    SessionStatus.CONNECTED, SessionStatus.ABORTED_BY_USER, SessionStatus.FAILED)
+_SELECTED = AttemptKind.SELECTED
 
 
 @record
@@ -72,7 +81,7 @@ class SessionOutcome:
     fallback: Optional[FallbackStyle] = None
 
     def __post_init__(self) -> None:
-        if self.status is SessionStatus.CONNECTED and self.suite is None:
+        if self.status is _CONNECTED and self.suite is None:
             raise ValueError("CONNECTED requires a suite")
 
     @property
@@ -128,65 +137,61 @@ def connect(
     apart: each gets its own hello randoms. The outcome carries
     ``address`` and ``cfg.fallback``, so a stored session says how it ran.
     """
-    ladder = LADDERS[cfg.mode]
-    suffix = "/" + label if label else ""
-
-    def rung(depth: int, profile: ProfileKind) -> tuple[tuple[int, ...], str]:  # offer, label
-        signal = depth > 0 and cfg.fallback is FallbackStyle.SIGNALED
-        return (profile.suites + (FALLBACK_SIGNAL,) if signal else profile.suites,
-                "%s/%s/%d%s" % (cfg.mode.value, profile.value, depth, suffix))
-
-    status, attempts = SessionStatus.FAILED, []
-    if cfg.fallback is FallbackStyle.PARALLEL and len(ladder) > 1:
+    mode, fallback, timeout_s = cfg.mode, cfg.fallback, cfg.timeout_s
+    ladder = LADDERS[mode]
+    # A rung's label is "<mode>/<profile>/<depth>[/<label>]"; an Enum's
+    # .value is a property, and _value_ the attribute it reads.
+    prefix, suffix = mode._value_ + "/", "/" + label if label else ""
+    status, attempts = _FAILED, []
+    if fallback is _PARALLEL and len(ladder) > 1:
         # A failure is read in its handler: an exception kept past it holds
         # this frame in a cycle via its traceback (see handshake_attempt).
         pending = []  # (offer, start, what send returned or the attempt it failed) of each rung
         for depth, profile in enumerate(ladder):
-            offer, rung_label = rung(depth, profile)
-            raw = client_hello(address, offer, sni=sni, seed=seed, label=rung_label)
+            offer = profile.suites
+            raw = client_hello(address, offer, sni=sni, seed=seed,
+                               label="%s%s/%d%s" % (prefix, profile._value_, depth, suffix))
             start = time.perf_counter()
             try:
-                sent = connector.send(address, raw, cfg.timeout_s)
+                sent = connector.send(address, raw, timeout_s)
             except (TimeoutError, ConnectFailed) as exc:
-                sent = read_reply(exc, offer, cfg.timeout_s, start)
+                sent = read_reply(exc, offer, timeout_s, start)
             pending.append((offer, start, sent))
         for offer, start, sent in pending:
             if not isinstance(sent, AttemptResult):  # else the send failed
                 try:
-                    sent = read_reply(connector.receive(sent), offer, cfg.timeout_s, start)
+                    sent = read_reply(connector.receive(sent), offer, timeout_s, start)
                 except (TimeoutError, ConnectFailed) as exc:
-                    sent = read_reply(exc, offer, cfg.timeout_s, start)
+                    sent = read_reply(exc, offer, timeout_s, start)
             attempts.append(sent)
+        for depth, attempt in enumerate(attempts):  # the strongest selecting rung wins
+            if attempt.kind is _SELECTED:
+                status = _CONNECTED
+                break
     else:
         for depth, profile in enumerate(ladder):
-            if depth > 0 and cfg.fallback is FallbackStyle.INTERACTIVE:
-                if not user(describe_fallback(address, profile)):
-                    status = SessionStatus.ABORTED_BY_USER
+            offer = profile.suites
+            if depth:
+                if fallback is _INTERACTIVE and not user(describe_fallback(address, profile)):
+                    status = _ABORTED_BY_USER
                     break
-            offer, rung_label = rung(depth, profile)
-            attempts.append(handshake_attempt(connector, address, offer, cfg.timeout_s, sni=sni,
-                                              seed=seed, label=rung_label))
-            if attempts[-1].selected:
+                if fallback is _SIGNALED:
+                    offer += (FALLBACK_SIGNAL,)
+            attempt = handshake_attempt(connector, address, offer, timeout_s, sni=sni, seed=seed,
+                                        label="%s%s/%d%s" % (prefix, profile._value_, depth, suffix))
+            attempts.append(attempt)
+            if attempt.kind is _SELECTED:
+                status = _CONNECTED
                 break
-    # the strongest selecting rung wins; without one, report the last reached
-    depth = next((d for d, a in enumerate(attempts) if a.selected), None)
-    if depth is not None:
-        status, suite = SessionStatus.CONNECTED, attempts[depth].suite
+        depth = len(attempts) - 1  # the selecting rung, or else the last reached
+    if status is _CONNECTED:
+        suite = attempts[depth].suite
+        fs, ae = is_fs(suite), is_ae(suite)
     else:
-        depth, suite = len(attempts) - 1, None
-    return SessionOutcome(
-        status=status,
-        suite=suite,
-        fs=is_fs(suite) if suite is not None else None,
-        ae=is_ae(suite) if suite is not None else None,
-        fallback_depth=depth,
-        handshake_attempts=len(attempts),
-        per_attempt_timings=tuple(a.elapsed_s for a in attempts),
-        attempts=tuple(attempts),
-        mode=cfg.mode,
-        address=address,
-        fallback=cfg.fallback,
-    )
+        suite = fs = ae = None
+    return SessionOutcome(status, suite, fs, ae, depth, len(attempts),
+                          tuple([a.elapsed_s for a in attempts]), tuple(attempts), mode, address,
+                          fallback)
 
 
 @record

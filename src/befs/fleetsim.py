@@ -742,8 +742,9 @@ class SocketHarness(Harness):
     than sleeping, so one thread serves the whole fleet.
 
     The selector is the loop's only registry of sockets. A listener's key
-    holds ("listen", address), a waiting connection's key its state:
-    [endpoint, hello buffer], the buffer None once answered or stalled.
+    holds its address, the wake pair's read end None, and a waiting
+    connection's key its state: [endpoint, hello buffer], the buffer None
+    once answered or stalled.
 
     Where the platform has TCP_DEFER_ACCEPT, a connection is accepted
     only once its hello is in, and the accept step reads it at once: a
@@ -751,20 +752,26 @@ class SocketHarness(Harness):
     closed in that step. Only a connection that must wait (an incomplete
     hello, a stall or a delayed reply) is registered with the selector.
     in_flight counts a connection from accept to close.
+
+    An endpoint that raises ends the loop: the loop closes every
+    connection and listener, so later dials are refused, and stop()
+    raises the error.
     """
 
     def __init__(self, servers: Iterable[SimServer], **options) -> None:
         """``options`` as Harness takes them; the loop starts once every server listens."""
         self._sel = selectors.DefaultSelector()
-        self._pending: list[tuple[float, int, socket.socket, bytes]] = []
+        self._pending: list[tuple[float, int, socket.SocketType, bytes]] = []
         self._seq = 0
+        self._error: Optional[Exception] = None
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
-        self._sel.register(self._wake_r, selectors.EVENT_READ, ("wake", None))
+        self._sel.register(self._wake_r, selectors.EVENT_READ, None)
         try:
             super().__init__(servers, **options)
         except BaseException:
             self._close_all()
+            self._wake_w.close()
             raise
         self._thread = threading.Thread(target=self._run, name="fleet-loop", daemon=True)
         self._thread.start()
@@ -782,32 +789,43 @@ class SocketHarness(Harness):
         sock.listen(128)
         sock.setblocking(False)
         address = "%s:%d" % sock.getsockname()
-        self._sel.register(sock, selectors.EVENT_READ, ("listen", address))
+        self._sel.register(sock, selectors.EVENT_READ, address)
         return address
 
     def connector(self) -> TcpConnector:
         return TcpConnector()
 
     def stop(self) -> None:
-        if self.stopped:
-            return
-        self.stopped = True
-        try:
-            self._wake_w.send(b"x")
-        except OSError:
-            pass
-        self._thread.join(timeout=10)
-        self._close_all()
+        """Stop the loop, which closes every socket; raise what ended it, if an endpoint raised."""
+        if not self.stopped:
+            self.stopped = True
+            try:
+                self._wake_w.send(b"x")
+            except OSError:
+                pass
+            self._thread.join(timeout=10)
+            self._wake_w.close()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def enter(self) -> None:
+        """Harness.enter without the lock: only the loop thread counts."""
+        self.in_flight = n = self.in_flight + 1
+        if n > self.max_in_flight:
+            self.max_in_flight = n
+
+    def leave(self) -> None:
+        self.in_flight -= 1
 
     def _close_all(self) -> None:
         for key in list(self._sel.get_map().values()):
             if type(key.data) is list:  # a waiting connection
                 self.leave()
             key.fileobj.close()  # the wake pair's read end among them
-        self._wake_w.close()
         self._sel.close()
 
-    def _close(self, conn: socket.socket, registered: bool) -> None:
+    def _close(self, conn: socket.SocketType, registered: bool) -> None:
         if registered:
             self._sel.unregister(conn)
         try:
@@ -817,44 +835,60 @@ class SocketHarness(Harness):
         self.leave()
 
     def _run(self) -> None:
-        while not self.stopped:
-            timeout = None
-            if self._pending:
-                timeout = min(max(0.0, self._pending[0][0] - time.perf_counter()), _MAX_WAIT_S)
-            for key, _ in self._sel.select(timeout):
-                data = key.data
-                if type(data) is list:
-                    self._readable(key.fileobj, data, True)
-                elif data[0] == "listen":
-                    self._accept(key.fileobj, data[1])
-                else:
-                    try:
-                        self._wake_r.recv(64)
-                    except OSError:
-                        pass
-            now = time.perf_counter()
-            while self._pending and self._pending[0][0] <= now:
-                _, _, conn, payload = heapq.heappop(self._pending)
-                self._reply(conn, payload, True)
+        pending = self._pending
+        try:
+            while not self.stopped:
+                timeout = None
+                if pending:
+                    timeout = min(max(0.0, pending[0][0] - time.perf_counter()), _MAX_WAIT_S)
+                for key, _ in self._sel.select(timeout):
+                    data = key.data
+                    if type(data) is str:  # a listener's address
+                        self._accept(key.fileobj, data)
+                    elif data is None:  # the wake pair
+                        try:
+                            self._wake_r.recv(64)
+                        except OSError:
+                            pass
+                    else:
+                        self._feed(key.fileobj, data[0], data[1], data)
+                if pending:
+                    now = time.perf_counter()
+                    while pending and pending[0][0] <= now:
+                        _, _, conn, payload = heapq.heappop(pending)
+                        self._reply(conn, payload, True)
+        except Exception as exc:  # an endpoint's: stop() raises it
+            self._error = exc
+        finally:
+            self._close_all()
 
     def _accept(self, listener: socket.socket, address: str) -> None:
+        # socket.accept wraps the descriptor in a Python-level socket.socket,
+        # reading the listener's family and type as enums on the way; the C
+        # socket type (socket.SocketType) takes them as ints and closes
+        # without a Python layer.
         try:
-            conn, _peer = listener.accept()
+            fd, _peer = listener._accept()
         except OSError:
             return
+        conn = socket.SocketType(socket.AF_INET, socket.SOCK_STREAM, 0, fd)
         conn.setblocking(False)
         self.enter()
-        self._readable(conn, [self.endpoints[address], bytearray()], False)
+        self._feed(conn, self.endpoints[address], b"", None)
 
-    def _reply(self, conn: socket.socket, payload: bytes, registered: bool) -> None:
+    def _reply(self, conn: socket.SocketType, payload: bytes, registered: bool) -> None:
         try:
             conn.sendall(payload)
         except OSError:
             pass
         self._close(conn, registered)
 
-    def _readable(self, conn: socket.socket, state: list, registered: bool) -> None:
-        """Read what the client sent; register the connection, once, if it has to wait."""
+    def _feed(self, conn: socket.SocketType, endpoint: Endpoint, buf: Optional[bytes],
+              state: Optional[list]) -> None:
+        """Read what the client sent after ``buf``, the hello so far (None
+        once answered or stalled), and answer a complete hello. ``state`` is
+        the connection's key data, None before it is registered: one that
+        has to wait is registered, once, to notice the client leaving."""
         try:
             chunk = conn.recv(4096)
         except BlockingIOError:
@@ -862,25 +896,31 @@ class SocketHarness(Harness):
         except OSError:
             chunk = b""
         if chunk == b"":  # the client left: a reply still scheduled for it has no reader
-            self._pending = [entry for entry in self._pending if entry[2] is not conn]
-            heapq.heapify(self._pending)
-            self._close(conn, registered)
+            pending = self._pending
+            pending[:] = [entry for entry in pending if entry[2] is not conn]
+            heapq.heapify(pending)
+            self._close(conn, state is not None)
             return
-        buf = state[1]
-        if chunk and buf is not None:  # None: the hello was already answered or stalled
-            buf.extend(chunk)
+        if chunk and buf is not None:
+            buf += chunk  # b"" + chunk is chunk itself
             total = wire.record_size(buf)
             if total is not None and len(buf) >= total:
-                reply, delay_s = self.answer(state[0], bytes(buf[:total]))
-                state[1] = None
+                try:  # the slice is buf itself when it is one whole record
+                    reply, delay_s = self.answer(endpoint, buf[:total])
+                except BaseException:
+                    self._close(conn, state is not None)
+                    raise
+                buf = None
                 if reply is not None:
                     if delay_s <= 0:
-                        self._reply(conn, reply, registered)
+                        self._reply(conn, reply, state is not None)
                         return
                     self._seq += 1
                     heapq.heappush(self._pending, (time.perf_counter() + delay_s, self._seq, conn, reply))
-        if not registered:  # an incomplete hello, a stall or a later reply: notice the client leaving
-            self._sel.register(conn, selectors.EVENT_READ, state)
+        if state is None:  # an incomplete hello, a stall or a later reply
+            self._sel.register(conn, selectors.EVENT_READ, [endpoint, buf])
+        else:
+            state[1] = buf
 
 
 def serve(

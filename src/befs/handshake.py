@@ -69,6 +69,12 @@ class AttemptResult:
         return self.kind is AttemptKind.SELECTED
 
 
+# Looking a member up on its Enum class costs about 0.1 us (CPython 3.11);
+# read_reply reads these names instead.
+_SELECTED, _REJECTED, _TIMEOUT = AttemptKind.SELECTED, AttemptKind.REJECTED, AttemptKind.TIMEOUT
+_CONNECT_ERROR, _PROTOCOL_ERROR = AttemptKind.CONNECT_ERROR, AttemptKind.PROTOCOL_ERROR
+
+
 def _client_random(seed: int, address: str, label: str) -> bytes:
     # Deterministic 32-byte random: reproducible runs without locking a
     # shared RNG across scanner threads, hashed by the built-in sha256 above.
@@ -95,18 +101,9 @@ def read_reply(reply: Union[bytes, TimeoutError, ConnectFailed], offer: tuple[in
     alert is REJECTED (decode_alert), and any other record must be a
     ServerHello (decode_server_hello); what either refuses is PROTOCOL_ERROR."""
     version = suite = alert = error = None
-    if isinstance(reply, TimeoutError):
-        kind, error = AttemptKind.TIMEOUT, "timed out after %gs" % timeout_s
-    elif isinstance(reply, ConnectFailed):
-        kind, error = AttemptKind.CONNECT_ERROR, str(reply)
-    else:
-        try:
-            if not reply:
-                kind, error = AttemptKind.CONNECT_ERROR, "connection closed before a full record"
-            elif reply[0] == wire.CONTENT_ALERT:
-                alert = wire.decode_alert(reply)
-                kind, error = AttemptKind.REJECTED, alert.description_name
-            else:
+    try:
+        if not isinstance(reply, Exception):  # the common case first: a ServerHello
+            if reply and reply[0] != wire.CONTENT_ALERT:
                 version, suite = wire.decode_server_hello(reply)
                 # A real client answers these with an illegal_parameter alert.
                 if suite not in offer or suite == FALLBACK_SIGNAL:
@@ -114,11 +111,20 @@ def read_reply(reply: Union[bytes, TimeoutError, ConnectFailed], offer: tuple[in
                 elif version > wire.TLS1_2:
                     error = "server selected version 0x%04X above 0x%04X" % (version, wire.TLS1_2)
                 if error is None:
-                    kind = AttemptKind.SELECTED
+                    kind = _SELECTED
                 else:
-                    kind, version, suite = AttemptKind.PROTOCOL_ERROR, None, None
-        except wire.WireError as exc:
-            kind, error = AttemptKind.PROTOCOL_ERROR, str(exc)
+                    kind, version, suite = _PROTOCOL_ERROR, None, None
+            elif reply:
+                alert = wire.decode_alert(reply)
+                kind, error = _REJECTED, alert.description_name
+            else:
+                kind, error = _CONNECT_ERROR, "connection closed before a full record"
+        elif isinstance(reply, TimeoutError):
+            kind, error = _TIMEOUT, "timed out after %gs" % timeout_s
+        else:
+            kind, error = _CONNECT_ERROR, str(reply)
+    except wire.WireError as exc:
+        kind, error = _PROTOCOL_ERROR, str(exc)
     return AttemptResult(kind, suite, version, alert, error, time.perf_counter() - start)
 
 
@@ -152,7 +158,8 @@ def read_record(sock: socket.socket, deadline: float) -> bytes:
     """
     buf = b""
     while True:
-        sock.settimeout(max(deadline - time.perf_counter(), 0.0))  # 0: do not block
+        remaining = deadline - time.perf_counter()
+        sock.settimeout(remaining if remaining > 0 else 0.0)  # 0: do not block
         try:
             chunk = sock.recv(4096)
         except BlockingIOError:
@@ -160,9 +167,11 @@ def read_record(sock: socket.socket, deadline: float) -> bytes:
         if not chunk:
             return buf
         buf += chunk
-        want = wire.record_size(buf)
-        if want is not None and len(buf) >= want:
-            return buf[:want]
+        # wire.record_size, inline: 5 header bytes and the length they give
+        if len(buf) >= 5:
+            want = 5 + (buf[3] << 8 | buf[4])
+            if len(buf) >= want:
+                return buf if len(buf) == want else buf[:want]
 
 
 class TcpConnector(Connector):

@@ -346,18 +346,30 @@ def test_criterion_4_adversaries():
     return "dropper/weak/strong/signal each 100%% over %d-server fleets" % size
 
 
-def test_adversary_sweep_script_runs_every_model():
+def _run_script(name, *args):
+    """The standard output of ``scripts/<name>``, run with this checkout's befs."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_adversaries.py"), "--size", "8"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = subprocess.run([sys.executable, str(root / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert len(lines) == 6, done.stdout
-    assert all(line.endswith(" 8/  8 (100.0%)") for line in lines), done.stdout
+    return done.stdout
+
+
+def test_adversary_sweep_script_runs_every_model():
+    lines = _run_script("run_adversaries.py", "--size", "8").splitlines()
+    assert len(lines) == 6, lines
+    assert all(line.endswith(" 8/  8 (100.0%)") for line in lines), lines
+
+
+def test_loopback_floor_script_times_every_layer():
+    out = _run_script("loopback_floor.py", "--exchanges", "30", "--batches", "2")
+    rows = dict(line.rsplit(None, 1) for line in out.splitlines()[1:])
+    layers = ["floor", "harness", "exchange", "attempt",
+              "connect DEFAULT", "connect BEFS", "connect BESAFE"]
+    assert [name for name in rows if name in layers] == layers, out
+    assert all(float(rows[name]) > 0 for name in layers), out
 
 
 # -- 5: attempt and latency structure --------------------------------------------

@@ -1,6 +1,8 @@
 """Client policy ladders: sequential fallback, parallel race, bench."""
 
+import dataclasses
 import gc
+import itertools
 import operator
 import threading
 import time
@@ -515,6 +517,43 @@ def test_parallel_ladder_closes_every_socket_it_opens():
     assert [a.kind for a in out.attempts][:2] == [AttemptKind.TIMEOUT] * 2  # receive raised
     assert len(recorder.sockets) == 3
     assert all(sock.fileno() == -1 for sock in recorder.sockets)
+
+
+_ANSWERING = [arch for arch in Archetype if arch is not Archetype.UNRESPONSIVE]
+_EVERY_STYLE = [(FallbackStyle.SILENT, ALWAYS_PROCEED), (FallbackStyle.INTERACTIVE, ALWAYS_PROCEED),
+                (FallbackStyle.INTERACTIVE, ALWAYS_ABORT), (FallbackStyle.SIGNALED, ALWAYS_PROCEED),
+                (FallbackStyle.PARALLEL, ALWAYS_PROCEED)]
+
+
+def _every_connect(transport):
+    """The outcome of every mode and style against one server of each answering
+    archetype and one more, FS_PREFERRING, behind an ActiveDropper; where it ran
+    and how long it took are masked."""
+    mix = {arch: 1 / (len(_ANSWERING) + 1) for arch in _ANSWERING}
+    mix[Archetype.FS_PREFERRING] *= 2
+    fleet = generate_fleet(FleetSpec(size=len(_ANSWERING) + 1, seed=17, mix=mix))
+    dropped = [s for s in fleet if s.archetype is Archetype.FS_PREFERRING][-1]
+    outcomes = []
+    with serve(fleet, transport,
+               adversary=lambda s: ActiveDropper(s) if s is dropped else s) as h:
+        for address, mode, (style, user) in itertools.product(
+                h.addresses, list(PolicyMode), _EVERY_STYLE):
+            out = connect(address, cfg_for(mode, style, timeout_s=0.1), user,
+                          connector=h.connector())
+            outcomes.append(dataclasses.replace(
+                out, address="", per_attempt_timings=(),
+                attempts=tuple(dataclasses.replace(a, elapsed_s=0.0) for a in out.attempts)))
+    assert {s.archetype for s in fleet} == set(_ANSWERING)
+    return outcomes
+
+
+def test_a_connect_gives_the_same_outcome_over_both_transports():
+    memory = _every_connect(Transport.IN_MEMORY)
+    assert memory == _every_connect(Transport.LOOPBACK_SOCKET)
+    # the dropper's own connects: each refused all-FS rung waits out its timeout
+    kinds = {a.kind for out in memory for a in out.attempts}
+    assert {AttemptKind.SELECTED, AttemptKind.REJECTED, AttemptKind.TIMEOUT} <= kinds
+    assert {out.status for out in memory} == set(SessionStatus)
 
 
 class HalfBuilt:

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import random
 import socket
 import threading
@@ -777,6 +778,39 @@ def test_socket_loop_forgets_the_reply_of_a_client_that_left():
         assert h.in_flight == 0
         h.stop()  # joins the loop thread, so what it left is final
         assert len(h._pending) == 0
+
+
+class Raising:
+    """An endpoint whose every answer raises."""
+
+    def __init__(self, server):
+        self.server = server
+
+    def respond(self, raw):
+        raise RuntimeError("endpoint of %s failed" % self.server.server_id)
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_an_endpoint_that_raises_ends_the_loop_and_stop_raises_it():
+    fleet = generate_fleet(spec_with(size=2, FS_PREFERRING=1.0))
+    before = _open_fds()
+    h = serve(fleet, Transport.LOOPBACK_SOCKET, adversary=Raising)
+    try:
+        # the first hello's connection closes unanswered, then every listener
+        results = [handshake_attempt(h.connector(), address, DEFAULT.suites, 5.0)
+                   for address in h.addresses * 2]
+    finally:
+        with pytest.raises(RuntimeError, match="endpoint of srv-0000 failed"):
+            h.stop()
+    assert [res.kind for res in results] == [AttemptKind.CONNECT_ERROR] * 4
+    assert not h._thread.is_alive()
+    assert h.in_flight == 0
+    assert _open_fds() <= before
+    h.stop()  # raised once; a second stop has nothing to stop
 
 
 def _count_registers(h, monkeypatch):
