@@ -6,8 +6,8 @@ DEFAULT-offer ClientHello (the connect rows send their rungs' hellos):
 
   floor            a raw client to a minimal select/accept/recv/send/close
                    server that answers every hello with the same bytes
-  harness          the raw client to one SocketHarness server
-  exchange         TcpConnector.exchange to that server
+  harness          the raw client to one loopback.SocketHarness server
+  exchange         loopback.TcpConnector.exchange to that server
   attempt          handshake_attempt
   connect <MODE>   client.connect, per exchange
 

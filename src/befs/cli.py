@@ -36,7 +36,6 @@ from .fleetsim import (
     serve,
     truth_records,
 )
-from .handshake import TcpConnector
 from .inspection import inspect_all, scan
 from .metadata import (
     EmptyDataset,
@@ -217,6 +216,7 @@ def _targets(args):
                    seed=spec.seed) as harness:
             yield harness.addresses, harness.connector()
     else:
+        from .loopback import TcpConnector  # sockets load only for a TCP target
         yield load_addresses(args.input), TcpConnector()
 
 
@@ -282,6 +282,7 @@ def cmd_connect(args) -> int:
         timeout_s=args.timeout,
     )
     user = _ask_terminal if cfg.fallback is FallbackStyle.INTERACTIVE else ALWAYS_PROCEED
+    from .loopback import TcpConnector
     outcome = connect(
         address, cfg, user, connector=TcpConnector(), sni=args.sni == "on", seed=args.seed
     )

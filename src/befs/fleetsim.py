@@ -1,8 +1,9 @@
 """Simulated server fleets with ground-truth labels.
 
 Generates deterministic populations of negotiation policies across six
-archetypes and serves them over an in-memory transport or real loopback
-sockets. An adversary is the endpoint wrapper passed to ``serve``: it sees
+archetypes and serves them in memory (Harness) or on loopback sockets
+(loopback.SocketHarness, which serve loads only for that transport; this
+module opens no socket). An adversary is the endpoint wrapper passed to ``serve``: it sees
 only the ClientHello bytes, and the dropper and the discriminators target
 clients by the hello's JA3 string (wire.fingerprint). A server stores
 only what was drawn for it; every truth label is read off its policy
@@ -11,14 +12,10 @@ only what was drawn for it; every truth label is read off its policy
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
-import os
 import random
-import selectors
-import socket
 import sys
 import threading
 import time
@@ -27,7 +24,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence
 
 from . import wire
-from .handshake import ConnectFailed, Connector, TcpConnector, sha256, sleep_until
+from .handshake import ConnectFailed, Connector, sha256, sleep_until
 from .inspection import Classification
 from .negotiate import SelectionRule, ServerPolicy, select
 from .records import record
@@ -282,7 +279,7 @@ def answer_offer(
     return wire.encode_server_hello(*picked, next_random())
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SimServer:
     server_id: str
     archetype: Archetype
@@ -295,7 +292,7 @@ class SimServer:
     seed: int = 0
     index: int = 0
     _hellos: Iterator[int] = field(default_factory=itertools.count, init=False, repr=False)
-    # A declared field, not a cached_property: the instance dict keeps its shared keys.
+    # A declared field, not a cached_property: a slotted server has no instance dict.
     _truth: Optional[GroundTruth] = field(default=None, init=False, repr=False)
 
     @property
@@ -727,202 +724,6 @@ class Harness:
         self.stop()
 
 
-# Linux's option to hold a connection back from accept until data arrives
-_DEFER_ACCEPT = getattr(socket, "TCP_DEFER_ACCEPT", None)
-# Longest select wait: a reply due further ahead (a huge latency) would
-# overflow the platform's timeout, so the loop wakes and waits again.
-_MAX_WAIT_S = 1.0
-
-
-class SocketHarness(Harness):
-    """Loopback TCP fleet: one listener per server, one event-loop thread.
-
-    The loop owns every socket; Harness.answer runs inline (it is pure
-    computation), and latency is applied by scheduling the reply rather
-    than sleeping, so one thread serves the whole fleet.
-
-    The selector is the loop's only registry of sockets. A listener's key
-    holds its address, the wake pair's read end None, and a waiting
-    connection's key its state: [endpoint, hello buffer], the buffer None
-    once answered or stalled.
-
-    Where the platform has TCP_DEFER_ACCEPT, a connection is accepted
-    only once its hello is in, and the accept step reads it at once: a
-    reply due now (zero sampled latency) is sent and the connection
-    closed in that step. Only a connection that must wait (an incomplete
-    hello, a stall or a delayed reply) is registered with the selector.
-    in_flight counts a connection from accept to close.
-
-    An endpoint that raises ends the loop: the loop closes every
-    connection and listener, so later dials are refused, and stop()
-    raises the error.
-    """
-
-    def __init__(self, servers: Iterable[SimServer], **options) -> None:
-        """``options`` as Harness takes them; the loop starts once every server listens."""
-        self._sel = selectors.DefaultSelector()
-        self._pending: list[tuple[float, int, socket.SocketType, bytes]] = []
-        self._seq = 0
-        self._error: Optional[Exception] = None
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._sel.register(self._wake_r, selectors.EVENT_READ, None)
-        try:
-            super().__init__(servers, **options)
-        except BaseException:
-            self._close_all()
-            self._wake_w.close()
-            raise
-        self._thread = threading.Thread(target=self._run, name="fleet-loop", daemon=True)
-        self._thread.start()
-
-    def _listen(self, server: SimServer) -> str:
-        """Bind a loopback listener for ``server`` and register it; its address."""
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.bind(("127.0.0.1", 0))
-        except OSError as exc:
-            sock.close()
-            raise BindFailure("bind failed after %d listeners: %s" % (len(self.endpoints), exc)) from exc
-        if _DEFER_ACCEPT is not None:
-            sock.setsockopt(socket.IPPROTO_TCP, _DEFER_ACCEPT, 1)
-        sock.listen(128)
-        sock.setblocking(False)
-        address = "%s:%d" % sock.getsockname()
-        self._sel.register(sock, selectors.EVENT_READ, address)
-        return address
-
-    def connector(self) -> TcpConnector:
-        return TcpConnector()
-
-    def stop(self) -> None:
-        """Stop the loop, which closes every socket; raise what ended it, if an endpoint raised."""
-        if not self.stopped:
-            self.stopped = True
-            try:
-                self._wake_w.send(b"x")
-            except OSError:
-                pass
-            self._thread.join(timeout=10)
-            self._wake_w.close()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def enter(self) -> None:
-        """Harness.enter without the lock: only the loop thread counts."""
-        self.in_flight = n = self.in_flight + 1
-        if n > self.max_in_flight:
-            self.max_in_flight = n
-
-    def leave(self) -> None:
-        self.in_flight -= 1
-
-    def _close_all(self) -> None:
-        for key in list(self._sel.get_map().values()):
-            if type(key.data) is list:  # a waiting connection
-                self.leave()
-            key.fileobj.close()  # the wake pair's read end among them
-        self._sel.close()
-
-    def _close(self, conn: socket.SocketType, registered: bool) -> None:
-        if registered:
-            self._sel.unregister(conn)
-        try:
-            conn.close()
-        except OSError:
-            pass
-        self.leave()
-
-    def _run(self) -> None:
-        pending = self._pending
-        try:
-            while not self.stopped:
-                timeout = None
-                if pending:
-                    timeout = min(max(0.0, pending[0][0] - time.perf_counter()), _MAX_WAIT_S)
-                for key, _ in self._sel.select(timeout):
-                    data = key.data
-                    if type(data) is str:  # a listener's address
-                        self._accept(key.fileobj, data)
-                    elif data is None:  # the wake pair
-                        try:
-                            self._wake_r.recv(64)
-                        except OSError:
-                            pass
-                    else:
-                        self._feed(key.fileobj, data[0], data[1], data)
-                if pending:
-                    now = time.perf_counter()
-                    while pending and pending[0][0] <= now:
-                        _, _, conn, payload = heapq.heappop(pending)
-                        self._reply(conn, payload, True)
-        except Exception as exc:  # an endpoint's: stop() raises it
-            self._error = exc
-        finally:
-            self._close_all()
-
-    def _accept(self, listener: socket.socket, address: str) -> None:
-        # socket.accept wraps the descriptor in a Python-level socket.socket,
-        # reading the listener's family and type as enums on the way; the C
-        # socket type (socket.SocketType) takes them as ints and closes
-        # without a Python layer.
-        try:
-            fd, _peer = listener._accept()
-        except OSError:
-            return
-        conn = socket.SocketType(socket.AF_INET, socket.SOCK_STREAM, 0, fd)
-        conn.setblocking(False)
-        self.enter()
-        self._feed(conn, self.endpoints[address], b"", None)
-
-    def _reply(self, conn: socket.SocketType, payload: bytes, registered: bool) -> None:
-        try:
-            conn.sendall(payload)
-        except OSError:
-            pass
-        self._close(conn, registered)
-
-    def _feed(self, conn: socket.SocketType, endpoint: Endpoint, buf: Optional[bytes],
-              state: Optional[list]) -> None:
-        """Read what the client sent after ``buf``, the hello so far (None
-        once answered or stalled), and answer a complete hello. ``state`` is
-        the connection's key data, None before it is registered: one that
-        has to wait is registered, once, to notice the client leaving."""
-        try:
-            chunk = conn.recv(4096)
-        except BlockingIOError:
-            chunk = None
-        except OSError:
-            chunk = b""
-        if chunk == b"":  # the client left: a reply still scheduled for it has no reader
-            pending = self._pending
-            pending[:] = [entry for entry in pending if entry[2] is not conn]
-            heapq.heapify(pending)
-            self._close(conn, state is not None)
-            return
-        if chunk and buf is not None:
-            buf += chunk  # b"" + chunk is chunk itself
-            total = wire.record_size(buf)
-            if total is not None and len(buf) >= total:
-                try:  # the slice is buf itself when it is one whole record
-                    reply, delay_s = self.answer(endpoint, buf[:total])
-                except BaseException:
-                    self._close(conn, state is not None)
-                    raise
-                buf = None
-                if reply is not None:
-                    if delay_s <= 0:
-                        self._reply(conn, reply, state is not None)
-                        return
-                    self._seq += 1
-                    heapq.heappush(self._pending, (time.perf_counter() + delay_s, self._seq, conn, reply))
-        if state is None:  # an incomplete hello, a stall or a later reply
-            self._sel.register(conn, selectors.EVENT_READ, [endpoint, buf])
-        else:
-            state[1] = buf
-
-
 def serve(
     fleet: Iterable[SimServer],
     transport: Transport,
@@ -939,6 +740,7 @@ def serve(
     if transport is Transport.IN_MEMORY:
         return Harness(fleet, adversary=adversary, latency=latency, seed=seed)
     if transport is Transport.LOOPBACK_SOCKET:
+        from .loopback import SocketHarness  # socket modules load for this transport only
         return SocketHarness(fleet, adversary=adversary, latency=latency, seed=seed)
     raise ValueError("unknown transport %r" % transport)
 

@@ -1,15 +1,17 @@
-"""One handshake attempt: send a ClientHello, interpret what comes back.
+"""One handshake attempt, sans IO: the ClientHello to send, and what came back.
 
-A Connector abstracts the byte transport (in-memory fleet or TCP), so the
+client_hello makes an attempt's bytes and read_reply reads its reply;
+handshake_attempt joins them over a Connector, which abstracts the byte
+transport (fleetsim's in-memory fleet, or loopback.TcpConnector), so the
 scanning, inspection, and policy engines share one attempt primitive.
-Connections are one-shot: an exchange, a send then a receive, ends at the
-ServerHello or alert, and a caller may send several hellos before it
-receives any reply. Nothing past the first server flight matters.
+This module opens no socket. Connections are one-shot: an exchange, a
+send then a receive, ends at the ServerHello or alert, and a caller may
+send several hellos before it receives any reply. Nothing past the first
+server flight matters.
 """
 
 from __future__ import annotations
 
-import socket
 import time
 from enum import Enum
 from typing import Optional, Protocol, Sequence, Union, runtime_checkable
@@ -148,72 +150,12 @@ def sleep_until(due: float) -> None:
         time.sleep(min(wait, 1.0))
 
 
-def read_record(sock: socket.socket, deadline: float) -> bytes:
-    """Read one TLS record off a socket before the deadline.
-
-    A peer that closes first leaves what arrived, which may be nothing:
-    handshake_attempt reads a cut reply, or an empty one, as it reads the
-    same reply over the memory transport. Past the deadline (a ladder's
-    later rungs), only bytes that have already arrived are read.
-    """
-    buf = b""
-    while True:
-        remaining = deadline - time.perf_counter()
-        sock.settimeout(remaining if remaining > 0 else 0.0)  # 0: do not block
-        try:
-            chunk = sock.recv(4096)
-        except BlockingIOError:
-            raise TimeoutError("record read deadline exceeded") from None
-        if not chunk:
-            return buf
-        buf += chunk
-        # wire.record_size, inline: 5 header bytes and the length they give
-        if len(buf) >= 5:
-            want = 5 + (buf[3] << 8 | buf[4])
-            if len(buf) >= want:
-                return buf if len(buf) == want else buf[:want]
-
-
-class TcpConnector(Connector):
-    """Connector over real TCP; one connection per exchange.
-
-    An IPv4 literal (a host split_address gives no SNI name) is dialled
-    without a resolver call; a host name goes through
-    socket.create_connection, which resolves it and tries each address.
-    """
-
-    def send(self, address: str, raw: bytes, timeout_s: float) -> tuple:
-        host, port, name = split_address(address)
-        port = 443 if port is None else port
-        deadline = time.perf_counter() + timeout_s
-        failed, sock = "connect %s failed: %s", None
-        try:
-            if host and name is None:  # an IPv4 literal: no resolver call
-                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                sock.settimeout(timeout_s)
-                sock.connect((host, port))
-            else:
-                sock = socket.create_connection((host, port), timeout=timeout_s)
-            failed = "exchange with %s failed: %s"
-            sock.sendall(raw)
-        except BaseException as exc:
-            if sock is not None:
-                sock.close()
-            if isinstance(exc, TimeoutError) or not isinstance(exc, OSError):
-                raise
-            raise ConnectFailed(failed % (address, exc)) from exc
-        return sock, address, deadline
-
-    def receive(self, sent: tuple) -> bytes:
-        sock, address, deadline = sent
-        try:
-            return read_record(sock, deadline)
-        except TimeoutError:
-            raise
-        except OSError as exc:
-            raise ConnectFailed("exchange with %s failed: %s" % (address, exc)) from exc
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
+def __getattr__(name: str):
+    # perfbench/spans.py wraps handshake.TcpConnector.exchange under this
+    # module's name, so the name resolves here, loading loopback on first
+    # use. ROADMAP item 1 lets the tracer take a connector's own module and
+    # deletes this forwarder.
+    if name == "TcpConnector":
+        from .loopback import TcpConnector
+        return TcpConnector
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

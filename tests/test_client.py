@@ -36,9 +36,8 @@ from befs.fleetsim import (
     generate_fleet,
     serve,
 )
-from befs.handshake import (
-    AttemptKind, ConnectFailed, Connector, TcpConnector, handshake_attempt,
-)
+from befs.handshake import AttemptKind, ConnectFailed, Connector, handshake_attempt
+from befs.loopback import TcpConnector
 from befs.negotiate import SelectionRule, ServerPolicy
 from befs.suites import DEFAULT_ORDER, FALLBACK_SIGNAL, ProfileKind
 

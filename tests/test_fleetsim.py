@@ -31,7 +31,6 @@ from befs.fleetsim import (
     LatencyModel,
     PassiveTap,
     SimServer,
-    SocketHarness,
     Transport,
     archetype_counts,
     expected_for_server,
@@ -44,9 +43,8 @@ from befs.fleetsim import (
     server_random,
     truth_records,
 )
-from befs.handshake import (
-    AttemptKind, ConnectFailed, TcpConnector, _client_random, handshake_attempt, read_record,
-)
+from befs.handshake import AttemptKind, ConnectFailed, _client_random, handshake_attempt
+from befs.loopback import SocketHarness, TcpConnector, read_record
 from befs.negotiate import ServerPolicy
 from befs.suites import DEFAULT, FALLBACK_SIGNAL, FS_AE_ONLY, FS_ONLY, REGISTRY, is_ae, is_fs
 from befs.wire import TLS1_0, TLS1_1, TLS1_2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from befs import cli
+from befs.fleetsim import Archetype, FleetSpec, Transport, generate_fleet, serve
 from befs.inspection import ScanRecord, ScanResultKind
 from befs.metadata import (
     EmptyDataset,
@@ -143,10 +144,25 @@ def test_a_memory_campaign_and_its_report_load_no_openssl(tmp_path):
     # hashlib maps OpenSSL's libcrypto, about 3.8 MB resident, so the hello
     # randoms hash with CPython's built-in SHA-256 (handshake.sha256). An
     # OpenSSL endpoint (ssl.MemoryBIO, ROADMAP item 7) must therefore import
-    # ssl where that endpoint is built, not at the top of its module.
-    done = _run_campaign(tmp_path, coda="print(sorted(set(sys.modules) & "
-                         "{'hashlib', '_hashlib', 'ssl', '_ssl'}))\n")
-    assert done.stdout.splitlines()[-1] == "[]"
+    # ssl where that endpoint is built, not at the top of its module. The
+    # socket modules cost about 0.55 MB more, so only befs.loopback imports
+    # them, and nothing loads that module for the memory transport.
+    done = _run_campaign(tmp_path, coda="""
+print(sorted(set(sys.modules) & {'hashlib', '_hashlib', 'ssl', '_ssl'}))
+print(sorted(set(sys.modules) & {'socket', '_socket', 'select', 'selectors', 'befs.loopback'}))
+""")
+    assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
+
+
+def test_befs_connect_loads_the_loopback_module_and_connects(tmp_path):
+    spec = FleetSpec(size=1, seed=3, mix={Archetype.FS_PREFERRING: 1.0})
+    with serve(generate_fleet(spec), Transport.LOOPBACK_SOCKET) as harness:
+        done = _run_campaign(tmp_path, coda="""
+loaded_before = "befs.loopback" in sys.modules
+code = cli.main(["connect", %r, "--mode", "befs", "--timeout", "5"])
+print(loaded_before, "befs.loopback" in sys.modules, code)
+""" % harness.addresses[0])
+    assert done.stdout.splitlines()[-1] == "False True 0"  # 0: connected with FS
 
 
 def test_hello_randoms_fall_back_to_hashlib_without_a_built_in_sha256(tmp_path):
