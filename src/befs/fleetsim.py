@@ -641,19 +641,15 @@ class _MemoryConnector(Connector):
         reply, delay_s = h.answer(endpoint, raw)
         if reply is None or delay_s >= timeout_s:
             reply, delay_s = None, timeout_s
-        h.enter()
         return address, reply, timeout_s, time.perf_counter() + delay_s if delay_s else 0.0
 
     def receive(self, sent: tuple) -> bytes:
         address, reply, timeout_s, due = sent
-        try:
-            if due:
-                sleep_until(due)
-            if reply is None:
-                raise TimeoutError("no response from %s within %gs" % (address, timeout_s))
-            return reply
-        finally:
-            self._h.leave()
+        if due:
+            sleep_until(due)
+        if reply is None:
+            raise TimeoutError("no response from %s within %gs" % (address, timeout_s))
+        return reply
 
 
 class Harness:
@@ -663,7 +659,8 @@ class Harness:
     every handshake. Each server gets its address from _listen before the
     adversary, if any, wraps it. answer is the one place where either
     transport asks an endpoint for its reply and draws that reply's delay.
-    in_flight counts the exchanges under way, max_in_flight its high-water mark.
+    A memory exchange takes no lock and no gauge counts it: a caller counts
+    its own exchanges, and SocketHarness its connections.
     """
 
     def __init__(
@@ -677,9 +674,6 @@ class Harness:
         self.endpoints: dict[str, Endpoint] = {}  # in serve order
         self.latency = latency
         self.latency_rng = random.Random(seed ^ 0x1A7E)
-        self._lock = threading.Lock()
-        self.in_flight = 0
-        self.max_in_flight = 0
         self.stopped = False
         for server in servers:
             server.address = address = self._listen(server)
@@ -703,16 +697,6 @@ class Harness:
         if reply is None:
             return None, 0.0
         return reply, self.latency.sample_s(self.latency_rng)
-
-    def enter(self) -> None:
-        with self._lock:
-            self.in_flight += 1
-            if self.in_flight > self.max_in_flight:
-                self.max_in_flight = self.in_flight
-
-    def leave(self) -> None:
-        with self._lock:
-            self.in_flight -= 1
 
     def stop(self) -> None:
         self.stopped = True

@@ -119,7 +119,8 @@ class SocketHarness(Harness):
     reply due now (zero sampled latency) is sent and the connection
     closed in that step. Only a connection that must wait (an incomplete
     hello, a stall or a delayed reply) is registered with the selector.
-    in_flight counts a connection from accept to close.
+    in_flight counts a connection from accept to close, max_in_flight its
+    high-water mark; only the loop thread counts, so no lock guards them.
 
     An endpoint that raises ends the loop: the loop closes every
     connection and listener, so later dials are refused, and stop()
@@ -128,6 +129,7 @@ class SocketHarness(Harness):
 
     def __init__(self, servers: Iterable[SimServer], **options) -> None:
         """``options`` as Harness takes them; the loop starts once every server listens."""
+        self.in_flight = self.max_in_flight = 0  # _close_all reads them after a failed bind
         self._sel = selectors.DefaultSelector()
         self._pending: list[tuple[float, int, socket.SocketType, bytes]] = []
         self._seq = 0
@@ -177,19 +179,10 @@ class SocketHarness(Harness):
         if error is not None:
             raise error
 
-    def enter(self) -> None:
-        """Harness.enter without the lock: only the loop thread counts."""
-        self.in_flight = n = self.in_flight + 1
-        if n > self.max_in_flight:
-            self.max_in_flight = n
-
-    def leave(self) -> None:
-        self.in_flight -= 1
-
     def _close_all(self) -> None:
         for key in list(self._sel.get_map().values()):
             if type(key.data) is list:  # a waiting connection
-                self.leave()
+                self.in_flight -= 1
             key.fileobj.close()  # the wake pair's read end among them
         self._sel.close()
 
@@ -200,7 +193,7 @@ class SocketHarness(Harness):
             conn.close()
         except OSError:
             pass
-        self.leave()
+        self.in_flight -= 1
 
     def _run(self) -> None:
         pending = self._pending
@@ -241,7 +234,9 @@ class SocketHarness(Harness):
             return
         conn = socket.SocketType(socket.AF_INET, socket.SOCK_STREAM, 0, fd)
         conn.setblocking(False)
-        self.enter()
+        self.in_flight = n = self.in_flight + 1
+        if n > self.max_in_flight:
+            self.max_in_flight = n
         self._feed(conn, self.endpoints[address], b"", None)
 
     def _reply(self, conn: socket.SocketType, payload: bytes, registered: bool) -> None:

@@ -272,18 +272,20 @@ def test_inspect_store_repeats_the_pinned_digest(tmp_path, capsys, transport, mi
                                                  digest):
     # Every kind, suite, version, alert, error string and classification a
     # campaign stores; a loopback address becomes its server's id, since the
-    # ports change from run to run.
+    # ports change from run to run. Memory exchanges run in parallel with no
+    # lock, so the memory store is pinned at several worker counts.
     spec = write_spec(tmp_path, mix, size=size, seed=5, **extra)
-    store_path = tmp_path / "records.jsonl"
     timeout = "0.01" if transport == "memory" else "5"
-    code, _, _ = run_cli(["inspect", "--fleet-spec", spec, "--transport", transport,
-                          "--timeout", timeout, "--concurrency", "4",
-                          "--store", str(store_path)], capsys)
-    assert code == 0
     ids = None
     if transport == "socket":
         ids = [server.server_id for server in generate_fleet(load_fleet_spec(spec))]
-    assert _masked_store_digest(store_path, ids) == digest
+    for concurrency in ("1", "4", "16") if transport == "memory" else ("4",):
+        store_path = tmp_path / ("records-%s.jsonl" % concurrency)
+        code, _, _ = run_cli(["inspect", "--fleet-spec", spec, "--transport", transport,
+                              "--timeout", timeout, "--concurrency", concurrency,
+                              "--store", str(store_path)], capsys)
+        assert code == 0
+        assert _masked_store_digest(store_path, ids) == digest, concurrency
 
 
 def test_scan_missing_input_file_fails_cleanly(tmp_path, capsys):

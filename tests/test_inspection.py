@@ -217,12 +217,14 @@ def test_scan_one_record_per_address_in_input_order():
 def test_concurrency_bound_is_respected_under_load():
     fleet = generate_fleet(FleetSpec(size=30, seed=4, mix={Archetype.FS_PREFERRING: 1.0}))
     with serve(fleet, Transport.IN_MEMORY, latency=LatencyModel(base_ms=20)) as h:
-        scan(h.addresses, [].append, timeout_s=1.0, concurrency=5, connector=h.connector())
-        assert 1 < h.max_in_flight <= 5
+        connector = CountingConnector(h.connector())
+        scan(h.addresses, [].append, timeout_s=1.0, concurrency=5, connector=connector)
+    assert 1 < connector.peak <= 5
 
 
 class CountingConnector:
-    """Wraps a connector; counts exchanges per address and notes each thread."""
+    """Wraps a connector; counts exchanges per address, notes each thread,
+    and keeps ``peak``, the most exchanges in flight at once."""
 
     def __init__(self, inner=None, raise_if=None, delay_s=0.0, error=RuntimeError,
                  delay_if=lambda address: True):
@@ -234,6 +236,7 @@ class CountingConnector:
         self.lock = threading.Lock()
         self.per_address = collections.Counter()
         self.threads = set()
+        self.in_flight = self.peak = 0
 
     @property
     def calls(self):
@@ -244,13 +247,19 @@ class CountingConnector:
         with self.lock:
             self.per_address[address] += 1
             self.threads.add(thread)
-        if self.raise_if is not None and self.raise_if(address, thread):
-            raise self.error("connector broke on %s" % address)
-        if self.delay_if(address):
-            time.sleep(self.delay_s)
-        if self.inner is None:
-            raise TimeoutError("no answer")
-        return self.inner.exchange(address, raw, timeout_s)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            if self.raise_if is not None and self.raise_if(address, thread):
+                raise self.error("connector broke on %s" % address)
+            if self.delay_if(address):
+                time.sleep(self.delay_s)
+            if self.inner is None:
+                raise TimeoutError("no answer")
+            return self.inner.exchange(address, raw, timeout_s)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -358,7 +367,7 @@ def test_scan_and_inspect_under_contention():
             worker.start()
             worker.join(timeout=60)
             assert not worker.is_alive()
-            peak = h.max_in_flight
+            peak = connector.peak
     finally:
         sys.setswitchinterval(interval)
     scanned = outcome["scanned"]
