@@ -176,7 +176,7 @@ def load_fleet_spec(path: str) -> FleetSpec:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSpec("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of more digits than CPython converts
         raise InvalidSpec("%s is not valid JSON: %s" % (path, exc)) from exc
     return fleet_spec_from_dict(data)
 

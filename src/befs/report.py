@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import re
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -82,7 +83,8 @@ class SchemaMismatch(Exception):
 # to be of its annotated type; "v" and "kind" come from the record's type,
 # so every line has them. Decoding checks every value's exact type (an int
 # passes for a float), so a JSON object that is not a record raises
-# SchemaMismatch only.
+# SchemaMismatch only. The same annotations give the pattern that
+# recognizes a line of another campaign without decoding it (_recognizer).
 
 _json_str = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
 
@@ -310,6 +312,78 @@ session_record_from_dict: Callable[[dict], SessionOutcome] = _record_decoder(
     "session", SessionOutcome)
 
 
+# A store line of another campaign is recognized, not parsed: a regular
+# expression generated from the annotations, as the line functions are,
+# accepts the lines they write whose strings need no escape: each kind's
+# keys in sorted order, no whitespace. A string holds printable ASCII other
+# than " and \, so the campaign it captures is the decoded one. A number
+# follows the JSON grammar, or is NaN or +-Infinity as the encoder writes
+# them, and each digit run is bounded far below the 4300 digits CPython
+# converts to an int (repr writes at most 17 digits; 2**128 has 39). So
+# every line it accepts is one that json.loads turns into an object with
+# that "campaign". An enum is matched as any such string: a line of another
+# campaign is dropped, never decoded, so only its JSON must be checked.
+
+_MAX_DIGITS = 100
+_CHARS = r"[ !#-\[\]-~]*"  # a string's text
+_INT = "-?(?:0|[1-9][0-9]{0,%d})" % (_MAX_DIGITS - 1)
+_SCALAR_PATTERNS = {
+    int: _INT,
+    float: r"(?:%s(?:\.[0-9]{1,%d})?(?:[eE][-+]?[0-9]{1,%d})?|NaN|-?Infinity)"
+           % (_INT, _MAX_DIGITS, _MAX_DIGITS),
+    str: '"%s"' % _CHARS,
+    bool: "(?:true|false)",
+}
+
+
+@functools.cache
+def _pattern(tp) -> str:
+    """A regular expression for the JSON text that _template writes for a
+    value of annotation ``tp`` when that text holds no escape. It matches
+    nothing that is not JSON of that shape, but an enum's name may be any
+    string."""
+    origin = get_origin(tp)
+    if origin is Union:  # Optional[X]
+        return "(?:null|%s)" % _pattern(get_args(tp)[0])
+    if origin is tuple:  # tuple[X, ...], X written once: a comma follows an item unless "]" does
+        return r"\[(?:%s(?:,(?!\])|(?=\])))*\]" % _pattern(get_args(tp)[0])
+    if tp is wire.AlertMsg:
+        return r"\[%s,%s\]" % (_INT, _INT)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return _SCALAR_PATTERNS[str]
+    if tp in _SCALAR_PATTERNS:
+        return _SCALAR_PATTERNS[tp]
+    members = _member_patterns(tp)
+    return r"\{%s\}" % ",".join('"%s":%s' % (k, members[k]) for k in sorted(members))
+
+
+def _member_patterns(tp) -> dict[str, str]:
+    hints = get_type_hints(tp)
+    return {f.name: _pattern(hints[f.name]) for f in dataclasses.fields(tp)}
+
+
+@functools.cache
+def _recognizer() -> Callable:
+    """``recognize(line)`` matches a whole line of any kind, ``\\n``
+    included, and captures its campaign as group 1.
+
+    Each kind's keys before "campaign", and those after it, are one
+    alternative of each part; a head of one kind with the tail of another
+    is still an object with that campaign. The pattern compiles in
+    milliseconds, so RecordStore.load builds it only on the first line
+    that does not hold the campaign it reads.
+    """
+    heads, tails = {}, {}  # insertion-ordered sets
+    for kind, tp in _KINDS.items():
+        members = {**_member_patterns(tp), "v": str(SCHEMA_VERSION), "kind": '"%s"' % kind}
+        keys = sorted([*members, "campaign"])
+        at = keys.index("campaign")
+        heads["".join('"%s":%s,' % (k, members[k]) for k in keys[:at])] = None
+        tails["".join(',"%s":%s' % (k, members[k]) for k in keys[at + 1:])] = None
+    return re.compile(r'\{(?:%s)"campaign":"(%s)"(?:%s)\}\n?'
+                      % ("|".join(heads), _CHARS, "|".join(tails))).fullmatch
+
+
 def record_line(record, campaign: str = "") -> str:
     """The store line of a ScanRecord, an InspectionRecord or a
     SessionOutcome: one JSON object, sorted keys, no spaces, ending in
@@ -408,12 +482,20 @@ class RecordStore:
 
         Lines end at ``\\n`` only. They are read through one buffered text
         handle, so memory holds its buffer (or one line, if longer) plus
-        the kept records. Every line is parsed, whatever its campaign, so a
-        corrupt line of any campaign is reported. With ``decode``, each kept
-        object is replaced by ``decode(object)`` as it is read, not held.
+        the kept records. A corrupt line of any campaign is reported: with
+        ``campaign``, an ASCII line that _recognizer accepts as a record
+        line of another campaign is dropped unparsed; every other line is
+        parsed. With ``decode``, each kept object is replaced by
+        ``decode(object)`` as it is read, not held.
         """
         result = LoadResult(records=[])
         records, errors = result.records, result.errors
+        # A line holding this text is parsed; it costs a line of the
+        # campaign one substring test. A line without it is of another
+        # campaign, or is written with an escape or a space, which the
+        # recognizer refuses.
+        tag = None if campaign is None else '"campaign":%s' % _json_str(campaign)
+        recognize = None
         try:
             # surrogateescape: a line that is not UTF-8 is read, then reported.
             with self.path.open(encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
@@ -421,8 +503,15 @@ class RecordStore:
                     # One scan of an ASCII line (never empty) that holds
                     # exactly one object and nothing else; any other line
                     # takes _parse_line, which gives the same records and
-                    # the same errors.
+                    # the same errors. A recognized line of another
+                    # campaign is dropped unscanned.
                     if line[0] == "{" and line.isascii():
+                        if tag is not None and tag not in line:
+                            if recognize is None:
+                                recognize = _recognizer()
+                            other = recognize(line)
+                            if other is not None and other[1] != campaign:
+                                continue
                         try:
                             data, stop = _scan_value(line, 0)
                         except (ValueError, StopIteration, RecursionError):
@@ -461,7 +550,7 @@ def _parse_line(line: str, number: int, errors: list[ParseFailure]) -> Optional[
         data = json.loads(line)
     except UnicodeDecodeError as exc:
         reason = "not UTF-8: %s" % exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of more digits than CPython converts
         reason = str(exc)
     except RecursionError:
         reason = "nested too deeply to parse"

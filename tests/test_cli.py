@@ -302,6 +302,17 @@ def test_fleet_spec_bad_json_fails_cleanly(tmp_path, capsys):
     assert "JSON" in err
 
 
+def test_fleet_spec_with_an_int_too_long_to_convert_fails_cleanly(tmp_path, capsys):
+    # json.load raises a plain ValueError, not a JSONDecodeError, for an int
+    # of more digits than CPython converts (4300).
+    path = tmp_path / "fleet.json"
+    path.write_text('{"size": 1%s, "seed": 1, "mix": {"NONFS_ONLY": 1}}' % ("0" * 5000),
+                    encoding="utf-8")
+    code, out, err = run_cli(["fleet", "--spec", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "fleet.json is not valid JSON" in err, err
+
+
 def test_usage_errors_exit_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scan"])  # neither --input nor --fleet-spec
@@ -553,6 +564,23 @@ def test_report_skips_a_line_that_is_not_an_object(tmp_path, capsys):
     code, out, err = run_cli(["report", "--store", write_store(tmp_path, [1, 2], good)], capsys)
     assert code == 0
     assert "skipped corrupt line 1" in err
+    assert json.loads(out)["dataset_size"] == 1
+
+
+@pytest.mark.parametrize("campaign", [None, "c1"])
+def test_report_skips_a_line_with_an_int_too_long_to_convert(tmp_path, capsys, campaign):
+    # The digit limit's ValueError is not a JSONDecodeError; a scan line of
+    # another campaign holding such an int is not recognized, so it is parsed.
+    scan = ScanRecord("srv-0000", 1.0, ScanResultKind.RESPONDED, 0x002F, 0x0303)
+    long_int = record_line(scan, "c2").replace("47", "4" * 5000)
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a":%s}\n' % ("1" * 5000) + long_int + record_line(scan, "c1"),
+                    encoding="utf-8")
+    argv = ["report", "--store", str(path)] + (["--campaign", campaign] if campaign else [])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert "skipped corrupt line 1: Exceeds the limit (4300 digits)" in err
+    assert "skipped corrupt line 2: Exceeds the limit (4300 digits)" in err
     assert json.loads(out)["dataset_size"] == 1
 
 

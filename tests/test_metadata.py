@@ -156,6 +156,21 @@ print(sorted(set(sys.modules) & {'logging'}))
     assert done.stdout.splitlines()[-3:] == ["[]", "[]", "[]"]
 
 
+def test_only_a_report_of_one_campaign_builds_the_line_recognizer(tmp_path):
+    # The pattern that recognizes another campaign's line takes milliseconds
+    # to compile: a campaign, a report of every campaign, or a report of a
+    # store's only campaign never builds it.
+    done = _run_campaign(tmp_path, coda="""
+from befs import report
+built = [report._recognizer.cache_info().currsize]
+assert cli.main(["report", "--store", store, "--campaign", ""]) == 0
+built.append(report._recognizer.cache_info().currsize)
+assert cli.main(["report", "--store", store, "--campaign", "c1"]) == 0
+print(built + [report._recognizer.cache_info().currsize])
+""")
+    assert done.stdout.splitlines()[-1] == "[0, 0, 1]"
+
+
 def test_befs_connect_loads_the_loopback_module_and_connects(tmp_path):
     spec = FleetSpec(size=1, seed=3, mix={Archetype.FS_PREFERRING: 1.0})
     with serve(generate_fleet(spec), Transport.LOOPBACK_SOCKET) as harness:

@@ -12,9 +12,9 @@ from enum import Enum
 from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from befs import wire
+from befs import report, wire
 from befs.client import (
     FallbackStyle,
     PolicyConfig,
@@ -44,6 +44,7 @@ from befs.inspection import (
 )
 from befs.report import (
     _KINDS,
+    _recognizer,
     AggregateReport,
     FS_NONAE_PICK_CLASSES,
     FS_SUPPORT_CLASSES,
@@ -637,7 +638,7 @@ def _load_line_by_line(path, campaign=None) -> list:
             continue
         try:
             data = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int of over 4300 digits
             errors.append(ParseFailure(number, str(exc)))
             continue
         if not isinstance(data, dict):
@@ -657,7 +658,24 @@ _objects = st.builds(
     ),
     st.sampled_from(["c1", "c2", "c3"]), _text, st.integers(-5, 5), st.booleans(),
 )
+# Canonical record lines of three campaigns (newline dropped), and each with
+# one character dropped or one text inserted. NaN != NaN would fail the
+# comparison of kept records, so a NaN is written as Infinity.
+_record_lines = st.builds(
+    lambda record, campaign: record_line(record, campaign)[:-1].replace("NaN", "Infinity"),
+    st.one_of(_scans, _inspections, _sessions), st.sampled_from(["c1", "c2", "c3"]),
+)
+_insertions = st.sampled_from(['"', "\\", ",", "}", " ", "\x00", "\x1f", "7", "0" * 150,
+                               "1" * 5000])
+_mutated_lines = st.one_of(
+    st.tuples(_record_lines, st.integers(0)).map(  # one character dropped
+        lambda p: p[0][:p[1] % len(p[0])] + p[0][p[1] % len(p[0]) + 1:]),
+    st.tuples(_record_lines, st.integers(0), _insertions).map(  # one text inserted
+        lambda p: p[0][:p[1] % (len(p[0]) + 1)] + p[2] + p[0][p[1] % (len(p[0]) + 1):]),
+)
 _store_lines = st.one_of(
+    _record_lines,
+    _mutated_lines,
     _objects,
     _objects.map(lambda o: " %s\t" % o),  # whitespace-padded
     st.sampled_from(["", "  ", "\t", "\r", "[1,2]", "5", "null", '"c1"', "{", "}"]),
@@ -723,6 +741,105 @@ def test_store_load_matches_a_line_by_line_parse_across_reads(tmp_path):
         loaded = RecordStore(path).load(campaign=campaign)
         assert [loaded.records, [(e.line_number, str(e)) for e in loaded.errors]] == \
             _load_line_by_line(path, campaign)
+
+
+# -- recognizing a line of another campaign -------------------------------------
+
+
+def _recognized(line):
+    """The campaign the recognizer captures from ``line``, or None if it refuses it."""
+    recognized = _recognizer()(line)
+    return None if recognized is None else recognized[1]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_record_lines, _mutated_lines), st.sampled_from(["", "\n"]))
+def test_every_line_the_recognizer_accepts_is_an_object_of_its_campaign(line, end):
+    campaign = _recognized(line + end)
+    if campaign is not None:
+        data = json.loads(line)
+        assert type(data) is dict and data["campaign"] == campaign
+
+
+_RECORDS = {ScanRecord: _scans, InspectionRecord: _inspections, SessionOutcome: _sessions}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(list(_KINDS.values())).flatmap(_RECORDS.__getitem__), _texts)
+def test_the_recognizer_accepts_every_record_line_without_an_escape(record, campaign):
+    line = record_line(record, campaign)
+    assume("\\" not in line)
+    assert _recognized(line) == _recognized(line[:-1]) == campaign
+
+
+@pytest.mark.parametrize("record", [
+    SessionOutcome(SessionStatus.FAILED, None, None, None, 0, 0, ()),
+    SessionOutcome(
+        SessionStatus.CONNECTED, 0xC02F, True, True, 39, 40,
+        (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 2 ** 128, -7) * 5,
+        tuple(AttemptResult(AttemptKind.REJECTED, alert=_fatal(40), elapsed_s=math.nan)
+              for _ in range(39)) + (AttemptResult(AttemptKind.SELECTED, 0xC02F, 771),),
+        PolicyMode.BEFS, "srv-0009:443", FallbackStyle.PARALLEL,
+    ),
+    ScanRecord("srv-1", -math.inf, ScanResultKind.TIMEOUT, None, -(2 ** 128), None),
+    inspection_rec(classification=Classification.STABLE_SUPPORTS_FS_AE),
+    *(golden[1] for golden in GOLDEN_LINES),
+], ids=["empty-session", "long-session", "scan-infinities", "inspection",
+        *(golden[0] for golden in GOLDEN_LINES)])
+def test_the_recognizer_accepts_none_nonfinite_and_long_values(record):
+    for campaign in ("", "c1", "a campaign #2"):
+        assert _recognized(record_line(record, campaign)) == campaign
+
+
+def test_the_recognizer_refuses_what_it_cannot_vouch_for():
+    line = GOLDEN_LINES[0][3]  # a responded scan of c1; its suite is 47
+    assert _recognized(line) == "c1"
+    for refused in [
+        line + "\r\n", line + "\n\n", line + " ", " " + line, line + line,
+        line.replace(":", ": ", 1), line.replace(",", ", ", 1),
+        line.replace('"c1"', '"c\\u0031"'), line.replace('"c1"', '"c\x01"'),
+        line.replace('"c1"', '"c\u00e9"'), line.replace('"c1"', "null"),
+        line.replace(":47,", ":47.0,"), line.replace(":47,", ":047,"),
+        line.replace(":47,", ":%s," % ("4" * 4301)),
+        line.replace("1700000000.25", "1" * 4301),
+        line.replace('"error_detail":null,', ""),
+        line.replace('"error_detail":null,"kind":"scan"', '"kind":"scan","error_detail":null'),
+        line.replace("}", ",}"),
+    ]:
+        assert _recognized(refused) is None, refused
+    # An enum's name is not checked: a line of another campaign is dropped, never decoded.
+    assert _recognized(line.replace('"RESPONDED"', '"responded"')) == "c1"
+    # A session line holds lists, floats, booleans and nulls.
+    session = GOLDEN_LINES[3][3]
+    assert _recognized(session) == "c1"
+    for old, new in [
+        ("[0.5,0.25,0.125]", "[0.5,0.25,0.125,]"), ("[0.5,0.25,0.125]", "[,0.5,0.25,0.125]"),
+        ("[0.5,0.25,0.125]", "[0.5,,0.125]"), ("[0.5,0.25,0.125]", "[0.5 0.125]"),
+        ("[0.5,0.25,0.125]", "[0.50.125]"), ('"alert":[2,40]', '"alert":[2,40,]'),
+        ('"alert":[2,40]', '"alert":[2]'), ("0.25", "-NaN"), ("0.25", "+0.25"), ("0.25", ".25"),
+        ("0.25", "0."), ("0.25", "0.2.5"), ("0.25", "2e"), ("0.25", "2e+"), ("0.25", "Infinityx"),
+        ("0.25", "-0.25.0"), ("false", "False"), ("null", "nul"), ("null", "none"),
+    ]:
+        refused = session.replace(old, new, 1)
+        assert refused != session and _recognized(refused) is None, refused
+
+
+def test_load_of_one_campaign_parses_no_well_formed_line_of_another(store, monkeypatch):
+    for address in ("a", "b"):
+        store.append(scan_rec(address), campaign="c1")
+        store.append(inspection_rec(address), campaign="c2")
+        store.append(_GOLDEN_SESSION, campaign="c2")
+    with store.path.open("a", encoding="utf-8") as fh:
+        fh.write('{"address":"x","campaign":"c2",}\n')
+    parsed = []
+    scan_value = report._scan_value
+    monkeypatch.setattr(report, "_scan_value",
+                        lambda line, at: parsed.append(line) or scan_value(line, at))
+    loaded = store.load(campaign="c1")
+    assert [r["address"] for r in loaded.records] == ["a", "b"]
+    assert [e.line_number for e in loaded.errors] == [7]
+    assert [json.loads(line)["campaign"] for line in parsed[:2]] == ["c1", "c1"]
+    assert parsed[2:] == ['{"address":"x","campaign":"c2",}\n']
 
 
 def test_store_line_is_on_disk_when_append_returns(store):
